@@ -951,7 +951,7 @@ let bechamel_suite ~quick () =
             ignore (Omega.cube_fixpoint dm_mid)));
         Test.make ~name:"alg1_n256" (Staged.stage (fun () ->
             ignore (Alg1.run ~dim:2 ~n:256 alg1_dm)));
-        Test.make ~name:"dinic_64v_400e" (Staged.stage (fun () ->
+        Test.make ~name:"maxflow_64v_400e" (Staged.stage (fun () ->
             let net = flow_net () in
             ignore (Maxflow.max_flow net ~source:0 ~sink:63)));
         (* Arena kernels introduced by the incremental-oracle work: the
@@ -1054,7 +1054,7 @@ let json_scenarios ~quick =
             [ ([| n / 2; n / 2 |], 5000); ([| n / 4; n / 4 |], 1000) ]
         in
         ignore (Alg1.run ~dim:2 ~n dm) );
-    ( "maxflow/dinic-dense",
+    ( "maxflow/dense",
       fun () ->
         let rng = Rng.create 3 in
         let n = if quick then 96 else 192 in

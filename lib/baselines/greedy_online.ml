@@ -54,15 +54,4 @@ let run ?(pad = 0) ~capacity workload =
 
 let min_feasible_capacity ?(tol = 0.25) ?pad workload =
   let ok w = succeeded (run ?pad ~capacity:w workload) in
-  let rec grow hi attempts =
-    if attempts = 0 then hi else if ok hi then hi else grow (2.0 *. hi) (attempts - 1)
-  in
-  let hi = grow 2.0 40 in
-  let rec bisect lo hi =
-    if hi -. lo <= tol then hi
-    else begin
-      let mid = 0.5 *. (lo +. hi) in
-      if ok mid then bisect lo mid else bisect mid hi
-    end
-  in
-  bisect 0.0 hi
+  Bisect.least ~tol ~start:2.0 ~attempts:40 ok

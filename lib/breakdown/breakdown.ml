@@ -44,77 +44,9 @@ let lp_lower_bound ?(scale = 1000) ?(precision = 1e-3) ?(search_radius = 512)
        radius cannot enlist anyone new: if the transport is still
        infeasible there, report it unbounded (e.g. all-dead instances). *)
     let cap = 2.0 *. float_of_int search_radius in
-    let rec grow hi =
-      if hi > cap then None else if feasible hi then Some hi else grow (2.0 *. hi)
-    in
-    match grow 1.0 with
+    match Bisect.double ~cap ~start:1.0 feasible with
     | None -> infinity
-    | Some hi ->
-        let rec bisect lo hi =
-          if hi -. lo <= precision then hi
-          else begin
-            let mid = 0.5 *. (lo +. hi) in
-            if feasible mid then bisect lo mid else bisect mid hi
-          end
-        in
-        bisect 0.0 hi
-  end
-
-let omega_subsets ~longevity dm =
-  let support = Array.of_list (Demand_map.support dm) in
-  let n = Array.length support in
-  if n > 14 then invalid_arg "Breakdown.omega_subsets: support too large";
-  if n = 0 then 0.0
-  else begin
-    (* For one subset T, ω_T solves ω · Σ_{i : ‖i-T‖ <= p_i·ω} p_i = D(T);
-       the left side is non-decreasing in ω, so bisection applies. *)
-    let omega_of points total =
-      let lhs omega =
-        let reach = min 512 (int_of_float (Float.min omega 1e9)) in
-        let region = Ball.dilate_set points ~radius:reach in
-        let sum =
-          Point.Set.fold
-            (fun s acc ->
-              let p = clamp01 (longevity s) in
-              let d =
-                List.fold_left (fun m x -> min m (Point.l1_dist s x)) max_int points
-              in
-              if float_of_int d <= p *. omega then acc +. p else acc)
-            region 0.0
-        in
-        omega *. sum
-      in
-      let target = float_of_int total in
-      let rec grow hi attempts =
-        if attempts = 0 then None
-        else if lhs hi >= target then Some hi
-        else grow (2.0 *. hi) (attempts - 1)
-      in
-      match grow 1.0 16 with
-      | None -> infinity
-      | Some hi ->
-          let rec bisect lo hi =
-            if hi -. lo <= 1e-6 then hi
-            else begin
-              let mid = 0.5 *. (lo +. hi) in
-              if lhs mid >= target then bisect lo mid else bisect mid hi
-            end
-          in
-          bisect 0.0 hi
-    in
-    let best = ref 0.0 in
-    for mask = 1 to (1 lsl n) - 1 do
-      let points = ref [] and total = ref 0 in
-      for i = 0 to n - 1 do
-        if mask land (1 lsl i) <> 0 then begin
-          points := support.(i) :: !points;
-          total := !total + Demand_map.value dm support.(i)
-        end
-      done;
-      let w = omega_of !points !total in
-      if w > !best then best := w
-    done;
-    !best
+    | Some hi -> Bisect.halve ~tol:precision ~lo:0.0 ~hi feasible
   end
 
 module Figure41 = struct

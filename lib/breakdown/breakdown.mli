@@ -28,10 +28,6 @@ val lp_lower_bound :
     (default 512) of the demand support; [infinity] means "not feasible
     with those suppliers" (e.g. every nearby vehicle dead). *)
 
-val omega_subsets : longevity:longevity -> Demand_map.t -> float
-(** [max_T ω_T] of Theorem 4.1.1 by exhaustive subset enumeration
-    (test witness; raises beyond 14 support points). *)
-
 (** The Figure 4.1 adversarial instance. *)
 module Figure41 : sig
   type t = {

@@ -117,27 +117,6 @@ let max_over_cubes dm =
       done;
       !best
 
-let max_over_subsets dm =
-  let support = Array.of_list (Demand_map.support dm) in
-  let n = Array.length support in
-  if n > 16 then invalid_arg "Omega.max_over_subsets: support too large";
-  if n = 0 then 0.0
-  else begin
-    let best = ref 0.0 in
-    for mask = 1 to (1 lsl n) - 1 do
-      let points = ref [] and total = ref 0 in
-      for i = 0 to n - 1 do
-        if mask land (1 lsl i) <> 0 then begin
-          points := support.(i) :: !points;
-          total := !total + Demand_map.value dm support.(i)
-        end
-      done;
-      let w = of_points !points ~total:!total in
-      if w > !best then best := w
-    done;
-    !best
-  end
-
 let int_pow base e =
   let v = ref 1 in
   for _ = 1 to e do
@@ -185,16 +164,8 @@ let cube_fixpoint_with_side dm =
 
 let cube_fixpoint dm = fst (cube_fixpoint_with_side dm)
 
-(* --- closed forms of §2.1, solved by bisection --- *)
-
-let bisect ~f ~target ~lo ~hi =
-  (* f increasing; returns w with f w = target to ~1e-12 relative. *)
-  let lo = ref lo and hi = ref hi in
-  for _ = 1 to 200 do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if f mid < target then lo := mid else hi := mid
-  done;
-  0.5 *. (!lo +. !hi)
+(* --- closed forms of §2.1, solved by bisection: each [f] is increasing,
+   so halving [0, d] to the last float finds [w] with [f w = target]. --- *)
 
 let example_square_w1 ~a ~d =
   if a <= 0 || d < 0 then invalid_arg "Omega.example_square_w1: bad parameters";
@@ -202,7 +173,7 @@ let example_square_w1 ~a ~d =
   else begin
     let fa = float_of_int a and fd = float_of_int d in
     let f w = w *. (((2.0 *. w) +. fa) ** 2.0) in
-    bisect ~f ~target:(fd *. fa *. fa) ~lo:0.0 ~hi:fd
+    Bisect.halve ~lo:0.0 ~hi:fd (fun w -> f w >= fd *. fa *. fa)
   end
 
 let example_line_w2 ~d =
@@ -211,7 +182,7 @@ let example_line_w2 ~d =
   else begin
     let fd = float_of_int d in
     let f w = w *. ((2.0 *. w) +. 1.0) in
-    bisect ~f ~target:fd ~lo:0.0 ~hi:fd
+    Bisect.halve ~lo:0.0 ~hi:fd (fun w -> f w >= fd)
   end
 
 let example_point_w3 ~d =
@@ -220,5 +191,5 @@ let example_point_w3 ~d =
   else begin
     let fd = float_of_int d in
     let f w = w *. (((2.0 *. w) +. 1.0) ** 2.0) in
-    bisect ~f ~target:fd ~lo:0.0 ~hi:fd
+    Bisect.halve ~lo:0.0 ~hi:fd (fun w -> f w >= fd)
   end

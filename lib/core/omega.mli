@@ -40,10 +40,6 @@ val max_over_cubes : Demand_map.t -> float
     Corollary 2.2.6.  Cost [O(sides · volume)] over the support's bounding
     box. *)
 
-val max_over_subsets : Demand_map.t -> float
-(** Exhaustive [max_T ω_T] over all subsets of the support; exponential
-    test witness (raises [Invalid_argument] beyond 16 support points). *)
-
 val cube_fixpoint : Demand_map.t -> float
 (** The [ωc] of Corollary 2.2.7:
     [min (ω : ω·(3⌈ω⌉)^l >= max demand in any ⌈ω⌉-cube)], computed by

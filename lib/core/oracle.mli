@@ -9,8 +9,9 @@
 
     Instead of a numeric LP solver (unavailable offline) we use the exact
     combinatorial equivalent: for fixed radius, feasibility at capacity [ω]
-    is a bipartite max-flow check, and the minimal capacity is found by
-    binary search on a [1/scale] grid ({!Transport.min_uniform_supply}).
+    is a bipartite max-flow check, and the minimal capacity on the
+    [1/scale] grid is read off one parametric max-flow sweep over [ω]
+    ({!Transport.min_uniform_supply}, driven by {!Paramflow}).
     Suppliers are the grid vertices within distance [r] of the demand
     support — the only vehicles that can participate. *)
 

@@ -1,49 +1,29 @@
-(* Max-flow arena with two interchangeable cores on one edge-array
+(* Max-flow arena with one push-relabel core on an edge-array
    representation: edge 2k and its residual twin 2k+1 are stored adjacently,
    so the reverse of edge [e] is [e lxor 1].  Adjacency is CSR-style — edge
    ids grouped by source vertex in one flat array with a prefix-sum index —
    rebuilt lazily after edge insertions, so the hot loops (BFS, current-arc
    scans, discharge) touch nothing but int arrays.
 
-   The default core is push-relabel with highest-label selection, the gap
+   The core is push-relabel with highest-label selection, the gap
    heuristic and periodic global relabeling (two backward BFS passes over
    the existing ring buffer).  It runs single-phase with heights up to 2n,
    so leftover excess drains back to the source and the terminal state is a
    valid *flow*, not a preflow — required by the arena contract
-   ([flow_on], warm restarts, [drain_even_caps]).  The previous Dinic
-   augmenter is kept behind [CMVRP_FLOW_CORE=dinic] (or [create ~core])
-   as a differential-testing oracle. *)
+   ([flow_on], warm restarts, [drain_even_caps]). *)
 
-let m_augmentations = Metrics.counter "maxflow.augmentations"
-let m_bfs_phases = Metrics.counter "maxflow.bfs_phases"
 let m_runs = Metrics.counter "maxflow.runs"
 let m_residual_edges = Metrics.gauge "maxflow.residual_edges"
 let m_relabels = Metrics.counter "maxflow.relabels"
 let m_gap_hits = Metrics.counter "maxflow.gap_hits"
 let m_global_relabels = Metrics.counter "maxflow.global_relabels"
 
-type core = Dinic | Push_relabel
-
-(* Read once at module load into an immutable value: core selection must
-   not be mutable shared state (domain-confine / race discipline). *)
-let env_core =
-  match Sys.getenv_opt "CMVRP_FLOW_CORE" with
-  | Some v -> begin
-      match String.lowercase_ascii (String.trim v) with
-      | "dinic" -> Dinic
-      | _ -> Push_relabel
-    end
-  | None -> Push_relabel
-
-let default_core () = env_core
-
 type t = {
-  core : core;
   mutable n : int;
   mutable dst : int array; (* destination per directed edge *)
   mutable cap : int array; (* remaining capacity per directed edge *)
   mutable m : int; (* number of directed edges (including twins) *)
-  mutable level : int array; (* Dinic levels / push-relabel heights *)
+  mutable level : int array; (* push-relabel heights *)
   mutable queue : int array; (* BFS ring buffer, length >= n *)
   mutable adj : int array; (* CSR payload: edge ids grouped by source *)
   mutable adj_start : int array; (* CSR index, length >= n+1 *)
@@ -63,12 +43,10 @@ type t = {
   mutable marked : bool;
 }
 
-let create ?core n =
+let create n =
   if n < 0 then invalid_arg "Maxflow.create: negative size";
-  let core = match core with Some c -> c | None -> env_core in
   let n1 = max n 1 in
   {
-    core;
     n;
     dst = Array.make 16 0;
     cap = Array.make 16 0;
@@ -168,79 +146,6 @@ let build_csr t =
   t.csr_valid <- true
 
 let ensure_csr t = if not t.csr_valid then build_csr t
-
-(* ------------------------------------------------------------------ *)
-(* Dinic core (kept as the differential-testing oracle)               *)
-(* ------------------------------------------------------------------ *)
-
-let build_levels t ~source ~sink =
-  Array.fill t.level 0 t.n (-1);
-  let q = t.queue in
-  q.(0) <- source;
-  t.level.(source) <- 0;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let v = q.(!head) in
-    incr head;
-    for i = t.adj_start.(v) to t.adj_start.(v + 1) - 1 do
-      let e = t.adj.(i) in
-      let w = t.dst.(e) in
-      if t.cap.(e) > 0 && t.level.(w) = -1 then begin
-        t.level.(w) <- t.level.(v) + 1;
-        q.(!tail) <- w;
-        incr tail
-      end
-    done
-  done;
-  t.level.(sink) >= 0
-
-let rec augment t v ~sink pushed =
-  if v = sink then pushed
-  else begin
-    let limit = t.adj_start.(v + 1) in
-    let rec try_edges () =
-      let i = t.cur.(v) in
-      if i >= limit then 0
-      else begin
-        let e = t.adj.(i) in
-        let w = t.dst.(e) in
-        if t.cap.(e) > 0 && t.level.(w) = t.level.(v) + 1 then begin
-          let got = augment t w ~sink (min pushed t.cap.(e)) in
-          if got > 0 then begin
-            t.cap.(e) <- Energy.sub t.cap.(e) got;
-            t.cap.(e lxor 1) <- Energy.add t.cap.(e lxor 1) got;
-            got
-          end
-          else begin
-            t.cur.(v) <- i + 1;
-            try_edges ()
-          end
-        end
-        else begin
-          t.cur.(v) <- i + 1;
-          try_edges ()
-        end
-      end
-    in
-    try_edges ()
-  end
-
-let dinic_max_flow t ~source ~sink =
-  let total = ref 0 in
-  while build_levels t ~source ~sink do
-    Metrics.incr m_bfs_phases;
-    Array.blit t.adj_start 0 t.cur 0 t.n;
-    let rec push () =
-      let got = augment t source ~sink max_int in
-      if got > 0 then begin
-        Metrics.incr m_augmentations;
-        total := !total + got;
-        push ()
-      end
-    in
-    push ()
-  done;
-  !total
 
 (* ------------------------------------------------------------------ *)
 (* Push-relabel core                                                  *)
@@ -443,9 +348,7 @@ let max_flow t ~source ~sink =
   Metrics.incr m_runs;
   Metrics.set_gauge m_residual_edges (float_of_int t.m);
   ensure_csr t;
-  match t.core with
-  | Dinic -> dinic_max_flow t ~source ~sink
-  | Push_relabel -> pr_max_flow t ~source ~sink
+  pr_max_flow t ~source ~sink
 
 let flow_on t id =
   if id < 0 || id >= t.m || id mod 2 <> 0 then

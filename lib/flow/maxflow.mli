@@ -1,4 +1,4 @@
-(** Maximum flow on integer capacities, with a choice of cores.
+(** Maximum flow on integer capacities, by push-relabel.
 
     This is the combinatorial engine behind the paper's linear program
     (2.1): for a fixed supply [ω] and radius [r], feasibility of the
@@ -15,22 +15,14 @@
     rebuilding.  {!mark}/{!rewind} snapshot and restore the capacity state
     so an over-shooting probe can be undone in O(m).
 
-    Two cores share the arena representation: the default push-relabel
-    engine (highest-label selection, gap heuristic, periodic global
-    relabeling) and the earlier Dinic augmenter, kept for differential
-    testing.  Both leave a valid maximum {e flow} (not a preflow), so
-    {!flow_on}, warm restarts and cut extraction behave identically. *)
+    The engine is push-relabel with highest-label selection, the gap
+    heuristic and periodic global relabeling.  It leaves a valid maximum
+    {e flow} (not a preflow), so {!flow_on}, warm restarts and cut
+    extraction read a real flow. *)
 
 type t
 
-type core = Dinic | Push_relabel
-
-val default_core : unit -> core
-(** The core used when {!create} is not given one: [Push_relabel], unless
-    the environment variable [CMVRP_FLOW_CORE] is set to [dinic].  Read
-    once at module load. *)
-
-val create : ?core:core -> int -> t
+val create : int -> t
 (** [create n] is an empty flow network on vertices [0 .. n-1]. *)
 
 val add_vertex : t -> int
@@ -48,7 +40,7 @@ val edge_dst : t -> int -> int
     destination of [id lxor 1] is the source of [id]). *)
 
 val max_flow : t -> source:int -> sink:int -> int
-(** Runs the selected core to completion and returns the flow value
+(** Runs push-relabel to completion and returns the flow value
     {e pushed by this call}.  The network keeps its residual state: after
     raising capacities with {!set_even_caps}, a subsequent call continues
     from the current flow and returns only the increment. *)
@@ -103,5 +95,6 @@ val n_vertices : t -> int
 val min_cut_side : t -> source:int -> bool array
 (** After [max_flow], the source side of a minimum cut (vertices reachable
     in the residual network).  This is the unique {e minimal} source side,
-    identical for every maximum flow — so it is core-independent, which
-    the differential tests rely on.  Certifies optimality in tests. *)
+    identical for every maximum flow — so any other max-flow solver
+    yields the same set, which the differential tests rely on.  Certifies
+    optimality in tests. *)

@@ -304,41 +304,8 @@ let breakpoints t ~scale =
     Paramflow.breakpoints ps.pf
   end
 
-let dual_value_exhaustive t =
-  if t.n_demands > 20 then
-    invalid_arg "Transport.dual_value_exhaustive: too many demand sites";
-  (* Neighborhood of a demand subset = set of suppliers linked to it. *)
-  let links_of_demand = Array.make t.n_demands [] in
-  iter_links t (fun ~supplier:i ~demand:j ->
-      links_of_demand.(j) <- i :: links_of_demand.(j));
-  let best = ref 0.0 in
-  let n_subsets = 1 lsl t.n_demands in
-  let suppliers_seen = Array.make t.n_suppliers (-1) in
-  for mask = 1 to n_subsets - 1 do
-    let d_total = ref 0 and n_neigh = ref 0 in
-    for j = 0 to t.n_demands - 1 do
-      if mask land (1 lsl j) <> 0 then begin
-        d_total := !d_total + t.demands.(j);
-        List.iter
-          (fun i ->
-            if suppliers_seen.(i) <> mask then begin
-              suppliers_seen.(i) <- mask;
-              incr n_neigh
-            end)
-          links_of_demand.(j)
-      end
-    done;
-    if !d_total > 0 then
-      if !n_neigh = 0 then best := infinity
-      else begin
-        let v = float_of_int !d_total /. float_of_int !n_neigh in
-        if v > !best then best := v
-      end
-  done;
-  !best
-
-let infeasibility_witness ?core t ~supply =
-  let net = Maxflow.create ?core (2 + t.n_suppliers + t.n_demands) in
+let infeasibility_witness t ~supply =
+  let net = Maxflow.create (2 + t.n_suppliers + t.n_demands) in
   for i = 0 to t.n_suppliers - 1 do
     let cap = supply i in
     if cap > 0 then

@@ -86,13 +86,7 @@ val breakpoints : t -> scale:int -> (int * int * int) array
     breakpoint distinguishable at integer levels.  [[||]] when the total
     demand is zero. *)
 
-val dual_value_exhaustive : t -> float
-(** [max_J Σ_{j∈J} d(j) / |N(J)|] by enumerating all demand subsets.
-    Exponential — test witness for tiny instances only (raises
-    [Invalid_argument] beyond 20 demand sites). *)
-
-val infeasibility_witness :
-  ?core:Maxflow.core -> t -> supply:(int -> int) -> int list option
+val infeasibility_witness : t -> supply:(int -> int) -> int list option
 (** When the instance is infeasible at the given supplies, returns a
     Hall-type violating set of demand indices [J] with
     [Σ_{j∈J} d(j) > Σ_{i∈N(J)} supply i], extracted from a minimum cut

@@ -52,32 +52,6 @@ let neighborhood_size t subset ~radius =
     !count
   end
 
-let omega_of_subset t subset =
-  match subset with
-  | [] -> invalid_arg "Gcmvrp.omega_of_subset: empty subset"
-  | _ ->
-      let total = List.fold_left (fun acc v -> acc + t.demands.(v)) 0 subset in
-      Omega.solve ~total ~neighborhood_size:(fun r ->
-          max 1 (neighborhood_size t subset ~radius:r))
-
-let max_over_subsets t =
-  let sup = Array.of_list (support t) in
-  let n = Array.length sup in
-  if n > 16 then invalid_arg "Gcmvrp.max_over_subsets: support too large";
-  if n = 0 then 0.0
-  else begin
-    let best = ref 0.0 in
-    for mask = 1 to (1 lsl n) - 1 do
-      let subset = ref [] in
-      for i = 0 to n - 1 do
-        if mask land (1 lsl i) <> 0 then subset := sup.(i) :: !subset
-      done;
-      let w = omega_of_subset t !subset in
-      if w > !best then best := w
-    done;
-    !best
-  end
-
 (* --- exact generalized program (2.8), as in Oracle but with graph
    distances --- *)
 

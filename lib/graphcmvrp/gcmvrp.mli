@@ -34,14 +34,6 @@ val distance : t -> int -> int -> int
 val neighborhood_size : t -> int list -> radius:int -> int
 (** [|N_r(T)|]: vertices within weighted distance [radius] of the set. *)
 
-val omega_of_subset : t -> int list -> float
-(** The [ω_T] of equation (1.1) for a vertex subset, with weighted-graph
-    neighborhoods. *)
-
-val max_over_subsets : t -> float
-(** Exhaustive [max_T ω_T] over subsets of the demand support (test
-    witness; raises beyond 16 demand vertices). *)
-
 val omega_star : ?scale:int -> t -> float
 (** Exact value of the generalized program (2.8) by the same
     bracket-scan + max-flow method as {!Oracle.omega_star}; the lower

@@ -379,15 +379,4 @@ let recommended_capacity inst =
 
 let min_feasible_capacity ?(tol = 0.25) ?(seed = 0) inst ~jobs =
   let ok capacity = succeeded (run inst ~jobs { capacity; seed }) in
-  let rec grow hi attempts =
-    if attempts = 0 then hi else if ok hi then hi else grow (2.0 *. hi) (attempts - 1)
-  in
-  let hi = grow 4.0 30 in
-  let rec bisect lo hi =
-    if hi -. lo <= tol then hi
-    else begin
-      let mid = 0.5 *. (lo +. hi) in
-      if ok mid then bisect lo mid else bisect mid hi
-    end
-  in
-  bisect 0.0 hi
+  Bisect.least ~tol ~start:4.0 ~attempts:30 ok

@@ -2,7 +2,7 @@
     monotonic-clock timers.
 
     Instrumented modules create their cells once at load time
-    ([let m = Metrics.counter "maxflow.augmentations"]) and mutate them on
+    ([let m = Metrics.counter "maxflow.runs"]) and mutate them on
     the hot path; every mutator is a single flag test plus a field write,
     and a no-op while disabled ({!set_enabled}), so instrumentation can
     stay on in production code paths.

@@ -1083,11 +1083,11 @@ let run ?observer cfg workload =
 
 (* Every protocol channel is confined to one [side]-cube, and shard
    bands are unions of whole tile columns along axis 0, so there are no
-   cross-shard channels at all: the conservative lookahead (Shard) is
-   +infinity and the whole run is a single epoch of fully independent
-   per-shard simulations.  Each shard gets its own deterministically
-   derived seed; with [shards = 1] the run is byte-identical to {!run}.
-   See docs/SCALE.md. *)
+   cross-shard channels at all: the bands are fully independent
+   simulations, run side by side on [Pool] workers with no
+   synchronisation.  Each shard gets its own deterministically derived
+   seed; with [shards = 1] the run is byte-identical to {!run}.  See
+   docs/SCALE.md. *)
 
 type fleet_outcome = {
   aggregate : outcome;
@@ -1284,18 +1284,4 @@ let min_feasible_capacity ?(tol = 0.25) ?(seed = 0) ~side workload =
   let succeeds capacity =
     succeeded (run (config ~seed ~capacity ~side ()) workload)
   in
-  (* Find a feasible upper bound by doubling, then bisect. *)
-  let rec grow hi attempts =
-    if attempts = 0 then hi
-    else if succeeds hi then hi
-    else grow (2.0 *. hi) (attempts - 1)
-  in
-  let hi = grow 4.0 30 in
-  let rec bisect lo hi =
-    if hi -. lo <= tol then hi
-    else begin
-      let mid = 0.5 *. (lo +. hi) in
-      if succeeds mid then bisect lo mid else bisect mid hi
-    end
-  in
-  bisect 0.0 hi
+  Bisect.least ~tol ~start:4.0 ~attempts:30 succeeds

@@ -162,16 +162,15 @@ val fleet_size : config -> Workload.t -> int
 (** Number of vehicles [run] would deploy (the window volume) — the valid
     id range for fault plans and partitions; 0 for an empty workload. *)
 
-(** {1 Sharded fleet runs}
+(** {1 Fleet runs in parallel bands}
 
     For production-scale fleets (ROADMAP: 10^6 vehicles) the window is
     split into bands of whole [side]-tile columns along axis 0 and each
     band is simulated on a {!Pool} worker.  Every protocol channel is
     confined to one [side]-cube and cubes never straddle a band
-    boundary, so the bands exchange no messages: the conservative
-    lookahead of the general {!Shard} engine is [+∞] here and the whole
-    run is one barrier epoch of fully independent simulations — see
-    docs/SCALE.md for the argument and the memory model. *)
+    boundary, so the bands exchange no messages and run as fully
+    independent simulations with no synchronisation — see docs/SCALE.md
+    for the argument and the memory model. *)
 
 type fleet_outcome = {
   aggregate : outcome;
@@ -195,7 +194,7 @@ val run_fleet :
     overrides the {!Pool} width).  Vehicle ids in the fault plan and
     partitions are global window ids, translated per band; a partition
     across bands is dropped (no cross-band channel exists to cut).
-    Shard [s] runs under a seed derived from [config.seed]; with
+    Band [s] runs under a seed derived from [config.seed]; with
     [shards = 1] the result is identical to {!run}.  Raises
     [Invalid_argument] on a non-positive [shards]. *)
 

@@ -157,6 +157,9 @@ let run_stdio ~trace cfg =
   trace "stdio stream ended"
 
 let run ?(trace = fun (_ : string) -> ()) cfg =
+  (* A client that disconnects with responses pending must cost an EPIPE
+     in [send_all], not the process: SIGPIPE's default action is to die. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match cfg.transport with
   | Unix_socket path -> run_socket ~trace cfg path
   | Stdio -> run_stdio ~trace cfg

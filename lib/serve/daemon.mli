@@ -39,4 +39,9 @@ val config :
 
 val run : ?trace:(string -> unit) -> config -> unit
 (** Blocks until shutdown.  [trace] receives one-line lifecycle notes
-    (bind, accept, close, shutdown) for the caller to log. *)
+    (bind, accept, close, shutdown) for the caller to log.
+
+    Sets SIGPIPE to ignored for the whole process before serving, so a
+    client that disconnects with responses still pending makes the write
+    fail with [EPIPE] (dropped for that connection) instead of killing
+    the daemon. *)

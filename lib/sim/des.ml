@@ -554,13 +554,6 @@ let restart_after t ~delay node =
   enqueue t ~weak:false ~time:(t.clock +. delay) ~src:node ~dst:node
     (Restart node)
 
-(* Conservative-shard ingress (see Shard): a message handed over at a
-   barrier epoch, already past the sender's fault pipeline, lands at an
-   absolute timestamp.  The FIFO floor still applies, and the timestamp
-   is clamped to the local clock so time never runs backwards. *)
-let inject t ~time ~src ~dst msg =
-  enqueue t ~weak:false ~time:(Float.max time t.clock) ~src ~dst (Deliver msg)
-
 let mix h x =
   let h = (h lxor x) * 0x100000001b3 in
   h land max_int
@@ -569,10 +562,6 @@ let record t ~time ~src ~dst msg =
   t.digest <-
     mix (mix (mix t.digest (Int64.to_int (Int64.bits_of_float time) land max_int)) src) dst;
   if t.trace_on then t.trace_rev <- { at = time; src; dst; msg } :: t.trace_rev
-
-let next_time t =
-  if t.hp_n = 0 then refill t;
-  if t.hp_n = 0 then None else Some t.ev_time.(t.hp.(0))
 
 (* Pop the globally earliest (time, seq) event, or [nil]. *)
 let pop_event t =
@@ -629,28 +618,7 @@ let run_until_quiescent ?(budget = max_int) ?(idle_ok = fun () -> true) t
   in
   drain ()
 
-(* Time-bounded drain for the conservative shard engine: deliver every
-   event strictly before [until], weak or strong, and stop without
-   touching anything at or past the horizon. *)
-let advance_until t ~until ~handler =
-  let dispatched = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match next_time t with
-    | Some time when time < until ->
-        let idx = pop_event t in
-        if idx = nil then continue := false
-        else begin
-          incr dispatched;
-          dispatch_event t ~handler idx
-        end
-    | _ -> continue := false
-  done;
-  !dispatched
-
 let pending t = t.total_pending
-
-let strong_pending t = t.strong_pending
 
 let messages_delivered t = t.delivered
 

@@ -118,14 +118,6 @@ val send_after :
 (** Enqueues with an explicit extra delay — used for timer-style
     self-messages (heartbeat deadlines, retry backoff). *)
 
-val inject : 'msg t -> time:float -> src:int -> dst:int -> 'msg -> unit
-(** Enqueues a message at an absolute timestamp, bypassing the fault
-    pipeline and delay jitter (clamped to [now] so time never runs
-    backwards; the per-channel FIFO floor still applies).  This is the
-    ingress the conservative shard engine ({!Shard}) uses to hand over
-    cross-shard messages at barrier epochs — the sending shard has
-    already run the message through its own fault pipeline. *)
-
 type outcome =
   | Quiescent  (** drained: no strong events remain *)
   | Livelock of { dispatched : int; pending : int }
@@ -145,30 +137,10 @@ val run_until_quiescent :
     stops with [Livelock] after popping [budget] events (default:
     unbounded).  Raises [Invalid_argument] on a non-positive budget. *)
 
-val advance_until :
-  'msg t ->
-  until:float ->
-  handler:(time:float -> src:int -> dst:int -> 'msg -> unit) ->
-  int
-(** Delivers every event (weak or strong) with timestamp strictly before
-    [until], in timestamp order, and returns how many were dispatched.
-    Events at or past the horizon are untouched.  This is the epoch
-    primitive of the conservative shard engine ({!Shard}): with
-    lookahead [L], a shard may safely run to [t_min + L] before the next
-    barrier. *)
-
 (** {1 Introspection} *)
 
 val pending : _ t -> int
 (** Number of undelivered events (including weak ones). *)
-
-val strong_pending : _ t -> int
-(** Number of pending non-weak events — what the ["des.queue_depth"]
-    gauge reports from both the schedule and the dispatch path. *)
-
-val next_time : _ t -> float option
-(** Timestamp of the earliest pending event (weak or strong), if any.
-    Drives the shard engine's epoch jumps over idle stretches. *)
 
 val messages_delivered : _ t -> int
 (** Total messages delivered since creation — the protocol-cost metric of

@@ -87,20 +87,7 @@ let simulate dm ~cost ~w =
 
 let min_capacity ?(tol = 1e-4) dm cost =
   let succeeds w = (simulate dm ~cost ~w).success in
-  let rec grow hi attempts =
-    if attempts = 0 then hi
-    else if succeeds hi then hi
-    else grow (2.0 *. hi) (attempts - 1)
-  in
-  let hi = grow 1.0 60 in
-  let rec bisect lo hi =
-    if hi -. lo <= tol then hi
-    else begin
-      let mid = 0.5 *. (lo +. hi) in
-      if succeeds mid then bisect lo mid else bisect mid hi
-    end
-  in
-  bisect 0.0 hi
+  Bisect.least ~tol ~start:1.0 ~attempts:60 succeeds
 
 let closed_form dm ~cost =
   match Demand_map.bounding_box dm with

@@ -30,21 +30,10 @@ let lower_bound dm =
         if demand > 0 then begin
           (* Smallest w whose import bound covers the square's demand. *)
           let target = float_of_int demand in
-          let rec grow hi attempts =
-            if attempts = 0 then hi
-            else if import_bound ~w:hi ~side >= target then hi
-            else grow (2.0 *. hi) (attempts - 1)
+          let w =
+            Bisect.least ~rel:1e-9 ~start:1.0 ~attempts:60 (fun w ->
+                import_bound ~w ~side >= target)
           in
-          let hi = grow 1.0 60 in
-          let rec bisect lo hi =
-            if hi -. lo <= 1e-9 *. (1.0 +. hi) then hi
-            else begin
-              let mid = 0.5 *. (lo +. hi) in
-              if import_bound ~w:mid ~side >= target then bisect lo mid
-              else bisect mid hi
-            end
-          in
-          let w = bisect 0.0 hi in
           if w > !best then best := w
         end
       done;
@@ -130,20 +119,7 @@ module Segment = struct
 
   let min_capacity ?(tol = 1e-4) ~n ~demand cost =
     let succeeds w = (simulate ~n ~demand ~cost ~w).success in
-    let rec grow hi attempts =
-      if attempts = 0 then hi
-      else if succeeds hi then hi
-      else grow (2.0 *. hi) (attempts - 1)
-    in
-    let hi = grow 1.0 60 in
-    let rec bisect lo hi =
-      if hi -. lo <= tol then hi
-      else begin
-        let mid = 0.5 *. (lo +. hi) in
-        if succeeds mid then bisect lo mid else bisect mid hi
-      end
-    in
-    bisect 0.0 hi
+    Bisect.least ~tol ~start:1.0 ~attempts:60 succeeds
 
   let closed_form ~n ~total ~cost =
     let fn = float_of_int n and fd = float_of_int total in

@@ -1,0 +1,125 @@
+(* Independent references for the differential tests: a small max-flow
+   over an edge list, and the exhaustive side of the subset duals
+   (Lemma 2.2.2 and its variants), which enumerate every demand subset.
+   Both are exponential or dense on purpose — tiny instances only. *)
+
+(* Dinic's algorithm on a dense residual matrix.  Returns the flow value
+   and the source side of the minimal minimum cut: the vertices the last
+   (failed) level search reached from [source]. *)
+let max_flow ~n ~edges ~source ~sink =
+  let cap = Array.make_matrix n n 0 in
+  List.iter (fun (u, v, c) -> cap.(u).(v) <- cap.(u).(v) + c) edges;
+  let level = Array.make n (-1) in
+  let levels () =
+    Array.fill level 0 n (-1);
+    level.(source) <- 0;
+    let q = Queue.create () in
+    Queue.add source q;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      for v = 0 to n - 1 do
+        if cap.(u).(v) > 0 && level.(v) < 0 then begin
+          level.(v) <- level.(u) + 1;
+          Queue.add v q
+        end
+      done
+    done;
+    level.(sink) >= 0
+  in
+  (* One augmenting path along the level graph, at most [f] units; a
+     vertex with no way forward leaves the level graph for this phase. *)
+  let rec push u f =
+    if u = sink then f
+    else begin
+      let rec from v =
+        if v = n then 0
+        else if cap.(u).(v) > 0 && level.(v) = level.(u) + 1 then begin
+          match push v (min f cap.(u).(v)) with
+          | 0 ->
+              level.(v) <- -1;
+              from (v + 1)
+          | got ->
+              cap.(u).(v) <- cap.(u).(v) - got;
+              cap.(v).(u) <- cap.(v).(u) + got;
+              got
+        end
+        else from (v + 1)
+      in
+      from 0
+    end
+  in
+  let total = ref 0 in
+  while levels () do
+    let rec phase () =
+      match push source max_int with
+      | 0 -> ()
+      | got ->
+          total := !total + got;
+          phase ()
+    in
+    phase ()
+  done;
+  (!total, Array.map (fun l -> l >= 0) level)
+
+(* The largest [value subset] over the non-empty subsets of [0 .. n-1],
+   each given as its ascending index list; 0 when there are none. *)
+let max_over_subsets ~n value =
+  if n > 20 then invalid_arg "Reference.max_over_subsets: support too large";
+  let best = ref 0.0 in
+  for mask = 1 to (1 lsl n) - 1 do
+    let subset = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
+    let v = value subset in
+    if v > !best then best := v
+  done;
+  !best
+
+(* Lemma 2.2.2: [max_J D(J) / |N(J)|] over the demand sites of a
+   transport instance; infinity when some demand has no supplier. *)
+let transport_dual t =
+  let n = Transport.n_demands t in
+  let suppliers = Array.make n [] in
+  Transport.iter_links t (fun ~supplier ~demand ->
+      suppliers.(demand) <- supplier :: suppliers.(demand));
+  max_over_subsets ~n (fun js ->
+      let d = List.fold_left (fun acc j -> acc + Transport.demand t j) 0 js in
+      let neighbours =
+        List.length (List.sort_uniq Int.compare (List.concat_map (fun j -> suppliers.(j)) js))
+      in
+      if d = 0 then 0.0
+      else if neighbours = 0 then infinity
+      else float_of_int d /. float_of_int neighbours)
+
+(* Lemma 2.2.3: [max_T ω_T] over subsets of a demand map's support. *)
+let omega_dual dm =
+  let support = Array.of_list (Demand_map.support dm) in
+  max_over_subsets ~n:(Array.length support) (fun idx ->
+      let points = List.map (fun i -> support.(i)) idx in
+      let total = List.fold_left (fun acc p -> acc + Demand_map.value dm p) 0 points in
+      Omega.of_points points ~total)
+
+(* Theorem 4.1.1: [max_T ω_T] with longevity-scaled reach.  For one
+   subset T, ω_T solves ω · Σ_{i : ‖i-T‖ <= p_i·ω} p_i = D(T); the left
+   side is non-decreasing in ω, so a monotone search finds it. *)
+let breakdown_dual ~longevity dm =
+  let support = Array.of_list (Demand_map.support dm) in
+  max_over_subsets ~n:(Array.length support) (fun idx ->
+      let points = List.map (fun i -> support.(i)) idx in
+      let target =
+        float_of_int (List.fold_left (fun acc p -> acc + Demand_map.value dm p) 0 points)
+      in
+      let covers omega =
+        let reach = min 512 (int_of_float (Float.min omega 1e9)) in
+        let sum =
+          Point.Set.fold
+            (fun s acc ->
+              let p = Float.max 0.0 (Float.min 1.0 (longevity s)) in
+              let d = List.fold_left (fun m x -> min m (Point.l1_dist s x)) max_int points in
+              if float_of_int d <= p *. omega then acc +. p else acc)
+            (Ball.dilate_set points ~radius:reach)
+            0.0
+        in
+        omega *. sum >= target
+      in
+      match Bisect.double ~attempts:16 ~start:1.0 covers with
+      | None -> infinity
+      | Some hi -> Bisect.halve ~tol:1e-6 ~lo:0.0 ~hi covers)

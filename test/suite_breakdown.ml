@@ -64,7 +64,7 @@ let test_lp_agrees_with_subset_dual () =
           v
     in
     let flow = Breakdown.lp_lower_bound ~precision:1e-4 ~longevity dm in
-    let dual = Breakdown.omega_subsets ~longevity dm in
+    let dual = Reference.breakdown_dual ~longevity dm in
     Alcotest.(check bool)
       (Printf.sprintf "duality (flow=%g, subsets=%g)" flow dual)
       true

@@ -514,37 +514,12 @@ let test_queue_depth_counts_strong_only () =
   Des.send des ~src:1 ~dst:0 `Work;
   Alcotest.(check (float 0.0)) "strong events counted" 2.0
     (Metrics.gauge_value g);
-  Alcotest.(check int) "strong_pending agrees" 2 (Des.strong_pending des);
   drain des sink;
   Alcotest.(check (float 0.0)) "zero after drain, keepalives queued" 0.0
     (Metrics.gauge_value g);
   Alcotest.(check int) "weak events still pending" 3 (Des.pending des);
   Alcotest.(check bool) "peak tracks the full queue" true
     (Des.queue_peak des >= 5)
-
-(* inject + advance_until: the shard-engine primitives respect FIFO and
-   the time horizon. *)
-let test_inject_and_advance_until () =
-  let des = Des.create ~min_delay:0.0 ~max_delay:0.0 ~rng:(Rng.create 25) () in
-  Des.inject des ~time:5.0 ~src:1 ~dst:2 `B;
-  Des.inject des ~time:1.0 ~src:3 ~dst:4 `A;
-  Des.inject des ~time:9.0 ~src:5 ~dst:6 `C;
-  (match Des.next_time des with
-  | Some t -> Alcotest.(check (float 1e-6)) "next_time" 1.0 t
-  | None -> Alcotest.fail "expected a pending event");
-  let got = ref [] in
-  let n = Des.advance_until des ~until:6.0 ~handler:(fun ~time:_ ~src:_ ~dst:_ m ->
-      got := m :: !got)
-  in
-  Alcotest.(check int) "two events before the horizon" 2 n;
-  Alcotest.(check bool) "in order" true (List.rev !got = [ `A; `B ]);
-  Alcotest.(check int) "one event held back" 1 (Des.pending des);
-  (* FIFO floor: an inject at a stale time on a used channel is bumped
-     past the channel front. *)
-  Des.inject des ~time:1.0 ~src:1 ~dst:2 `Late;
-  drain des (fun ~time ~src ~dst:_ m ->
-      if src = 1 && m = `Late then
-        Alcotest.(check bool) "late inject after channel front" true (time > 5.0))
 
 let test_footprint_reported () =
   let des = Des.create ~rng:(Rng.create 26) () in
@@ -572,7 +547,5 @@ let suite =
         test_pruning_invisible_to_digest;
       Alcotest.test_case "queue depth counts strong only" `Quick
         test_queue_depth_counts_strong_only;
-      Alcotest.test_case "inject and advance_until" `Quick
-        test_inject_and_advance_until;
       Alcotest.test_case "footprint reported" `Quick test_footprint_reported;
     ]

@@ -1,5 +1,6 @@
-(* Dinic max-flow: known instances, min-cut certification, and agreement
-   with a brute-force cut enumeration on random small networks. *)
+(* Max-flow: known instances, min-cut certification, and agreement with a
+   brute-force cut enumeration and a reference solver on random small
+   networks. *)
 
 let test_single_edge () =
   let net = Maxflow.create 2 in
@@ -198,28 +199,25 @@ let test_warm_start_matches_cold () =
       !total
   done
 
-(* Core differential: Dinic and push-relabel must agree not only on the
-   flow value (both are max flows) but on [min_cut_side], which returns
-   the unique minimal source side and is therefore core-independent. *)
+(* Differential against the test-side Dinic reference: the two must agree
+   not only on the flow value (both are max flows) but on [min_cut_side],
+   which returns the unique minimal source side and is therefore the same
+   for every maximum flow. *)
 
-let prop_cores_agree =
+let prop_matches_reference =
   QCheck.Test.make ~name:"push-relabel = dinic (value and min-cut side)"
     ~count:200
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let n, edges = random_network rng in
-      let run core =
-        let net = Maxflow.create ~core n in
-        List.iter
-          (fun (u, v, c) -> ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:c))
-          edges;
-        let f = Maxflow.max_flow net ~source:0 ~sink:(n - 1) in
-        (f, Maxflow.min_cut_side net ~source:0)
-      in
-      let fd, sd = run Maxflow.Dinic in
-      let fp, sp = run Maxflow.Push_relabel in
-      fd = fp && sd = sp)
+      let net = Maxflow.create n in
+      List.iter
+        (fun (u, v, c) -> ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:c))
+        edges;
+      let fp = Maxflow.max_flow net ~source:0 ~sink:(n - 1) in
+      let fd, sd = Reference.max_flow ~n ~edges ~source:0 ~sink:(n - 1) in
+      fd = fp && sd = Maxflow.min_cut_side net ~source:0)
 
 let test_add_vertex () =
   let net = Maxflow.create 2 in
@@ -266,35 +264,31 @@ let test_drain_even_caps_guards () =
 
 let prop_drain_resume_matches_fresh =
   (* Lowering the parametric source edges with a drain and re-augmenting
-     must land exactly where a fresh solve at the lower level lands, on
-     either core. *)
-  QCheck.Test.make ~name:"drain then warm resume = fresh solve (both cores)"
+     must land exactly where a fresh solve at the lower level lands; the
+     fresh solve is the test-side reference. *)
+  QCheck.Test.make ~name:"drain then warm resume = fresh solve (reference)"
     ~count:150
-    QCheck.(pair (int_range 0 1_000_000) bool)
-    (fun (seed, use_dinic) ->
-      let core = if use_dinic then Maxflow.Dinic else Maxflow.Push_relabel in
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
       let rng = Rng.create seed in
       let n, edges = random_network rng in
       let k = 1 + Rng.int rng 3 in
       let dsts = Array.init k (fun _ -> Rng.int rng n) in
       let hi = 6 and lo = Rng.int rng 6 in
-      let build cap =
-        let net = Maxflow.create ~core (n + 1) in
-        let src =
-          Array.map (fun v -> Maxflow.add_edge net ~src:n ~dst:v ~cap) dsts
-        in
-        List.iter
-          (fun (u, v, c) -> ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:c))
-          edges;
-        (net, src)
-      in
-      let net, src = build hi in
+      let net = Maxflow.create (n + 1) in
+      let src = Array.map (fun v -> Maxflow.add_edge net ~src:n ~dst:v ~cap:hi) dsts in
+      List.iter
+        (fun (u, v, c) -> ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:c))
+        edges;
       let f0 = Maxflow.max_flow net ~source:n ~sink:(n - 1) in
       let drained = Maxflow.drain_even_caps net src lo ~source:n ~sink:(n - 1) in
       let within = Array.for_all (fun e -> Maxflow.flow_on net e <= lo) src in
       let inc = Maxflow.max_flow net ~source:n ~sink:(n - 1) in
-      let fresh, _ = build lo in
-      let fv = Maxflow.max_flow fresh ~source:n ~sink:(n - 1) in
+      let fv, _ =
+        Reference.max_flow ~n:(n + 1)
+          ~edges:(Array.to_list (Array.map (fun v -> (n, v, lo)) dsts) @ edges)
+          ~source:n ~sink:(n - 1)
+      in
       within && drained >= 0 && inc >= 0 && f0 - drained + inc = fv)
 
 let suite =
@@ -319,6 +313,6 @@ let suite =
     Alcotest.test_case "drain_even_caps basic" `Quick test_drain_even_caps_basic;
     Alcotest.test_case "drain_even_caps guards" `Quick
       test_drain_even_caps_guards;
-    QCheck_alcotest.to_alcotest prop_cores_agree;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_drain_resume_matches_fresh;
   ]

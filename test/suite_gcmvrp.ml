@@ -59,7 +59,16 @@ let test_omega_subsets_match_lp () =
     (* Only meaningful when the demand vertices can reach each other. *)
     if Gcmvrp.total_demand t > 0 then begin
       let lp = Gcmvrp.omega_star t in
-      let subsets = Gcmvrp.max_over_subsets t in
+      let support =
+        Array.of_list (List.filter (fun v -> demand.(v) > 0) (List.init 14 Fun.id))
+      in
+      let subsets =
+        Reference.max_over_subsets ~n:(Array.length support) (fun idx ->
+            let subset = List.map (fun i -> support.(i)) idx in
+            let total = List.fold_left (fun acc v -> acc + demand.(v)) 0 subset in
+            Omega.solve ~total ~neighborhood_size:(fun r ->
+                max 1 (Gcmvrp.neighborhood_size t subset ~radius:r)))
+      in
       Alcotest.(check bool)
         (Printf.sprintf "duality on a random graph (lp=%g, subsets=%g)" lp subsets)
         true

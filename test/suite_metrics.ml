@@ -69,28 +69,21 @@ let test_disabled_is_noop () =
   Alcotest.(check int) "timer untouched" 0 (Metrics.timer_calls t)
 
 let test_instrumented_maxflow_counts () =
-  (* End-to-end: running each flow core bumps its process-wide counters. *)
+  (* End-to-end: a max-flow run bumps the process-wide flow counters. *)
   Metrics.reset ();
-  let run core =
-    let net = Maxflow.create ~core 4 in
-    ignore (Maxflow.add_edge net ~src:0 ~dst:1 ~cap:2);
-    ignore (Maxflow.add_edge net ~src:1 ~dst:3 ~cap:2);
-    ignore (Maxflow.add_edge net ~src:0 ~dst:2 ~cap:1);
-    ignore (Maxflow.add_edge net ~src:2 ~dst:3 ~cap:1);
-    Maxflow.max_flow net ~source:0 ~sink:3
-  in
-  Alcotest.(check int) "dinic flow value" 3 (run Maxflow.Dinic);
-  (match Metrics.sample "maxflow.augmentations" with
-  | Some (Metrics.Count n) ->
-      Alcotest.(check bool) "augmentations recorded" true (n >= 2)
-  | _ -> Alcotest.fail "maxflow.augmentations counter missing");
-  Alcotest.(check int) "push-relabel flow value" 3 (run Maxflow.Push_relabel);
+  let net = Maxflow.create 4 in
+  ignore (Maxflow.add_edge net ~src:0 ~dst:1 ~cap:2);
+  ignore (Maxflow.add_edge net ~src:1 ~dst:3 ~cap:2);
+  ignore (Maxflow.add_edge net ~src:0 ~dst:2 ~cap:1);
+  ignore (Maxflow.add_edge net ~src:2 ~dst:3 ~cap:1);
+  Alcotest.(check int) "push-relabel flow value" 3
+    (Maxflow.max_flow net ~source:0 ~sink:3);
   (match Metrics.sample "maxflow.global_relabels" with
   | Some (Metrics.Count n) ->
       Alcotest.(check bool) "global relabels recorded" true (n >= 1)
   | _ -> Alcotest.fail "maxflow.global_relabels counter missing");
   match Metrics.sample "maxflow.runs" with
-  | Some (Metrics.Count n) -> Alcotest.(check int) "two runs" 2 n
+  | Some (Metrics.Count n) -> Alcotest.(check int) "one run" 1 n
   | _ -> Alcotest.fail "maxflow.runs counter missing"
 
 let test_histogram_quantiles () =

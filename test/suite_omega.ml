@@ -71,7 +71,7 @@ let test_subsets_dominate_cubes () =
   for _ = 1 to 30 do
     let dm = random_demand rng ~support:5 ~max_d:8 in
     let cubes = Omega.max_over_cubes dm in
-    let subsets = Omega.max_over_subsets dm in
+    let subsets = Reference.omega_dual dm in
     Alcotest.(check bool)
       (Printf.sprintf "subsets (%g) >= cubes (%g)" subsets cubes)
       true
@@ -97,7 +97,7 @@ let test_cube_fixpoint_bounds () =
       (float_of_int (side - 1) <= wc +. 1e-9 && wc <= float_of_int side +. 1e-9);
     (* ωc is a Woff lower bound, so it must not exceed the subset max by
        more than the discretization slack. *)
-    let star = Omega.max_over_subsets dm in
+    let star = Reference.omega_dual dm in
     Alcotest.(check bool)
       (Printf.sprintf "ωc (%g) <= ω* (%g) + 1" wc star)
       true (wc <= star +. 1.0)

@@ -52,7 +52,7 @@ let test_omega_star_equals_subset_max () =
     in
     let dm = Demand_map.of_alist 2 pts in
     let lp = Oracle.omega_star dm in
-    let subsets = Omega.max_over_subsets dm in
+    let subsets = Reference.omega_dual dm in
     Alcotest.(check (float 1e-4))
       (Printf.sprintf "ω* agreement (lp=%g subsets=%g)" lp subsets)
       subsets lp
@@ -65,7 +65,7 @@ let test_omega_star_equals_subset_max_1d () =
     let dm = Demand_map.of_alist 1 pts in
     Alcotest.(check (float 1e-4))
       "1d agreement"
-      (Omega.max_over_subsets dm)
+      (Reference.omega_dual dm)
       (Oracle.omega_star dm)
   done
 
@@ -76,7 +76,7 @@ let test_omega_star_line_example () =
   let dm = Demand_map.of_alist 2 (List.init 5 (fun i -> (point2 i 0, 2))) in
   Alcotest.(check (float 1e-4))
     "line instance"
-    (Omega.max_over_subsets dm)
+    (Reference.omega_dual dm)
     (Oracle.omega_star dm)
 
 let test_lower_bound_is_synonym () =

@@ -121,7 +121,7 @@ let test_answer_matches_exhaustive_dual () =
   let checked = ref 0 in
   while !checked < 40 do
     let t = random_instance rng in
-    let dual = Transport.dual_value_exhaustive t in
+    let dual = Reference.transport_dual t in
     if dual <> infinity && Transport.total_demand t > 0 then begin
       incr checked;
       let bps = Transport.breakpoints t ~scale in

@@ -98,6 +98,56 @@ let test_daemon_concurrent_clients () =
           Alcotest.(check bool) "daemon removed its socket" true
             (not (Sys.file_exists path)))
 
+let test_daemon_survives_vanished_reader () =
+  (* A client pipelines a burst of pings and disconnects without reading
+     a single reply, so the daemon writes responses into a closed socket.
+     Those writes must fail with EPIPE inside the loop rather than raise
+     SIGPIPE, whose default action kills the whole process (this one
+     included).  A second client's ping and shutdown are then answered. *)
+  with_workers 2 (fun () ->
+      let path = Filename.temp_file "cmvrp_pipe" ".sock" in
+      Sys.remove path;
+      let ping id = Protocol.request ~id Protocol.Ping (Demand_map.empty 1) in
+      let burst =
+        String.concat ""
+          (List.init 2000 (fun i ->
+               Frame.encode (Protocol.request_to_string (ping (i + 1)))))
+      in
+      let hostile () =
+        match Loadgen.connect path with
+        | Error e -> Error e
+        | Ok fd ->
+            let off = ref 0 in
+            while !off < String.length burst do
+              off :=
+                !off
+                + Unix.write_substring fd burst !off (String.length burst - !off)
+            done;
+            Unix.close fd;
+            Ok ()
+      in
+      let (), (burst_sent, second, stopped) =
+        Pool.both
+          (fun () -> Daemon.run (Daemon.config (Daemon.Unix_socket path)))
+          (fun () ->
+            let burst_sent =
+              try hostile ()
+              with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+            in
+            let second =
+              Loadgen.replay_socket ~socket:path ~clients:1 ~window:1
+                [| ping 0 |]
+            in
+            (burst_sent, second, Loadgen.send_shutdown ~socket:path ()))
+      in
+      Alcotest.(check (result unit string)) "burst written" (Ok ()) burst_sent;
+      (match second with
+      | Error e -> Alcotest.fail e
+      | Ok s ->
+          Alcotest.(check int) "second client's ping answered" 1
+            s.Loadgen.completed);
+      Alcotest.(check (result unit string)) "shutdown answered" (Ok ()) stopped)
+
 let test_daemon_per_client_streams_deterministic () =
   (* Two identical replays against two fresh daemons: the per-request
      response payloads must match run to run (cached flags and answers
@@ -141,6 +191,8 @@ let suite =
       test_set_workers_validation;
     Alcotest.test_case "daemon vs concurrent clients" `Quick
       test_daemon_concurrent_clients;
+    Alcotest.test_case "daemon survives a vanished reader" `Quick
+      test_daemon_survives_vanished_reader;
     Alcotest.test_case "daemon response streams deterministic" `Quick
       test_daemon_per_client_streams_deterministic;
   ]

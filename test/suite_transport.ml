@@ -59,7 +59,7 @@ let test_min_uniform_supply_zero_demand () =
 
 let test_dual_value_exhaustive_known () =
   let t = simple_instance () in
-  Alcotest.(check (float 1e-9)) "dual = 4" 4.0 (Transport.dual_value_exhaustive t)
+  Alcotest.(check (float 1e-9)) "dual = 4" 4.0 (Reference.transport_dual t)
 
 let random_instance rng =
   let s = 1 + Rng.int rng 5 and d = 1 + Rng.int rng 5 in
@@ -82,7 +82,7 @@ let test_primal_equals_dual_random () =
   let checked = ref 0 in
   while !checked < 100 do
     let t = random_instance rng in
-    let dual = Transport.dual_value_exhaustive t in
+    let dual = Reference.transport_dual t in
     if dual <> infinity then begin
       incr checked;
       match Transport.min_uniform_supply t ~scale with
@@ -258,25 +258,41 @@ let prop_lookup_matches_reference_at_random_scales =
       let r = reference_min_uniform_supply t ~scale in
       a = r && b = r)
 
-let prop_witness_agrees_across_cores =
+let prop_witness_matches_reference =
   (* [infeasibility_witness] reads the minimal source side of a min cut,
-     which is identical for every maximum flow — so both cores must
-     return the same demand set, not merely some violating set. *)
-  QCheck.Test.make ~name:"infeasibility witness = across flow cores"
+     which is identical for every maximum flow — so the witness must be
+     exactly the demand set the reference solver's cut leaves on the sink
+     side, not merely some violating set. *)
+  QCheck.Test.make ~name:"infeasibility witness = across flow solvers"
     ~count:100
     QCheck.(pair (int_range 0 1_000_000) (int_range 0 3))
     (fun (seed, supply) ->
       let rng = Rng.create seed in
       let t = random_instance rng in
-      let wd =
-        Transport.infeasibility_witness ~core:Maxflow.Dinic t
-          ~supply:(fun _ -> supply)
+      let s = Transport.n_suppliers t and d = Transport.n_demands t in
+      (* Source 0, sink 1, suppliers from 2, demands after them. *)
+      let demand_vertex j = 2 + s + j in
+      let total = Transport.total_demand t in
+      let links = ref [] in
+      Transport.iter_links t (fun ~supplier ~demand ->
+          links := (2 + supplier, demand_vertex demand, max 1 total) :: !links);
+      let edges =
+        List.init s (fun i -> (0, 2 + i, supply))
+        @ List.init d (fun j -> (demand_vertex j, 1, Transport.demand t j))
+        @ !links
       in
-      let wp =
-        Transport.infeasibility_witness ~core:Maxflow.Push_relabel t
-          ~supply:(fun _ -> supply)
+      let flow, side =
+        Reference.max_flow ~n:(2 + s + d) ~edges ~source:0 ~sink:1
       in
-      wd = wp)
+      let reference =
+        if flow >= total then None
+        else
+          Some
+            (List.filter
+               (fun j -> Transport.demand t j > 0 && not side.(demand_vertex j))
+               (List.init d Fun.id))
+      in
+      Transport.infeasibility_witness t ~supply:(fun _ -> supply) = reference)
 
 let test_max_served_monotone_in_supply () =
   let rng = Rng.create 4242 in
@@ -308,5 +324,5 @@ let suite =
     Alcotest.test_case "warm extension matches fresh" `Quick
       test_extension_matches_fresh;
     QCheck_alcotest.to_alcotest prop_lookup_matches_reference_at_random_scales;
-    QCheck_alcotest.to_alcotest prop_witness_agrees_across_cores;
+    QCheck_alcotest.to_alcotest prop_witness_matches_reference;
   ]

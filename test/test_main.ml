@@ -15,7 +15,7 @@ let () =
       ("demand", Suite_demand.suite);
       ("io", Suite_io.suite);
       ("des", Suite_des.suite);
-      ("shard", Suite_shard.suite);
+      ("bisect", Suite_bisect.suite);
       ("omega", Suite_omega.suite);
       ("oracle", Suite_oracle.suite);
       ("session", Suite_session.suite);
