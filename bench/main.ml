@@ -1212,6 +1212,27 @@ let json_scenarios ~quick =
           end;
           ignore (Oracle.Session.omega_star s)
         done );
+    (* des/*: the simulator alone.  The fleet benchmark's Des kernel —
+       10^5 messages forwarded hop by hop through 50,176 processes by 1024
+       concurrent tokens, with no protocol handler work — at the same
+       size and seed in both modes.  Its des.* counters (events, sends,
+       cascades, prunes) and the queue-depth gauge are deterministic, and
+       CI gates them tightly; see docs/SCALE.md for its per-event cost. *)
+    ( "des/kernel",
+      fun () ->
+        let procs = 50_176 and tokens = 1024 and hops = 98 in
+        let des = Des.create ~rng:(Rng.create 1) () in
+        for k = 0 to tokens - 1 do
+          let src = k * procs / tokens in
+          Des.send des ~src ~dst:((src + 1) mod procs) (hops - 1)
+        done;
+        let handler ~time:_ ~src:_ ~dst left =
+          if left > 0 then
+            Des.send des ~src:dst ~dst:((dst + 1) mod procs) (left - 1)
+        in
+        match Des.run_until_quiescent des ~handler with
+        | Des.Quiescent -> assert (Des.messages_delivered des = tokens * hops)
+        | Des.Livelock _ -> failwith "des/kernel did not quiesce" );
   ]
 
 let run_json_suite ~quick ~jobs ~revision path =

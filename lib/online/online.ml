@@ -54,10 +54,11 @@ let validate_plan plan =
         invalid_arg
           (Printf.sprintf "Online: outage of vehicle %d at negative job index %d"
              id k);
-      if not (d > 0.0) then
+      if not (d > 0.0 && Float.is_finite d) then
         invalid_arg
           (Printf.sprintf
-             "Online: outage of vehicle %d needs a positive restart delay" id))
+             "Online: outage of vehicle %d needs a positive finite restart delay"
+             id))
     plan.outages
 
 let config ?(comm_radius = 2) ?(seed = 0) ?(faults = no_faults)

@@ -1,26 +1,35 @@
 (* SplitMix64.  Reference: Steele, Lea & Flood, "Fast splittable
-   pseudorandom number generators", OOPSLA 2014. *)
+   pseudorandom number generators", OOPSLA 2014.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: without flambda every store to such a field boxes a
+   fresh [int64], so each draw would allocate.  [int64] and [mix64] are
+   inlined so the draw functions below keep the state unboxed. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t =
-  let s = int64 t in
-  { state = s }
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let split t = of_state (int64 t)
 
 let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
 
@@ -30,11 +39,11 @@ let int t bound =
     (* Rejection sampling to avoid modulo bias. *)
     let mask = (1 lsl 30) - 1 in
     let limit = mask - (mask mod bound) in
-    let rec draw () =
-      let v = bits30 t land mask in
-      if v >= limit then draw () else v mod bound
-    in
-    draw ()
+    let v = ref (bits30 t land mask) in
+    while !v >= limit do
+      v := bits30 t land mask
+    done;
+    !v mod bound
   end else begin
     let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
     v mod bound

@@ -28,8 +28,8 @@ let faults ?(drop_p = 0.0) ?(dup_p = 0.0) ?(spike_p = 0.0) ?(spike_delay = 10.0)
   prob "drop_p" drop_p;
   prob "dup_p" dup_p;
   prob "spike_p" spike_p;
-  if not (spike_delay >= 0.0) then
-    invalid_arg "Des.faults: spike_delay must be non-negative";
+  if not (spike_delay >= 0.0 && Float.is_finite spike_delay) then
+    invalid_arg "Des.faults: spike_delay must be finite and non-negative";
   { drop_p; dup_p; spike_p; spike_delay }
 
 (* A fault profile counts as "no override" when it matches the default
@@ -40,10 +40,6 @@ let faults_equal a b =
   && Float.equal a.dup_p b.dup_p
   && Float.equal a.spike_p b.spike_p
   && Float.equal a.spike_delay b.spike_delay
-
-(* Restarts ride the same queue as messages so that a crash window has a
-   well-defined place on the simulated timeline. *)
-type 'msg payload = Deliver of 'msg | Restart of int
 
 type outcome = Quiescent | Livelock of { dispatched : int; pending : int }
 
@@ -80,33 +76,41 @@ let wheel_mask = wheel_slots - 1
 let wheel_levels = 4
 let nil = -1
 
-(* Event ids pack [weak | src | dst] into one word: bit 0 is the weak
-   flag, bits 1..30 the destination, bits 31..60 the source.  Process
-   ids must fit 30 bits — a billion processes, far above the 10^6-vehicle
-   target. *)
+(* Event ids pack [src | dst | restart | weak] into one word: bit 0 is
+   the weak flag, bit 1 marks a scheduled restart (which carries no
+   message), bits 2..31 the destination, bits 32..61 the source.  Process
+   ids must fit 30 bits — a billion processes, far above the
+   10^6-vehicle target. *)
 let max_id = (1 lsl 30) - 1
+let weak_bit = 1
+let restart_bit = 2
 
-let pack ~weak ~src ~dst =
-  (src lsl 31) lor (dst lsl 1) lor (if weak then 1 else 0)
+let[@inline] pack ~src ~dst flags = (src lsl 32) lor (dst lsl 2) lor flags
+let[@inline] pack_dst p = (p lsr 2) land max_id
+let[@inline] pack_src p = p lsr 32
 
-let pack_weak p = p land 1 = 1
-let pack_dst p = (p lsr 1) land max_id
-let pack_src p = p lsr 31
+(* A directed channel as one int, for the FIFO-floor and fault-override
+   tables; partitions key the normalised (low, high) pair the same way. *)
+let[@inline] channel_id src dst = (src lsl 30) lor dst
+
+let[@inline] check_id fn id =
+  if id < 0 || id > max_id then
+    invalid_arg (fn ^ ": process ids must fit 30 bits")
 
 type 'msg t = {
   rng : Rng.t;
   min_delay : float;
-  max_delay : float;
+  delay_span : float; (* max_delay - min_delay, boxed once for [Rng.float] *)
   tick : float; (* wheel quantum, in simulated time units *)
   (* arena *)
   mutable ev_time : float array;
   mutable ev_seq : int array;
   mutable ev_pack : int array;
-  mutable ev_payload : 'msg payload array;
+  mutable ev_msg : 'msg array; (* grown on demand: restarts carry no message *)
   mutable ev_next : int array; (* slot chain / free list *)
   mutable ev_room : int;
   mutable free_head : int;
-  mutable filler : 'msg payload option; (* recycled-slot placeholder *)
+  mutable filler : 'msg option; (* recycled-slot placeholder *)
   (* wheel *)
   slots : int array; (* wheel_levels * wheel_slots chain heads *)
   level_count : int array;
@@ -119,25 +123,39 @@ type 'msg t = {
   mutable total_pending : int;
   mutable clock : float;
   mutable next_seq : int;
-  mutable delivered : int;
   mutable queue_peak : int;
   (* Last scheduled delivery time per channel, to enforce FIFO order on
-     top of random delays.  Entries whose floor is already behind the
-     clock are pruned periodically — see [maybe_prune]. *)
-  channel_front : (int * int, float) Hashtbl.t;
+     top of random delays: an open-addressing table (linear probing, at
+     most half full) from channel id to floor.  Entries whose floor is
+     already behind the clock are pruned periodically — see [prune]. *)
+  mutable ch_key : int array; (* channel id, or [nil] for a free slot *)
+  mutable ch_floor : float array;
+  mutable ch_count : int;
   mutable prune_limit : int;
   (* Fault model: a process-wide default profile, per-channel overrides,
-     symmetric link partitions and crashed nodes. *)
+     symmetric link partitions and a bitmap of crashed nodes.  The send
+     path tests the tables' emptiness before hashing into them. *)
   mutable default_faults : faults;
-  channel_faults : (int * int, faults) Hashtbl.t;
-  partitions : (int * int, unit) Hashtbl.t;
-  down : (int, unit) Hashtbl.t;
+  channel_faults : (int, faults) Hashtbl.t;
+  partitions : (int, unit) Hashtbl.t;
+  mutable down : Bytes.t;
   mutable restart_hook : time:float -> int -> unit;
-  mutable dropped : int;
-  mutable duplicated : int;
   (* Number of non-weak pending events; quiescence ignores weak
      (background/keepalive) events when the client's [idle_ok] allows. *)
   mutable strong_pending : int;
+  mutable strong_peak : int;
+  (* Event counts since creation.  A simulator lives on one domain, so
+     these are plain fields; [publish] adds them to the process-wide
+     Metrics registry once per drain, and [published] holds the totals
+     it has already added. *)
+  mutable sent : int;
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable spikes : int;
+  mutable cascades : int;
+  mutable prunes : int;
+  published : int array;
   (* Rolling FNV-style checksum over dispatched (time, src, dst) triples:
      two runs with the same seed and fault config must agree bit for bit. *)
   mutable digest : int;
@@ -146,19 +164,21 @@ type 'msg t = {
 }
 
 let create ?(min_delay = 0.1) ?(max_delay = 1.0) ?(faults = reliable) ~rng () =
-  if min_delay < 0.0 || max_delay < min_delay then
-    invalid_arg "Des.create: bad delay bounds";
+  if
+    (not (Float.is_finite min_delay && Float.is_finite max_delay))
+    || min_delay < 0.0 || max_delay < min_delay
+  then invalid_arg "Des.create: bad delay bounds";
   {
     rng;
     min_delay;
-    max_delay;
+    delay_span = max_delay -. min_delay;
     (* Eight quanta per max delay keeps the common send horizon within a
        few level-0 slots; long timers land one level up. *)
     tick = Float.max (max_delay /. 8.0) 1e-6;
     ev_time = [||];
     ev_seq = [||];
     ev_pack = [||];
-    ev_payload = [||];
+    ev_msg = [||];
     ev_next = [||];
     ev_room = 0;
     free_head = nil;
@@ -173,18 +193,26 @@ let create ?(min_delay = 0.1) ?(max_delay = 1.0) ?(faults = reliable) ~rng () =
     total_pending = 0;
     clock = 0.0;
     next_seq = 0;
-    delivered = 0;
     queue_peak = 0;
-    channel_front = Hashtbl.create 64;
+    ch_key = Array.make 64 nil;
+    ch_floor = Array.make 64 0.0;
+    ch_count = 0;
     prune_limit = 512;
     default_faults = faults;
     channel_faults = Hashtbl.create 8;
     partitions = Hashtbl.create 8;
-    down = Hashtbl.create 8;
+    down = Bytes.empty;
     restart_hook = (fun ~time:_ _ -> ());
+    strong_pending = 0;
+    strong_peak = 0;
+    sent = 0;
+    delivered = 0;
     dropped = 0;
     duplicated = 0;
-    strong_pending = 0;
+    spikes = 0;
+    cascades = 0;
+    prunes = 0;
+    published = Array.make 7 0;
     digest = 0x1505;
     trace_on = false;
     trace_rev = [];
@@ -196,48 +224,63 @@ let set_faults t f = t.default_faults <- f
 
 (* Setting a channel's profile back to the (current) default removes the
    override, so healed channels stop occupying metadata — the other half
-   of the bound [maybe_prune] maintains on [channel_front]. *)
+   of the bound [prune] maintains on the FIFO floors. *)
 let set_channel_faults t ~src ~dst f =
+  check_id "Des.set_channel_faults" src;
+  check_id "Des.set_channel_faults" dst;
   if faults_equal f t.default_faults then
-    Hashtbl.remove t.channel_faults (src, dst)
-  else Hashtbl.replace t.channel_faults (src, dst) f
+    Hashtbl.remove t.channel_faults (channel_id src dst)
+  else Hashtbl.replace t.channel_faults (channel_id src dst) f
 
-let norm_pair a b = if a <= b then (a, b) else (b, a)
+let link_id a b = if a <= b then channel_id a b else channel_id b a
 
-let partition t a b = if a <> b then Hashtbl.replace t.partitions (norm_pair a b) ()
-let heal t a b = Hashtbl.remove t.partitions (norm_pair a b)
-let partitioned t a b = Hashtbl.mem t.partitions (norm_pair a b)
+let partition t a b =
+  check_id "Des.partition" a;
+  check_id "Des.partition" b;
+  if a <> b then Hashtbl.replace t.partitions (link_id a b) ()
 
-let crash t node = Hashtbl.replace t.down node ()
-let is_down t node = Hashtbl.mem t.down node
+let heal t a b =
+  check_id "Des.heal" a;
+  check_id "Des.heal" b;
+  Hashtbl.remove t.partitions (link_id a b)
+
+let[@inline] partitioned t a b =
+  Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (link_id a b)
+
+(* Out-of-range ids are never down: [lsr] maps a negative id past the
+   bitmap, and the enqueue path rejects it afterwards. *)
+let[@inline] is_down t node =
+  let byte = node lsr 3 in
+  byte < Bytes.length t.down
+  && Bytes.get_uint8 t.down byte land (1 lsl (node land 7)) <> 0
+
+let set_down t node down =
+  let byte = node lsr 3 and bit = 1 lsl (node land 7) in
+  let b = Bytes.get_uint8 t.down byte in
+  Bytes.set_uint8 t.down byte (if down then b lor bit else b land lnot bit)
+
+let crash t node =
+  check_id "Des.crash" node;
+  let byte = node lsr 3 in
+  if byte >= Bytes.length t.down then begin
+    let grown = Bytes.make (max (byte + 1) (2 * Bytes.length t.down)) '\000' in
+    Bytes.blit t.down 0 grown 0 (Bytes.length t.down);
+    t.down <- grown
+  end;
+  set_down t node true
+
 let set_restart_hook t hook = t.restart_hook <- hook
 
 let restart t node =
-  if Hashtbl.mem t.down node then begin
-    Hashtbl.remove t.down node;
+  if is_down t node then begin
+    set_down t node false;
     t.restart_hook ~time:t.clock node
   end
 
-(* The ["des.queue_depth"] gauge reports the strong-pending count — the
-   events that keep [run_until_quiescent] running — and is written from
-   both the schedule and the dispatch path, so it reads 0 after a drain
-   even while weak keepalives stay queued.  [queue_peak] tracks the
-   total queue (weak included): the memory high-water mark. *)
-let note_depth t =
-  if t.total_pending > t.queue_peak then t.queue_peak <- t.total_pending;
-  Metrics.set_gauge m_queue_depth (float_of_int t.strong_pending)
-
 (* --- arena --- *)
 
-let grow_arena t (payload : 'msg payload) =
+let grow_arena t =
   let room = if t.ev_room = 0 then 256 else 2 * t.ev_room in
-  let fill =
-    match t.filler with
-    | Some f -> f
-    | None ->
-        t.filler <- Some payload;
-        payload
-  in
   let copy mk old =
     let a = mk room in
     Array.blit old 0 a 0 t.ev_room;
@@ -246,7 +289,6 @@ let grow_arena t (payload : 'msg payload) =
   t.ev_time <- copy (fun n -> Array.make n 0.0) t.ev_time;
   t.ev_seq <- copy (fun n -> Array.make n 0) t.ev_seq;
   t.ev_pack <- copy (fun n -> Array.make n 0) t.ev_pack;
-  t.ev_payload <- copy (fun n -> Array.make n fill) t.ev_payload;
   t.ev_next <- copy (fun n -> Array.make n nil) t.ev_next;
   for i = t.ev_room to room - 1 do
     t.ev_next.(i) <- (if i = room - 1 then t.free_head else i + 1)
@@ -254,21 +296,33 @@ let grow_arena t (payload : 'msg payload) =
   t.free_head <- t.ev_room;
   t.ev_room <- room
 
-let alloc_event t ~time ~seq ~pack ~payload =
-  if t.free_head = nil then grow_arena t payload;
+(* The message column catches up with the arena when a message lands
+   past its end; the first message ever stored doubles as the filler of
+   empty slots. *)
+let grow_msgs t msg =
+  let fill =
+    match t.filler with
+    | Some f -> f
+    | None ->
+        t.filler <- Some msg;
+        msg
+  in
+  let a = Array.make t.ev_room fill in
+  Array.blit t.ev_msg 0 a 0 (Array.length t.ev_msg);
+  t.ev_msg <- a
+
+let[@inline] alloc_event t ~time ~pack =
+  if t.free_head = nil then grow_arena t;
   let idx = t.free_head in
   t.free_head <- t.ev_next.(idx);
   t.ev_time.(idx) <- time;
-  t.ev_seq.(idx) <- seq;
+  t.ev_seq.(idx) <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
   t.ev_pack.(idx) <- pack;
-  t.ev_payload.(idx) <- payload;
   t.ev_next.(idx) <- nil;
   idx
 
 let free_event t idx =
-  (match t.filler with
-  | Some f -> t.ev_payload.(idx) <- f
-  | None -> ());
   t.ev_next.(idx) <- t.free_head;
   t.free_head <- idx
 
@@ -326,12 +380,19 @@ let heap_pop t =
 
 (* --- wheel placement and cascade --- *)
 
-let quantum t time = int_of_float (time /. t.tick)
+(* Quanta saturate far below [max_int], so a huge finite time cannot
+   wrap [int_of_float]; saturated events share one quantum and the
+   mini-heap still orders them by exact time. *)
+let max_quantum = 1 lsl 60
+
+let[@inline] quantum t time =
+  let q = time /. t.tick in
+  if q < 1e18 then int_of_float q else max_quantum
 
 (* Lowest level whose span still covers [q] relative to the cursor; the
    event either joins the current quantum's heap, a wheel slot, or the
    overflow chain past the 2^32-quantum horizon. *)
-let place t idx q =
+let[@inline] place t idx q =
   if q <= t.cur_q then heap_push t idx
   else begin
     let d = q lxor t.cur_q in
@@ -390,7 +451,7 @@ let rebase_overflow t =
   t.overflow_head <- nil;
   t.overflow_count <- 0;
   t.cur_q <- !qmin;
-  Metrics.incr m_cascades;
+  t.cascades <- t.cascades + 1;
   redistribute t head
 
 (* Advance the cursor to the next non-empty quantum and pull its events
@@ -434,7 +495,7 @@ let rec refill t =
                this level's index, zero everything below. *)
             let high = t.cur_q lsr (shift + wheel_bits) in
             t.cur_q <- ((high lsl wheel_bits) lor !s) lsl shift;
-            if l > 0 then Metrics.incr m_cascades;
+            if l > 0 then t.cascades <- t.cascades + 1;
             redistribute t head;
             advanced := true
           end
@@ -457,111 +518,188 @@ let rec refill t =
     else failwith "Des: wheel invariant violated (counted events not found)"
   end
 
-(* --- channel metadata pruning --- *)
+(* --- channel FIFO floors --- *)
 
-(* A [channel_front] entry whose floor is at or behind the clock can
-   never bump a future enqueue (every new delivery time is >= clock), so
-   dropping it is invisible to the schedule.  Swept when the table
-   doubles past the last high-water mark: amortized O(1) per enqueue,
-   deterministic (no randomness involved), and it bounds the metadata of
-   workloads that touch many distinct channels once. *)
-let maybe_prune t =
-  if Hashtbl.length t.channel_front > t.prune_limit then begin
-    let stale = ref [] in
-    Hashtbl.iter
-      (fun key front ->
-        if front +. 1e-9 <= t.clock then stale := key :: !stale)
-      t.channel_front;
-    List.iter (Hashtbl.remove t.channel_front) !stale;
-    Metrics.add m_prunes (List.length !stale);
-    t.prune_limit <- max 512 (2 * Hashtbl.length t.channel_front)
+let[@inline] ch_home key mask =
+  let h = key * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land mask
+
+(* The slot holding [key], or the free slot that ends its probe run. *)
+let[@inline] ch_find t key =
+  let mask = Array.length t.ch_key - 1 in
+  let i = ref (ch_home key mask) in
+  while t.ch_key.(!i) <> key && t.ch_key.(!i) <> nil do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let ch_grow t =
+  let keys = t.ch_key and floors = t.ch_floor in
+  t.ch_key <- Array.make (2 * Array.length keys) nil;
+  t.ch_floor <- Array.make (2 * Array.length keys) 0.0;
+  for i = 0 to Array.length keys - 1 do
+    if keys.(i) <> nil then begin
+      let j = ch_find t keys.(i) in
+      t.ch_key.(j) <- keys.(i);
+      t.ch_floor.(j) <- floors.(i)
+    end
+  done
+
+(* Backward-shift deletion: later members of slot [i]'s probe run move
+   up into the hole, so no lookup ever stops short at it. *)
+let ch_remove t i =
+  let mask = Array.length t.ch_key - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while t.ch_key.(!j) <> nil do
+    let home = ch_home t.ch_key.(!j) mask in
+    (* The entry at [j] must stay put iff its home lies cyclically in
+       (hole, j]. *)
+    let stays =
+      if !hole <= !j then !hole < home && home <= !j
+      else !hole < home || home <= !j
+    in
+    if not stays then begin
+      t.ch_key.(!hole) <- t.ch_key.(!j);
+      t.ch_floor.(!hole) <- t.ch_floor.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  t.ch_key.(!hole) <- nil;
+  t.ch_count <- t.ch_count - 1
+
+(* FIFO per channel: a delivery may not overtake the last one scheduled
+   on its channel, so its time is raised to just past that one's. *)
+let[@inline] fifo_floor t key time =
+  let i = ch_find t key in
+  if t.ch_key.(i) = key then begin
+    let after = t.ch_floor.(i) +. 1e-9 in
+    let time = if after > time then after else time in
+    t.ch_floor.(i) <- time;
+    time
+  end
+  else begin
+    let i =
+      if 2 * (t.ch_count + 1) > Array.length t.ch_key then begin
+        ch_grow t;
+        ch_find t key
+      end
+      else i
+    in
+    t.ch_key.(i) <- key;
+    t.ch_floor.(i) <- time;
+    t.ch_count <- t.ch_count + 1;
+    time
   end
 
+(* A floor at or behind the clock can never bump a future enqueue
+   (every new delivery time is >= clock), so dropping it is invisible to
+   the schedule.  Swept in place when the table doubles past the last
+   high-water mark ([enqueue] tests [prune_limit]): amortized O(1) per
+   enqueue, deterministic (no randomness involved), and it bounds the
+   metadata of workloads that touch many distinct channels once.
+   Removal shifts later entries of a probe run back, so the sweep
+   re-examines a slot after removing from it; entries that wrap past the
+   end were already examined and kept. *)
+let prune t =
+  let before = t.ch_count in
+  let i = ref 0 in
+  while !i < Array.length t.ch_key do
+    if t.ch_key.(!i) <> nil && t.ch_floor.(!i) +. 1e-9 <= t.clock then
+      ch_remove t !i
+    else incr i
+  done;
+  t.prunes <- t.prunes + (before - t.ch_count);
+  t.prune_limit <- max 512 (2 * t.ch_count)
+
 (* Raw enqueue: FIFO floor per channel, no fault pipeline. *)
-let enqueue t ~weak ~time ~src ~dst payload =
-  if src < 0 || src > max_id || dst < 0 || dst > max_id then
-    invalid_arg "Des: process ids must fit 30 bits";
-  maybe_prune t;
-  let key = (src, dst) in
-  let floor_time =
-    match Hashtbl.find_opt t.channel_front key with
-    | None -> time
-    | Some front -> Float.max time (front +. 1e-9)
-  in
-  Hashtbl.replace t.channel_front key floor_time;
-  let idx =
-    alloc_event t ~time:floor_time ~seq:t.next_seq ~pack:(pack ~weak ~src ~dst)
-      ~payload
-  in
-  t.next_seq <- t.next_seq + 1;
-  place t idx (quantum t floor_time);
+let[@inline] enqueue t ~flags ~time ~src ~dst =
+  check_id "Des" src;
+  check_id "Des" dst;
+  if t.ch_count > t.prune_limit then prune t;
+  let time = fifo_floor t (channel_id src dst) time in
+  let idx = alloc_event t ~time ~pack:(pack ~src ~dst flags) in
+  place t idx (quantum t time);
   t.total_pending <- t.total_pending + 1;
-  if not weak then t.strong_pending <- t.strong_pending + 1;
-  note_depth t
+  if t.total_pending > t.queue_peak then t.queue_peak <- t.total_pending;
+  if flags land weak_bit = 0 then begin
+    t.strong_pending <- t.strong_pending + 1;
+    if t.strong_pending > t.strong_peak then t.strong_peak <- t.strong_pending
+  end;
+  idx
 
-let drop t =
-  t.dropped <- t.dropped + 1;
-  Metrics.incr m_dropped
+let[@inline] enqueue_msg t ~weak ~time ~src ~dst msg =
+  let idx = enqueue t ~flags:(if weak then weak_bit else 0) ~time ~src ~dst in
+  if idx >= Array.length t.ev_msg then grow_msgs t msg;
+  t.ev_msg.(idx) <- msg
 
-let profile t ~src ~dst =
-  match Hashtbl.find_opt t.channel_faults (src, dst) with
-  | Some f -> f
-  | None -> t.default_faults
+let drop t = t.dropped <- t.dropped + 1
+
+let[@inline] profile t ~src ~dst =
+  if Hashtbl.length t.channel_faults = 0 then t.default_faults
+  else
+    match Hashtbl.find_opt t.channel_faults (channel_id src dst) with
+    | Some f -> f
+    | None -> t.default_faults
 
 (* The fault pipeline.  Self-channels (src = dst) model local timers and
    are exempt from every fault: a process's own clock does not lose
    ticks.  Crashed endpoints and partitioned links swallow the message;
    otherwise the channel profile may drop it, spike its delay, or deliver
    a duplicate copy (scheduled after the original, so FIFO still holds). *)
-let schedule t ~weak ~time ~src ~dst msg =
-  Metrics.incr m_messages_sent;
+let[@inline] schedule t ~weak ~time ~src ~dst msg =
+  t.sent <- t.sent + 1;
   if src = dst then begin
-    if Hashtbl.mem t.down dst then drop t
-    else enqueue t ~weak ~time ~src ~dst (Deliver msg)
+    if is_down t dst then drop t else enqueue_msg t ~weak ~time ~src ~dst msg
   end
-  else if
-    Hashtbl.mem t.down src || Hashtbl.mem t.down dst || partitioned t src dst
-  then drop t
+  else if is_down t src || is_down t dst || partitioned t src dst then drop t
   else begin
     let f = profile t ~src ~dst in
     if f.drop_p > 0.0 && Rng.float t.rng 1.0 < f.drop_p then drop t
     else begin
       let time =
         if f.spike_p > 0.0 && Rng.float t.rng 1.0 < f.spike_p then begin
-          Metrics.incr m_spikes;
+          t.spikes <- t.spikes + 1;
           time +. f.spike_delay
         end
         else time
       in
-      enqueue t ~weak ~time ~src ~dst (Deliver msg);
+      enqueue_msg t ~weak ~time ~src ~dst msg;
       if f.dup_p > 0.0 && Rng.float t.rng 1.0 < f.dup_p then begin
         t.duplicated <- t.duplicated + 1;
-        Metrics.incr m_duplicated;
-        enqueue t ~weak ~time ~src ~dst (Deliver msg)
+        enqueue_msg t ~weak ~time ~src ~dst msg
       end
     end
   end
 
+(* A nan or infinite delay has no place on the timeline: it would pass
+   through [int_of_float] to an arbitrary quantum and stamp later events
+   with a nan clock. *)
+let check_delay fn delay =
+  if not (Float.is_finite delay) then invalid_arg (fn ^ ": non-finite delay");
+  if delay < 0.0 then invalid_arg (fn ^ ": negative delay")
+
 let send_after ?(weak = false) t ~delay ~src ~dst payload =
-  if delay < 0.0 then invalid_arg "Des.send_after: negative delay";
-  let jitter = t.min_delay +. Rng.float t.rng (t.max_delay -. t.min_delay) in
+  check_delay "Des.send_after" delay;
+  let jitter = t.min_delay +. Rng.float t.rng t.delay_span in
   schedule t ~weak ~time:(t.clock +. delay +. jitter) ~src ~dst payload
 
 let send ?weak t ~src ~dst payload = send_after ?weak t ~delay:0.0 ~src ~dst payload
 
 let restart_after t ~delay node =
-  if delay < 0.0 then invalid_arg "Des.restart_after: negative delay";
-  enqueue t ~weak:false ~time:(t.clock +. delay) ~src:node ~dst:node
-    (Restart node)
+  check_delay "Des.restart_after" delay;
+  ignore
+    (enqueue t ~flags:restart_bit ~time:(t.clock +. delay) ~src:node ~dst:node
+      : int)
 
 let mix h x =
   let h = (h lxor x) * 0x100000001b3 in
   h land max_int
 
-let record t ~time ~src ~dst msg =
+let record t ~src ~dst msg =
   t.digest <-
-    mix (mix (mix t.digest (Int64.to_int (Int64.bits_of_float time) land max_int)) src) dst;
-  if t.trace_on then t.trace_rev <- { at = time; src; dst; msg } :: t.trace_rev
+    mix (mix (mix t.digest (Int64.to_int (Int64.bits_of_float t.clock) land max_int)) src) dst;
+  if t.trace_on then t.trace_rev <- { at = t.clock; src; dst; msg } :: t.trace_rev
 
 (* Pop the globally earliest (time, seq) event, or [nil]. *)
 let pop_event t =
@@ -570,30 +708,55 @@ let pop_event t =
   else begin
     let idx = heap_pop t in
     t.total_pending <- t.total_pending - 1;
-    if not (pack_weak t.ev_pack.(idx)) then
+    if t.ev_pack.(idx) land weak_bit = 0 then
       t.strong_pending <- t.strong_pending - 1;
-    note_depth t;
     idx
   end
 
 (* Deliver one popped event through the crash filter and the handler;
-   frees the arena slot. *)
+   frees the arena slot.  Event times never run behind the clock, and
+   the clock is only written when it moves: the write boxes a float. *)
 let dispatch_event t ~handler idx =
-  t.clock <- Float.max t.clock t.ev_time.(idx);
+  let at = t.ev_time.(idx) in
+  if at > t.clock then t.clock <- at;
   let p = t.ev_pack.(idx) in
-  let src = pack_src p and dst = pack_dst p in
-  let payload = t.ev_payload.(idx) in
-  free_event t idx;
-  match payload with
-  | Restart node -> restart t node
-  | Deliver msg ->
-      if Hashtbl.mem t.down dst then drop t
-      else begin
-        t.delivered <- t.delivered + 1;
-        Metrics.incr m_events_dispatched;
-        record t ~time:t.clock ~src ~dst msg;
-        handler ~time:t.clock ~src ~dst msg
-      end
+  let dst = pack_dst p in
+  if p land restart_bit <> 0 then begin
+    free_event t idx;
+    restart t dst
+  end
+  else begin
+    let msg = t.ev_msg.(idx) in
+    (match t.filler with Some f -> t.ev_msg.(idx) <- f | None -> ());
+    free_event t idx;
+    if is_down t dst then drop t
+    else begin
+      let src = pack_src p in
+      t.delivered <- t.delivered + 1;
+      record t ~src ~dst msg;
+      handler ~time:t.clock ~src ~dst msg
+    end
+  end
+
+(* Adds what the simulator counted since the last call to the Metrics
+   registry, then sets the ["des.queue_depth"] gauge to the strong
+   high-water mark and the current strong count, so after a drain the
+   gauge's value and peak read exactly as if it had been written on
+   every enqueue and pop. *)
+let publish t =
+  let flush i cell total =
+    Metrics.add cell (total - t.published.(i));
+    t.published.(i) <- total
+  in
+  flush 0 m_messages_sent t.sent;
+  flush 1 m_events_dispatched t.delivered;
+  flush 2 m_dropped t.dropped;
+  flush 3 m_duplicated t.duplicated;
+  flush 4 m_spikes t.spikes;
+  flush 5 m_cascades t.cascades;
+  flush 6 m_prunes t.prunes;
+  Metrics.set_gauge m_queue_depth (float_of_int t.strong_peak);
+  Metrics.set_gauge m_queue_depth (float_of_int t.strong_pending)
 
 let run_until_quiescent ?(budget = max_int) ?(idle_ok = fun () -> true) t
     ~handler =
@@ -616,7 +779,7 @@ let run_until_quiescent ?(budget = max_int) ?(idle_ok = fun () -> true) t
       end
     end
   in
-  drain ()
+  Fun.protect ~finally:(fun () -> publish t) drain
 
 let pending t = t.total_pending
 
@@ -630,8 +793,7 @@ let dups t = t.duplicated
 
 let digest t = t.digest
 
-let channel_meta_size t =
-  Hashtbl.length t.channel_front + Hashtbl.length t.channel_faults
+let channel_meta_size t = t.ch_count + Hashtbl.length t.channel_faults
 
 (* Heap words reachable from the simulator, with the client-supplied
    restart hook detached for the measurement so a closure capturing the

@@ -65,7 +65,9 @@ val create :
 (** Fresh simulator.  Message delays are uniform in
     [\[min_delay, max_delay\]] (defaults 0.1 and 1.0); FIFO order per
     channel is enforced on top of the random draw.  [faults] is the
-    default profile for every channel (default: [reliable]). *)
+    default profile for every channel (default: [reliable]).  Raises
+    [Invalid_argument] unless both bounds are finite and
+    [0 <= min_delay <= max_delay]. *)
 
 val set_faults : _ t -> faults -> unit
 (** Replaces the default fault profile for channels without an override. *)
@@ -74,7 +76,9 @@ val set_channel_faults : _ t -> src:int -> dst:int -> faults -> unit
 (** Overrides the fault profile of one directed channel.  Setting a
     profile equal (field for field) to the current default removes the
     override instead, so healed channels release their metadata entry —
-    see [channel_meta_size]. *)
+    see [channel_meta_size].  Raises [Invalid_argument] on an id outside
+    [\[0, 2^30)], as do [partition], [heal], [crash], [restart_after]
+    and the send functions. *)
 
 val partition : _ t -> int -> int -> unit
 (** Cuts the (symmetric) link between two processes: messages either way
@@ -86,14 +90,16 @@ val heal : _ t -> int -> int -> unit
 
 val crash : _ t -> int -> unit
 (** Marks a process down.  While down, messages from or to it (including
-    its own pending timers) are dropped and counted in [drops]. *)
+    its own pending timers) are dropped and counted in [drops].  The
+    crashed set is a bitmap sized by the largest id crashed so far. *)
 
 val restart : _ t -> int -> unit
 (** Brings a crashed process back immediately and invokes the restart
     hook.  No-op if the process is up. *)
 
 val restart_after : _ t -> delay:float -> int -> unit
-(** Schedules a [restart] on the simulated timeline, [delay] from now. *)
+(** Schedules a [restart] on the simulated timeline, [delay] from now.
+    Raises [Invalid_argument] on a negative or non-finite delay. *)
 
 val is_down : _ t -> int -> bool
 
@@ -116,7 +122,9 @@ val send : ?weak:bool -> 'msg t -> src:int -> dst:int -> 'msg -> unit
 val send_after :
   ?weak:bool -> 'msg t -> delay:float -> src:int -> dst:int -> 'msg -> unit
 (** Enqueues with an explicit extra delay — used for timer-style
-    self-messages (heartbeat deadlines, retry backoff). *)
+    self-messages (heartbeat deadlines, retry backoff).  Raises
+    [Invalid_argument] on a negative or non-finite delay: a [nan] or
+    infinite delivery time has no place on the timeline. *)
 
 type outcome =
   | Quiescent  (** drained: no strong events remain *)
@@ -135,7 +143,16 @@ val run_until_quiescent :
     [Quiescent] when no strong events remain and [idle_ok ()] holds
     (default: always), leaving any weak events queued for a later drain;
     stops with [Livelock] after popping [budget] events (default:
-    unbounded).  Raises [Invalid_argument] on a non-positive budget. *)
+    unbounded).  Raises [Invalid_argument] on a non-positive budget.
+
+    The simulator counts in plain fields and publishes to {!Metrics}
+    once, when the drain returns or the handler raises out of it: every
+    ["des.*"] counter gains what happened since the previous publish
+    (sends made before the drain included), and the ["des.queue_depth"]
+    gauge is set to the strong high-water mark and then to the strong
+    count left.  So the registry is exact after each drain, not in the
+    middle of one, and sends with no drain after them are not yet
+    counted. *)
 
 (** {1 Introspection} *)
 
@@ -148,10 +165,11 @@ val messages_delivered : _ t -> int
 
 val queue_peak : _ t -> int
 (** High-water mark of the total event queue (weak events included)
-    since creation — the queue's memory watermark.  Note the
-    ["des.queue_depth"] gauge reports the {e strong}-pending count (the
-    events that keep a drain running), consistently from both the
-    schedule and the dispatch path. *)
+    since creation — the queue's memory watermark.  The
+    ["des.queue_depth"] gauge instead reports {e strong} events (the ones
+    that keep a drain running): published when a drain ends, its peak is
+    the strong high-water mark since creation and its value the strong
+    count that drain left. *)
 
 val channel_meta_size : _ t -> int
 (** Live per-channel metadata entries (FIFO fronts + fault overrides).

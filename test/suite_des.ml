@@ -147,17 +147,18 @@ let suite =
 let sink ~time:_ ~src:_ ~dst:_ _ = ()
 
 let test_queue_depth_gauge_tracks_dispatch () =
-  (* The gauge must follow the queue both up (schedule) and down
-     (dispatch): after a full drain it reads 0, not a stale peak. *)
+  (* The gauge is published when a drain ends, not per event: its peak is
+     the strong high-water mark and its value what the drain left. *)
   let g = Metrics.gauge "des.queue_depth" in
+  Metrics.reset ();
   let des = Des.create ~rng:(Rng.create 7) () in
   for i = 1 to 5 do
     Des.send des ~src:0 ~dst:1 i
   done;
-  Alcotest.(check (float 0.0)) "depth after sends" 5.0 (Metrics.gauge_value g);
   drain des sink;
   Alcotest.(check (float 0.0)) "depth after drain" 0.0 (Metrics.gauge_value g);
-  Alcotest.(check bool) "peak recorded" true (Des.queue_peak des >= 5)
+  Alcotest.(check (float 0.0)) "peak after drain" 5.0 (Metrics.gauge_peak g);
+  Alcotest.(check int) "queue peak" 5 (Des.queue_peak des)
 
 let test_drop_everything () =
   let des =
@@ -500,26 +501,25 @@ let test_pruning_invisible_to_digest () =
   Alcotest.(check bool) "quiet run deterministic" true
     (run ~churn:false = run ~churn:false)
 
-(* S2: the queue-depth gauge counts strong events only, from both the
-   schedule and the dispatch path; weak keepalives never show. *)
+(* The queue-depth gauge counts strong events only; weak keepalives
+   never show, in the value or the peak. *)
 let test_queue_depth_counts_strong_only () =
   let g = Metrics.gauge "des.queue_depth" in
+  Metrics.reset ();
   let des = Des.create ~rng:(Rng.create 24) () in
   for _ = 1 to 3 do
     Des.send_after ~weak:true des ~delay:10_000.0 ~src:0 ~dst:0 `Keepalive
   done;
-  Alcotest.(check (float 0.0)) "weak events invisible" 0.0
-    (Metrics.gauge_value g);
   Des.send des ~src:0 ~dst:1 `Work;
   Des.send des ~src:1 ~dst:0 `Work;
-  Alcotest.(check (float 0.0)) "strong events counted" 2.0
-    (Metrics.gauge_value g);
   drain des sink;
   Alcotest.(check (float 0.0)) "zero after drain, keepalives queued" 0.0
     (Metrics.gauge_value g);
+  Alcotest.(check (float 0.0)) "peak counts the strong events only" 2.0
+    (Metrics.gauge_peak g);
   Alcotest.(check int) "weak events still pending" 3 (Des.pending des);
-  Alcotest.(check bool) "peak tracks the full queue" true
-    (Des.queue_peak des >= 5)
+  Alcotest.(check int) "queue peak counts the full queue" 5
+    (Des.queue_peak des)
 
 let test_footprint_reported () =
   let des = Des.create ~rng:(Rng.create 26) () in
@@ -548,4 +548,131 @@ let suite =
       Alcotest.test_case "queue depth counts strong only" `Quick
         test_queue_depth_counts_strong_only;
       Alcotest.test_case "footprint reported" `Quick test_footprint_reported;
+    ]
+
+(* --- appended: non-finite delays, the per-drain Metrics contract and
+   the kernel's allocation budget --- *)
+
+let test_non_finite_delays_rejected () =
+  let des = Des.create ~rng:(Rng.create 30) () in
+  List.iter
+    (fun d ->
+      Alcotest.check_raises
+        (Printf.sprintf "send_after %h" d)
+        (Invalid_argument "Des.send_after: non-finite delay")
+        (fun () -> Des.send_after des ~delay:d ~src:0 ~dst:1 ());
+      Alcotest.check_raises
+        (Printf.sprintf "restart_after %h" d)
+        (Invalid_argument "Des.restart_after: non-finite delay")
+        (fun () -> Des.restart_after des ~delay:d 0))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check int) "nothing queued" 0 (Des.pending des);
+  List.iter
+    (fun (min_delay, max_delay) ->
+      Alcotest.check_raises
+        (Printf.sprintf "create %h %h" min_delay max_delay)
+        (Invalid_argument "Des.create: bad delay bounds")
+        (fun () -> ignore (Des.create ~min_delay ~max_delay ~rng:(Rng.create 0) ())))
+    [ (nan, 1.0); (0.1, nan); (0.1, infinity); (infinity, infinity) ];
+  List.iter
+    (fun spike_delay ->
+      Alcotest.check_raises
+        (Printf.sprintf "spike_delay %h" spike_delay)
+        (Invalid_argument "Des.faults: spike_delay must be finite and non-negative")
+        (fun () -> ignore (Des.faults ~spike_delay ())))
+    [ nan; infinity ]
+
+(* A delay too large for an int quantum still delivers in time order
+   (an unsaturated [int_of_float] put both far events in quantum 0,
+   ahead of the wheel). *)
+let test_huge_finite_delay_ordered () =
+  let des = Des.create ~rng:(Rng.create 31) () in
+  Des.send_after des ~delay:1e300 ~src:0 ~dst:1 `Far;
+  Des.send_after des ~delay:1e200 ~src:2 ~dst:1 `Mid;
+  Des.send_after des ~delay:5.0 ~src:3 ~dst:1 `Near;
+  let got = ref [] in
+  drain des (fun ~time:_ ~src:_ ~dst:_ m -> got := m :: !got);
+  Alcotest.(check bool) "near, mid, far" true
+    (List.rev !got = [ `Near; `Mid; `Far ]);
+  Alcotest.(check bool) "clock at the far delivery" true (Des.now des >= 1e300)
+
+let test_out_of_range_ids_rejected () =
+  let des = Des.create ~rng:(Rng.create 32) () in
+  Alcotest.check_raises "crash"
+    (Invalid_argument "Des.crash: process ids must fit 30 bits") (fun () ->
+      Des.crash des (-1));
+  Alcotest.check_raises "partition"
+    (Invalid_argument "Des.partition: process ids must fit 30 bits") (fun () ->
+      Des.partition des 0 (1 lsl 30));
+  Alcotest.check_raises "channel override"
+    (Invalid_argument "Des.set_channel_faults: process ids must fit 30 bits")
+    (fun () -> Des.set_channel_faults des ~src:(1 lsl 30) ~dst:0 Des.reliable)
+
+let counter name = Metrics.count (Metrics.counter name)
+
+(* Counters and the gauge reach Metrics when the drain ends, also when
+   the handler raises out of it. *)
+let test_raising_handler_still_publishes () =
+  let g = Metrics.gauge "des.queue_depth" in
+  Metrics.reset ();
+  let des = Des.create ~rng:(Rng.create 33) () in
+  for i = 1 to 4 do
+    Des.send des ~src:0 ~dst:1 i
+  done;
+  Alcotest.(check int) "nothing published before the drain" 0
+    (counter "des.messages_sent");
+  Alcotest.check_raises "the handler's exception escapes" (Failure "boom")
+    (fun () ->
+      ignore
+        (Des.run_until_quiescent des ~handler:(fun ~time:_ ~src:_ ~dst:_ m ->
+             if m = 2 then failwith "boom")));
+  Alcotest.(check int) "messages sent" 4 (counter "des.messages_sent");
+  Alcotest.(check int) "events dispatched" 2 (counter "des.events_dispatched");
+  Alcotest.(check (float 0.0)) "depth left by the raise" 2.0
+    (Metrics.gauge_value g);
+  Alcotest.(check (float 0.0)) "peak" 4.0 (Metrics.gauge_peak g);
+  (* A second drain adds only what is new. *)
+  drain des sink;
+  Alcotest.(check int) "events dispatched, both drains" 4
+    (counter "des.events_dispatched");
+  Alcotest.(check int) "messages sent, unchanged" 4 (counter "des.messages_sent");
+  Alcotest.(check (float 0.0)) "drained" 0.0 (Metrics.gauge_value g)
+
+(* The fleet benchmark's Des kernel: [events] messages forwarded hop by
+   hop through [procs] processes by up to 1024 concurrent tokens. *)
+let des_kernel ~seed ~procs ~events =
+  let des = Des.create ~rng:(Rng.create seed) () in
+  let tokens = max 1 (min 1024 events) in
+  let hops = max 1 (events / tokens) in
+  for k = 0 to tokens - 1 do
+    let src = k * procs / tokens in
+    Des.send des ~src ~dst:((src + 1) mod procs) (hops - 1)
+  done;
+  drain des (fun ~time:_ ~src:_ ~dst left ->
+      if left > 0 then Des.send des ~src:dst ~dst:((dst + 1) mod procs) (left - 1));
+  Des.messages_delivered des
+
+(* The send and dispatch path allocates only the boxed jitter draw and
+   the boxed clock handed to the handler; set-up is shared over the
+   events. *)
+let test_kernel_allocation () =
+  let w0 = Gc.minor_words () in
+  let events = des_kernel ~seed:1 ~procs:50_176 ~events:10_000 in
+  let words = (Gc.minor_words () -. w0) /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per event (at most 10)" words)
+    true (words <= 10.0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "non-finite delays rejected" `Quick
+        test_non_finite_delays_rejected;
+      Alcotest.test_case "huge finite delay ordered" `Quick
+        test_huge_finite_delay_ordered;
+      Alcotest.test_case "out-of-range ids rejected" `Quick
+        test_out_of_range_ids_rejected;
+      Alcotest.test_case "raising handler still publishes" `Quick
+        test_raising_handler_still_publishes;
+      Alcotest.test_case "kernel allocation" `Quick test_kernel_allocation;
     ]

@@ -573,6 +573,31 @@ let test_fleet_digests_worker_invariant () =
   Alcotest.(check bool) "per-vehicle footprint within budget" true
     (base.Online.bytes_per_vehicle <= 512.0)
 
+(* Each band's simulator publishes its counts and queue-depth gauge to
+   the shared registry when a drain ends, so the registry totals cannot
+   depend on how the bands are spread over domains. *)
+let test_fleet_des_metrics_worker_invariant () =
+  let w = scale_workload () in
+  let cfg = scale_config () in
+  let des_metrics workers =
+    Metrics.reset ();
+    ignore (Online.run_fleet ~workers ~shards:4 cfg w);
+    List.filter_map
+      (fun (name, sample) ->
+        match sample with
+        | Metrics.Count n when String.starts_with ~prefix:"des." name ->
+            Some (Printf.sprintf "%s = %d" name n)
+        | Metrics.Level { value; peak } when String.equal name "des.queue_depth" ->
+            Some (Printf.sprintf "%s = %g (peak %g)" name value peak)
+        | _ -> None)
+      (Metrics.snapshot ())
+  in
+  let one = des_metrics 1 in
+  Alcotest.(check bool) "messages were counted" true
+    (List.exists (String.starts_with ~prefix:"des.messages_sent") one);
+  Alcotest.(check (list string)) "des.* at workers=2 match workers=1" one
+    (des_metrics 2)
+
 let test_fleet_single_shard_matches_run () =
   let w = scale_workload () in
   let cfg = scale_config () in
@@ -617,13 +642,16 @@ let test_outage_validation () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative outage index: expected Invalid_argument");
-  (match
-     Online.config ~capacity:10.0 ~side:4
-       ~faults:{ Online.no_faults with Online.outages = [ (3, 0, 0.0) ] }
-       ()
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero outage delay: expected Invalid_argument");
+  List.iter
+    (fun d ->
+      match
+        Online.config ~capacity:10.0 ~side:4
+          ~faults:{ Online.no_faults with Online.outages = [ (3, 0, d) ] }
+          ()
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "outage delay %h: expected Invalid_argument" d)
+    [ 0.0; nan; infinity ];
   let w = Workload.point ~total:10 () in
   let cfg =
     Online.config ~capacity:10.0 ~side:4
@@ -644,6 +672,8 @@ let suite =
         test_scale_replay_determinism;
       Alcotest.test_case "scale: fleet digests invariant across workers" `Quick
         test_fleet_digests_worker_invariant;
+      Alcotest.test_case "scale: fleet des metrics invariant across workers"
+        `Quick test_fleet_des_metrics_worker_invariant;
       Alcotest.test_case "scale: single shard fleet equals run" `Quick
         test_fleet_single_shard_matches_run;
       Alcotest.test_case "outage restart recovers" `Quick

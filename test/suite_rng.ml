@@ -91,8 +91,68 @@ let test_exponential_positive_mean () =
   let m = Stats.mean xs in
   Alcotest.(check bool) "mean near 2" true (Float.abs (m -. 2.0) < 0.1)
 
+(* SplitMix64 bit for bit: any change to the state representation must
+   keep these streams, which every seeded digest in the repo rests on. *)
+let test_splitmix64_pinned () =
+  (* Draws in call order, whatever order [List.init] evaluates in. *)
+  let rec draws n f = if n = 0 then [] else let x = f () in x :: draws (n - 1) f in
+  let stream r n = draws n (fun () -> Rng.int64 r) in
+  let check_stream name expected r =
+    Alcotest.(check (list int64)) name expected (stream r (List.length expected))
+  in
+  check_stream "seed 0"
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+      0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+      0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ]
+    (Rng.create 0);
+  check_stream "seed 1"
+    [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L;
+      0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+      0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL ]
+    (Rng.create 1);
+  check_stream "seed 42"
+    [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+      0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ]
+    (Rng.create 42);
+  let copied =
+    [ 0xe21b503436e97f5bL; 0xa9e76cff841529f5L; 0x583825d25ace04f8L;
+      0x660295fd0c2fa166L ]
+  in
+  let r = Rng.create 7 in
+  ignore (stream r 3);
+  let c = Rng.copy r in
+  check_stream "copy stream" copied c;
+  check_stream "original unaffected by its copy" copied r;
+  let r = Rng.create 12 in
+  let child = Rng.split r in
+  check_stream "split child"
+    [ 0x77f5530ad6954db4L; 0x1e5ed2ad7fbbf364L; 0xcb60e919362c3086L;
+      0x07803de128b69bdfL ]
+    child;
+  check_stream "split parent"
+    [ 0xb76890a6639cbf9eL; 0x6c4b20e225a59c54L; 0x098601b9259b68daL;
+      0xc5ea907b23e96820L ]
+    r;
+  let r = Rng.create 5 in
+  let units = draws 4 (fun () -> Rng.float r 1.0) in
+  let floats = units @ [ Rng.float r 3.5 ] in
+  Alcotest.(check (list int64)) "float draws"
+    [ 0x3fdaabfbe06a3c6aL; 0x3fe1299864de892eL; 0x3fe910f06cc3f2e9L;
+      0x3fe89a67e3af5016L; 0x4007a83cb8111ff5L ]
+    (List.map Int64.bits_of_float floats);
+  let r = Rng.create 6 in
+  let ints = draws 4 (fun () -> Rng.int r 1000) in
+  let big = Rng.int r (1 lsl 40) in
+  let ranged = Rng.int_in r (-5) 5 in
+  let bits = Rng.bits30 r in
+  Alcotest.(check (list int)) "int draws"
+    [ 946; 188; 459; 613; 361359947697; 1; 1001485613 ]
+    (ints @ [ big; ranged; bits ])
+
 let suite =
   [
+    Alcotest.test_case "splitmix64 pinned" `Quick test_splitmix64_pinned;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
