@@ -960,10 +960,7 @@ let bechamel_suite ~quick () =
            enumeration.  Future PRs track these individually. *)
         Test.make ~name:"min_uniform_supply_r2_200jobs" (Staged.stage (fun () ->
             let inst = Oracle.build_instance dm_mid ~radius:2 in
-            ignore (Transport.min_uniform_supply inst ~scale:720720)));
-        Test.make ~name:"parametric_breakpoints_r2_200jobs" (Staged.stage (fun () ->
-            let inst = Oracle.build_instance dm_mid ~radius:2 in
-            ignore (Transport.breakpoints inst ~scale:720720)));
+            ignore (Transport.min_uniform_supply inst)));
         Test.make ~name:"dilate_shells_r6_200jobs" (Staged.stage (fun () ->
             ignore (Ball.dilate_shells (Demand_map.support dm_mid) ~max_radius:6)));
         Test.make ~name:"dilate_set_r6_200jobs" (Staged.stage (fun () ->
@@ -1065,19 +1062,6 @@ let json_scenarios ~quick =
             ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:(Rng.int rng 20))
         done;
         ignore (Maxflow.max_flow net ~source:0 ~sink:(n - 1)) );
-    (* The GGT parametric driver end to end: discover the full breakpoint
-       family of the radius-2 transport LP (sweep + refine_all, counted by
-       paramflow.probes), then re-ask the supply question it answers as a
-       cached lookup (transport.breakpoint_lookups). *)
-    ( "flow/parametric-breakpoints",
-      fun () ->
-        let dm =
-          Workload.demand
-            (Workload.uniform ~rng:(Rng.create 99) ~box:box7 ~jobs:(scale 200))
-        in
-        let inst = Oracle.build_instance dm ~radius:2 in
-        ignore (Transport.breakpoints inst ~scale:720720);
-        ignore (Transport.min_uniform_supply inst ~scale:720720) );
     ( "planner/uniform",
       fun () ->
         let dm =

@@ -2,9 +2,15 @@ type longevity = Point.t -> float
 
 let clamp01 p = Float.max 0.0 (Float.min 1.0 p)
 
+(* Supplier capacities p_i·ω are rounded down to multiples of 1/resolution,
+   with demands scaled to match, so feasibility is an integer max-flow.
+   This grid is this module's own; it is unrelated to the LP grid of
+   [Transport.min_uniform_supply]. *)
+let resolution = 1000
+
 (* Feasibility of the longevity-scaled transport at capacity ω: supplier i
    may emit p_i·ω units within radius ⌊p_i·ω⌋. *)
-let feasible_at ~scale ~search_radius ~longevity dm omega =
+let feasible_at ~search_radius ~longevity dm omega =
   let support = Array.of_list (Demand_map.support dm) in
   let max_radius = min search_radius (int_of_float (Float.min omega 1e9)) in
   let suppliers =
@@ -16,14 +22,14 @@ let feasible_at ~scale ~search_radius ~longevity dm omega =
       ~n_demands:(Array.length support)
   in
   Array.iteri
-    (fun j p -> Transport.set_demand inst j (Demand_map.value dm p * scale))
+    (fun j p -> Transport.set_demand inst j (Demand_map.value dm p * resolution))
     support;
   let caps = Array.make (Array.length suppliers) 0 in
   Array.iteri
     (fun i s ->
       let p = clamp01 (longevity s) in
       let reach = int_of_float (Float.floor (p *. omega)) in
-      caps.(i) <- int_of_float (Float.floor (p *. omega *. float_of_int scale));
+      caps.(i) <- int_of_float (Float.floor (p *. omega *. float_of_int resolution));
       if caps.(i) > 0 then
         Array.iteri
           (fun j x ->
@@ -32,13 +38,12 @@ let feasible_at ~scale ~search_radius ~longevity dm omega =
           support)
     suppliers;
   Transport.max_served inst ~supply:(fun i -> caps.(i))
-  = Demand_map.total dm * scale
+  = Demand_map.total dm * resolution
 
-let lp_lower_bound ?(scale = 1000) ?(precision = 1e-3) ?(search_radius = 512)
-    ~longevity dm =
+let lp_lower_bound ?(precision = 1e-3) ?(search_radius = 512) ~longevity dm =
   if Demand_map.total dm = 0 then 0.0
   else begin
-    let feasible = feasible_at ~scale ~search_radius ~longevity dm in
+    let feasible = feasible_at ~search_radius ~longevity dm in
     (* Doubling search for a feasible capacity.  Suppliers are only sought
        within [search_radius] of the support, so capacities beyond that
        radius cannot enlist anyone new: if the transport is still

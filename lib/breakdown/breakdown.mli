@@ -18,13 +18,14 @@ type longevity = Point.t -> float
     [\[0,1\]] by the solvers. *)
 
 val lp_lower_bound :
-  ?scale:int -> ?precision:float -> ?search_radius:int ->
+  ?precision:float -> ?search_radius:int ->
   longevity:longevity -> Demand_map.t -> float
 (** Value of program (4.1): the minimal uniform capacity [ω] at which the
     longevity-scaled transport (supplier [i] emits at most [p_i·ω], within
     radius [⌊p_i·ω⌋]) covers all demands.  Monotone feasibility is checked
-    by max-flow; [ω] is located by binary search to [precision]
-    (default 1e-3).  Candidate suppliers are sought within [search_radius]
+    by max-flow with each [p_i·ω] rounded down to a multiple of 1/1000;
+    [ω] is located by binary search to [precision] (default 1e-3).
+    Candidate suppliers are sought within [search_radius]
     (default 512) of the demand support; [infinity] means "not feasible
     with those suppliers" (e.g. every nearby vehicle dead). *)
 

@@ -23,18 +23,15 @@ let point_capacity ~dim ~demand =
     let target = float_of_int demand in
     (* Inside the bracket [m, m+1) the deliverable energy is linear in w:
        w·V(m) - Σ_{r<=m} r·shell(r).  Scan brackets for the first that can
-       reach the target. *)
-    let rec scan m volume weighted =
-      (* volume = V(m) = Σ_{r<=m} shell(r); weighted = Σ_{r<=m} r·shell(r). *)
-      let candidate = (target +. float_of_int weighted) /. float_of_int volume in
-      let candidate = Float.max candidate (float_of_int m) in
-      if candidate < float_of_int (m + 1) then candidate
-      else begin
-        let s = shell ~dim (m + 1) in
-        scan (m + 1) (volume + s) (weighted + ((m + 1) * s))
-      end
-    in
-    scan 0 1 0
+       reach the target; the scan visits m = 0, 1, ... in order, so the
+       two sums are kept running. *)
+    let volume = ref 0 (* V(m) = Σ_{r<=m} shell(r) *)
+    and weighted = ref 0 (* Σ_{r<=m} r·shell(r) *) in
+    Omega.scan_brackets (fun m ->
+        let s = shell ~dim m in
+        volume := !volume + s;
+        weighted := !weighted + (m * s);
+        (target +. float_of_int !weighted) /. float_of_int !volume)
   end
 
 (* Optimal open-route length from [home] through a multiset of sites:

@@ -1,19 +1,21 @@
+let scan_brackets f =
+  let rec scan m =
+    let candidate = Float.max (float_of_int m) (f m) in
+    if candidate < float_of_int (m + 1) then candidate else scan (m + 1)
+  in
+  scan 0
+
 let solve ~neighborhood_size ~total =
   if total < 0 then invalid_arg "Omega.solve: negative total";
   if total = 0 then 0.0
-  else begin
-    (* Scan the integer brackets [m, m+1).  Within a bracket the
-       neighborhood size c_m is constant, so the infimum there is
-       max(m, total/c_m), admissible when < m+1.  The scan is short:
-       c_m >= 1 gives termination by m = total at the latest. *)
-    let rec scan m =
-      let c = neighborhood_size m in
-      if c <= 0 then invalid_arg "Omega.solve: neighborhood size must be positive";
-      let candidate = Float.max (float_of_int m) (float_of_int total /. float_of_int c) in
-      if candidate < float_of_int (m + 1) then candidate else scan (m + 1)
-    in
-    scan 0
-  end
+  else
+    (* Within a bracket the neighborhood size c_m is constant, so the
+       bracket's value is total/c_m.  The scan is short: c_m >= 1 gives
+       termination by m = total at the latest. *)
+    scan_brackets (fun m ->
+        let c = neighborhood_size m in
+        if c <= 0 then invalid_arg "Omega.solve: neighborhood size must be positive";
+        float_of_int total /. float_of_int c)
 
 let of_points points ~total =
   match points with

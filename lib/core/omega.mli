@@ -16,6 +16,15 @@
     maximization to cubes at constant-factor cost; that restriction is what
     makes the quantity computable, and {!max_over_cubes} implements it. *)
 
+val scan_brackets : (int -> float) -> float
+(** The integer bracket scan behind every [ω*] in the library.  An [ω] in
+    the bracket [\[m, m+1)] has radius [m], so if [f m] is the least
+    capacity that suffices at radius [m], the bracket's candidate is
+    [max m (f m)], admissible when below [m + 1].  [scan_brackets f]
+    calls [f 0], [f 1], ... in that order, exactly once each, and returns
+    the first admissible candidate.  [f] may keep running state between
+    calls.  Loops forever unless some candidate is admissible. *)
+
 val solve : neighborhood_size:(int -> int) -> total:int -> float
 (** [solve ~neighborhood_size ~total] returns
     [inf (ω : ω · neighborhood_size ⌊ω⌋ >= total)] for a non-decreasing,

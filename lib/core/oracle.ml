@@ -1,5 +1,3 @@
-let default_scale = 720720 (* lcm(1..14): exact for small dual denominators *)
-
 let m_lp_calls = Metrics.counter "oracle.lp_calls"
 let m_radius_brackets = Metrics.counter "oracle.radius_brackets"
 let m_omega_star = Metrics.timer "oracle.omega_star"
@@ -23,13 +21,10 @@ type builder = {
   mutable b_radius : int;
 }
 
-let builder_create dm ~demand_scale =
+let builder_create dm =
   let support = Array.of_list (Demand_map.support dm) in
   let inst = Transport.create ~n_suppliers:0 ~n_demands:(Array.length support) in
-  Array.iteri
-    (fun j p ->
-      Transport.set_demand inst j (Energy.mul (Demand_map.value dm p) demand_scale))
-    support;
+  Array.iteri (fun j p -> Transport.set_demand inst j (Demand_map.value dm p)) support;
   let fr = Ball.frontier (Array.to_list support) in
   let index = Point.Tbl.create 1024 in
   List.iter
@@ -69,57 +64,52 @@ let builder_to_radius b radius =
     builder_extend b
   done
 
-let build_instance dm ~radius =
-  let b = builder_create dm ~demand_scale:1 in
+let builder_at dm ~radius =
+  let b = builder_create dm in
   builder_to_radius b radius;
-  b.b_inst
+  b
 
-let lp_value_of_inst inst ~scale =
+let build_instance dm ~radius = (builder_at dm ~radius).b_inst
+
+let lp_value_of_inst inst =
   Metrics.incr m_lp_calls;
-  match Transport.min_uniform_supply inst ~scale with
+  match Transport.min_uniform_supply inst with
   | Some v -> v
   | None ->
       (* Impossible: every demand site is its own supplier at radius >= 0. *)
       assert false
 
-let lp_value ?(scale = default_scale) ~radius dm =
+let lp_value ~radius dm =
   if radius < 0 then invalid_arg "Oracle.lp_value: negative radius";
   if Demand_map.total dm = 0 then begin
     Metrics.incr m_lp_calls;
     0.0
   end
-  else lp_value_of_inst (build_instance dm ~radius) ~scale
+  else lp_value_of_inst (build_instance dm ~radius)
 
-let omega_star ?(scale = default_scale) dm =
+let omega_star dm =
   if Demand_map.total dm = 0 then 0.0
   else
     Metrics.time m_omega_star (fun () ->
-        (* ω lives in some bracket [m, m+1); there the admissible radius is m
-           and the minimal capacity is lp_value m, so the bracket's optimum is
-           max(m, lp_value m) when that stays below m+1.  The incremental
-           builder carries the radius-m instance into bracket m+1 as a
-           delta — and because every bracket queries the same Transport
-           instance at the same scale, the transport's cached parametric
-           driver (Paramflow) carries its flow and breakpoint family across
-           brackets too: each lp call costs one warm re-sweep, not a fresh
-           supply search. *)
-        let b = builder_create dm ~demand_scale:1 in
-        let rec scan m =
-          Metrics.incr m_radius_brackets;
-          builder_to_radius b m;
-          let v = lp_value_of_inst b.b_inst ~scale in
-          let candidate = Float.max (float_of_int m) v in
-          if candidate < float_of_int (m + 1) then candidate else scan (m + 1)
-        in
-        scan 0)
+        (* In bracket m the admissible radius is m and the minimal
+           capacity is lp_value m.  The incremental builder carries the
+           radius-m instance into bracket m+1 as a delta — and because
+           every bracket queries the same Transport instance, the
+           transport's cached parametric driver (Paramflow) carries its
+           flow across brackets too: each lp call costs one warm
+           re-sweep, not a fresh supply search. *)
+        let b = builder_create dm in
+        Omega.scan_brackets (fun m ->
+            Metrics.incr m_radius_brackets;
+            builder_to_radius b m;
+            lp_value_of_inst b.b_inst))
 
 let lower_bound_woff = omega_star
 
-
-let witness ?(scale = default_scale) dm =
+let witness dm =
   if Demand_map.total dm = 0 then None
   else begin
-    let star = omega_star ~scale dm in
+    let star = omega_star dm in
     let m = int_of_float (Float.floor star) in
     (* If ω* sits strictly inside the bracket [m, m+1), the binding
        constraint is the radius-m transport; if ω* = m exactly, it is the
@@ -127,19 +117,15 @@ let witness ?(scale = default_scale) dm =
        below m (the previous bracket is infeasible throughout).  Both
        bracket configurations are probed (through the Domain pool when
        workers are available); the binding one is preferred and the other
-       serves as a fallback when the 1/scale resolution is too coarse. *)
+       serves as a fallback when the LP grid is too coarse. *)
     let configs =
       if star > float_of_int m +. 1e-9 || m = 0 then [| (m, star) |]
       else [| (m - 1, float_of_int m); (m, star) |]
     in
-    let try_config (radius, supply_just_below) =
-      let b = builder_create dm ~demand_scale:scale in
-      builder_to_radius b radius;
-      let u =
-        max 0 (int_of_float (Float.ceil (supply_just_below *. float_of_int scale)) - 1)
-      in
-      match Transport.infeasibility_witness b.b_inst ~supply:(fun _ -> u) with
-      | None -> None (* resolution too coarse to exhibit infeasibility *)
+    let try_config (radius, below) =
+      let b = builder_at dm ~radius in
+      match Transport.hall_violator b.b_inst ~below with
+      | None -> None (* grid too coarse to exhibit infeasibility *)
       | Some demand_indices ->
           let points = List.map (fun j -> b.b_support.(j)) demand_indices in
           let total =
@@ -173,23 +159,18 @@ module Session = struct
   type bracket = { bk : builder; bk_dindex : int Point.Tbl.t }
 
   type t = {
-    s_scale : int;
     mutable s_dm : Demand_map.t;
     mutable s_brackets : bracket array; (* index = bracket radius *)
     mutable s_value : float; (* cached ω*; valid when not dirty *)
     mutable s_dirty : bool;
   }
 
-  let create ?(scale = default_scale) dm =
-    if scale <= 0 then invalid_arg "Oracle.Session.create: scale must be positive";
-    { s_scale = scale; s_dm = dm; s_brackets = [||]; s_value = 0.0; s_dirty = true }
+  let create dm = { s_dm = dm; s_brackets = [||]; s_value = 0.0; s_dirty = true }
 
   let demand s = s.s_dm
-  let scale s = s.s_scale
 
   let make_bracket dm radius =
-    let b = builder_create dm ~demand_scale:1 in
-    builder_to_radius b radius;
+    let b = builder_at dm ~radius in
     let dindex = Point.Tbl.create 64 in
     Array.iteri (fun j p -> Point.Tbl.add dindex p j) b.b_support;
     { bk = b; bk_dindex = dindex }
@@ -248,19 +229,12 @@ module Session = struct
   let recompute s =
     if Demand_map.total s.s_dm = 0 then 0.0
     else
-      let rec scan m =
-        let bk = bracket s m in
-        let v =
-          match Transport.min_uniform_supply bk.bk.b_inst ~scale:s.s_scale with
+      Omega.scan_brackets (fun m ->
+          match Transport.min_uniform_supply (bracket s m).bk.b_inst with
           | Some v -> v
           | None ->
               (* Impossible: every live demand site links to itself. *)
-              assert false
-        in
-        let candidate = Float.max (float_of_int m) v in
-        if candidate < float_of_int (m + 1) then candidate else scan (m + 1)
-      in
-      scan 0
+              assert false)
 
   let omega_star s =
     if s.s_dirty then begin
@@ -272,5 +246,5 @@ module Session = struct
     end;
     s.s_value
 
-  let witness s = witness ~scale:s.s_scale s.s_dm
+  let witness s = witness s.s_dm
 end

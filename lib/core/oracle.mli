@@ -1,4 +1,5 @@
-(** Exact solver for the paper's transportation programs (2.1) and (2.8).
+(** Max-flow solver for the paper's transportation programs (2.1) and
+    (2.8).
 
     Program (2.1) fixes a transport radius [r] and asks for the minimal
     uniform vehicle capacity [ω] such that flows [f_ij] with [‖i−j‖ <= r]
@@ -7,13 +8,19 @@
     the capacity ([r = ω]) and its value is [ω* = max_T ω_T]
     (Lemma 2.2.3), the paper's lower bound on [Woff] (Corollary 2.2.4).
 
-    Instead of a numeric LP solver (unavailable offline) we use the exact
+    Instead of a numeric LP solver (unavailable offline) we use the
     combinatorial equivalent: for fixed radius, feasibility at capacity [ω]
-    is a bipartite max-flow check, and the minimal capacity on the
-    [1/scale] grid is read off one parametric max-flow sweep over [ω]
-    ({!Transport.min_uniform_supply}, driven by {!Paramflow}).
-    Suppliers are the grid vertices within distance [r] of the demand
-    support — the only vehicles that can participate. *)
+    is a bipartite max-flow check, and the minimal capacity is read off one
+    parametric max-flow sweep over [ω] ({!Transport.min_uniform_supply},
+    driven by {!Paramflow}).  Suppliers are the grid vertices within
+    distance [r] of the demand support — the only vehicles that can
+    participate.
+
+    Every value here is resolved on the fixed LP grid of {!Transport}: the
+    least multiple of [1/lcm(1..14)] at or above the LP optimum.  That is
+    exact when the optimal [|N_r(T)|] divides [lcm(1..14)] (in particular
+    when it is at most 14), and otherwise an upper bound by less than one
+    grid step.  ROADMAP item 7 replaces the grid with the exact ratio. *)
 
 val build_instance : Demand_map.t -> radius:int -> Transport.t
 (** The transport instance of program (2.1) at the given radius: demand
@@ -21,26 +28,27 @@ val build_instance : Demand_map.t -> radius:int -> Transport.t
     support as suppliers, links between pairs at distance [<= radius].
     Built incrementally by shell dilation (see [docs/PERF.md]). *)
 
-val lp_value : ?scale:int -> radius:int -> Demand_map.t -> float
-(** Value of program (2.1) at the given integer radius, resolved to
-    [1/scale] (default [720720 = lcm(1..14)], exact whenever the optimal
-    dual denominator [|N_r(T)|] divides it).  0 for empty demand. *)
+val lp_value : radius:int -> Demand_map.t -> float
+(** Value of program (2.1) at the given integer radius, on the LP grid.
+    0 for empty demand. *)
 
-val omega_star : ?scale:int -> Demand_map.t -> float
+val omega_star : Demand_map.t -> float
 (** Value of program (2.8): the minimal [ω] such that the radius-[⌊ω⌋]
     transport is feasible at capacity [ω] — the paper's
-    [ω* = max_T ω_T].  Scans integer radius brackets exactly as
-    {!Omega.solve} does. *)
+    [ω* = max_T ω_T].  Scans integer radius brackets with
+    {!Omega.scan_brackets}, as {!Omega.solve} does. *)
 
-val lower_bound_woff : ?scale:int -> Demand_map.t -> float
+val lower_bound_woff : Demand_map.t -> float
 (** Synonym of {!omega_star}: Corollary 2.2.4, [Woff >= ω*]. *)
 
-val witness : ?scale:int -> Demand_map.t -> (Point.t list * float) option
+val witness : Demand_map.t -> (Point.t list * float) option
 (** A tight set for program (2.8): demand positions [T] whose [ω_T]
-    matches {!omega_star} (up to the [1/scale] resolution), extracted
-    from a minimum cut of the just-infeasible transport.  [None] for
-    empty demand.  This is the certificate the duality proof of
-    Lemma 2.2.3 promises. *)
+    matches {!omega_star} up to the LP grid, extracted from a minimum cut
+    of the transport at the grid level just below [ω*]
+    ({!Transport.hall_violator}).  [ω_T] is computed exactly, so it can
+    sit below an [ω*] that the grid rounded up.  [None] for empty demand,
+    and also when the grid is too coarse to exhibit infeasibility.  This
+    is the certificate the duality proof of Lemma 2.2.3 promises. *)
 
 (** Streaming oracle sessions: jobs arrive and retire one at a time and
     [ω*] is maintained incrementally instead of recomputed from scratch.
@@ -57,11 +65,10 @@ val witness : ?scale:int -> Demand_map.t -> (Point.t list * float) option
 module Session : sig
   type t
 
-  val create : ?scale:int -> Demand_map.t -> t
+  val create : Demand_map.t -> t
   (** A session seeded with an initial demand (often
-      [Demand_map.empty l]).  [scale] is fixed for the session's
-      lifetime (default {!omega_star}'s).  Bracket instances are built
-      lazily at the first query. *)
+      [Demand_map.empty l]).  Bracket instances are built lazily at the
+      first query. *)
 
   val add_job : t -> Point.t -> unit
   (** One unit job arrives at the point.  O(1) sink-cap patch per live
@@ -82,8 +89,6 @@ module Session : sig
 
   val demand : t -> Demand_map.t
   (** The live demand snapshot (immutable). *)
-
-  val scale : t -> int
 
   val witness : t -> (Point.t list * float) option
   (** Tight-set certificate for the current demand; delegates to the

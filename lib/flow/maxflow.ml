@@ -36,11 +36,6 @@ type t = {
   mutable bucket : int array; (* head of height bucket, length >= 2n+1 *)
   mutable bnext : int array; (* bucket chaining, length >= n *)
   mutable active : bool array; (* queued-for-discharge flag, length >= n *)
-  (* [mark]/[rewind] scratch: capacity snapshot for warm-started probing *)
-  mutable saved_cap : int array;
-  mutable saved_initial : int array;
-  mutable saved_m : int;
-  mutable marked : bool;
 }
 
 let create n =
@@ -63,10 +58,6 @@ let create n =
     bucket = Array.make ((2 * n1) + 1) (-1);
     bnext = Array.make n1 (-1);
     active = Array.make n1 false;
-    saved_cap = [||];
-    saved_initial = [||];
-    saved_m = 0;
-    marked = false;
   }
 
 let n_vertices t = t.n
@@ -631,24 +622,6 @@ let drain_sink_caps t ids c ~source ~sink =
       t.initial_cap.(id / 2) <- c)
     ids;
   !drained
-
-let mark t =
-  let half = t.m / 2 in
-  if Array.length t.saved_cap < t.m then
-    t.saved_cap <- Array.make (Array.length t.dst) 0;
-  if Array.length t.saved_initial < half then
-    t.saved_initial <- Array.make (Array.length t.initial_cap) 0;
-  Array.blit t.cap 0 t.saved_cap 0 t.m;
-  Array.blit t.initial_cap 0 t.saved_initial 0 half;
-  t.saved_m <- t.m;
-  t.marked <- true
-
-let rewind t =
-  if not t.marked then invalid_arg "Maxflow.rewind: no mark set";
-  if t.saved_m <> t.m then
-    invalid_arg "Maxflow.rewind: edges added since mark";
-  Array.blit t.saved_cap 0 t.cap 0 t.m;
-  Array.blit t.saved_initial 0 t.initial_cap 0 (t.m / 2)
 
 let min_cut_side t ~source =
   ensure_csr t;

@@ -2,9 +2,10 @@
 
     This is the combinatorial engine behind the paper's linear program
     (2.1): for a fixed supply [ω] and radius [r], feasibility of the
-    supply-demand transport is a bipartite max-flow question, and the exact
-    LP value is recovered by a search over [ω] (see {!Transport} and
-    {!Paramflow}).
+    supply-demand transport is a bipartite max-flow question, and the LP
+    value is found by a search over [ω] on a fixed grid of multiples of
+    [1/lcm(1..14)] (see {!Transport} and {!Paramflow}; ROADMAP item 7
+    replaces the grid with the exact ratio).
 
     The network is an {e arena}: one allocation serves a whole family of
     related flow problems.  After a [max_flow] run the residual state is
@@ -12,8 +13,7 @@
     capacities while preserving as much routed flow as the new capacities
     admit, so a parameter sweep (the supply search in
     [Transport.min_uniform_supply]) re-augments incrementally instead of
-    rebuilding.  {!mark}/{!rewind} snapshot and restore the capacity state
-    so an over-shooting probe can be undone in O(m).
+    rebuilding.
 
     The engine is push-relabel with highest-label selection, the gap
     heuristic and periodic global relabeling.  It leaves a valid maximum
@@ -26,8 +26,8 @@ val create : int -> t
 (** [create n] is an empty flow network on vertices [0 .. n-1]. *)
 
 val add_vertex : t -> int
-(** Appends one vertex and returns its index.  Existing edges, flow and
-    marks are unaffected.  Incremental instance builders (the oracle's
+(** Appends one vertex and returns its index.  Existing edges and flow
+    are unaffected.  Incremental instance builders (the oracle's
     radius scan) grow the network as the coverage radius dilates. *)
 
 val add_edge : t -> src:int -> dst:int -> cap:int -> int
@@ -57,7 +57,7 @@ val set_even_caps : t -> int array -> int -> unit
     [ids] to [c], preserving the flow currently routed through it — the
     new residual is [c - flow].  Raises [Invalid_argument] if any edge
     carries more than [c] flow (lower below current flow with
-    {!drain_even_caps}, or by {!rewind}ing / {!reset}ting). *)
+    {!drain_even_caps}, or by {!reset}ting). *)
 
 val drain_even_caps : t -> int array -> int -> source:int -> sink:int -> int
 (** [drain_even_caps t ids c ~source ~sink] sets the capacity of each
@@ -82,13 +82,6 @@ val drain_sink_caps : t -> int array -> int -> source:int -> sink:int -> int
     terminal state is again a valid flow.  Intended for lowering a
     demand's sink capacity in place when a streamed job retires (see
     {!Paramflow} and [Transport]). *)
-
-val mark : t -> unit
-(** Snapshots the capacity state (residuals and nominal capacities). *)
-
-val rewind : t -> unit
-(** Restores the state of the last {!mark}.  Raises [Invalid_argument] if
-    no mark was set or edges were added since. *)
 
 val n_vertices : t -> int
 

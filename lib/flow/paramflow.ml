@@ -3,15 +3,13 @@
    capacity, and the min-cut value F(u) is a concave piecewise-linear
    function whose slope at [u] is the number of source edges crossing the
    min cut.  Because the sweep over [u] is monotone and the arena retains
-   its flow between probes, the whole breakpoint family costs about one
-   flow computation — each probe only augments the delta its capacity
-   raise opened up, and the discrete-Newton jump rule visits at most one
-   level per distinct cut slope.
+   its flow between probes, the sweep costs about one flow computation —
+   each probe only augments the delta its capacity raise opened up, and
+   the discrete-Newton jump rule visits at most one level per distinct
+   cut slope.
 
    [solve] finds the minimal level with F(u) = target (the supply search
-   of [Transport.min_uniform_supply]); [refine_all] fills in the full
-   integer lower envelope between the probes by divide and conquer, so
-   range queries over [u] become lookups.  [grow] re-targets the driver
+   of [Transport.min_uniform_supply]).  [grow] re-targets the driver
    after the caller added suppliers/links to the same arena: the routed
    flow is kept, and the next [solve] re-normalizes with a drain instead
    of recomputing from scratch. *)
@@ -28,7 +26,6 @@ type t = {
   mutable level : int; (* uniform capacity on src_edges; -1 = mixed *)
   mutable answer : int option;
   mutable solved : bool;
-  mutable family : (int * int * int) list; (* (level, value, slope) *)
 }
 
 let create ~net ~source ~sink ~src_edges ~target =
@@ -43,7 +40,6 @@ let create ~net ~source ~sink ~src_edges ~target =
     level = -1;
     answer = None;
     solved = false;
-    family = [];
   }
 
 let target t = t.target
@@ -90,7 +86,6 @@ let solve t =
         while not !finished do
           let value = probe_here t in
           let k = cut_slope t in
-          t.family <- (t.level, value, k) :: t.family;
           if value = t.target then begin
             res := Some t.level;
             finished := true
@@ -113,80 +108,25 @@ let solve t =
     result
   end
 
-let breakpoints t =
-  let arr = Array.of_list t.family in
-  Array.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) arr;
-  arr
-
-(* Probe F at an arbitrary level below the sweep state, without moving it:
-   snapshot, drain down, re-augment, read value and slope, restore.  The
-   driver owns the arena's mark while refining. *)
-let probe_at t u =
-  if t.solved && u = t.level then (t.routed, cut_slope t)
-  else begin
-    Metrics.incr m_probes;
-    Maxflow.mark t.net;
-    let drained =
-      Maxflow.drain_even_caps t.net t.src_edges u ~source:t.source
-        ~sink:t.sink
-    in
-    let inc = Maxflow.max_flow t.net ~source:t.source ~sink:t.sink in
-    let value = Energy.add (Energy.sub t.routed drained) inc in
-    let k = cut_slope t in
-    Maxflow.rewind t.net;
-    (value, k)
-  end
-
-let refine_all t =
-  ignore (solve t);
-  (* Divide and conquer between consecutive recorded pieces: probe at the
-     floor of the two lines' intersection; a value below both lines is a
-     new piece (its slope falls strictly between theirs), recurse on both
-     sides.  Equality means no further piece is visible at integer
-     levels. *)
-  let rec refine (u1, v1, k1) (u2, v2, k2) acc =
-    if k1 <= k2 || u2 - u1 < 2 then acc
-    else begin
-      let b1 = v1 - (k1 * u1) and b2 = v2 - (k2 * u2) in
-      let m = (b2 - b1) / (k1 - k2) in
-      let m = max (u1 + 1) (min m (u2 - 1)) in
-      let vm, km = probe_at t m in
-      let line1 = (k1 * m) + b1 and line2 = (k2 * m) + b2 in
-      if vm >= min line1 line2 then acc
-      else
-        let mid = (m, vm, km) in
-        refine (u1, v1, k1) mid (refine mid (u2, v2, k2) (mid :: acc))
-    end
-  in
-  let bps = Array.to_list (breakpoints t) in
-  let rec sweep acc = function
-    | a :: (b :: _ as rest) -> sweep (refine a b acc) rest
-    | _ -> acc
-  in
-  let extra = sweep [] bps in
-  t.family <- extra @ t.family
-
 let grow t ~src_edges =
   t.src_edges <- Array.copy src_edges;
   t.answer <- None;
   t.solved <- false;
-  t.family <- [];
   t.level <- -1
 
 let retarget t ~target =
   if target < 0 then invalid_arg "Paramflow.retarget: negative target";
   t.target <- target;
   t.answer <- None;
-  t.solved <- false;
-  t.family <- []
+  t.solved <- false
 
 (* Patch one non-parametric sink-adjacent edge's capacity in place.  A
    raise keeps the routed flow (the residual just widens); a lowering
    below the edge's current flow cancels the surplus along the flow
    decomposition and the routed value drops accordingly.  Either way the
-   cached answer and family describe the old network and are dropped;
-   the sweep level and retained flow survive, so the next [solve] is a
-   warm re-sweep. *)
+   cached answer describes the old network and is dropped; the sweep
+   level and retained flow survive, so the next [solve] is a warm
+   re-sweep. *)
 let patch_sink_cap t edge c =
   if Maxflow.flow_on t.net edge > c then begin
     let d =
@@ -197,5 +137,4 @@ let patch_sink_cap t edge c =
   end
   else Maxflow.set_even_caps t.net [| edge |] c;
   t.answer <- None;
-  t.solved <- false;
-  t.family <- []
+  t.solved <- false

@@ -5,16 +5,16 @@
     [F u] is then concave, piecewise linear and non-decreasing in [u]; the
     slope of the piece at [u] is the number of source edges crossing the
     minimum cut.  Because the sweep over [u] is monotone and the
-    {!Maxflow} arena keeps its flow between probes, discovering the whole
-    breakpoint family costs roughly {e one} flow computation: each probe
-    augments only the delta opened by its capacity raise, and the
-    discrete-Newton jump rule touches at most one level per distinct cut
-    slope.
+    {!Maxflow} arena keeps its flow between probes, the sweep costs
+    roughly {e one} flow computation: each probe augments only the delta
+    opened by its capacity raise, and the discrete-Newton jump rule
+    touches at most one level per distinct cut slope.
 
     This is the engine behind [Transport.min_uniform_supply]: the supply
-    search asks for the minimal [u] with [F u = target], and the oracle's
-    radius scan re-asks after growing the network — which {!grow} turns
-    into a warm re-sweep instead of a recomputation. *)
+    search asks for the minimal [u] with [F u = target], where [u] counts
+    steps of the transport's fixed LP grid, and the oracle's radius scan
+    re-asks after growing the network — which {!grow} turns into a warm
+    re-sweep instead of a recomputation. *)
 
 type t
 
@@ -28,9 +28,8 @@ val create :
 (** [create ~net ~source ~sink ~src_edges ~target] wraps an arena whose
     parametric (source-adjacent, even) edge ids are [src_edges].  The
     arena must carry no flow yet; the driver takes ownership of the
-    source-edge capacities and of {!Maxflow.mark}/{!Maxflow.rewind}.
-    [target] is the flow value that counts as feasible (in the transport
-    reduction: total scaled demand). *)
+    source-edge capacities.  [target] is the flow value that counts as
+    feasible (in the transport reduction: total scaled demand). *)
 
 val target : t -> int
 
@@ -45,38 +44,24 @@ val solved : t -> bool
 (** Whether {!solve} has already run since creation or the last {!grow} —
     i.e. whether the next {!solve} is a pure lookup. *)
 
-val breakpoints : t -> (int * int * int) array
-(** The recorded probe family [(level, value, slope)] sorted by level:
-    levels strictly increase, values do not decrease, slopes do not
-    increase (strictly decreasing across infeasible probes).  After
-    {!solve} it contains the Newton probes; after {!refine_all} the full
-    integer lower envelope of [F] between the first probe and the
-    answer. *)
-
-val refine_all : t -> unit
-(** Extends the family to every piece of [F] distinguishable at integer
-    levels between consecutive probes, by divide-and-conquer probing at
-    line intersections (each probe is snapshot/drain/augment/rewind, so
-    the sweep state is unchanged). *)
-
 val grow : t -> src_edges:int array -> unit
 (** Replace the parametric edge set after the caller added vertices,
     suppliers or links to the same arena ([src_edges] is the {e full} new
     id set).  The routed flow and the answer-so-far are kept in the arena;
-    the cached answer and family are dropped, and the next {!solve}
-    extends the old flow instead of starting over. *)
+    the cached answer is dropped, and the next {!solve} extends the old
+    flow instead of starting over. *)
 
 val retarget : t -> target:int -> unit
 (** Change the feasibility target after the caller patched the demand
     side of the arena.  The routed flow and sweep level are kept; the
-    cached answer and family are dropped, so the next {!solve} re-sweeps
-    warm from wherever the last one stopped. *)
+    cached answer is dropped, so the next {!solve} re-sweeps warm from
+    wherever the last one stopped. *)
 
 val patch_sink_cap : t -> int -> int -> unit
 (** [patch_sink_cap t edge c] sets the capacity of the (even,
     sink-adjacent, non-parametric) [edge] to [c] in place.  Raising keeps
     the routed flow; lowering below the edge's current flow cancels the
     surplus along the flow decomposition ({!Maxflow.drain_sink_caps}).
-    Invalidate-only for the cached envelope: the answer and family are
-    dropped, the retained flow and sweep level survive.  This is the
-    streamed-demand delta path of [Transport.set_demand]. *)
+    Invalidate-only for the cached answer: it is dropped, the retained
+    flow and sweep level survive.  This is the streamed-demand delta path
+    of [Transport.set_demand]. *)

@@ -1,19 +1,25 @@
 let m_feasibility_checks = Metrics.counter "transport.feasibility_checks"
 let m_breakpoint_lookups = Metrics.counter "transport.breakpoint_lookups"
 
+(* The LP grid.  Supplies are resolved to multiples of [1/grid]:
+   [min_uniform_supply] runs on demands multiplied by [grid] and reads
+   off an integer level.  lcm(1..14), so the answer is exact whenever
+   the optimal [|N(J)|] divides it, and otherwise the least grid level
+   above the optimum. *)
+let grid = 720720
+
 (* Parametric state cached across [min_uniform_supply] queries: one
-   {!Maxflow} arena plus a {!Paramflow} driver, valid for one [scale].
-   The arena uses its own vertex layout — source 0, sink 1, then demand
-   and supplier vertices appended by [Maxflow.add_vertex] as the instance
-   grows, with their ids recorded per site — so every kind of growth
-   (suppliers from the oracle's radius scan, demand sites and demand
-   values from streamed jobs) is a pure in-place extension or patch.
+   {!Maxflow} arena plus a {!Paramflow} driver.  The arena uses its own
+   vertex layout — source 0, sink 1, then demand and supplier vertices
+   appended by [Maxflow.add_vertex] as the instance grows, with their ids
+   recorded per site — so every kind of growth (suppliers from the
+   oracle's radius scan, demand sites and demand values from streamed
+   jobs) is a pure in-place extension or patch.
    Every demand site gets a sink edge at materialization time, capacity 0
    when its demand is 0, so a later demand change is a single-edge
    capacity patch: a raise keeps the routed flow, a lowering cancels the
    surplus via {!Maxflow.drain_sink_caps} — never an arena rebuild. *)
 type pstate = {
-  p_scale : int;
   mutable p_gen : int; (* demands generation the arena's caps match *)
   p_net : Maxflow.t;
   pf : Paramflow.t;
@@ -117,21 +123,21 @@ let iter_links t f =
 
 let total_demand t = Array.fold_left ( + ) 0 t.demands
 
-(* Throw-away network layout (max_served, witnesses): 0 = source,
-   1 = sink, suppliers at 2..2+S-1, demands after that. *)
+(* Throw-away network (max_served, hall_violator): 0 = source, 1 = sink,
+   suppliers at 2..2+S-1, demands after that.  Supplier [i] emits
+   [supply i], demand [j] absorbs [d(j)·demand_scale], and every link
+   carries the whole scaled demand, so no link ever binds. *)
 let supplier_vertex i = 2 + i
 let demand_vertex t j = 2 + t.n_suppliers + j
 
-let max_served_scaled t ~supply ~demand_scale =
+let throwaway_net t ~supply ~demand_scale =
   let net = Maxflow.create (2 + t.n_suppliers + t.n_demands) in
   for i = 0 to t.n_suppliers - 1 do
     let cap = supply i in
     if cap > 0 then
       ignore (Maxflow.add_edge net ~src:0 ~dst:(supplier_vertex i) ~cap)
   done;
-  let inf = ref 0 in
-  Array.iter (fun d -> inf := !inf + (d * demand_scale)) t.demands;
-  let inf = max 1 !inf in
+  let inf = max 1 (Energy.mul (total_demand t) demand_scale) in
   iter_links t (fun ~supplier:i ~demand:j ->
       ignore
         (Maxflow.add_edge net ~src:(supplier_vertex i) ~dst:(demand_vertex t j)
@@ -140,11 +146,12 @@ let max_served_scaled t ~supply ~demand_scale =
     if t.demands.(j) > 0 then
       ignore
         (Maxflow.add_edge net ~src:(demand_vertex t j) ~dst:1
-           ~cap:(t.demands.(j) * demand_scale))
+           ~cap:(Energy.mul t.demands.(j) demand_scale))
   done;
-  Maxflow.max_flow net ~source:0 ~sink:1
+  net
 
-let max_served t ~supply = max_served_scaled t ~supply ~demand_scale:1
+let max_served t ~supply =
+  Maxflow.max_flow (throwaway_net t ~supply ~demand_scale:1) ~source:0 ~sink:1
 
 let feasible t ~supply = max_served t ~supply = total_demand t
 
@@ -162,27 +169,26 @@ let grow_int_array arr n =
     bigger
   end
 
-(* Build or extend the cached parametric state for this scale.  Returns
-   the state with all current demand sites, demand values, suppliers and
-   links materialized.  Everything short of a scale change is an in-place
-   delta: new demand sites and suppliers are appended ([Maxflow.add_vertex]),
-   changed demand values patch their sink edge ([Paramflow.patch_sink_cap] —
-   flow-preserving raise, or cancellation drain), link capacities are
-   raised when the target outgrows the previous "infinity", and the
-   driver is re-pointed with [Paramflow.grow]/[retarget] so the next
-   solve is a warm re-sweep of the retained flow. *)
-let ensure_pstate t ~scale ~target =
+(* Build or extend the cached parametric state.  Returns the state with
+   all current demand sites, demand values, suppliers and links
+   materialized.  Everything is an in-place delta: new demand sites and
+   suppliers are appended ([Maxflow.add_vertex]), changed demand values
+   patch their sink edge ([Paramflow.patch_sink_cap] — flow-preserving
+   raise, or cancellation drain), link capacities are raised when the
+   target outgrows the previous "infinity", and the driver is re-pointed
+   with [Paramflow.grow]/[retarget] so the next solve is a warm re-sweep
+   of the retained flow. *)
+let ensure_pstate t ~target =
   let ps =
     match t.pstate with
-    | Some ps when ps.p_scale = scale -> ps
-    | _ ->
+    | Some ps -> ps
+    | None ->
         let net = Maxflow.create 2 in
         let pf =
           Paramflow.create ~net ~source:0 ~sink:1 ~src_edges:[||] ~target:0
         in
         let ps =
           {
-            p_scale = scale;
             p_gen = t.demands_gen;
             p_net = net;
             pf;
@@ -212,7 +218,7 @@ let ensure_pstate t ~scale ~target =
       ps.p_dem_vertex.(j) <- v;
       ps.p_dem_edge.(j) <-
         Maxflow.add_edge ps.p_net ~src:v ~dst:1
-          ~cap:(Energy.mul t.demands.(j) scale);
+          ~cap:(Energy.mul t.demands.(j) grid);
       ps.p_dem_val.(j) <- t.demands.(j)
     done;
     ps.p_demands <- t.n_demands
@@ -222,7 +228,7 @@ let ensure_pstate t ~scale ~target =
     for j = 0 to ps.p_demands - 1 do
       if ps.p_dem_val.(j) <> t.demands.(j) then begin
         Paramflow.patch_sink_cap ps.pf ps.p_dem_edge.(j)
-          (Energy.mul t.demands.(j) scale);
+          (Energy.mul t.demands.(j) grid);
         ps.p_dem_val.(j) <- t.demands.(j)
       end
     done;
@@ -267,9 +273,7 @@ let ensure_pstate t ~scale ~target =
   if Paramflow.target ps.pf <> target then Paramflow.retarget ps.pf ~target;
   ps
 
-let min_uniform_supply t ~scale =
-  if scale <= 0 then
-    invalid_arg "Transport.min_uniform_supply: scale must be positive";
+let min_uniform_supply t =
   let total = total_demand t in
   if total = 0 then
     (* Empty (or all-zero-demand) instance: no arena, no probe — the
@@ -277,53 +281,26 @@ let min_uniform_supply t ~scale =
     Some 0.0
   else if not (every_demand_linked t) then None
   else begin
-    (* Scaled problem: demands d*scale, integer uniform capacity u; answer
-       u/scale.  The cached parametric driver (GGT-style: one monotone
-       push-relabel sweep discovers the whole breakpoint family) answers
-       repeated queries at this scale as lookups, and the oracle's radius
-       scan only extends the arena — warm flow kept — instead of
-       rebuilding it. *)
-    let target = Energy.mul total scale in
-    let ps = ensure_pstate t ~scale ~target in
+    (* Scaled problem: demands d*grid, integer uniform capacity u; answer
+       u/grid.  The cached parametric driver (GGT-style: one monotone
+       push-relabel sweep) answers repeated queries as lookups, and the
+       oracle's radius scan only extends the arena — warm flow kept —
+       instead of rebuilding it. *)
+    let target = Energy.mul total grid in
+    let ps = ensure_pstate t ~target in
     if Paramflow.solved ps.pf then Metrics.incr m_breakpoint_lookups
     else Metrics.incr m_feasibility_checks;
     match Paramflow.solve ps.pf with
-    | Some u -> Some (float_of_int u /. float_of_int scale)
+    | Some u -> Some (float_of_int u /. float_of_int grid)
     | None -> None
   end
 
-let breakpoints t ~scale =
-  if scale <= 0 then
-    invalid_arg "Transport.breakpoints: scale must be positive";
-  let total = total_demand t in
-  if total = 0 then [||]
-  else begin
-    let target = Energy.mul total scale in
-    let ps = ensure_pstate t ~scale ~target in
-    Paramflow.refine_all ps.pf;
-    Paramflow.breakpoints ps.pf
-  end
-
-let infeasibility_witness t ~supply =
-  let net = Maxflow.create (2 + t.n_suppliers + t.n_demands) in
-  for i = 0 to t.n_suppliers - 1 do
-    let cap = supply i in
-    if cap > 0 then
-      ignore (Maxflow.add_edge net ~src:0 ~dst:(supplier_vertex i) ~cap)
-  done;
-  let inf = max 1 (total_demand t) in
-  iter_links t (fun ~supplier:i ~demand:j ->
-      ignore
-        (Maxflow.add_edge net ~src:(supplier_vertex i) ~dst:(demand_vertex t j)
-           ~cap:inf));
-  for j = 0 to t.n_demands - 1 do
-    if t.demands.(j) > 0 then
-      ignore
-        (Maxflow.add_edge net ~src:(demand_vertex t j) ~dst:1
-           ~cap:t.demands.(j))
-  done;
+let hall_violator t ~below =
+  (* [u/grid] is the largest grid level strictly below [below]. *)
+  let u = max 0 (int_of_float (Float.ceil (below *. float_of_int grid)) - 1) in
+  let net = throwaway_net t ~supply:(fun _ -> u) ~demand_scale:grid in
   let flow = Maxflow.max_flow net ~source:0 ~sink:1 in
-  if flow >= total_demand t then None
+  if flow >= Energy.mul (total_demand t) grid then None
   else begin
     (* Infinite supplier->demand arcs force every neighbor of a sink-side
        demand onto the sink side too, so the sink-side demands violate

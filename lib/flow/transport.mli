@@ -6,10 +6,10 @@
     pairs [(i,j)] with [‖i−j‖ ≤ r]).  Feasibility with per-supplier
     capacity [ω] is a max-flow question; by LP duality the minimal uniform
     real capacity equals [max_J Σ_{j∈J} d(j) / |N(J)|] over demand subsets
-    [J] (Lemma 2.2.2 of the paper).  [min_uniform_supply] computes it to
-    any requested resolution with one parametric max-flow sweep on a
-    scaled integer network ({!Paramflow}), cached so repeated queries and
-    the oracle's growing radius scan become lookups and extensions. *)
+    [J] (Lemma 2.2.2 of the paper).  [min_uniform_supply] resolves it on a
+    fixed grid, private to this module, with one parametric max-flow sweep
+    on a scaled integer network ({!Paramflow}), cached so repeated queries
+    and the oracle's growing radius scan become lookups and extensions. *)
 
 type t
 
@@ -57,37 +57,34 @@ val max_served : t -> supply:(int -> int) -> int
 val feasible : t -> supply:(int -> int) -> bool
 (** [max_served = total_demand]. *)
 
-val min_uniform_supply : t -> scale:int -> float option
-(** Smallest [ω], a multiple of [1/scale], such that uniform per-supplier
-    capacity [ω] is feasible.  [None] when no finite capacity suffices
-    (some positive demand has no link).  [Some 0.] immediately — no arena,
-    no probe — when the total demand is zero, links or not.  Exact
-    whenever the true optimum [max_J D(J)/|N(J)|] has a denominator
-    dividing [scale].
+val min_uniform_supply : t -> float option
+(** The least multiple of [1/lcm(1..14)] at or above the optimum
+    [max_J D(J)/|N(J)|]: the minimal uniform per-supplier capacity on that
+    fixed grid.  Exact whenever the optimal [|N(J)|] divides [lcm(1..14)]
+    (so always when it is at most 14); otherwise rounded up by less than
+    one grid step.  ROADMAP item 7 replaces the grid with the exact
+    ratio.  [None] when no finite capacity suffices (some positive demand
+    has no link).  [Some 0.] immediately — no arena, no probe — when the
+    total demand is zero, links or not.
 
     Internally a cached {!Paramflow} driver on one {!Maxflow} arena
-    serves every query at the same [scale]: the first call runs the
-    monotone parametric sweep (cost ≈ one push-relabel flow, counted as
-    one [transport.feasibility_checks]); repeated calls are pure lookups
-    ([transport.breakpoint_lookups]); and after [add_supplier]/[add_link]
-    growth — the oracle's radius scan — the next call re-normalizes the
-    retained flow and extends the family instead of starting over.
-    Changing a demand ([set_demand]/[add_demand]) invalidates the cached
-    answer but {e not} the arena: the affected sink edges are patched in
-    place and the next call re-sweeps warm from the retained flow.  The
-    value is bit-identical to the discrete-Newton search it replaces:
-    both land on the unique minimal feasible grid level. *)
+    serves every query: the first call runs the monotone parametric
+    sweep (cost ≈ one push-relabel flow, counted as one
+    [transport.feasibility_checks]); repeated calls return the cached
+    answer ([transport.breakpoint_lookups]); and after
+    [add_supplier]/[add_link] growth — the oracle's radius scan — the
+    next call re-normalizes the retained flow and re-sweeps warm instead
+    of starting over.  Changing a demand ([set_demand]/[add_demand])
+    invalidates the cached answer but {e not} the arena: the affected
+    sink edges are patched in place and the next call re-sweeps warm
+    from the retained flow.  The value is bit-identical to the
+    discrete-Newton search it replaces: both land on the unique minimal
+    feasible grid level. *)
 
-val breakpoints : t -> scale:int -> (int * int * int) array
-(** The integer lower envelope of the parametric min-cut function for
-    this instance at this [scale], as [(level, value, slope)] triples
-    sorted by level — levels strictly increasing, slopes non-increasing.
-    Runs (or reuses) the cached sweep, then refines the family to every
-    breakpoint distinguishable at integer levels.  [[||]] when the total
-    demand is zero. *)
-
-val infeasibility_witness : t -> supply:(int -> int) -> int list option
-(** When the instance is infeasible at the given supplies, returns a
-    Hall-type violating set of demand indices [J] with
-    [Σ_{j∈J} d(j) > Σ_{i∈N(J)} supply i], extracted from a minimum cut
-    (demand vertices on the sink side).  [None] when feasible. *)
+val hall_violator : t -> below:float -> int list option
+(** A Hall-type violating set for the largest grid level strictly below
+    [below]: with every supplier capped at that level, returns the demand
+    indices [J] with [D(J)] above what [N(J)] can supply, read off the
+    unique minimal minimum cut (demand vertices on the sink side).  [None]
+    when that level is feasible.  The oracle's witness calls it just
+    below [ω*]. *)

@@ -55,7 +55,7 @@ let neighborhood_size t subset ~radius =
 (* --- exact generalized program (2.8), as in Oracle but with graph
    distances --- *)
 
-let lp_value t ~scale ~radius =
+let lp_value t ~radius =
   let sup = Array.of_list (support t) in
   let n = n_vertices t in
   let inst = Transport.create ~n_suppliers:n ~n_demands:(Array.length sup) in
@@ -68,23 +68,18 @@ let lp_value t ~scale ~radius =
           Transport.add_link inst ~supplier:i ~demand:j)
       sup
   done;
-  Transport.min_uniform_supply inst ~scale
+  Transport.min_uniform_supply inst
 
-let omega_star ?(scale = 720720) t =
+let omega_star t =
   if total_demand t = 0 then 0.0
-  else begin
-    let rec scan m =
-      match lp_value t ~scale ~radius:m with
-      | None ->
-          (* Some demand vertex unreachable even from itself: impossible
-             since every vertex supplies itself at radius 0. *)
-          assert false
-      | Some v ->
-          let candidate = Float.max (float_of_int m) v in
-          if candidate < float_of_int (m + 1) then candidate else scan (m + 1)
-    in
-    scan 0
-  end
+  else
+    Omega.scan_brackets (fun m ->
+        match lp_value t ~radius:m with
+        | Some v -> v
+        | None ->
+            (* Some demand vertex unreachable even from itself: impossible
+               since every vertex supplies itself at radius 0. *)
+            assert false)
 
 (* --- constructive heuristic: greedy ball cover + budgeted service --- *)
 

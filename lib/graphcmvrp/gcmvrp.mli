@@ -34,10 +34,10 @@ val distance : t -> int -> int -> int
 val neighborhood_size : t -> int list -> radius:int -> int
 (** [|N_r(T)|]: vertices within weighted distance [radius] of the set. *)
 
-val omega_star : ?scale:int -> t -> float
-(** Exact value of the generalized program (2.8) by the same
-    bracket-scan + max-flow method as {!Oracle.omega_star}; the lower
-    bound on the graph [Woff]. *)
+val omega_star : t -> float
+(** Value of the generalized program (2.8) by the same bracket-scan +
+    max-flow method as {!Oracle.omega_star}, on the same LP grid; the
+    lower bound on the graph [Woff]. *)
 
 (** A constructive upper bound: greedy ball cover + budgeted service. *)
 type plan = {

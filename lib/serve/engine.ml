@@ -80,25 +80,24 @@ let evict_for_insert t =
 let wants_shutdown (r : Protocol.request) =
   match r.Protocol.op with Protocol.Shutdown -> true | _ -> false
 
+(* An oracle call on request content: what the content can make it raise
+   (bad arguments, a demand too large for the integer flow network)
+   becomes an [Error] answer. *)
+let guarded f =
+  try Ok (f ()) with Invalid_argument m | Failure m | Energy.Overflow m -> Error m
+
 (* One oracle evaluation — the exact code path a one-shot CLI call takes,
    which is what makes cached and fresh answers interchangeable.  Runs
    inside the Pool fan-out, so failures are captured as values here and
    never tear down sibling computations. *)
 let evaluate (req : Protocol.request) : (Protocol.answer, string) result =
+  let dm = req.Protocol.demand in
   match req.Protocol.op with
   | Protocol.Ping | Protocol.Shutdown -> Ok Protocol.Pong
-  | Protocol.Omega_star -> (
-      try Ok (Protocol.Value (Oracle.omega_star ~scale:req.Protocol.scale req.Protocol.demand))
-      with Invalid_argument m | Failure m -> Error m)
-  | Protocol.Lp_value radius -> (
-      try
-        Ok
-          (Protocol.Value
-             (Oracle.lp_value ~scale:req.Protocol.scale ~radius req.Protocol.demand))
-      with Invalid_argument m | Failure m -> Error m)
-  | Protocol.Witness -> (
-      try Ok (Protocol.Tight_set (Oracle.witness ~scale:req.Protocol.scale req.Protocol.demand))
-      with Invalid_argument m | Failure m -> Error m)
+  | Protocol.Omega_star -> guarded (fun () -> Protocol.Value (Oracle.omega_star dm))
+  | Protocol.Lp_value radius ->
+      guarded (fun () -> Protocol.Value (Oracle.lp_value ~radius dm))
+  | Protocol.Witness -> guarded (fun () -> Protocol.Tight_set (Oracle.witness dm))
   | Protocol.Session_add _ | Protocol.Session_remove _ | Protocol.Session_query
     ->
       Error "session ops are stateful and have no stateless evaluation"
@@ -126,17 +125,8 @@ let session_slot t (req : Protocol.request) =
   match req.Protocol.session with
   | None -> Malformed "session ops require a \"session\" name"
   | Some name -> (
-      let live =
-        match Hashtbl.find_opt t.sessions name with
-        | Some s when Oracle.Session.scale s.ses <> req.Protocol.scale ->
-            Error
-              (Printf.sprintf "session %S runs at scale %d" name
-                 (Oracle.Session.scale s.ses))
-        | found -> Ok found
-      in
-      match (live, req.Protocol.op) with
-      | Error m, _ -> Malformed m
-      | Ok found, Protocol.Session_add p -> (
+      match (Hashtbl.find_opt t.sessions name, req.Protocol.op) with
+      | found, Protocol.Session_add p -> (
           let s =
             match found with
             | Some s -> s
@@ -144,9 +134,7 @@ let session_slot t (req : Protocol.request) =
                 evict_for_insert t;
                 let s =
                   {
-                    ses =
-                      Oracle.Session.create ~scale:req.Protocol.scale
-                        (Demand_map.empty (Array.length p));
+                    ses = Oracle.Session.create (Demand_map.empty (Array.length p));
                     s_rowsum = 0;
                     s_touched = 0;
                   }
@@ -164,9 +152,9 @@ let session_slot t (req : Protocol.request) =
                 Protocol.rowsum_update ~dim:(Demand_map.dim dm)
                   ~rowsum:s.s_rowsum p ~before ~after:(before + 1);
               Done { d_answer = Ok Protocol.Pong; d_cached = false })
-      | Ok None, (Protocol.Session_remove _ | Protocol.Session_query) ->
+      | None, (Protocol.Session_remove _ | Protocol.Session_query) ->
           Malformed (Printf.sprintf "unknown session %S" name)
-      | Ok (Some s), Protocol.Session_remove p -> (
+      | Some s, Protocol.Session_remove p -> (
           touch t s;
           let dm = Oracle.Session.demand s.ses in
           let before = Demand_map.value dm p in
@@ -177,7 +165,7 @@ let session_slot t (req : Protocol.request) =
                 Protocol.rowsum_update ~dim:(Demand_map.dim dm)
                   ~rowsum:s.s_rowsum p ~before ~after:(before - 1);
               Done { d_answer = Ok Protocol.Pong; d_cached = false })
-      | Ok (Some s), Protocol.Session_query -> (
+      | Some s, Protocol.Session_query -> (
           touch t s;
           let dm = Oracle.Session.demand s.ses in
           let digest =
@@ -185,10 +173,7 @@ let session_slot t (req : Protocol.request) =
               ~rowsum:s.s_rowsum
               ~support:(Demand_map.support_size dm)
           in
-          let key =
-            Qcache.key_with_digest ~digest ~op:Protocol.Omega_star
-              ~scale:req.Protocol.scale dm
-          in
+          let key = Qcache.key_with_digest ~digest ~op:Protocol.Omega_star dm in
           match Qcache.find t.cache key with
           | Some answer ->
               Metrics.incr m_hits;
@@ -197,14 +182,13 @@ let session_slot t (req : Protocol.request) =
               Metrics.incr m_misses;
               Metrics.incr m_oracle_calls;
               let answer =
-                try Ok (Protocol.Value (Oracle.Session.omega_star s.ses))
-                with Invalid_argument m | Failure m -> Error m
+                guarded (fun () -> Protocol.Value (Oracle.Session.omega_star s.ses))
               in
               (match answer with
               | Ok a -> Qcache.add t.cache key a
               | Error _ -> ());
               Done { d_answer = answer; d_cached = false })
-      | Ok _, _ -> assert false (* session_slot is only called on session ops *))
+      | _, _ -> assert false (* session_slot is only called on session ops *))
 
 let process_batch t (reqs : Protocol.request array) =
   let n = Array.length reqs in
@@ -225,7 +209,7 @@ let process_batch t (reqs : Protocol.request array) =
           | Protocol.Session_query ->
               session_slot t req
           | Protocol.Omega_star | Protocol.Lp_value _ | Protocol.Witness -> (
-              match Qcache.key ~op:req.Protocol.op ~scale:req.Protocol.scale req.Protocol.demand with
+              match Qcache.key ~op:req.Protocol.op req.Protocol.demand with
               | exception Invalid_argument m -> Malformed m
               | key -> (
                   match Qcache.find t.cache key with

@@ -54,8 +54,9 @@ val evaluate : Protocol.request -> (Protocol.answer, string) result
 
 val process_batch : t -> Protocol.request array -> Protocol.response array
 (** [(process_batch t reqs).(i)] answers [reqs.(i)].  Malformed requests
-    (dimension mismatches, oversized scales) yield [Error] responses;
-    the call itself never raises on request content. *)
+    (dimension mismatches, unknown sessions) and demands too large for
+    the integer flow network ([Energy.Overflow]) yield [Error]
+    responses; the call itself never raises on request content. *)
 
 val process : t -> Protocol.request -> Protocol.response
 (** Singleton batch. *)

@@ -1,5 +1,3 @@
-let default_scale = 720720 (* lcm(1..14), matching the Oracle default *)
-
 type op =
   | Omega_star
   | Lp_value of int
@@ -13,7 +11,6 @@ type op =
 type request = {
   id : int;
   op : op;
-  scale : int;
   demand : Demand_map.t;
   session : string option;
 }
@@ -25,8 +22,7 @@ type answer =
 
 type response = { r_id : int; r_cached : bool; r_result : (answer, string) result }
 
-let request ?(scale = default_scale) ?session ~id op demand =
-  { id; op; scale; demand; session }
+let request ?session ~id op demand = { id; op; demand; session }
 
 (* --- canonical digest --- *)
 
@@ -90,7 +86,6 @@ let request_to_json r =
     [
       ("id", Json.Int r.id);
       ("op", Json.String (op_name r.op));
-      ("scale", Json.Int r.scale);
       ("dim", Json.Int (Demand_map.dim r.demand));
       ("demand", json_of_demand r.demand);
     ]
@@ -144,11 +139,8 @@ let demand_of_json ~dim j =
 let request_of_json j =
   let* id = field "id" Json.to_int_opt j in
   let* name = field "op" Json.to_string_opt j in
-  let scale =
-    Option.value ~default:default_scale
-      (Option.bind (Json.member "scale" j) Json.to_int_opt)
-  in
-  if scale <= 0 then Error "\"scale\" must be positive"
+  if Option.is_some (Json.member "scale" j) then
+    Error "member \"scale\" is not accepted: the LP grid is fixed"
   else
     let* dim =
       match Option.bind (Json.member "dim" j) Json.to_int_opt with
@@ -193,7 +185,7 @@ let request_of_json j =
       | None -> Ok (Demand_map.empty dim)
       | Some dj -> demand_of_json ~dim dj
     in
-    Ok { id; op; scale; demand; session }
+    Ok { id; op; demand; session }
 
 let request_of_string s =
   let* j = Json.of_string s in

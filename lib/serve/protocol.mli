@@ -33,7 +33,6 @@ type op =
 type request = {
   id : int;  (** echoed verbatim; clients use it to match pipelined replies *)
   op : op;
-  scale : int;  (** resolution denominator, default [720720] *)
   demand : Demand_map.t;  (** already aggregated — the canonical form *)
   session : string option;
       (** names the server-side streaming session the [Session_*] ops
@@ -47,9 +46,7 @@ type answer =
 
 type response = { r_id : int; r_cached : bool; r_result : (answer, string) result }
 
-val default_scale : int
-
-val request : ?scale:int -> ?session:string -> id:int -> op -> Demand_map.t -> request
+val request : ?session:string -> id:int -> op -> Demand_map.t -> request
 
 val demand_digest : Demand_map.t -> int
 (** Canonical digest of a demand function: permutation-invariant over the
@@ -75,7 +72,12 @@ val digest_of_rowsum : dim:int -> rowsum:int -> support:int -> int
     {!demand_digest} on the demand it tracks. *)
 
 val request_to_string : request -> string
+
 val request_of_string : string -> (request, string) result
+(** [Error] on malformed JSON, a missing or ill-typed field, an unknown
+    op, a bad demand row, and on a ["scale"] member: answers are
+    resolved on the oracle's fixed LP grid, so a client asking for
+    another resolution is told so rather than answered on that grid. *)
 
 val response_to_string : response -> string
 val response_of_string : string -> (response, string) result

@@ -6,7 +6,6 @@
 type key = {
   k_digest : int;
   k_op : string; (* canonical op tag, radius baked in for lp_value *)
-  k_scale : int;
   k_demand : Demand_map.t;
 }
 
@@ -20,11 +19,11 @@ let op_tag : Protocol.op -> string = function
     ->
       invalid_arg "Qcache.key: session ops key through their snapshot"
 
-let key_with_digest ~digest ~op ~scale demand =
-  { k_digest = digest; k_op = op_tag op; k_scale = scale; k_demand = demand }
+let key_with_digest ~digest ~op demand =
+  { k_digest = digest; k_op = op_tag op; k_demand = demand }
 
-let key ~op ~scale demand =
-  key_with_digest ~digest:(Protocol.demand_digest demand) ~op ~scale demand
+let key ~op demand =
+  key_with_digest ~digest:(Protocol.demand_digest demand) ~op demand
 
 let demand_equal a b =
   Demand_map.dim a = Demand_map.dim b
@@ -34,7 +33,6 @@ let demand_equal a b =
 
 let key_equal a b =
   a.k_digest = b.k_digest && String.equal a.k_op b.k_op
-  && a.k_scale = b.k_scale
   && demand_equal a.k_demand b.k_demand
 
 let equal = key_equal

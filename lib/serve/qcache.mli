@@ -1,7 +1,7 @@
 (** Digest-keyed, structurally verified result cache of the serving
     engine.
 
-    Keys are (demand digest, op, scale); the digest ({!Protocol.demand_digest})
+    Keys are (demand digest, op); the digest ({!Protocol.demand_digest})
     is only the bucket index — every lookup re-verifies the candidate
     entry against the full key with [Point]-aware structural equality, so
     an FNV collision degrades to a miss, never to a wrong answer.  Cached
@@ -18,12 +18,12 @@
 
 type key
 
-val key : op:Protocol.op -> scale:int -> Demand_map.t -> key
+val key : op:Protocol.op -> Demand_map.t -> key
 (** [Ping]/[Shutdown] requests are never cached, and [Session_*] ops key
     through their demand snapshot under a stateless op instead; asking
     for a key on any of them raises [Invalid_argument]. *)
 
-val key_with_digest : digest:int -> op:Protocol.op -> scale:int -> Demand_map.t -> key
+val key_with_digest : digest:int -> op:Protocol.op -> Demand_map.t -> key
 (** {!key} with a caller-maintained digest (an incrementally updated
     {!Protocol.rowsum_update} closure) instead of a from-scratch
     {!Protocol.demand_digest}.  The two agree whenever the caller's row
@@ -32,7 +32,7 @@ val key_with_digest : digest:int -> op:Protocol.op -> scale:int -> Demand_map.t 
     structurally. *)
 
 val equal : key -> key -> bool
-(** Full structural equality (digest, op tag, scale, then the demand maps
+(** Full structural equality (digest, op tag, then the demand maps
     point by point) — the comparison every lookup uses, exposed so the
     engine can coalesce duplicate keys within a batch. *)
 

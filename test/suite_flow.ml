@@ -120,7 +120,7 @@ let test_flow_conservation () =
     done
   done
 
-(* Arena semantics: reset, warm-started capacity raises, mark/rewind. *)
+(* Arena semantics: reset and warm-started capacity raises. *)
 
 let test_arena_reset () =
   let net = Maxflow.create 4 in
@@ -144,33 +144,6 @@ let test_set_even_caps_warm_start () =
   (match Maxflow.set_even_caps net [| e |] 2 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "lowering below the routed flow must raise")
-
-let test_mark_rewind () =
-  let net = Maxflow.create 3 in
-  let a = Maxflow.add_edge net ~src:0 ~dst:1 ~cap:2 in
-  ignore (Maxflow.add_edge net ~src:1 ~dst:2 ~cap:4);
-  Alcotest.(check int) "cold run" 2 (Maxflow.max_flow net ~source:0 ~sink:2);
-  Maxflow.mark net;
-  Maxflow.set_even_caps net [| a |] 4;
-  Alcotest.(check int) "probe pushes more" 2 (Maxflow.max_flow net ~source:0 ~sink:2);
-  Maxflow.rewind net;
-  Alcotest.(check int) "flow restored" 2 (Maxflow.flow_on net a);
-  Alcotest.(check int) "nothing left to push" 0
-    (Maxflow.max_flow net ~source:0 ~sink:2)
-
-let test_rewind_guards () =
-  let net = Maxflow.create 2 in
-  ignore (Maxflow.add_edge net ~src:0 ~dst:1 ~cap:1);
-  (match Maxflow.rewind net with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "rewind without mark must raise");
-  let net2 = Maxflow.create 3 in
-  ignore (Maxflow.add_edge net2 ~src:0 ~dst:1 ~cap:1);
-  Maxflow.mark net2;
-  ignore (Maxflow.add_edge net2 ~src:1 ~dst:2 ~cap:1);
-  (match Maxflow.rewind net2 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "rewind after add_edge must raise")
 
 let test_warm_start_matches_cold () =
   (* Raising a parametric source edge level by level and summing the
@@ -305,8 +278,6 @@ let suite =
     Alcotest.test_case "arena reset" `Quick test_arena_reset;
     Alcotest.test_case "set_even_caps warm start" `Quick
       test_set_even_caps_warm_start;
-    Alcotest.test_case "mark/rewind" `Quick test_mark_rewind;
-    Alcotest.test_case "rewind guards" `Quick test_rewind_guards;
     Alcotest.test_case "warm start matches cold" `Quick
       test_warm_start_matches_cold;
     Alcotest.test_case "add_vertex keeps flow" `Quick test_add_vertex;

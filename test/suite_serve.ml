@@ -89,12 +89,11 @@ let test_request_roundtrip () =
   let dm = small_demand 1 in
   List.iter
     (fun op ->
-      let req = Protocol.request ~scale:360360 ~id:7 op dm in
+      let req = Protocol.request ~id:7 op dm in
       match Protocol.request_of_string (Protocol.request_to_string req) with
       | Error e -> Alcotest.fail e
       | Ok back ->
           Alcotest.(check int) "id" 7 back.Protocol.id;
-          Alcotest.(check int) "scale" 360360 back.Protocol.scale;
           Alcotest.(check bool) "op" true (back.Protocol.op = op);
           Alcotest.(check bool) "demand survives" true
             (demand_equal dm back.Protocol.demand))
@@ -109,15 +108,26 @@ let test_request_validation () =
   rejects "not json";
   rejects "{\"id\":1,\"op\":\"sideways\"}";
   rejects "{\"id\":1,\"op\":\"lp_value\"}" (* radius required *);
-  rejects "{\"id\":1,\"op\":\"omega_star\",\"scale\":0}";
   rejects "{\"id\":1,\"op\":\"omega_star\",\"demand\":[[0,0,-2]]}";
   rejects "{\"id\":1,\"op\":\"omega_star\",\"demand\":[[0,0]]}" (* row too short *);
+  (* The LP grid is fixed, so a request that asks for a resolution — even
+     the grid's own — is refused by name, never answered at a resolution
+     it did not ask for. *)
+  List.iter
+    (fun v ->
+      match
+        Protocol.request_of_string
+          (Printf.sprintf "{\"id\":1,\"op\":\"omega_star\",\"scale\":%s}" v)
+      with
+      | Error e ->
+          Alcotest.(check string) ("scale " ^ v)
+            "member \"scale\" is not accepted: the LP grid is fixed" e
+      | Ok _ -> Alcotest.failf "must reject scale %s" v)
+    [ "720720"; "360360"; "0" ];
   match
     Protocol.request_of_string "{\"id\":3,\"op\":\"ping\"}"
   with
-  | Ok r ->
-      Alcotest.(check bool) "ping defaults parse" true
-        (r.Protocol.op = Protocol.Ping && r.Protocol.scale = Protocol.default_scale)
+  | Ok r -> Alcotest.(check bool) "ping defaults parse" true (r.Protocol.op = Protocol.Ping)
   | Error e -> Alcotest.fail e
 
 let test_response_roundtrip () =
@@ -237,9 +247,9 @@ let test_cache_key_discriminates () =
   let engine = Engine.create () in
   let dm = small_demand 23 in
   let r1 = Engine.process engine (Protocol.request ~id:0 Protocol.Omega_star dm) in
-  let r2 = Engine.process engine (Protocol.request ~scale:360360 ~id:1 Protocol.Omega_star dm) in
+  let r2 = Engine.process engine (Protocol.request ~id:1 (Protocol.Lp_value 1) dm) in
   let r3 = Engine.process engine (Protocol.request ~id:2 Protocol.Witness dm) in
-  Alcotest.(check bool) "different scale misses" false r2.Protocol.r_cached;
+  Alcotest.(check bool) "different radius misses" false r2.Protocol.r_cached;
   Alcotest.(check bool) "different op misses" false r3.Protocol.r_cached;
   ignore r1
 
@@ -303,12 +313,26 @@ let test_engine_error_responses () =
   (* A negative radius passes the constructor but fails inside the
      oracle; the engine must answer Error, not raise. *)
   let bad = Protocol.request ~id:9 (Protocol.Lp_value (-1)) dm in
+  (* A demand whose grid-scaled value does not fit in an int: the flow
+     network cannot be built, and the batch must still answer. *)
+  let huge = Demand_map.of_alist 2 [ ([| 0; 0 |], 100_000_000_000_000) ] in
+  let overflowing =
+    List.map
+      (fun op -> Protocol.request ~id:11 op huge)
+      [ Protocol.Omega_star; Protocol.Lp_value 1; Protocol.Witness ]
+  in
   let ok = Protocol.request ~id:10 Protocol.Omega_star dm in
-  let responses = Engine.process_batch engine [| bad; ok |] in
-  (match responses.(0).Protocol.r_result with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative radius must fail");
-  (match responses.(1).Protocol.r_result with
+  let responses =
+    Engine.process_batch engine (Array.of_list ((bad :: overflowing) @ [ ok ]))
+  in
+  Array.iteri
+    (fun i r ->
+      if i < 4 then
+        match r.Protocol.r_result with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "request %d must fail" i)
+    responses;
+  (match responses.(4).Protocol.r_result with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("sibling request must still succeed: " ^ e));
   Alcotest.(check bool) "failed answers are not cached" true
@@ -482,8 +506,7 @@ let test_session_shares_cache_with_stateless () =
 let test_session_error_paths () =
   let engine = Engine.create () in
   let dm0 = Demand_map.empty 2 in
-  let run ?session ?scale op =
-    Engine.process engine (Protocol.request ?session ?scale ~id:0 op dm0)
+  let run ?session op = Engine.process engine (Protocol.request ?session ~id:0 op dm0)
   in
   let expect_error msg r =
     match r.Protocol.r_result with
@@ -495,8 +518,6 @@ let test_session_error_paths () =
   expect_error "remove on unknown session"
     (run ~session:"ghost" (Protocol.Session_remove [| 0; 0 |]));
   ignore (run ~session:"s" (Protocol.Session_add [| 0; 0 |]));
-  expect_error "scale mismatch"
-    (run ~session:"s" ~scale:360360 Protocol.Session_query);
   expect_error "remove below zero"
     (run ~session:"s" (Protocol.Session_remove [| 9; 9 |]));
   expect_error "dimension mismatch"

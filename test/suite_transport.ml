@@ -27,7 +27,7 @@ let test_feasible () =
 let test_min_uniform_supply_exact () =
   let t = simple_instance () in
   (* Optimal ω: subset {d0} needs 3/1, {d1} needs 5/2, {d0,d1} needs 8/2 = 4. *)
-  match Transport.min_uniform_supply t ~scale:2 with
+  match Transport.min_uniform_supply t with
   | None -> Alcotest.fail "feasible instance"
   | Some v -> Alcotest.(check (float 1e-9)) "ω = 4" 4.0 v
 
@@ -39,9 +39,24 @@ let test_min_uniform_supply_fractional () =
   for i = 0 to 2 do
     Transport.add_link t ~supplier:i ~demand:0
   done;
-  match Transport.min_uniform_supply t ~scale:3 with
+  match Transport.min_uniform_supply t with
   | None -> Alcotest.fail "feasible instance"
   | Some v -> Alcotest.(check (float 1e-9)) "ω = 1/3" (1.0 /. 3.0) v
+
+let test_min_uniform_supply_off_grid () =
+  (* One unit shared by 17 suppliers: the optimum 1/17 is not a multiple
+     of 1/720720, so the answer is the grid level just above it. *)
+  let t = Transport.create ~n_suppliers:17 ~n_demands:1 in
+  Transport.set_demand t 0 1;
+  for i = 0 to 16 do
+    Transport.add_link t ~supplier:i ~demand:0
+  done;
+  match Transport.min_uniform_supply t with
+  | None -> Alcotest.fail "feasible instance"
+  | Some v ->
+      Alcotest.(check int64) "ω = 42396/720720, not 1/17"
+        (Int64.bits_of_float (42396.0 /. 720720.0))
+        (Int64.bits_of_float v)
 
 let test_min_uniform_supply_none () =
   let t = Transport.create ~n_suppliers:1 ~n_demands:2 in
@@ -49,11 +64,11 @@ let test_min_uniform_supply_none () =
   Transport.set_demand t 1 1;
   Transport.add_link t ~supplier:0 ~demand:0;
   Alcotest.(check bool) "unlinked demand" true
-    (Transport.min_uniform_supply t ~scale:10 = None)
+    (Transport.min_uniform_supply t = None)
 
 let test_min_uniform_supply_zero_demand () =
   let t = Transport.create ~n_suppliers:2 ~n_demands:2 in
-  match Transport.min_uniform_supply t ~scale:10 with
+  match Transport.min_uniform_supply t with
   | Some v -> Alcotest.(check (float 0.0)) "zero" 0.0 v
   | None -> Alcotest.fail "zero demand is trivially feasible"
 
@@ -76,23 +91,23 @@ let random_instance rng =
 
 let test_primal_equals_dual_random () =
   (* LP duality (Lemma 2.2.2) checked exhaustively on random tiny
-     instances, at scale lcm(1..6) so every dual denominator divides it. *)
+     instances: at most 5 suppliers, so every dual denominator divides
+     the LP grid. *)
   let rng = Rng.create 31337 in
-  let scale = 60 in
   let checked = ref 0 in
   while !checked < 100 do
     let t = random_instance rng in
     let dual = Reference.transport_dual t in
     if dual <> infinity then begin
       incr checked;
-      match Transport.min_uniform_supply t ~scale with
+      match Transport.min_uniform_supply t with
       | None -> Alcotest.fail "dual finite but primal infeasible"
       | Some primal ->
           Alcotest.(check (float 1e-9)) "primal = dual" dual primal
     end
     else
       Alcotest.(check bool) "dual infinite iff primal infeasible" true
-        (Transport.min_uniform_supply t ~scale = None)
+        (Transport.min_uniform_supply t = None)
   done
 
 let test_add_supplier_and_links () =
@@ -119,17 +134,20 @@ let test_add_supplier_and_links () =
   Alcotest.(check int) "served via grown suppliers" 6
     (Transport.max_served t ~supply:(fun _ -> 2))
 
+(* The LP grid of [min_uniform_supply]: answers are multiples of 1/grid. *)
+let grid = 720720
+
 (* A naive reference for [min_uniform_supply], built from the public API:
-   copy the instance with demands multiplied by [scale], then bisect the
+   copy the instance with demands multiplied by the grid, then bisect the
    smallest integer uniform supply that is feasible.  This is exactly the
    search the warm-started Newton iteration replaced, so the two must
    agree bit for bit. *)
-let reference_min_uniform_supply t ~scale =
+let reference_min_uniform_supply t =
   let s = Transport.n_suppliers t and d = Transport.n_demands t in
   let c = Transport.create ~n_suppliers:s ~n_demands:d in
   let linked = Array.make (max d 1) false in
   for j = 0 to d - 1 do
-    Transport.set_demand c j (Transport.demand t j * scale)
+    Transport.set_demand c j (Transport.demand t j * grid)
   done;
   Transport.iter_links t (fun ~supplier ~demand ->
       Transport.add_link c ~supplier ~demand;
@@ -149,7 +167,7 @@ let reference_min_uniform_supply t ~scale =
       if Transport.feasible c ~supply:(fun _ -> mid) then hi := mid
       else lo := mid + 1
     done;
-    Some (float_of_int !lo /. float_of_int scale)
+    Some (float_of_int !lo /. float_of_int grid)
   end
 
 let prop_newton_matches_reference_bisection =
@@ -160,11 +178,7 @@ let prop_newton_matches_reference_bisection =
     (fun seed ->
       let rng = Rng.create seed in
       let t = random_instance rng in
-      let scale = 60 in
-      match
-        ( Transport.min_uniform_supply t ~scale,
-          reference_min_uniform_supply t ~scale )
-      with
+      match (Transport.min_uniform_supply t, reference_min_uniform_supply t) with
       | None, None -> true
       | Some a, Some b -> a = b
       | Some _, None | None, Some _ -> false)
@@ -187,7 +201,7 @@ let test_empty_fast_path () =
   let runs = Metrics.counter "maxflow.runs" in
   let check_instant t =
     let before = Metrics.count runs in
-    (match Transport.min_uniform_supply t ~scale:7 with
+    (match Transport.min_uniform_supply t with
     | Some 0.0 -> ()
     | _ -> Alcotest.fail "zero-demand instance must answer Some 0.");
     Alcotest.(check int) "no flow run" before (Metrics.count runs)
@@ -195,25 +209,23 @@ let test_empty_fast_path () =
   check_instant (Transport.create ~n_suppliers:0 ~n_demands:0);
   let t = Transport.create ~n_suppliers:1 ~n_demands:2 in
   Transport.add_link t ~supplier:0 ~demand:0;
-  check_instant t;
-  Alcotest.(check (array (triple int int int))) "no breakpoints either" [||]
-    (Transport.breakpoints t ~scale:7)
+  check_instant t
 
 let test_cached_lookup_counters () =
-  (* First query at a scale pays one feasibility check; repeats are pure
-     breakpoint lookups; changing a demand invalidates the cache. *)
+  (* The first query pays one feasibility check; repeats are pure
+     lookups; changing a demand invalidates the cache. *)
   let fc = Metrics.counter "transport.feasibility_checks" in
   let bl = Metrics.counter "transport.breakpoint_lookups" in
   let t = simple_instance () in
   let fc0 = Metrics.count fc and bl0 = Metrics.count bl in
-  let a = Transport.min_uniform_supply t ~scale:2 in
-  let b = Transport.min_uniform_supply t ~scale:2 in
+  let a = Transport.min_uniform_supply t in
+  let b = Transport.min_uniform_supply t in
   Alcotest.(check (option (float 1e-9))) "first answer" (Some 4.0) a;
   Alcotest.(check (option (float 1e-9))) "cached answer" (Some 4.0) b;
   Alcotest.(check int) "one real solve" 1 (Metrics.count fc - fc0);
   Alcotest.(check int) "one lookup" 1 (Metrics.count bl - bl0);
   Transport.set_demand t 0 4;
-  (match Transport.min_uniform_supply t ~scale:2 with
+  (match Transport.min_uniform_supply t with
   | Some v -> Alcotest.(check (float 1e-9)) "updated answer" 4.5 v
   | None -> Alcotest.fail "still feasible");
   Alcotest.(check int) "demand change forces a re-solve" 2
@@ -223,10 +235,9 @@ let test_extension_matches_fresh () =
   (* Growing an already-queried instance (the oracle's radius scan) and
      re-querying must match a cold solve on a fresh copy. *)
   let rng = Rng.create 99 in
-  let scale = 60 in
   for _ = 1 to 30 do
     let t = random_instance rng in
-    ignore (Transport.min_uniform_supply t ~scale);
+    ignore (Transport.min_uniform_supply t);
     let i = Transport.add_supplier t in
     let linked_any = ref false in
     for j = 0 to Transport.n_demands t - 1 do
@@ -237,48 +248,36 @@ let test_extension_matches_fresh () =
     done;
     if not !linked_any && Transport.n_demands t > 0 then
       Transport.add_link t ~supplier:i ~demand:0;
-    let warm = Transport.min_uniform_supply t ~scale in
-    let cold = Transport.min_uniform_supply (copy_instance t) ~scale in
+    let warm = Transport.min_uniform_supply t in
+    let cold = Transport.min_uniform_supply (copy_instance t) in
     Alcotest.(check (option (float 1e-9))) "warm extension = cold solve" cold
       warm
   done
 
-let prop_lookup_matches_reference_at_random_scales =
-  (* The cached sweep and its lookup path, against the bisection
-     reference, at 50 random scales (not just the lcm the other property
-     uses). *)
-  QCheck.Test.make
-    ~name:"lookup = reference bisection (random scales)" ~count:50
-    QCheck.(pair (int_range 0 1_000_000) (int_range 1 97))
-    (fun (seed, scale) ->
-      let rng = Rng.create seed in
-      let t = random_instance rng in
-      let a = Transport.min_uniform_supply t ~scale in
-      let b = Transport.min_uniform_supply t ~scale in
-      let r = reference_min_uniform_supply t ~scale in
-      a = r && b = r)
-
 let prop_witness_matches_reference =
-  (* [infeasibility_witness] reads the minimal source side of a min cut,
-     which is identical for every maximum flow — so the witness must be
-     exactly the demand set the reference solver's cut leaves on the sink
-     side, not merely some violating set. *)
+  (* [hall_violator] reads the minimal source side of a min cut, which is
+     identical for every maximum flow — so the witness must be exactly
+     the demand set the reference solver's cut leaves on the sink side of
+     the same grid-scaled network, not merely some violating set. *)
   QCheck.Test.make ~name:"infeasibility witness = across flow solvers"
     ~count:100
-    QCheck.(pair (int_range 0 1_000_000) (int_range 0 3))
-    (fun (seed, supply) ->
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 9))
+    (fun (seed, thirds) ->
       let rng = Rng.create seed in
       let t = random_instance rng in
+      let below = float_of_int thirds /. 3.0 in
       let s = Transport.n_suppliers t and d = Transport.n_demands t in
+      (* The largest grid level strictly below [below], in grid units. *)
+      let supply = max 0 (int_of_float (Float.ceil (below *. float_of_int grid)) - 1) in
       (* Source 0, sink 1, suppliers from 2, demands after them. *)
       let demand_vertex j = 2 + s + j in
-      let total = Transport.total_demand t in
+      let total = Transport.total_demand t * grid in
       let links = ref [] in
       Transport.iter_links t (fun ~supplier ~demand ->
           links := (2 + supplier, demand_vertex demand, max 1 total) :: !links);
       let edges =
         List.init s (fun i -> (0, 2 + i, supply))
-        @ List.init d (fun j -> (demand_vertex j, 1, Transport.demand t j))
+        @ List.init d (fun j -> (demand_vertex j, 1, Transport.demand t j * grid))
         @ !links
       in
       let flow, side =
@@ -292,7 +291,7 @@ let prop_witness_matches_reference =
                (fun j -> Transport.demand t j > 0 && not side.(demand_vertex j))
                (List.init d Fun.id))
       in
-      Transport.infeasibility_witness t ~supply:(fun _ -> supply) = reference)
+      Transport.hall_violator t ~below = reference)
 
 let test_max_served_monotone_in_supply () =
   let rng = Rng.create 4242 in
@@ -310,6 +309,8 @@ let suite =
     Alcotest.test_case "feasibility" `Quick test_feasible;
     Alcotest.test_case "min uniform supply exact" `Quick test_min_uniform_supply_exact;
     Alcotest.test_case "min uniform supply fractional" `Quick test_min_uniform_supply_fractional;
+    Alcotest.test_case "min uniform supply off the grid" `Quick
+      test_min_uniform_supply_off_grid;
     Alcotest.test_case "unlinked demand gives None" `Quick test_min_uniform_supply_none;
     Alcotest.test_case "zero demand" `Quick test_min_uniform_supply_zero_demand;
     Alcotest.test_case "dual exhaustive known" `Quick test_dual_value_exhaustive_known;
@@ -323,6 +324,5 @@ let suite =
       test_cached_lookup_counters;
     Alcotest.test_case "warm extension matches fresh" `Quick
       test_extension_matches_fresh;
-    QCheck_alcotest.to_alcotest prop_lookup_matches_reference_at_random_scales;
     QCheck_alcotest.to_alcotest prop_witness_matches_reference;
   ]

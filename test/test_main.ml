@@ -16,6 +16,7 @@ let () =
       ("io", Suite_io.suite);
       ("des", Suite_des.suite);
       ("bisect", Suite_bisect.suite);
+      ("answers", Suite_answers.suite);
       ("omega", Suite_omega.suite);
       ("oracle", Suite_oracle.suite);
       ("session", Suite_session.suite);
