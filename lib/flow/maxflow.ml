@@ -36,6 +36,13 @@ type t = {
   mutable bucket : int array; (* head of height bucket, length >= 2n+1 *)
   mutable bnext : int array; (* bucket chaining, length >= n *)
   mutable active : bool array; (* queued-for-discharge flag, length >= n *)
+  (* flow-cancellation walk scratch (the drains), owned by the arena so a
+     drain allocates nothing; all length >= n, walk_pos all -1 between
+     calls *)
+  mutable walk_pos : int array; (* index on the walk, -1 = off it *)
+  mutable walk_vert : int array; (* vertices of the walk *)
+  mutable walk_edge : int array; (* flow-carrying even edge of each step *)
+  mutable walk_ptr : int array; (* per-vertex scan pointer, one call *)
 }
 
 let create n =
@@ -58,6 +65,10 @@ let create n =
     bucket = Array.make ((2 * n1) + 1) (-1);
     bnext = Array.make n1 (-1);
     active = Array.make n1 false;
+    walk_pos = Array.make n1 (-1);
+    walk_vert = Array.make n1 0;
+    walk_edge = Array.make n1 0;
+    walk_ptr = Array.make n1 0;
   }
 
 let n_vertices t = t.n
@@ -77,7 +88,11 @@ let add_vertex t =
     t.cur <- grow_array t.cur 0 t.n;
     t.excess <- grow_array t.excess 0 t.n;
     t.bnext <- grow_array t.bnext (-1) t.n;
-    t.active <- grow_array t.active false t.n
+    t.active <- grow_array t.active false t.n;
+    t.walk_pos <- grow_array t.walk_pos (-1) t.n;
+    t.walk_vert <- grow_array t.walk_vert 0 t.n;
+    t.walk_edge <- grow_array t.walk_edge 0 t.n;
+    t.walk_ptr <- grow_array t.walk_ptr 0 t.n
   end;
   if Array.length t.adj_start < t.n + 1 then
     t.adj_start <- grow_array t.adj_start 0 (t.n + 1);
@@ -354,278 +369,181 @@ let reset t =
 
 let set_even_caps t ids c =
   if c < 0 then invalid_arg "Maxflow.set_even_caps: negative capacity";
-  Array.iter
-    (fun id ->
-      if id < 0 || id >= t.m || id mod 2 <> 0 then
-        invalid_arg "Maxflow.set_even_caps: bad edge id";
-      let flow = Energy.sub t.initial_cap.(id / 2) t.cap.(id) in
-      let residual = Energy.sub c flow in
-      if residual < 0 then
-        invalid_arg "Maxflow.set_even_caps: capacity below current flow";
-      t.cap.(id) <- residual;
-      t.initial_cap.(id / 2) <- c)
-    ids
+  for k = 0 to Array.length ids - 1 do
+    let id = ids.(k) in
+    if id < 0 || id >= t.m || id mod 2 <> 0 then
+      invalid_arg "Maxflow.set_even_caps: bad edge id";
+    let flow = Energy.sub t.initial_cap.(id / 2) t.cap.(id) in
+    let residual = Energy.sub c flow in
+    if residual < 0 then
+      invalid_arg "Maxflow.set_even_caps: capacity below current flow";
+    t.cap.(id) <- residual;
+    t.initial_cap.(id / 2) <- c
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Capacity lowering: flow cancellation along the decomposition       *)
 (* ------------------------------------------------------------------ *)
 
-(* To lower an even edge's capacity below its routed flow, the surplus is
-   cancelled one decomposition walk at a time.  Each walk starts at the
-   edge's head and follows flow-carrying even arcs (skipping the edge
-   itself).  Reaching the sink cancels a source→sink path: the flow value
-   drops.  Reaching the source cancels a cycle through the edge: the
-   value is unchanged.  A revisited vertex closes an internal cycle, which
-   is cancelled on the spot and does not count against the surplus.  The
-   edge itself is decremented together with every terminal walk, so flow
-   conservation holds at both endpoints after each cancellation — which is
-   exactly why the edges must be source-adjacent: for an interior tail the
-   cancellation would have to continue upstream of the edge.  Flow on
-   arcs only ever decreases here, so the per-vertex scan pointers advance
-   monotonically and the whole drain is near-linear in practice. *)
+(* To lower a terminal-adjacent edge's capacity below its routed flow,
+   the surplus is cancelled one decomposition walk at a time.  A forward
+   walk (source-adjacent edge) starts at the edge's head and follows
+   flow-carrying even arcs out of each vertex; a backward walk
+   (sink-adjacent edge) starts at the edge's tail and follows
+   flow-carrying even arcs INTO each vertex, read as their positive odd
+   twins.  Either way the walk stops at the source or the sink.  Reaching
+   the far terminal (sink forward, source backward) cancels a full
+   source→sink path: the flow value drops.  Reaching the near one cancels
+   a cycle through the edge: the value is unchanged.  A revisited vertex
+   closes an internal cycle, which is cancelled on the spot and does not
+   count against the surplus.  The edge itself is decremented together
+   with every terminal walk, so flow conservation holds at both endpoints
+   after each cancellation — which is exactly why the edge must touch a
+   terminal: for an interior edge the cancellation would have to continue
+   on its other side too.  Flow on arcs only ever decreases here, so the
+   per-vertex scan pointers advance monotonically and the whole drain is
+   near-linear in practice.  Returns the far-terminal (value-lowering)
+   part of the cancellation. *)
+let cancel_surplus t e c ~source ~sink ~backward =
+  (* [parity] is the low bit of the arcs a walk follows; [a lxor parity]
+     is the even edge that carries the flow *)
+  let parity = if backward then 1 else 0 in
+  let start = t.dst.(e lxor parity) in
+  let far = if backward then source else sink in
+  let pos = t.walk_pos and path_vert = t.walk_vert in
+  let path_edge = t.walk_edge and ptr = t.walk_ptr in
+  let drained = ref 0 in
+  while flow_on t e > c do
+    let need = Energy.sub (flow_on t e) c in
+    let len = ref 0 in
+    pos.(start) <- 0;
+    path_vert.(0) <- start;
+    let w = ref start in
+    let terminal = ref (-1) in
+    while !terminal < 0 do
+      if !w = sink || !w = source then terminal := !w
+      else begin
+        (* next flow-carrying arc at !w, skipping [e]'s own view *)
+        let limit = t.adj_start.(!w + 1) in
+        let i = ref ptr.(!w) in
+        let chosen = ref (-1) in
+        while !chosen < 0 && !i < limit do
+          let a = t.adj.(!i) in
+          if
+            a land 1 = parity
+            && a <> e lxor parity
+            && t.cap.(a lxor parity lxor 1) > 0
+          then chosen := a
+          else incr i
+        done;
+        ptr.(!w) <- !i;
+        (* conservation guarantees an arc exists while surplus remains *)
+        assert (!chosen >= 0);
+        let pe = !chosen lxor parity in
+        let u = t.dst.(!chosen) in
+        if u <> sink && u <> source && pos.(u) >= 0 then begin
+          (* internal cycle through [pe] and the walk from pos.(u): cancel
+             its bottleneck *)
+          let j0 = pos.(u) in
+          let bottleneck = ref t.cap.(pe lxor 1) in
+          for j = j0 to !len - 1 do
+            let qe = path_edge.(j) in
+            if t.cap.(qe lxor 1) < !bottleneck then
+              bottleneck := t.cap.(qe lxor 1)
+          done;
+          let d = !bottleneck in
+          t.cap.(pe) <- Energy.add t.cap.(pe) d;
+          t.cap.(pe lxor 1) <- Energy.sub t.cap.(pe lxor 1) d;
+          for j = j0 to !len - 1 do
+            let qe = path_edge.(j) in
+            t.cap.(qe) <- Energy.add t.cap.(qe) d;
+            t.cap.(qe lxor 1) <- Energy.sub t.cap.(qe lxor 1) d
+          done;
+          (* truncate the walk back to u and continue from there; the
+             current vertex sits at path_vert.(!len) and must be unmarked
+             too *)
+          for j = j0 + 1 to !len do
+            pos.(path_vert.(j)) <- -1
+          done;
+          len := j0;
+          w := u
+        end
+        else begin
+          path_edge.(!len) <- pe;
+          incr len;
+          if u <> sink && u <> source then begin
+            pos.(u) <- !len;
+            path_vert.(!len) <- u
+          end;
+          w := u
+        end
+      end
+    done;
+    (* cancel the terminal walk together with [e] itself *)
+    let bottleneck = ref need in
+    for j = 0 to !len - 1 do
+      let pe = path_edge.(j) in
+      if t.cap.(pe lxor 1) < !bottleneck then bottleneck := t.cap.(pe lxor 1)
+    done;
+    let d = !bottleneck in
+    for j = 0 to !len - 1 do
+      let pe = path_edge.(j) in
+      t.cap.(pe) <- Energy.add t.cap.(pe) d;
+      t.cap.(pe lxor 1) <- Energy.sub t.cap.(pe lxor 1) d
+    done;
+    t.cap.(e) <- Energy.add t.cap.(e) d;
+    t.cap.(e lxor 1) <- Energy.sub t.cap.(e lxor 1) d;
+    if !terminal = far then drained := Energy.add !drained d;
+    for j = 0 to !len - 1 do
+      pos.(path_vert.(j)) <- -1
+    done;
+    pos.(start) <- -1
+  done;
+  !drained
+
+(* Shared body of the two drains: validate every id first (nothing is
+   touched when one is bad), then cancel each edge's surplus and set its
+   capacity.  The scan pointers are reset once per call. *)
+let drain t ids c ~source ~sink ~backward ~fn =
+  if c < 0 then invalid_arg (fn ^ ": negative capacity");
+  if source < 0 || source >= t.n || sink < 0 || sink >= t.n || source = sink
+  then invalid_arg (fn ^ ": bad source/sink");
+  for k = 0 to Array.length ids - 1 do
+    let id = ids.(k) in
+    if id < 0 || id >= t.m || id mod 2 <> 0 then
+      invalid_arg (fn ^ ": bad edge id");
+    if backward && t.dst.(id) <> sink then
+      invalid_arg (fn ^ ": edge head is not the sink");
+    if (not backward) && t.dst.(id lxor 1) <> source then
+      invalid_arg (fn ^ ": edge tail is not the source")
+  done;
+  ensure_csr t;
+  Array.blit t.adj_start 0 t.walk_ptr 0 t.n;
+  let drained = ref 0 in
+  for k = 0 to Array.length ids - 1 do
+    let id = ids.(k) in
+    drained :=
+      Energy.add !drained (cancel_surplus t id c ~source ~sink ~backward);
+    t.cap.(id) <- Energy.sub c (flow_on t id);
+    t.initial_cap.(id / 2) <- c
+  done;
+  !drained
+
 let drain_even_caps t ids c ~source ~sink =
-  if c < 0 then invalid_arg "Maxflow.drain_even_caps: negative capacity";
-  if source < 0 || source >= t.n || sink < 0 || sink >= t.n || source = sink
-  then invalid_arg "Maxflow.drain_even_caps: bad source/sink";
-  Array.iter
-    (fun id ->
-      if id < 0 || id >= t.m || id mod 2 <> 0 then
-        invalid_arg "Maxflow.drain_even_caps: bad edge id";
-      if t.dst.(id lxor 1) <> source then
-        invalid_arg "Maxflow.drain_even_caps: edge tail is not the source")
-    ids;
-  ensure_csr t;
-  let n = t.n in
-  let drained = ref 0 in
-  let pos = Array.make n (-1) in
-  (* path_vert.(i) is on the walk; path_edge.(i) is the arc taken from it *)
-  let path_vert = Array.make n 0 in
-  let path_edge = Array.make n 0 in
-  let ptr = Array.copy t.adj_start in
-  let cancel_surplus e =
-    let tail = source in
-    let head = t.dst.(e) in
-    while flow_on t e > c do
-      let need = Energy.sub (flow_on t e) c in
-      (* walk from [head] until sink or the source *)
-      let len = ref 0 in
-      pos.(head) <- 0;
-      path_vert.(0) <- head;
-      let w = ref head in
-      let terminal = ref (-1) in
-      while !terminal < 0 do
-        if !w = sink || !w = tail then terminal := !w
-        else begin
-          (* next flow-carrying even arc out of !w, skipping [e] *)
-          let limit = t.adj_start.(!w + 1) in
-          let i = ref ptr.(!w) in
-          let chosen = ref (-1) in
-          while !chosen < 0 && !i < limit do
-            let e' = t.adj.(!i) in
-            if e' <> e && e' land 1 = 0 && t.cap.(e' lxor 1) > 0 then
-              chosen := e'
-            else incr i
-          done;
-          ptr.(!w) <- !i;
-          (* conservation guarantees an arc exists while surplus remains *)
-          assert (!chosen >= 0);
-          let e' = !chosen in
-          let u = t.dst.(e') in
-          if u <> sink && u <> tail && pos.(u) >= 0 then begin
-            (* internal cycle u -> ... -> w -> u: cancel its bottleneck *)
-            let j0 = pos.(u) in
-            let bottleneck = ref (t.cap.(e' lxor 1)) in
-            for j = j0 to !len - 1 do
-              let pe = path_edge.(j) in
-              if t.cap.(pe lxor 1) < !bottleneck then
-                bottleneck := t.cap.(pe lxor 1)
-            done;
-            let d = !bottleneck in
-            t.cap.(e') <- Energy.add t.cap.(e') d;
-            t.cap.(e' lxor 1) <- Energy.sub t.cap.(e' lxor 1) d;
-            for j = j0 to !len - 1 do
-              let pe = path_edge.(j) in
-              t.cap.(pe) <- Energy.add t.cap.(pe) d;
-              t.cap.(pe lxor 1) <- Energy.sub t.cap.(pe lxor 1) d
-            done;
-            (* truncate the walk back to u and continue from there; the
-               current vertex sits at path_vert.(!len) and must be
-               unmarked too *)
-            for j = j0 + 1 to !len do
-              pos.(path_vert.(j)) <- -1
-            done;
-            len := j0;
-            w := u
-          end
-          else begin
-            path_edge.(!len) <- e';
-            incr len;
-            if u <> sink && u <> tail then begin
-              pos.(u) <- !len;
-              path_vert.(!len) <- u
-            end;
-            w := u
-          end
-        end
-      done;
-      (* cancel the terminal walk together with [e] itself *)
-      let bottleneck = ref need in
-      for j = 0 to !len - 1 do
-        let pe = path_edge.(j) in
-        if t.cap.(pe lxor 1) < !bottleneck then bottleneck := t.cap.(pe lxor 1)
-      done;
-      let d = !bottleneck in
-      for j = 0 to !len - 1 do
-        let pe = path_edge.(j) in
-        t.cap.(pe) <- Energy.add t.cap.(pe) d;
-        t.cap.(pe lxor 1) <- Energy.sub t.cap.(pe lxor 1) d
-      done;
-      t.cap.(e) <- Energy.add t.cap.(e) d;
-      t.cap.(e lxor 1) <- Energy.sub t.cap.(e lxor 1) d;
-      if !terminal = sink then drained := Energy.add !drained d;
-      (* clear path marks *)
-      for j = 0 to !len - 1 do
-        pos.(path_vert.(j)) <- -1
-      done;
-      pos.(head) <- -1
-    done
-  in
-  Array.iter
-    (fun id ->
-      cancel_surplus id;
-      let flow = flow_on t id in
-      t.cap.(id) <- Energy.sub c flow;
-      t.initial_cap.(id / 2) <- c)
-    ids;
-  !drained
+  drain t ids c ~source ~sink ~backward:false ~fn:"Maxflow.drain_even_caps"
 
-(* Mirror image of [drain_even_caps] for sink-adjacent edges: the surplus
-   on an edge (v -> sink) is cancelled by walking the flow decomposition
-   BACKWARD from [v], following flow-carrying arcs into each vertex.
-   Reaching the source cancels a full source→sink path (the flow value
-   drops); reaching the sink closes a cycle through the edge (value
-   unchanged).  Internal cycles are cancelled on the spot exactly as in
-   the forward drain.  The head must be the sink for the same
-   conservation reason the forward drain requires a source tail. *)
 let drain_sink_caps t ids c ~source ~sink =
-  if c < 0 then invalid_arg "Maxflow.drain_sink_caps: negative capacity";
-  if source < 0 || source >= t.n || sink < 0 || sink >= t.n || source = sink
-  then invalid_arg "Maxflow.drain_sink_caps: bad source/sink";
-  Array.iter
-    (fun id ->
-      if id < 0 || id >= t.m || id mod 2 <> 0 then
-        invalid_arg "Maxflow.drain_sink_caps: bad edge id";
-      if t.dst.(id) <> sink then
-        invalid_arg "Maxflow.drain_sink_caps: edge head is not the sink")
-    ids;
-  ensure_csr t;
-  let n = t.n in
-  let drained = ref 0 in
-  let pos = Array.make n (-1) in
-  (* path_vert.(i) is on the walk; path_edge.(i) is the even arc whose
-     flow ENTERS path_vert.(i) (its tail is the next walk vertex) *)
-  let path_vert = Array.make n 0 in
-  let path_edge = Array.make n 0 in
-  let ptr = Array.copy t.adj_start in
-  let cancel_surplus e =
-    let head = sink in
-    let tail = t.dst.(e lxor 1) in
-    while flow_on t e > c do
-      let need = Energy.sub (flow_on t e) c in
-      (* walk from [tail] until the source or the sink *)
-      let len = ref 0 in
-      pos.(tail) <- 0;
-      path_vert.(0) <- tail;
-      let w = ref tail in
-      let terminal = ref (-1) in
-      while !terminal < 0 do
-        if !w = source || !w = head then terminal := !w
-        else begin
-          (* next flow-carrying arc INTO !w: an odd residual arc out of
-             !w with positive capacity is the reverse view of an even
-             edge carrying flow into !w.  Skip the reverse view of [e]. *)
-          let limit = t.adj_start.(!w + 1) in
-          let i = ref ptr.(!w) in
-          let chosen = ref (-1) in
-          while !chosen < 0 && !i < limit do
-            let o = t.adj.(!i) in
-            if o <> e lxor 1 && o land 1 = 1 && t.cap.(o) > 0 then
-              chosen := o
-            else incr i
-          done;
-          ptr.(!w) <- !i;
-          (* conservation guarantees an arc exists while surplus remains *)
-          assert (!chosen >= 0);
-          let pe = !chosen lxor 1 in
-          let u = t.dst.(!chosen) in
-          if u <> source && u <> head && pos.(u) >= 0 then begin
-            (* internal flow cycle u -> ... -> w -> ... -> u through [pe]
-               and the path arcs from pos.(u): cancel its bottleneck *)
-            let j0 = pos.(u) in
-            let bottleneck = ref (t.cap.(pe lxor 1)) in
-            for j = j0 to !len - 1 do
-              let qe = path_edge.(j) in
-              if t.cap.(qe lxor 1) < !bottleneck then
-                bottleneck := t.cap.(qe lxor 1)
-            done;
-            let d = !bottleneck in
-            t.cap.(pe) <- Energy.add t.cap.(pe) d;
-            t.cap.(pe lxor 1) <- Energy.sub t.cap.(pe lxor 1) d;
-            for j = j0 to !len - 1 do
-              let qe = path_edge.(j) in
-              t.cap.(qe) <- Energy.add t.cap.(qe) d;
-              t.cap.(qe lxor 1) <- Energy.sub t.cap.(qe lxor 1) d
-            done;
-            for j = j0 + 1 to !len do
-              pos.(path_vert.(j)) <- -1
-            done;
-            len := j0;
-            w := u
-          end
-          else begin
-            path_edge.(!len) <- pe;
-            incr len;
-            if u <> source && u <> head then begin
-              pos.(u) <- !len;
-              path_vert.(!len) <- u
-            end;
-            w := u
-          end
-        end
-      done;
-      (* cancel the terminal walk together with [e] itself *)
-      let bottleneck = ref need in
-      for j = 0 to !len - 1 do
-        let pe = path_edge.(j) in
-        if t.cap.(pe lxor 1) < !bottleneck then bottleneck := t.cap.(pe lxor 1)
-      done;
-      let d = !bottleneck in
-      for j = 0 to !len - 1 do
-        let pe = path_edge.(j) in
-        t.cap.(pe) <- Energy.add t.cap.(pe) d;
-        t.cap.(pe lxor 1) <- Energy.sub t.cap.(pe lxor 1) d
-      done;
-      t.cap.(e) <- Energy.add t.cap.(e) d;
-      t.cap.(e lxor 1) <- Energy.sub t.cap.(e lxor 1) d;
-      if !terminal = source then drained := Energy.add !drained d;
-      for j = 0 to !len - 1 do
-        pos.(path_vert.(j)) <- -1
-      done;
-      pos.(tail) <- -1
-    done
-  in
-  Array.iter
-    (fun id ->
-      cancel_surplus id;
-      let flow = flow_on t id in
-      t.cap.(id) <- Energy.sub c flow;
-      t.initial_cap.(id / 2) <- c)
-    ids;
-  !drained
+  drain t ids c ~source ~sink ~backward:true ~fn:"Maxflow.drain_sink_caps"
 
-let min_cut_side t ~source =
+(* ------------------------------------------------------------------ *)
+(* Cuts                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let min_cut_into t ~source side =
+  if Array.length side < t.n then
+    invalid_arg "Maxflow.min_cut_into: side shorter than the vertex count";
   ensure_csr t;
-  let side = Array.make t.n false in
+  Array.fill side 0 t.n false;
   let q = t.queue in
   q.(0) <- source;
   side.(source) <- true;
@@ -642,5 +560,29 @@ let min_cut_side t ~source =
         incr tail
       end
     done
-  done;
+  done
+
+let min_cut_side t ~source =
+  let side = Array.make t.n false in
+  min_cut_into t ~source side;
   side
+
+let capacity t id =
+  if id < 0 || id >= t.m || id mod 2 <> 0 then
+    invalid_arg "Maxflow.capacity: bad edge id";
+  t.initial_cap.(id / 2)
+
+let cut_capacity t side =
+  ensure_csr t;
+  let len = Array.length side in
+  let total = ref 0 in
+  for v = 0 to min len t.n - 1 do
+    if side.(v) then
+      for i = t.adj_start.(v) to t.adj_start.(v + 1) - 1 do
+        let e = t.adj.(i) in
+        let w = t.dst.(e) in
+        if e land 1 = 0 && not (w < len && side.(w)) then
+          total := Energy.add !total t.initial_cap.(e / 2)
+      done
+  done;
+  !total

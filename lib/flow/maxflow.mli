@@ -18,7 +18,16 @@
     The engine is push-relabel with highest-label selection, the gap
     heuristic and periodic global relabeling.  It leaves a valid maximum
     {e flow} (not a preflow), so {!flow_on}, warm restarts and cut
-    extraction read a real flow. *)
+    extraction read a real flow.
+
+    Allocation: the arena owns every scratch array its algorithms use.
+    {!create} allocates, growth ({!add_vertex}, {!add_edge}) allocates
+    when an array doubles, and so does the first {!max_flow}, drain or
+    cut call after new edges when the adjacency index outgrew its array.
+    {!min_cut_side} allocates its result.  Otherwise {!set_even_caps},
+    both drains, {!min_cut_into}, {!capacity} and {!cut_capacity}
+    allocate nothing, and {!max_flow} only the few words that publishing
+    its metrics takes. *)
 
 type t
 
@@ -90,4 +99,21 @@ val min_cut_side : t -> source:int -> bool array
     in the residual network).  This is the unique {e minimal} source side,
     identical for every maximum flow — so any other max-flow solver
     yields the same set, which the differential tests rely on.  Certifies
-    optimality in tests. *)
+    optimality in tests.  Allocates the result; {!min_cut_into} is the
+    same scan into a caller-owned buffer. *)
+
+val min_cut_into : t -> source:int -> bool array -> unit
+(** [min_cut_into t ~source side] writes {!min_cut_side} into
+    [side.(0 .. n-1)] and leaves the rest of [side] untouched.  Raises
+    [Invalid_argument] if [side] is shorter than {!n_vertices}. *)
+
+val capacity : t -> int -> int
+(** The capacity most recently set on an even edge id (at {!add_edge},
+    {!set_even_caps} or a drain), not its residual. *)
+
+val cut_capacity : t -> bool array -> int
+(** [cut_capacity t side] sums {!capacity} over the edges from a vertex
+    with [side.(v)] to one without it; vertices at or past
+    [Array.length side] count as outside.  When [side] holds the source
+    and not the sink, this bounds the value of every flow on the current
+    capacities (weak duality), whatever flow is routed now. *)

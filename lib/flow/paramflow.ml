@@ -1,18 +1,24 @@
-(* Parametric max-flow driver in the Gallo–Grigoriadis–Tarjan mold: all
-   source-adjacent edges carry one integer parameter [u] as their
-   capacity, and the min-cut value F(u) is a concave piecewise-linear
-   function whose slope at [u] is the number of source edges crossing the
-   min cut.  Because the sweep over [u] is monotone and the arena retains
-   its flow between probes, the sweep costs about one flow computation —
-   each probe only augments the delta its capacity raise opened up, and
-   the discrete-Newton jump rule visits at most one level per distinct
-   cut slope.
+(* Parametric max-flow driver in the Gallo–Grigoriadis–Tarjan mold: the
+   parametric source-adjacent edges carry one integer parameter [u] as
+   their capacity, and the min-cut value F(u) is a concave
+   piecewise-linear function whose slope at [u] is the number of
+   parametric edges crossing the min cut.  Because the sweep over [u] is
+   monotone and the arena retains its flow between probes, the sweep
+   costs about one flow computation — each probe only augments the delta
+   its capacity raise opened up, and the discrete-Newton jump rule visits
+   at most one level per distinct cut slope.
 
    [solve] finds the minimal level with F(u) = target (the supply search
-   of [Transport.min_uniform_supply]).  [grow] re-targets the driver
-   after the caller added suppliers/links to the same arena: the routed
-   flow is kept, and the next [solve] re-normalizes with a drain instead
-   of recomputing from scratch. *)
+   of [Transport.min_uniform_supply]).  Any s–t cut C bounds F from above
+   on the current arena, F(u) <= c_C + k_C·u, so it bounds that level
+   from below; the sweep starts at the best bound among the trivial cut
+   {source} and the last cut a probe found below the target, and Newton
+   from below then lands on the same minimal level wherever it starts.
+   [grow], [retarget] and [patch_sink_cap] keep the routed flow and the
+   recorded cut ([retarget] and [patch_sink_cap] the level too), so a
+   re-solve after a small delta pays only for the levels it has to probe
+   — none when the retained flow already routes the target at a level
+   the bound reaches. *)
 
 let m_probes = Metrics.counter "paramflow.probes"
 
@@ -26,10 +32,15 @@ type t = {
   mutable level : int; (* uniform capacity on src_edges; -1 = mixed *)
   mutable answer : int option;
   mutable solved : bool;
+  trivial : bool array; (* the cut {source} *)
+  mutable cut : bool array;
+      (* source side of the last cut probed below the target; vertices at
+         or past its recorded length count as outside *)
 }
 
 let create ~net ~source ~sink ~src_edges ~target =
   if target < 0 then invalid_arg "Paramflow.create: negative target";
+  let trivial = Array.init (source + 1) (fun v -> v = source) in
   {
     net;
     source;
@@ -40,20 +51,33 @@ let create ~net ~source ~sink ~src_edges ~target =
     level = -1;
     answer = None;
     solved = false;
+    trivial;
+    cut = Array.copy trivial;
   }
 
 let target t = t.target
 let solved t = t.solved
 
-(* Slope of the min-cut line at the current state: the number of source
-   edges crossing the cut (head outside the residually-reachable side). *)
-let cut_slope t =
-  let side = Maxflow.min_cut_side t.net ~source:t.source in
-  let k = ref 0 in
-  Array.iter
-    (fun e -> if not side.(Maxflow.edge_dst t.net e) then incr k)
-    t.src_edges;
-  !k
+(* The least level at which cut [side] lets F reach the target, read on
+   the current arena: its capacity is c + k·u, where k counts the
+   parametric edges leaving [side] and c every other edge leaving it
+   (non-parametric source edges included).  [max_int] when k = 0 and
+   c < target: the cut caps F below the target at every level. *)
+let cut_floor t side =
+  let len = Array.length side in
+  let c = ref (Maxflow.cut_capacity t.net side) and k = ref 0 in
+  for i = 0 to Array.length t.src_edges - 1 do
+    let e = t.src_edges.(i) in
+    let v = Maxflow.edge_dst t.net e in
+    if not (v < len && side.(v)) then begin
+      incr k;
+      c := Energy.sub !c (Maxflow.capacity t.net e)
+    end
+  done;
+  let deficit = t.target - !c in
+  if deficit <= 0 then 0
+  else if !k = 0 then max_int
+  else (deficit + !k - 1) / !k
 
 let move_to t u =
   if t.level <> u then begin
@@ -68,39 +92,40 @@ let move_to t u =
 let probe_here t =
   Metrics.incr m_probes;
   let inc = Maxflow.max_flow t.net ~source:t.source ~sink:t.sink in
-  t.routed <- Energy.add t.routed inc;
-  t.routed
+  t.routed <- Energy.add t.routed inc
+
+(* Record the minimal min cut of the flow just probed. *)
+let record_cut t =
+  let n = Maxflow.n_vertices t.net in
+  if Array.length t.cut < n then t.cut <- Array.make (2 * n) false;
+  Maxflow.min_cut_into t.net ~source:t.source t.cut
+
+(* Newton from below: probe [u]; below the target, the probed min cut
+   (F(u) = c + k·u) names the least level it allows, strictly above
+   [u]. *)
+let rec sweep t u =
+  move_to t u;
+  probe_here t;
+  if t.routed = t.target then Some u
+  else begin
+    record_cut t;
+    let next = cut_floor t t.cut in
+    if next = max_int then None else sweep t next
+  end
 
 let solve t =
   if t.solved then t.answer
   else begin
-    let s = Array.length t.src_edges in
     let result =
       if t.target = 0 then Some 0
-      else if s = 0 then None
       else begin
-        (* the all-source-edges cut gives F(u) <= s*u, so any feasible
-           level is at least ceil(target / s) — jump straight there *)
-        move_to t ((t.target + s - 1) / s);
-        let res = ref None and finished = ref false in
-        while not !finished do
-          let value = probe_here t in
-          let k = cut_slope t in
-          if value = t.target then begin
-            res := Some t.level;
-            finished := true
-          end
-          else if k = 0 then begin
-            (* a cut of constant capacity < target: no finite level *)
-            res := None;
-            finished := true
-          end
-          else begin
-            let deficit = t.target - value in
-            move_to t (t.level + ((deficit + k - 1) / k))
-          end
-        done;
-        !res
+        let floor = max (cut_floor t t.trivial) (cut_floor t t.cut) in
+        if floor = max_int then None
+        else if t.level >= 0 && t.routed = t.target && floor >= t.level then
+          (* the retained flow routes the target at [t.level], so the
+             answer is at most that; the cut bound says at least *)
+          Some t.level
+        else sweep t floor
       end
     in
     t.answer <- result;
@@ -125,8 +150,8 @@ let retarget t ~target =
    below the edge's current flow cancels the surplus along the flow
    decomposition and the routed value drops accordingly.  Either way the
    cached answer describes the old network and is dropped; the sweep
-   level and retained flow survive, so the next [solve] is a warm
-   re-sweep. *)
+   level, retained flow and recorded cut survive, so the next [solve] is
+   a warm re-sweep. *)
 let patch_sink_cap t edge c =
   if Maxflow.flow_on t.net edge > c then begin
     let d =

@@ -1,20 +1,31 @@
 (** Parametric max-flow in the Gallo–Grigoriadis–Tarjan mold.
 
-    A driver for flow networks whose source-adjacent edges all carry one
-    integer parameter [u] as their capacity.  The max-flow/min-cut value
-    [F u] is then concave, piecewise linear and non-decreasing in [u]; the
-    slope of the piece at [u] is the number of source edges crossing the
-    minimum cut.  Because the sweep over [u] is monotone and the
-    {!Maxflow} arena keeps its flow between probes, the sweep costs
-    roughly {e one} flow computation: each probe augments only the delta
-    opened by its capacity raise, and the discrete-Newton jump rule
-    touches at most one level per distinct cut slope.
+    A driver for flow networks whose {e parametric} source-adjacent edges
+    all carry one integer parameter [u] as their capacity; any other
+    edge, a fixed-capacity source edge included, keeps the capacity the
+    caller gave it.  The max-flow/min-cut value [F u] is then concave,
+    piecewise linear and non-decreasing in [u]; the slope of the piece at
+    [u] is the number of parametric edges crossing the minimum cut.
+    Because the sweep over [u] is monotone and the {!Maxflow} arena keeps
+    its flow between probes, the sweep costs roughly {e one} flow
+    computation: each probe augments only the delta opened by its
+    capacity raise, and the discrete-Newton jump rule touches at most one
+    level per distinct cut slope.
+
+    Every s–t cut [C] of the arena bounds the answer from below: its
+    capacity is [c_C + k_C·u], with [k_C] the parametric edges leaving
+    [C] and [c_C] every other edge leaving it, and no flow exceeds it.
+    The driver keeps the source side of the last cut a probe found below
+    the target and evaluates it on the arena as it is at the next solve
+    (vertices added since count as outside), so the bound survives every
+    patch, retarget and growth.
 
     This is the engine behind [Transport.min_uniform_supply]: the supply
     search asks for the minimal [u] with [F u = target], where [u] counts
-    steps of the transport's fixed LP grid, and the oracle's radius scan
-    re-asks after growing the network — which {!grow} turns into a warm
-    re-sweep instead of a recomputation. *)
+    steps of the transport's fixed LP grid; a streamed demand change is a
+    sink-edge patch plus {!retarget}, and the oracle's radius scan
+    re-asks after growing the network ({!grow}) — each a warm re-solve
+    instead of a recomputation. *)
 
 type t
 
@@ -28,34 +39,53 @@ val create :
 (** [create ~net ~source ~sink ~src_edges ~target] wraps an arena whose
     parametric (source-adjacent, even) edge ids are [src_edges].  The
     arena must carry no flow yet; the driver takes ownership of the
-    source-edge capacities.  [target] is the flow value that counts as
-    feasible (in the transport reduction: total scaled demand). *)
+    parametric capacities.  [target] is the flow value that counts as
+    feasible, and no level may route more (in the transport reduction:
+    the total scaled demand, which is the sink-edge capacity). *)
 
 val target : t -> int
 
 val solve : t -> int option
 (** The minimal integer level [u] with [F u = target], or [None] when no
-    finite level reaches the target (a cut of slope 0 and constant
-    capacity below [target] exists).  The first call runs the monotone
-    sweep; later calls return the cached answer.  After {!grow}, the next
-    call re-normalizes the retained flow with a drain and re-sweeps. *)
+    finite level reaches the target (a cut with no parametric edge and a
+    capacity below [target] exists).  A later call without a change in
+    between returns the cached answer.
+
+    A solve starts at the larger of two cut bounds: the trivial cut
+    [{source}] (⌈target/s⌉ for [s] parametric edges when every source
+    edge is parametric) and the last cut a probe found below the target.
+    If the retained flow already routes the target at the current
+    uniform level and that bound reaches the level, the level is the
+    answer and no max-flow runs (the {e certificate}: the flow bounds the
+    answer from above, the cut from below).  Otherwise the sweep moves
+    every parametric edge to the bound — a drain when it lies below the
+    level — and climbs by discrete Newton: each probe is one warm
+    {!Maxflow.max_flow}; a probe that reaches the target ends the sweep,
+    and one that does not records its minimal min cut, whose bound is the
+    next level.  Newton from any start at or below the answer lands on
+    the same minimal level, so the answer never depends on the warm
+    state. *)
 
 val solved : t -> bool
-(** Whether {!solve} has already run since creation or the last {!grow} —
+(** Whether {!solve} has already run since creation or the last change —
     i.e. whether the next {!solve} is a pure lookup. *)
 
 val grow : t -> src_edges:int array -> unit
 (** Replace the parametric edge set after the caller added vertices,
     suppliers or links to the same arena ([src_edges] is the {e full} new
-    id set).  The routed flow and the answer-so-far are kept in the arena;
-    the cached answer is dropped, and the next {!solve} extends the old
-    flow instead of starting over. *)
+    id set).  The routed flow and the recorded cut are kept; the cached
+    answer is dropped, and the level counts as mixed (new parametric
+    edges may sit below it), so the next {!solve} cannot use the
+    certificate: it drains every parametric edge to its start bound and
+    extends the old flow instead of starting over. *)
 
 val retarget : t -> target:int -> unit
 (** Change the feasibility target after the caller patched the demand
-    side of the arena.  The routed flow and sweep level are kept; the
-    cached answer is dropped, so the next {!solve} re-sweeps warm from
-    wherever the last one stopped. *)
+    side of the arena.  The routed flow, level and recorded cut are kept
+    and the cached answer is dropped, so the next {!solve} starts from
+    the cut bound on the new target — or answers the retained level
+    outright when the certificate holds (a lowered target the flow still
+    routes, with the cut bound unchanged). *)
 
 val patch_sink_cap : t -> int -> int -> unit
 (** [patch_sink_cap t edge c] sets the capacity of the (even,
@@ -63,5 +93,5 @@ val patch_sink_cap : t -> int -> int -> unit
     the routed flow; lowering below the edge's current flow cancels the
     surplus along the flow decomposition ({!Maxflow.drain_sink_caps}).
     Invalidate-only for the cached answer: it is dropped, the retained
-    flow and sweep level survive.  This is the streamed-demand delta path
-    of [Transport.set_demand]. *)
+    flow, level and recorded cut survive.  This is the streamed-demand
+    delta path of [Transport.set_demand]. *)

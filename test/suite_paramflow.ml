@@ -51,9 +51,76 @@ let test_answer_matches_exhaustive_dual () =
     end
   done
 
+(* A hand-built arena with a fixed-capacity source edge beside the
+   parametric ones: suppliers a, b are parametric, supplier c has a
+   fixed capacity of 3; site x is reachable from a and b, site y from b
+   and c.  The sweep's lower bounds must count the fixed edge wherever it
+   leaves a cut — the trivial cut {source} included — or they overshoot
+   the minimal level (at demands 4 and 5 the answer is 3, where the
+   parametric edges alone would claim ⌈9/2⌉ = 5).  Each pair of demands
+   is a warm re-solve from the previous pair's flow, level and cut;
+   halfway through, a parametric supplier d is grown onto x, so the
+   recorded cut meets a vertex added after it, and the first solve after
+   the growth starts at the old level with d's edge still at 0.  Every
+   answer is checked against a least-level scan of fresh reference
+   solves. *)
+let test_fixed_source_edge () =
+  let src = 0 and snk = 1 and a = 2 and b = 3 and c = 4 and x = 5 and y = 6 in
+  let fixed = 3 and big = 100 in
+  let net = Maxflow.create 7 in
+  let param v = Maxflow.add_edge net ~src ~dst:v ~cap:0 in
+  let link (u, v) = ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:big) in
+  let pa = param a and pb = param b in
+  ignore (Maxflow.add_edge net ~src ~dst:c ~cap:fixed);
+  let links = ref [ (a, x); (b, x); (b, y); (c, y) ] in
+  List.iter link !links;
+  let ex = Maxflow.add_edge net ~src:x ~dst:snk ~cap:0 in
+  let ey = Maxflow.add_edge net ~src:y ~dst:snk ~cap:0 in
+  let params = ref [ a; b ] in
+  let pf =
+    Paramflow.create ~net ~source:src ~sink:snk ~src_edges:[| pa; pb |]
+      ~target:0
+  in
+  let least_level dx dy =
+    let target = dx + dy in
+    let routes u =
+      let edges =
+        [ (src, c, fixed); (x, snk, dx); (y, snk, dy) ]
+        @ List.map (fun v -> (src, v, u)) !params
+        @ List.map (fun (p, q) -> (p, q, big)) !links
+      in
+      let n = Maxflow.n_vertices net in
+      fst (Reference.max_flow ~n ~edges ~source:src ~sink:snk) = target
+    in
+    let rec scan u = if routes u then u else scan (u + 1) in
+    scan 0
+  in
+  let solve_at (dx, dy) =
+    Paramflow.patch_sink_cap pf ex dx;
+    Paramflow.patch_sink_cap pf ey dy;
+    Paramflow.retarget pf ~target:(dx + dy);
+    Alcotest.(check (option int))
+      (Printf.sprintf "demands %d, %d (%d parametric)" dx dy
+         (List.length !params))
+      (Some (least_level dx dy))
+      (Paramflow.solve pf)
+  in
+  List.iter solve_at
+    [ (4, 5); (4, 8); (4, 2); (9, 2); (9, 1); (1, 1); (0, 3); (6, 6); (5, 6) ];
+  let d = Maxflow.add_vertex net in
+  let pd = param d in
+  link (d, x);
+  links := (d, x) :: !links;
+  params := d :: !params;
+  Paramflow.grow pf ~src_edges:[| pa; pb; pd |];
+  List.iter solve_at
+    [ (9, 6); (5, 6); (9, 2); (12, 0); (2, 9); (3, 9); (0, 0); (7, 4) ]
+
 let suite =
   [
     Alcotest.test_case "degenerate solves" `Quick test_degenerate_solves;
+    Alcotest.test_case "fixed-capacity source edge" `Quick
+      test_fixed_source_edge;
     Alcotest.test_case "answer matches exhaustive dual" `Quick
       test_answer_matches_exhaustive_dual;
   ]

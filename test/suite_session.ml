@@ -78,6 +78,72 @@ let test_delta_probe_bound () =
     true
     (pr <= 8 * brackets)
 
+(* The zero-probe certificate: removing a job outside the binding set
+   lowers the target by exactly what the retained flow loses, and the cut
+   the last solve probed still bounds the answer at the retained level,
+   so every bracket re-solves without a max-flow run (a sweep from the
+   trivial bound ⌈target/s⌉ would take 4 probes here).  Each bracket
+   still counts one unsolved feasibility check. *)
+let test_certificate_skips_probes () =
+  let s = Oracle.Session.create (Demand_map.empty 2) in
+  for _ = 1 to 6 do
+    Oracle.Session.add_job s (point2 0 0)
+  done;
+  Oracle.Session.add_job s (point2 4 4);
+  Oracle.Session.add_job s (point2 4 4);
+  Alcotest.(check (float 1e-12))
+    "first query" 1.2
+    (Oracle.Session.omega_star s);
+  Oracle.Session.remove_job s (point2 4 4);
+  let fc0 = Metrics.count m_fc and pr0 = Metrics.count m_probes in
+  let v = Oracle.Session.omega_star s in
+  let fc = Metrics.count m_fc - fc0 and pr = Metrics.count m_probes - pr0 in
+  Alcotest.(check (float 1e-12)) "ω* after the removal" 1.2 v;
+  Alcotest.(check bool) "equal to the one-shot oracle" true
+    (Float.equal v (Oracle.omega_star (Oracle.Session.demand s)));
+  Alcotest.(check int) "no probe" 0 pr;
+  Alcotest.(check int) "one feasibility check per bracket"
+    (int_of_float (Float.floor v) + 1)
+    fc
+
+(* The stream-churn shape (6×6 box, 48–64 live unit jobs, an add or a
+   remove then a query per event) held to an allocation budget once warm:
+   the drains, cut scans and sweeps allocate nothing, so what is left is
+   the session's demand map and bracket scan. *)
+let test_event_allocation () =
+  let side = 6 and max_live = 64 and min_live = 48 in
+  let rng = Rng.create 5 in
+  let s = Oracle.Session.create (Demand_map.empty 2) in
+  let live = Array.make max_live [||] and n = ref 0 in
+  let event () =
+    if !n >= max_live || (!n > min_live && Rng.int rng 2 = 0) then begin
+      let k = Rng.int rng !n in
+      let p = live.(k) in
+      live.(k) <- live.(!n - 1);
+      decr n;
+      Oracle.Session.remove_job s p
+    end
+    else begin
+      let p = point2 (Rng.int rng side) (Rng.int rng side) in
+      live.(!n) <- p;
+      incr n;
+      Oracle.Session.add_job s p
+    end;
+    ignore (Oracle.Session.omega_star s)
+  in
+  for _ = 1 to 2_000 do
+    event ()
+  done;
+  let events = 2_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to events do
+    event ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per event (at most 600)" words)
+    true (words <= 600.0)
+
 let run_trace ~seed ~events ~side ~witness_every =
   let rng = Rng.create seed in
   let s = Oracle.Session.create (Demand_map.empty 2) in
@@ -117,7 +183,7 @@ let run_trace ~seed ~events ~side ~witness_every =
     end;
     if e mod witness_every = 0 && !n_live > 0 then begin
       match Oracle.Session.witness s with
-      | None -> () (* 1/scale resolution too coarse: allowed *)
+      | None -> () (* the LP grid is too coarse to separate: allowed *)
       | Some (pts, w) ->
           let dm = Oracle.Session.demand s in
           List.iter
@@ -170,6 +236,9 @@ let suite =
     Alcotest.test_case "golden trace" `Quick test_golden_trace;
     Alcotest.test_case "remove absent raises" `Quick test_remove_absent_raises;
     Alcotest.test_case "delta probe bound" `Quick test_delta_probe_bound;
+    Alcotest.test_case "certificate skips probes" `Quick
+      test_certificate_skips_probes;
+    Alcotest.test_case "event allocation" `Quick test_event_allocation;
     QCheck_alcotest.to_alcotest prop_trace_bit_identical;
     Alcotest.test_case "dense trace" `Slow test_dense_trace;
     Alcotest.test_case "session metrics" `Quick test_session_metrics;

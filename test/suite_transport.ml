@@ -195,6 +195,72 @@ let copy_instance t =
       Transport.add_link c ~supplier ~demand);
   c
 
+(* Warm re-solves on one cached arena through every delta a session or
+   the radius scan makes — demand raises, lowerings, drops to 0 and
+   revivals, new demand sites, suppliers and links — must answer exactly
+   what a cold solve of a fresh copy answers.  The warm start (last
+   probed cut, retained flow and level) may only move where the sweep
+   begins, never where it ends. *)
+let prop_warm_deltas_match_cold =
+  QCheck.Test.make ~name:"warm re-solves under random deltas = cold solve"
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let t = random_instance rng in
+      (* link every demand so most queries reach the parametric sweep *)
+      for j = 0 to Transport.n_demands t - 1 do
+        Transport.add_link t
+          ~supplier:(Rng.int rng (Transport.n_suppliers t))
+          ~demand:j
+      done;
+      let ops = 50 + Rng.int rng 51 in
+      for step = 1 to ops do
+        let s = Transport.n_suppliers t and d = Transport.n_demands t in
+        let j = Rng.int rng d in
+        let v = Transport.demand t j in
+        match Rng.int rng 10 with
+        | 0 -> Transport.set_demand t j (v + 1 + Rng.int rng 3)
+        | 1 -> Transport.set_demand t j (max 0 (v - 1 - Rng.int rng 2))
+        | 2 -> Transport.set_demand t j 0
+        | 3 -> (
+            (* revive the first retired site at or after [j] *)
+            let rec retired k =
+              if k = d then None
+              else if Transport.demand t ((j + k) mod d) = 0 then
+                Some ((j + k) mod d)
+              else retired (k + 1)
+            in
+            match retired 0 with
+            | Some r -> Transport.set_demand t r (1 + Rng.int rng 4)
+            | None -> ())
+        | 4 ->
+            let j' = Transport.add_demand t in
+            Transport.add_link t ~supplier:(Rng.int rng s) ~demand:j';
+            Transport.set_demand t j' (Rng.int rng 5)
+        | 5 ->
+            let i = Transport.add_supplier t in
+            for k = 0 to d - 1 do
+              if Rng.int rng 3 = 0 then
+                Transport.add_link t ~supplier:i ~demand:k
+            done
+        | 6 -> Transport.add_link t ~supplier:(Rng.int rng s) ~demand:j
+        | _ -> (
+            let warm = Transport.min_uniform_supply t in
+            let cold = Transport.min_uniform_supply (copy_instance t) in
+            match (warm, cold) with
+            | Some a, Some b when Float.equal a b -> ()
+            | None, None -> ()
+            | _ ->
+                let show = function
+                  | Some v -> Printf.sprintf "%.17g" v
+                  | None -> "None"
+                in
+                QCheck.Test.fail_reportf "seed %d, op %d: warm %s <> cold %s"
+                  seed step (show warm) (show cold))
+      done;
+      true)
+
 let test_empty_fast_path () =
   (* Zero total demand short-circuits before any arena is built: the
      answer is [Some 0.] and no flow runs. *)
@@ -324,5 +390,6 @@ let suite =
       test_cached_lookup_counters;
     Alcotest.test_case "warm extension matches fresh" `Quick
       test_extension_matches_fresh;
+    QCheck_alcotest.to_alcotest prop_warm_deltas_match_cold;
     QCheck_alcotest.to_alcotest prop_witness_matches_reference;
   ]
