@@ -87,56 +87,49 @@ let lp_value ~radius dm =
   end
   else lp_value_of_inst (build_instance dm ~radius)
 
+(* The bracket scan of [omega_star] and [witness]; [after b] runs once
+   each bracket is solved.  In bracket m the admissible radius is m and
+   the minimal capacity is lp_value m.  The incremental builder carries
+   the radius-m instance into bracket m+1 as a delta, and the
+   transport's cached Paramflow sweep carries its flow along: each lp
+   call costs one warm re-sweep, not a fresh search. *)
+let scan dm ~after =
+  Metrics.time m_omega_star (fun () ->
+      let b = builder_create dm in
+      Omega.scan_brackets (fun m ->
+          Metrics.incr m_radius_brackets;
+          builder_to_radius b m;
+          let v = lp_value_of_inst b.b_inst in
+          after b;
+          v))
+
 let omega_star dm =
-  if Demand_map.total dm = 0 then 0.0
-  else
-    Metrics.time m_omega_star (fun () ->
-        (* In bracket m the admissible radius is m and the minimal
-           capacity is lp_value m.  The incremental builder carries the
-           radius-m instance into bracket m+1 as a delta — and because
-           every bracket queries the same Transport instance, the
-           transport's cached parametric driver (Paramflow) carries its
-           flow across brackets too: each lp call costs one warm
-           re-sweep, not a fresh supply search. *)
-        let b = builder_create dm in
-        Omega.scan_brackets (fun m ->
-            Metrics.incr m_radius_brackets;
-            builder_to_radius b m;
-            lp_value_of_inst b.b_inst))
+  if Demand_map.total dm = 0 then 0.0 else scan dm ~after:ignore
 
 let lower_bound_woff = omega_star
 
 let witness dm =
   if Demand_map.total dm = 0 then None
   else begin
-    let star = omega_star dm in
-    let m = int_of_float (Float.floor star) in
-    (* If ω* sits strictly inside the bracket [m, m+1), the binding
-       constraint is the radius-m transport; if ω* = m exactly, it is the
-       bracket floor and the violator lives at radius m-1 and supply just
-       below m (the previous bracket is infeasible throughout).  Both
-       bracket configurations are probed (through the Domain pool when
-       workers are available); the binding one is preferred and the other
-       serves as a fallback when the LP grid is too coarse. *)
-    let configs =
-      if star > float_of_int m +. 1e-9 || m = 0 then [| (m, star) |]
-      else [| (m - 1, float_of_int m); (m, star) |]
+    (* The tight sets of the last two brackets, each read off the cut
+       that set its LP value. *)
+    let prev = ref [] and last = ref [] in
+    let star =
+      scan dm ~after:(fun b ->
+          prev := !last;
+          last :=
+            List.map
+              (fun j -> b.b_support.(j))
+              (Transport.binding_demands b.b_inst))
     in
-    let try_config (radius, below) =
-      let b = builder_at dm ~radius in
-      match Transport.hall_violator b.b_inst ~below with
-      | None -> None (* grid too coarse to exhibit infeasibility *)
-      | Some demand_indices ->
-          let points = List.map (fun j -> b.b_support.(j)) demand_indices in
-          let total =
-            List.fold_left (fun acc p -> acc + Demand_map.value dm p) 0 points
-          in
-          Some (points, Omega.of_points points ~total)
+    (* ω* strictly inside [m, m+1) is bracket m's LP value; ω* = m >= 1 is
+       bracket m's floor, and bracket m − 1, infeasible below m, holds the
+       set. *)
+    let points = if star > Float.floor star then !last else !prev in
+    let total =
+      List.fold_left (fun acc p -> acc + Demand_map.value dm p) 0 points
     in
-    let results = Pool.map try_config configs in
-    Array.fold_left
-      (fun acc r -> match acc with Some _ -> acc | None -> r)
-      None results
+    Some (points, Omega.of_points points ~total)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -245,6 +238,4 @@ module Session = struct
       s.s_dirty <- false
     end;
     s.s_value
-
-  let witness s = witness s.s_dm
 end

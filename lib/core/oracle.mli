@@ -42,13 +42,15 @@ val lower_bound_woff : Demand_map.t -> float
 (** Synonym of {!omega_star}: Corollary 2.2.4, [Woff >= ω*]. *)
 
 val witness : Demand_map.t -> (Point.t list * float) option
-(** A tight set for program (2.8): demand positions [T] whose [ω_T]
-    matches {!omega_star} up to the LP grid, extracted from a minimum cut
-    of the transport at the grid level just below [ω*]
-    ({!Transport.hall_violator}).  [ω_T] is computed exactly, so it can
-    sit below an [ω*] that the grid rounded up.  [None] for empty demand,
-    and also when the grid is too coarse to exhibit infeasibility.  This
-    is the certificate the duality proof of Lemma 2.2.3 promises. *)
+(** A tight set for program (2.8): demand positions [T] together with
+    [ω_T], computed exactly by {!Omega.of_points}.  The bracket scan is
+    {!omega_star}'s own, run once: [T] is read off the cut that set the
+    binding bracket's LP value ({!Transport.binding_demands}) — bracket
+    [m] when [ω*] lies strictly inside [\[m, m+1)], bracket [m − 1] when
+    [ω* = m].  No max-flow runs beyond the scan's.  [ω_T] equals [ω*]
+    whenever the grid resolves the optimum, and otherwise lies less than
+    one grid step below it.  [None] only for empty demand.  This is the
+    certificate the duality proof of Lemma 2.2.3 promises. *)
 
 (** Streaming oracle sessions: jobs arrive and retire one at a time and
     [ω*] is maintained incrementally instead of recomputed from scratch.
@@ -89,8 +91,4 @@ module Session : sig
 
   val demand : t -> Demand_map.t
   (** The live demand snapshot (immutable). *)
-
-  val witness : t -> (Point.t list * float) option
-  (** Tight-set certificate for the current demand; delegates to the
-      stateless {!Oracle.witness}. *)
 end

@@ -562,11 +562,6 @@ let min_cut_into t ~source side =
     done
   done
 
-let min_cut_side t ~source =
-  let side = Array.make t.n false in
-  min_cut_into t ~source side;
-  side
-
 let capacity t id =
   if id < 0 || id >= t.m || id mod 2 <> 0 then
     invalid_arg "Maxflow.capacity: bad edge id";

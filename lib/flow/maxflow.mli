@@ -24,10 +24,9 @@
     {!create} allocates, growth ({!add_vertex}, {!add_edge}) allocates
     when an array doubles, and so does the first {!max_flow}, drain or
     cut call after new edges when the adjacency index outgrew its array.
-    {!min_cut_side} allocates its result.  Otherwise {!set_even_caps},
-    both drains, {!min_cut_into}, {!capacity} and {!cut_capacity}
-    allocate nothing, and {!max_flow} only the few words that publishing
-    its metrics takes. *)
+    Otherwise {!set_even_caps}, both drains, {!min_cut_into}, {!capacity}
+    and {!cut_capacity} allocate nothing, and {!max_flow} only the few
+    words that publishing its metrics takes. *)
 
 type t
 
@@ -94,18 +93,14 @@ val drain_sink_caps : t -> int array -> int -> source:int -> sink:int -> int
 
 val n_vertices : t -> int
 
-val min_cut_side : t -> source:int -> bool array
-(** After [max_flow], the source side of a minimum cut (vertices reachable
-    in the residual network).  This is the unique {e minimal} source side,
-    identical for every maximum flow — so any other max-flow solver
-    yields the same set, which the differential tests rely on.  Certifies
-    optimality in tests.  Allocates the result; {!min_cut_into} is the
-    same scan into a caller-owned buffer. *)
-
 val min_cut_into : t -> source:int -> bool array -> unit
-(** [min_cut_into t ~source side] writes {!min_cut_side} into
-    [side.(0 .. n-1)] and leaves the rest of [side] untouched.  Raises
-    [Invalid_argument] if [side] is shorter than {!n_vertices}. *)
+(** After [max_flow], [min_cut_into t ~source side] writes the source side
+    of a minimum cut (the vertices reachable in the residual network) into
+    [side.(0 .. n-1)] and leaves the rest of [side] untouched.  This is
+    the unique {e minimal} source side, identical for every maximum flow
+    — so any other max-flow solver yields the same set, which the
+    differential tests rely on.  Raises [Invalid_argument] if [side] is
+    shorter than {!n_vertices}. *)
 
 val capacity : t -> int -> int
 (** The capacity most recently set on an even edge id (at {!add_edge},

@@ -36,6 +36,7 @@ type t = {
   mutable cut : bool array;
       (* source side of the last cut probed below the target; vertices at
          or past its recorded length count as outside *)
+  mutable trivial_binds : bool; (* [trivial], not [cut], set the answer *)
 }
 
 let create ~net ~source ~sink ~src_edges ~target =
@@ -53,6 +54,7 @@ let create ~net ~source ~sink ~src_edges ~target =
     solved = false;
     trivial;
     cut = Array.copy trivial;
+    trivial_binds = true;
   }
 
 let target t = t.target
@@ -109,6 +111,7 @@ let rec sweep t u =
   if t.routed = t.target then Some u
   else begin
     record_cut t;
+    t.trivial_binds <- false;
     let next = cut_floor t t.cut in
     if next = max_int then None else sweep t next
   end
@@ -119,7 +122,9 @@ let solve t =
     let result =
       if t.target = 0 then Some 0
       else begin
-        let floor = max (cut_floor t t.trivial) (cut_floor t t.cut) in
+        let at_trivial = cut_floor t t.trivial and at_cut = cut_floor t t.cut in
+        let floor = max at_trivial at_cut in
+        t.trivial_binds <- at_trivial > at_cut;
         if floor = max_int then None
         else if t.level >= 0 && t.routed = t.target && floor >= t.level then
           (* the retained flow routes the target at [t.level], so the
@@ -132,6 +137,11 @@ let solve t =
     t.solved <- true;
     result
   end
+
+let binding_side t =
+  match t.answer with
+  | Some u when u > 0 -> if t.trivial_binds then t.trivial else t.cut
+  | _ -> invalid_arg "Paramflow.binding_side: no positive answer"
 
 let grow t ~src_edges =
   t.src_edges <- Array.copy src_edges;

@@ -66,6 +66,16 @@ val solve : t -> int option
     the same minimal level, so the answer never depends on the warm
     state. *)
 
+val binding_side : t -> bool array
+(** The source side of the cut whose bound is the last answer: the
+    trivial cut [{source}] or the last cut a probe recorded (no new
+    scan).  Which one binds may depend on the warm state; its bound never
+    does.  Vertices at or past the array's length count as outside.  The
+    array belongs to [t] and is valid until the next {!solve}: do not
+    write it.
+    @raise Invalid_argument unless the last {!solve} answered [Some u]
+    with [u > 0] and nothing changed since. *)
+
 val solved : t -> bool
 (** Whether {!solve} has already run since creation or the last change —
     i.e. whether the next {!solve} is a pure lookup. *)

@@ -123,35 +123,29 @@ let iter_links t f =
 
 let total_demand t = Array.fold_left ( + ) 0 t.demands
 
-(* Throw-away network (max_served, hall_violator): 0 = source, 1 = sink,
-   suppliers at 2..2+S-1, demands after that.  Supplier [i] emits
-   [supply i], demand [j] absorbs [d(j)·demand_scale], and every link
-   carries the whole scaled demand, so no link ever binds. *)
-let supplier_vertex i = 2 + i
-let demand_vertex t j = 2 + t.n_suppliers + j
-
-let throwaway_net t ~supply ~demand_scale =
+(* Throw-away network of [max_served]: 0 = source, 1 = sink, suppliers
+   at 2..2+S-1, demands after that.  Supplier [i] emits [supply i],
+   demand [j] absorbs [d(j)], and every link carries the whole demand,
+   so no link ever binds. *)
+let max_served t ~supply =
+  let supplier_vertex i = 2 + i and demand_vertex j = 2 + t.n_suppliers + j in
   let net = Maxflow.create (2 + t.n_suppliers + t.n_demands) in
   for i = 0 to t.n_suppliers - 1 do
     let cap = supply i in
     if cap > 0 then
       ignore (Maxflow.add_edge net ~src:0 ~dst:(supplier_vertex i) ~cap)
   done;
-  let inf = max 1 (Energy.mul (total_demand t) demand_scale) in
+  let inf = max 1 (total_demand t) in
   iter_links t (fun ~supplier:i ~demand:j ->
       ignore
-        (Maxflow.add_edge net ~src:(supplier_vertex i) ~dst:(demand_vertex t j)
+        (Maxflow.add_edge net ~src:(supplier_vertex i) ~dst:(demand_vertex j)
            ~cap:inf));
   for j = 0 to t.n_demands - 1 do
     if t.demands.(j) > 0 then
       ignore
-        (Maxflow.add_edge net ~src:(demand_vertex t j) ~dst:1
-           ~cap:(Energy.mul t.demands.(j) demand_scale))
+        (Maxflow.add_edge net ~src:(demand_vertex j) ~dst:1 ~cap:t.demands.(j))
   done;
-  net
-
-let max_served t ~supply =
-  Maxflow.max_flow (throwaway_net t ~supply ~demand_scale:1) ~source:0 ~sink:1
+  Maxflow.max_flow net ~source:0 ~sink:1
 
 let feasible t ~supply = max_served t ~supply = total_demand t
 
@@ -295,20 +289,22 @@ let min_uniform_supply t =
     | None -> None
   end
 
-let hall_violator t ~below =
-  (* [u/grid] is the largest grid level strictly below [below]. *)
-  let u = max 0 (int_of_float (Float.ceil (below *. float_of_int grid)) - 1) in
-  let net = throwaway_net t ~supply:(fun _ -> u) ~demand_scale:grid in
-  let flow = Maxflow.max_flow net ~source:0 ~sink:1 in
-  if flow >= Energy.mul (total_demand t) grid then None
-  else begin
-    (* Infinite supplier->demand arcs force every neighbor of a sink-side
-       demand onto the sink side too, so the sink-side demands violate
-       Hall's condition for these supplies. *)
-    let side = Maxflow.min_cut_side net ~source:0 in
-    let out = ref [] in
-    for j = t.n_demands - 1 downto 0 do
-      if t.demands.(j) > 0 && not side.(demand_vertex t j) then out := j :: !out
-    done;
-    Some !out
-  end
+(* The cut that set the answer has a positive bound, so it crosses no
+   link (each carries at least the target): every supplier linked to a
+   demand outside it is outside too, so the demands outside form a set J
+   with ⌈grid·D(J)/|N(J)|⌉ equal to the answer level. *)
+let binding_demands t =
+  match t.pstate with
+  | Some ps
+    when ps.p_gen = t.demands_gen && ps.p_demands = t.n_demands
+         && ps.p_suppliers = t.n_suppliers && ps.p_links = t.n_links ->
+      let side = Paramflow.binding_side ps.pf in
+      let len = Array.length side in
+      let out = ref [] in
+      for j = t.n_demands - 1 downto 0 do
+        let v = ps.p_dem_vertex.(j) in
+        if t.demands.(j) > 0 && not (v < len && side.(v)) then out := j :: !out
+      done;
+      !out
+  | _ ->
+      invalid_arg "Transport.binding_demands: no solve of the current instance"

@@ -81,10 +81,11 @@ val min_uniform_supply : t -> float option
     discrete-Newton search it replaces: both land on the unique minimal
     feasible grid level. *)
 
-val hall_violator : t -> below:float -> int list option
-(** A Hall-type violating set for the largest grid level strictly below
-    [below]: with every supplier capped at that level, returns the demand
-    indices [J] with [D(J)] above what [N(J)] can supply, read off the
-    unique minimal minimum cut (demand vertices on the sink side).  [None]
-    when that level is feasible.  The oracle's witness calls it just
-    below [ω*]. *)
+val binding_demands : t -> int list
+(** The positive-demand sites, in index order, outside the cut whose
+    bound set the last {!min_uniform_supply} answer
+    ({!Paramflow.binding_side}); no max-flow runs.  They form a non-empty
+    tight set [J] of Lemma 2.2.2: [D(J)/|N(J)|] rounds up to the answer
+    on the LP grid, and equals it when [|N(J)|] divides [lcm(1..14)].
+    @raise Invalid_argument unless {!min_uniform_supply} answered a
+    positive value and the instance has not changed since. *)

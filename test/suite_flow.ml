@@ -80,14 +80,15 @@ let test_matches_brute_force () =
     Alcotest.(check int) "max-flow = min-cut (brute force)" cut flow
   done
 
-let test_min_cut_side_certifies () =
+let test_min_cut_certifies () =
   let rng = Rng.create 77 in
   for _ = 1 to 50 do
     let n, edges = random_network rng in
     let net = Maxflow.create n in
     List.iter (fun (u, v, c) -> ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:c)) edges;
     let flow = Maxflow.max_flow net ~source:0 ~sink:(n - 1) in
-    let side = Maxflow.min_cut_side net ~source:0 in
+    let side = Array.make n false in
+    Maxflow.min_cut_into net ~source:0 side;
     Alcotest.(check bool) "source on source side" true side.(0);
     Alcotest.(check bool) "sink on sink side" false side.(n - 1);
     let cut =
@@ -173,8 +174,8 @@ let test_warm_start_matches_cold () =
   done
 
 (* Differential against the test-side Dinic reference: the two must agree
-   not only on the flow value (both are max flows) but on [min_cut_side],
-   which returns the unique minimal source side and is therefore the same
+   not only on the flow value (both are max flows) but on [min_cut_into],
+   which writes the unique minimal source side and is therefore the same
    for every maximum flow. *)
 
 let prop_matches_reference =
@@ -190,7 +191,9 @@ let prop_matches_reference =
         edges;
       let fp = Maxflow.max_flow net ~source:0 ~sink:(n - 1) in
       let fd, sd = Reference.max_flow ~n ~edges ~source:0 ~sink:(n - 1) in
-      fd = fp && sd = Maxflow.min_cut_side net ~source:0)
+      let side = Array.make n false in
+      Maxflow.min_cut_into net ~source:0 side;
+      fd = fp && sd = side)
 
 let test_add_vertex () =
   let net = Maxflow.create 2 in
@@ -273,7 +276,7 @@ let suite =
     Alcotest.test_case "disconnected" `Quick test_disconnected;
     Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
     Alcotest.test_case "matches brute force" `Quick test_matches_brute_force;
-    Alcotest.test_case "min cut certifies" `Quick test_min_cut_side_certifies;
+    Alcotest.test_case "min cut certifies" `Quick test_min_cut_certifies;
     Alcotest.test_case "flow conservation" `Quick test_flow_conservation;
     Alcotest.test_case "arena reset" `Quick test_arena_reset;
     Alcotest.test_case "set_even_caps warm start" `Quick

@@ -107,27 +107,36 @@ let test_witness_single_point () =
       Alcotest.(check int) "the hot point itself" 1 (List.length points);
       Alcotest.(check (float 1e-3)) "tight value" (Oracle.omega_star dm) w
 
-let test_witness_is_tight_random () =
-  let rng = Rng.create 112358 in
-  for _ = 1 to 10 do
-    let pts =
-      List.init
-        (1 + Rng.int rng 5)
-        (fun _ -> (point2 (Rng.int rng 4) (Rng.int rng 4), 1 + Rng.int rng 15))
-    in
-    let dm = Demand_map.of_alist 2 pts in
-    let star = Oracle.omega_star dm in
-    match Oracle.witness dm with
-    | None -> Alcotest.fail "witness must exist"
-    | Some (points, w) ->
-        Alcotest.(check bool) "non-empty subset of support" true
-          (points <> []
-          && List.for_all (fun p -> Demand_map.value dm p > 0) points);
-        Alcotest.(check bool)
-          (Printf.sprintf "ω_T (%g) ~ ω* (%g)" w star)
-          true
-          (Float.abs (w -. star) < 0.01)
-  done
+(* The witness is exact on tiny instances: a non-empty set of demand
+   positions whose ω_T is the exhaustive max_T ω_T of Lemma 2.2.3, bit
+   for bit — no grid too coarse to separate, no tolerance. *)
+let prop_witness_exact =
+  QCheck.Test.make ~name:"witness exact on tiny instances" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dim = 1 + Rng.int rng 2 in
+      let site _ =
+        (Array.init dim (fun _ -> Rng.int rng 6), 1 + Rng.int rng 30)
+      in
+      let pts = List.init (1 + Rng.int rng 10) site in
+      let dm = Demand_map.of_alist dim pts in
+      match Oracle.witness dm with
+      | None -> QCheck.Test.fail_reportf "seed %d: no witness" seed
+      | Some (points, w) ->
+          let dual = Reference.omega_dual dm in
+          let n = List.length points in
+          if
+            n = 0
+            || List.length (List.sort_uniq Point.compare points) <> n
+            || not (List.for_all (fun p -> Demand_map.value dm p > 0) points)
+          then
+            QCheck.Test.fail_reportf "seed %d: not a subset of the support"
+              seed
+          else if not (Float.equal w dual) then
+            QCheck.Test.fail_reportf "seed %d: ω_T %.17g <> max ω_T %.17g"
+              seed w dual
+          else true)
 
 let test_witness_empty () =
   Alcotest.(check bool) "no witness for empty demand" true
@@ -137,6 +146,6 @@ let suite =
   suite
   @ [
       Alcotest.test_case "witness: single point" `Quick test_witness_single_point;
-      Alcotest.test_case "witness tight on random instances" `Quick test_witness_is_tight_random;
+      QCheck_alcotest.to_alcotest prop_witness_exact;
       Alcotest.test_case "witness: empty" `Quick test_witness_empty;
     ]

@@ -182,10 +182,12 @@ let run_trace ~seed ~events ~side ~witness_every =
         brackets
     end;
     if e mod witness_every = 0 && !n_live > 0 then begin
-      match Oracle.Session.witness s with
-      | None -> () (* the LP grid is too coarse to separate: allowed *)
+      let dm = Oracle.Session.demand s in
+      match Oracle.witness dm with
+      | None ->
+          ok := false;
+          QCheck.Test.fail_reportf "event %d (seed %d): no witness" e seed
       | Some (pts, w) ->
-          let dm = Oracle.Session.demand s in
           List.iter
             (fun p ->
               if Demand_map.value dm p <= 0 then begin
