@@ -3,7 +3,9 @@
    oracle on one grid instance, a seeded session trace, and a point load
    whose optimum lies off the LP grid.  Any change to how the LP is
    resolved or how the bracket scan runs must leave every row as
-   recorded. *)
+   recorded.  The last two tests pin the serving protocol's wire bytes
+   the same way: a codec change must reproduce every request and
+   response byte for byte. *)
 
 let point2 x y = [| x; y |]
 let bits = Int64.bits_of_float
@@ -234,8 +236,89 @@ let test_single_values () =
   Alcotest.(check int64) "lp_value r=3 is ω*" (bits (Oracle.omega_star off_grid))
     (bits (Oracle.lp_value ~radius:3 off_grid))
 
+(* The wire bytes: each request's [request_to_string], then its
+   response's [response_to_string], folded with [Fnv.add_string].
+   Returns (exchanges, bytes, digest). *)
+let wire_digest exchanges =
+  List.fold_left
+    (fun (n, len, h) (req, resp) ->
+      let q = Protocol.request_to_string req and a = Protocol.response_to_string resp in
+      (n + 1, len + String.length q + String.length a, Fnv.add_string (Fnv.add_string h q) a))
+    (0, 0, Fnv.basis) exchanges
+
+(* Loadgen's three mixes at seeds 11-13, 200 queries a stream, each
+   stream answered by its own fresh engine. *)
+let mix_exchanges () =
+  List.concat_map
+    (fun mix ->
+      List.concat_map
+        (fun seed ->
+          let engine = Engine.create () in
+          Array.to_list
+            (Array.map
+               (fun req -> (req, Engine.process engine req))
+               (Loadgen.queries ~seed ~mix ~n:200)))
+        [ 11; 12; 13 ])
+    Loadgen.all_mixes
+
+(* The shapes the mixes lack, answered by one engine in order: session
+   ops under names with a quote, a backslash, a control byte and a
+   non-ASCII byte; lp_value at radii 0-2 and a negative one; dimensions
+   1 and 3 with negative coordinates; extreme ids; and the Pong,
+   Tight_set None and Error answers. *)
+let shape_exchanges () =
+  let engine = Engine.create () in
+  let d1 = Demand_map.of_alist 1 [ ([| -4 |], 2); ([| 3 |], 7) ] in
+  let d2 = Demand_map.of_alist 2 [ (point2 0 0, 3); (point2 1 (-2), 5) ] in
+  let d3 = Demand_map.of_alist 3 [ ([| -1; 0; 2 |], 4); ([| 0; -3; 1 |], 1) ] in
+  let empty = Demand_map.empty 2 in
+  let huge = Demand_map.of_alist 2 [ (point2 0 0, 100_000_000_000_000) ] in
+  let name = "q\"b\\s\001\xc3\xa9" in
+  let session ?(name = name) id op = Protocol.request ~session:name ~id op empty in
+  let reqs =
+    [
+      session 1 (Protocol.Session_add (point2 0 0));
+      session 2 (Protocol.Session_add (point2 1 (-2)));
+      session 3 (Protocol.Session_add (point2 0 0));
+      session 4 (Protocol.Session_remove (point2 0 0));
+      session 5 Protocol.Session_query;
+      session 6 Protocol.Session_query;
+      session 7 (Protocol.Session_remove (point2 9 9));
+      session ~name:"ghost\"\\\n\t\r" 8 Protocol.Session_query;
+      Protocol.request ~id:9 (Protocol.Session_add (point2 0 0)) empty;
+      Protocol.request ~id:max_int (Protocol.Lp_value 0) d2;
+      Protocol.request ~id:min_int (Protocol.Lp_value 1) d1;
+      Protocol.request ~id:(-1) (Protocol.Lp_value 2) d3;
+      Protocol.request ~id:0 (Protocol.Lp_value 2) d2;
+      Protocol.request ~id:10 (Protocol.Lp_value (-1)) d2;
+      Protocol.request ~id:11 Protocol.Omega_star d1;
+      Protocol.request ~id:12 Protocol.Omega_star d3;
+      Protocol.request ~id:13 Protocol.Witness d1;
+      Protocol.request ~id:14 Protocol.Witness d3;
+      Protocol.request ~id:15 Protocol.Witness empty;
+      Protocol.request ~id:16 Protocol.Omega_star huge;
+      Protocol.request ~session:name ~id:17 Protocol.Ping d2;
+      Protocol.request ~id:18 Protocol.Shutdown empty;
+    ]
+  in
+  List.map (fun req -> (req, Engine.process engine req)) reqs
+
+let test_wire_mixes () =
+  let n, len, h = wire_digest (mix_exchanges ()) in
+  Alcotest.(check int) "exchanges" 1800 n;
+  Alcotest.(check int) "bytes" 450_797 len;
+  Alcotest.(check int) "digest" 1340227777520562087 h
+
+let test_wire_shapes () =
+  let n, len, h = wire_digest (shape_exchanges ()) in
+  Alcotest.(check int) "exchanges" 22 n;
+  Alcotest.(check int) "bytes" 2914 len;
+  Alcotest.(check int) "digest" 3470453878735546789 h
+
 let suite =
   [
     Alcotest.test_case "loadgen demands" `Quick test_loadgen_demands;
     Alcotest.test_case "single values" `Quick test_single_values;
+    Alcotest.test_case "wire bytes of the loadgen mixes" `Quick test_wire_mixes;
+    Alcotest.test_case "wire bytes of the other shapes" `Quick test_wire_shapes;
   ]
