@@ -67,9 +67,15 @@ let daemon_cmd =
       if quiet then fun (_ : string) -> ()
       else fun msg -> Printf.eprintf "[cmvrp_serve] %s\n%!" msg
     in
-    Daemon.run ~trace
-      (Daemon.config ~cache_capacity:cache_entries ~max_sessions ~max_batch
-         transport)
+    match
+      Daemon.run ~trace
+        (Daemon.config ~cache_capacity:cache_entries ~max_sessions ~max_batch
+           transport)
+    with
+    | () -> ()
+    | exception Frame.Bad_frame msg ->
+        Printf.eprintf "cmvrp_serve daemon: bad frame: %s\n%!" msg;
+        exit 1
   in
   let doc = "Run the oracle daemon." in
   Cmd.v

@@ -15,7 +15,7 @@ let add t x k =
       t with
       map =
         Point.Map.update x
-          (function None -> Some k | Some v -> Some (v + k))
+          (function None -> Some k | Some v -> Some (Energy.add v k))
           t.map;
     }
 
@@ -56,6 +56,8 @@ let bounding_box t =
           done)
         t.map;
       Some (Box.make ~lo ~hi)
+
+let equal a b = a.l = b.l && Point.Map.equal Int.equal a.map b.map
 
 let fold t ~init ~f = Point.Map.fold (fun p v acc -> f acc p v) t.map init
 

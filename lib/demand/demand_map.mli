@@ -13,7 +13,8 @@ val dim : t -> int
 
 val add : t -> Point.t -> int -> t
 (** [add t x k] increases [d(x)] by [k >= 0].
-    @raise Invalid_argument if [k < 0] or the dimension of [x] differs. *)
+    @raise Invalid_argument if [k < 0] or the dimension of [x] differs.
+    @raise Energy.Overflow if [d(x) + k] does not fit in an [int]. *)
 
 val remove : t -> Point.t -> int -> t
 (** [remove t x k] decreases [d(x)] by [k >= 0]; the binding is dropped
@@ -22,7 +23,8 @@ val remove : t -> Point.t -> int -> t
     or if the removal would drive [d(x)] below 0. *)
 
 val of_alist : int -> (Point.t * int) list -> t
-(** Builds a map from (position, demand) pairs, summing duplicates. *)
+(** Builds a map from (position, demand) pairs, summing duplicates
+    through {!add}. *)
 
 val of_jobs : int -> Point.t list -> t
 (** Aggregates an arrival sequence of unit jobs (the [d(x) = Σ I(x,x_i)]
@@ -43,6 +45,10 @@ val max_demand : t -> int
 
 val bounding_box : t -> Box.t option
 (** Smallest box containing the support; [None] when empty. *)
+
+val equal : t -> t -> bool
+(** Same dimension and the same demand at every position: one in-order
+    walk of both supports. *)
 
 val fold : t -> init:'a -> f:('a -> Point.t -> int -> 'a) -> 'a
 

@@ -2,12 +2,18 @@ type t = int array
 
 let dim = Array.length
 
+(* The coordinate loops take the points as arguments rather than
+   closing over them: a local closure would be allocated on every call,
+   and every [Map]/[Set] operation on points makes several. *)
+let rec equal_from (a : t) (b : t) n i = i = n || (a.(i) = b.(i) && equal_from a b n (i + 1))
+
 let equal (a : t) (b : t) =
   let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec loop i = i = n || (a.(i) = b.(i) && loop (i + 1)) in
-  loop 0
+  n = Array.length b && equal_from a b n 0
+
+let rec compare_from (a : t) (b : t) n i =
+  if i = n then 0
+  else match Int.compare a.(i) b.(i) with 0 -> compare_from a b n (i + 1) | c -> c
 
 (* Explicit lexicographic order (length first, then coordinates), matching
    what the polymorphic compare did on int arrays but without ever going
@@ -15,14 +21,7 @@ let equal (a : t) (b : t) =
    Thm 1.4.1/1.4.2 must not depend on representation tricks. *)
 let compare_points (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else begin
-    let rec loop i =
-      if i = la then 0
-      else match Int.compare a.(i) b.(i) with 0 -> loop (i + 1) | c -> c
-    in
-    loop 0
-  end
+  if la <> lb then Int.compare la lb else compare_from a b la 0
 
 let compare = compare_points
 

@@ -7,9 +7,13 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+exception Syntax of string
+
+let syntax_error pos msg = raise (Syntax (Printf.sprintf "%s at offset %d" msg pos))
+
 (* --- emission --- *)
 
-let escape buf s =
+let write_string buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -49,7 +53,7 @@ let to_buffer ?(compact = false) buf v =
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f -> Buffer.add_string buf (float_repr f)
-    | String s -> escape buf s
+    | String s -> write_string buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
         Buffer.add_char buf '[';
@@ -77,7 +81,7 @@ let to_buffer ?(compact = false) buf v =
               nl ()
             end;
             pad (2 * (depth + 1));
-            escape buf k;
+            write_string buf k;
             Buffer.add_char buf ':';
             if not compact then Buffer.add_char buf ' ';
             go (depth + 1) item)
@@ -95,12 +99,110 @@ let to_string ?compact v =
 
 (* --- parsing: plain recursive descent, errors as Result --- *)
 
-exception Fail of string
+let hex_digit s i =
+  match s.[i] with
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> syntax_error i "bad \\u escape"
+
+(* UTF-8 encoding of a BMP code point (surrogates unsupported). *)
+let add_utf8 buf code =
+  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+(* The closing quote of a string without escapes, or -1 at the first
+   backslash. *)
+let rec plain_end s i =
+  if i >= String.length s then syntax_error i "unterminated string"
+  else match s.[i] with '"' -> i | '\\' -> -1 | _ -> plain_end s (i + 1)
+
+let read_string s pos =
+  let n = String.length s in
+  if pos >= n || not (Char.equal s.[pos] '"') then syntax_error pos "expected '\"'";
+  (* Most strings hold no escape: find the closing quote and copy once. *)
+  let close = plain_end s (pos + 1) in
+  if close >= 0 then (String.sub s (pos + 1) (close - pos - 1), close + 1)
+  else begin
+    let buf = Buffer.create 16 in
+    let rec loop i =
+      if i >= n then syntax_error i "unterminated string"
+      else
+        match s.[i] with
+        | '"' -> i + 1
+        | '\\' ->
+            if i + 1 >= n then syntax_error (i + 1) "unterminated escape";
+            let simple c =
+              Buffer.add_char buf c;
+              loop (i + 2)
+            in
+            (match s.[i + 1] with
+            | '"' -> simple '"'
+            | '\\' -> simple '\\'
+            | '/' -> simple '/'
+            | 'b' -> simple '\b'
+            | 'f' -> simple '\012'
+            | 'n' -> simple '\n'
+            | 'r' -> simple '\r'
+            | 't' -> simple '\t'
+            | 'u' ->
+                if i + 6 > n then syntax_error (i + 2) "truncated \\u escape";
+                add_utf8 buf
+                  ((hex_digit s (i + 2) lsl 12)
+                  lor (hex_digit s (i + 3) lsl 8)
+                  lor (hex_digit s (i + 4) lsl 4)
+                  lor hex_digit s (i + 5));
+                loop (i + 6)
+            | _ -> syntax_error (i + 2) "unknown escape")
+        | c ->
+            Buffer.add_char buf c;
+            loop (i + 1)
+    in
+    let next = loop (pos + 1) in
+    (Buffer.contents buf, next)
+  end
+
+let is_number_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let read_number s pos =
+  let n = String.length s in
+  let stop = ref pos in
+  while !stop < n && is_number_char s.[!stop] do
+    incr stop
+  done;
+  let text = String.sub s pos (!stop - pos) in
+  let bad () = syntax_error pos "bad number" in
+  let v =
+    if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) text then
+      match float_of_string_opt text with Some f -> Float f | None -> bad ()
+    else
+      match int_of_string_opt text with
+      | Some i -> Int i
+      | None -> (
+          match float_of_string_opt text with Some f -> Float f | None -> bad ())
+  in
+  (v, !stop)
+
+let read_float s pos =
+  match read_number s pos with
+  | Int i, stop -> (float_of_int i, stop)
+  | Float f, stop -> (f, stop)
+  | (Null | Bool _ | String _ | List _ | Obj _), _ -> assert false
 
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
-  let fail msg = raise (Fail (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let fail msg = syntax_error !pos msg in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let skip_ws () =
@@ -124,81 +226,9 @@ let of_string s =
     else fail (Printf.sprintf "expected %s" word)
   in
   let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string"
-      else begin
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape"
-           else begin
-             let e = s.[!pos] in
-             advance ();
-             match e with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | '/' -> Buffer.add_char buf '/'
-             | 'b' -> Buffer.add_char buf '\b'
-             | 'f' -> Buffer.add_char buf '\012'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 'r' -> Buffer.add_char buf '\r'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'u' ->
-                 if !pos + 4 > n then fail "truncated \\u escape";
-                 let hex = String.sub s !pos 4 in
-                 pos := !pos + 4;
-                 let code =
-                   try int_of_string ("0x" ^ hex)
-                   with Failure _ -> fail "bad \\u escape"
-                 in
-                 (* UTF-8 encode the BMP code point (surrogates unsupported). *)
-                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                 else if code < 0x800 then begin
-                   Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-                 else begin
-                   Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                   Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-             | _ -> fail "unknown escape"
-           end);
-          loop ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          loop ()
-        end
-      end
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text then
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt text with
-          | Some f -> Float f
-          | None -> fail "bad number")
+    let v, next = read_string s !pos in
+    pos := next;
+    v
   in
   let rec parse_value () =
     skip_ws ();
@@ -257,14 +287,17 @@ let of_string s =
           members ();
           Obj (List.rev !fields)
         end
-    | Some _ -> parse_number ()
+    | Some _ ->
+        let v, next = read_number s !pos in
+        pos := next;
+        v
   in
   try
     let v = parse_value () in
     skip_ws ();
     if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
     else Ok v
-  with Fail msg -> Error msg
+  with Syntax msg -> Error msg
 
 (* --- accessors --- *)
 

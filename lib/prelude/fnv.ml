@@ -9,12 +9,17 @@ let prime = 0x100000001b3
 
 let add_byte h b = ((h lxor (b land 0xff)) * prime) land max_int
 
+(* The octet loop written out: the eight multiplies are one dependency
+   chain either way, but the unrolled chain carries no loop counter. *)
 let add_int h x =
-  let h = ref h in
-  for shift = 0 to 7 do
-    h := add_byte !h (x asr (8 * shift))
-  done;
-  !h
+  let h = add_byte h x in
+  let h = add_byte h (x asr 8) in
+  let h = add_byte h (x asr 16) in
+  let h = add_byte h (x asr 24) in
+  let h = add_byte h (x asr 32) in
+  let h = add_byte h (x asr 40) in
+  let h = add_byte h (x asr 48) in
+  add_byte h (x asr 56)
 
 let add_string h s =
   let h = ref h in

@@ -9,6 +9,20 @@ let max_header = String.length (string_of_int max_payload) + 1
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad_frame m)) fmt
 
+(* ASCII digits only: no sign, base prefix or underscore, which
+   [int_of_string] would accept.  The value stops growing once it passes
+   [max_payload], so a long header cannot overflow. *)
+let length_of_header header =
+  if String.length header = 0 then bad "empty frame header";
+  let len = ref 0 in
+  for i = 0 to String.length header - 1 do
+    match header.[i] with
+    | '0' .. '9' as c -> if !len <= max_payload then len := (!len * 10) + Char.code c - 48
+    | _ -> bad "malformed frame header %S" header
+  done;
+  if !len > max_payload then bad "frame length %s out of range" header;
+  !len
+
 let encode payload =
   if String.length payload > max_payload then
     bad "payload of %d bytes exceeds the %d-byte frame cap"
@@ -23,12 +37,7 @@ let read ic =
   match input_line ic with
   | exception End_of_file -> None
   | header -> (
-      let len =
-        match int_of_string_opt header with
-        | Some n when n >= 0 && n <= max_payload -> n
-        | Some n -> bad "frame length %d out of range" n
-        | None -> bad "malformed frame header %S" header
-      in
+      let len = length_of_header header in
       match really_input_string ic (len + 1) with
       | exception End_of_file -> bad "end of stream inside a %d-byte frame" len
       | body ->
@@ -71,13 +80,7 @@ let next d =
   match find_newline 0 with
   | None -> if avail >= max_header then bad "unterminated frame header" else None
   | Some header_len -> (
-      let header = Buffer.sub d.buf d.pos header_len in
-      let len =
-        match int_of_string_opt header with
-        | Some n when n >= 0 && n <= max_payload -> n
-        | Some n -> bad "frame length %d out of range" n
-        | None -> bad "malformed frame header %S" header
-      in
+      let len = length_of_header (Buffer.sub d.buf d.pos header_len) in
       let total = header_len + 1 + len + 1 in
       if avail < total then None
       else begin

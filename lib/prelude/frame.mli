@@ -1,12 +1,13 @@
 (** Length-prefixed message framing for the serving protocol.
 
     A frame is [<decimal length>\n<payload>\n]: an ASCII decimal byte
-    count, a newline, exactly that many payload bytes, and a trailing
-    newline.  Payloads are opaque byte strings (in practice one compact
-    JSON document — hence "length-prefixed JSON lines"); the explicit
-    length makes the stream self-delimiting even if a payload contains
-    newlines, and keeps both sides resynchronizable by construction: any
-    header violation raises {!Bad_frame} rather than silently skewing the
+    count (digits only: no sign, base prefix or underscore), a newline,
+    exactly that many payload bytes, and a trailing newline.  Payloads
+    are opaque byte strings (in practice one compact JSON document —
+    hence "length-prefixed JSON lines"); the explicit length makes the
+    stream self-delimiting even if a payload contains newlines, and
+    keeps both sides resynchronizable by construction: any header
+    violation raises {!Bad_frame} rather than silently skewing the
     stream.
 
     Two consumption styles:
@@ -17,8 +18,8 @@
       complete frames).  See [docs/SERVING.md]. *)
 
 exception Bad_frame of string
-(** Malformed header (non-digit, empty, oversized length) or missing
-    trailing newline. *)
+(** Malformed header (empty, a byte other than an ASCII digit, or a
+    length past {!max_payload}) or missing trailing newline. *)
 
 val max_payload : int
 (** Hard cap on a single payload (16 MiB) — a corrupt or hostile header

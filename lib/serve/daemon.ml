@@ -41,7 +41,7 @@ let send_response conn resp =
   if conn.alive then send_all conn.fd (Protocol.response_to_string resp)
 
 let parse_error_response msg =
-  { Protocol.r_id = -1; r_cached = false; r_result = Error msg }
+  { Protocol.r_id = -1; r_cached = false; r_result = Error msg; r_encoded = None }
 
 (* Drain every complete frame the decoder holds into the pending queue.
    A frame that fails to parse as a request gets an immediate id = -1
@@ -143,6 +143,13 @@ let run_stdio ~trace cfg =
   let running = ref true in
   while !running do
     match Frame.read stdin with
+    | exception (Frame.Bad_frame msg as bad) ->
+        (* The stream cannot be resynchronised: answer as the socket path
+           does, then give up on it. *)
+        Metrics.incr m_bad_frames;
+        Frame.write stdout
+          (Protocol.response_to_string (parse_error_response ("bad frame: " ^ msg)));
+        raise bad
     | None -> running := false
     | Some payload -> (
         match Protocol.request_of_string payload with

@@ -13,7 +13,8 @@
     Framing is {!Frame}'s length-prefixed JSON lines.  A frame that is
     not valid JSON, or a [Frame.Bad_frame] (oversized / corrupt header),
     gets an [id = -1] error response; [Bad_frame] additionally closes the
-    connection, since the byte stream can no longer be trusted.
+    connection, since the byte stream can no longer be trusted.  On
+    stdio that connection is the only one, so {!run} re-raises it.
 
     A [shutdown] request is answered like any other, then the loop
     flushes all connections and returns.  On stdio transport, EOF on
@@ -40,6 +41,9 @@ val config :
 val run : ?trace:(string -> unit) -> config -> unit
 (** Blocks until shutdown.  [trace] receives one-line lifecycle notes
     (bind, accept, close, shutdown) for the caller to log.
+
+    @raise Frame.Bad_frame on stdio transport, after answering the bad
+    frame with an [id = -1] error (the command-line daemon exits 1).
 
     Sets SIGPIPE to ignored for the whole process before serving, so a
     client that disconnects with responses still pending makes the write

@@ -24,8 +24,10 @@ type session = {
   mutable s_touched : int;
 }
 
+(* Each cached answer sits next to its encoded wire member, so a hit
+   writes stored bytes. *)
 type t = {
-  cache : Protocol.answer Qcache.t;
+  cache : (Protocol.answer * Protocol.encoded) Qcache.t;
   sessions : (string, session) Hashtbl.t;
   max_sessions : int;
   mutable clock : int;
@@ -105,11 +107,15 @@ let evaluate (req : Protocol.request) : (Protocol.answer, string) result =
 (* Per-request disposition after the probe phase. *)
 type slot =
   | Control
-  | Hit of Protocol.answer
+  | Hit of (Protocol.answer * Protocol.encoded)
   | Miss of { key : Qcache.key; compute : int }
       (** [compute] indexes the deduplicated computation array; several
           batch slots may share one index (coalescing). *)
-  | Done of { d_answer : (Protocol.answer, string) result; d_cached : bool }
+  | Done of {
+      d_answer : (Protocol.answer, string) result;
+      d_encoded : Protocol.encoded option;
+      d_cached : bool;
+    }
       (** session ops: fully handled during the probe phase, because the
           session state is control-domain confined and must never cross
           the [Pool] fan-out *)
@@ -151,7 +157,7 @@ let session_slot t (req : Protocol.request) =
               s.s_rowsum <-
                 Protocol.rowsum_update ~dim:(Demand_map.dim dm)
                   ~rowsum:s.s_rowsum p ~before ~after:(before + 1);
-              Done { d_answer = Ok Protocol.Pong; d_cached = false })
+              Done { d_answer = Ok Protocol.Pong; d_encoded = None; d_cached = false })
       | None, (Protocol.Session_remove _ | Protocol.Session_query) ->
           Malformed (Printf.sprintf "unknown session %S" name)
       | Some s, Protocol.Session_remove p -> (
@@ -164,7 +170,7 @@ let session_slot t (req : Protocol.request) =
               s.s_rowsum <-
                 Protocol.rowsum_update ~dim:(Demand_map.dim dm)
                   ~rowsum:s.s_rowsum p ~before ~after:(before - 1);
-              Done { d_answer = Ok Protocol.Pong; d_cached = false })
+              Done { d_answer = Ok Protocol.Pong; d_encoded = None; d_cached = false })
       | Some s, Protocol.Session_query -> (
           touch t s;
           let dm = Oracle.Session.demand s.ses in
@@ -175,19 +181,19 @@ let session_slot t (req : Protocol.request) =
           in
           let key = Qcache.key_with_digest ~digest ~op:Protocol.Omega_star dm in
           match Qcache.find t.cache key with
-          | Some answer ->
+          | Some (answer, encoded) ->
               Metrics.incr m_hits;
-              Done { d_answer = Ok answer; d_cached = true }
-          | None ->
+              Done { d_answer = Ok answer; d_encoded = Some encoded; d_cached = true }
+          | None -> (
               Metrics.incr m_misses;
               Metrics.incr m_oracle_calls;
-              let answer =
-                guarded (fun () -> Protocol.Value (Oracle.Session.omega_star s.ses))
-              in
-              (match answer with
-              | Ok a -> Qcache.add t.cache key a
-              | Error _ -> ());
-              Done { d_answer = answer; d_cached = false })
+              match guarded (fun () -> Protocol.Value (Oracle.Session.omega_star s.ses)) with
+              | Ok answer ->
+                  let encoded = Protocol.encode_answer answer in
+                  Qcache.add t.cache key (answer, encoded);
+                  Done { d_answer = Ok answer; d_encoded = Some encoded; d_cached = false }
+              | Error _ as failed ->
+                  Done { d_answer = failed; d_encoded = None; d_cached = false }))
       | _, _ -> assert false (* session_slot is only called on session ops *))
 
 let process_batch t (reqs : Protocol.request array) =
@@ -209,13 +215,16 @@ let process_batch t (reqs : Protocol.request array) =
           | Protocol.Session_query ->
               session_slot t req
           | Protocol.Omega_star | Protocol.Lp_value _ | Protocol.Witness -> (
-              match Qcache.key ~op:req.Protocol.op req.Protocol.demand with
+              match
+                Qcache.key_with_digest ~digest:req.Protocol.digest ~op:req.Protocol.op
+                  req.Protocol.demand
+              with
               | exception Invalid_argument m -> Malformed m
               | key -> (
                   match Qcache.find t.cache key with
-                  | Some answer ->
+                  | Some cached ->
                       Metrics.incr m_hits;
-                      Hit answer
+                      Hit cached
                   | None -> (
                       match
                         List.find_opt
@@ -239,32 +248,34 @@ let process_batch t (reqs : Protocol.request array) =
     let uniques = Array.of_list (List.rev !unique_rev) in
     Metrics.add m_oracle_calls (Array.length uniques);
     let computed = Pool.map (fun (_, req, _) -> evaluate req) uniques in
-    (* Publish: fill the cache, then answer in request order. *)
-    Array.iteri
-      (fun i (key, _, _) ->
-        match computed.(i) with
-        | Ok answer -> Qcache.add t.cache key answer
-        | Error _ -> ())
-      uniques;
+    (* Publish: encode each fresh answer once, fill the cache, then
+       answer in request order. *)
+    let encoded =
+      Array.mapi
+        (fun i (key, _, _) ->
+          match computed.(i) with
+          | Ok answer ->
+              let e = Protocol.encode_answer answer in
+              Qcache.add t.cache key (answer, e);
+              Some e
+          | Error _ -> None)
+        uniques
+    in
     Metrics.set_gauge m_cache_size (float_of_int (Qcache.size t.cache));
     Metrics.set_gauge m_sessions (float_of_int (Hashtbl.length t.sessions));
     let responses =
       Array.map2
         (fun (req : Protocol.request) slot ->
-          match slot with
-          | Control ->
-              { Protocol.r_id = req.Protocol.id; r_cached = false; r_result = Ok Protocol.Pong }
-          | Hit answer ->
-              { Protocol.r_id = req.Protocol.id; r_cached = true; r_result = Ok answer }
-          | Miss { compute; _ } ->
-              if Result.is_error computed.(compute) then Metrics.incr m_errors;
-              { Protocol.r_id = req.Protocol.id; r_cached = false; r_result = computed.(compute) }
-          | Done { d_answer; d_cached } ->
-              if Result.is_error d_answer then Metrics.incr m_errors;
-              { Protocol.r_id = req.Protocol.id; r_cached = d_cached; r_result = d_answer }
-          | Malformed m ->
-              Metrics.incr m_errors;
-              { Protocol.r_id = req.Protocol.id; r_cached = false; r_result = Error m })
+          let r_cached, r_result, r_encoded =
+            match slot with
+            | Control -> (false, Ok Protocol.Pong, None)
+            | Hit (answer, encoded) -> (true, Ok answer, Some encoded)
+            | Miss { compute; _ } -> (false, computed.(compute), encoded.(compute))
+            | Done { d_answer; d_encoded; d_cached } -> (d_cached, d_answer, d_encoded)
+            | Malformed m -> (false, Error m, None)
+          in
+          if Result.is_error r_result then Metrics.incr m_errors;
+          { Protocol.r_id = req.Protocol.id; r_cached; r_result; r_encoded })
         reqs slots
     in
     let elapsed = Metrics.now_ns () -. t0 in

@@ -30,13 +30,16 @@ type op =
   | Session_query
       (** current [ω*] of the named session — {!Oracle.Session.omega_star} *)
 
-type request = {
+type request = private {
   id : int;  (** echoed verbatim; clients use it to match pipelined replies *)
   op : op;
   demand : Demand_map.t;  (** already aggregated — the canonical form *)
   session : string option;
       (** names the server-side streaming session the [Session_*] ops
           address; ignored by the stateless ops *)
+  digest : int;
+      (** [demand_digest demand], computed once: by {!request}, or summed
+          by {!request_of_string} while it reads the rows *)
 }
 
 type answer =
@@ -44,9 +47,25 @@ type answer =
   | Tight_set of (Point.t list * float) option  (** [Witness] result *)
   | Pong  (** [Ping]/[Shutdown] acknowledgement *)
 
-type response = { r_id : int; r_cached : bool; r_result : (answer, string) result }
+type encoded
+(** An answer's member as it goes on the wire (the [value], [witness] or
+    [pong] member with its value), encoded once so the cache can keep it
+    next to the answer and a hit prints no float. *)
+
+val encode_answer : answer -> encoded
+
+type response = {
+  r_id : int;
+  r_cached : bool;
+  r_result : (answer, string) result;
+  r_encoded : encoded option;
+      (** [Some (encode_answer a)] when [r_result] is [Ok a] and the engine
+          holds its bytes; {!response_to_string} then writes them as they
+          are.  [None] encodes [r_result] afresh. *)
+}
 
 val request : ?session:string -> id:int -> op -> Demand_map.t -> request
+(** Computes the request's {!demand_digest}. *)
 
 val demand_digest : Demand_map.t -> int
 (** Canonical digest of a demand function: permutation-invariant over the
@@ -71,16 +90,33 @@ val digest_of_rowsum : dim:int -> rowsum:int -> support:int -> int
 (** Close a maintained row sum into the canonical digest; agrees with
     {!demand_digest} on the demand it tracks. *)
 
+(** {1 Codec}
+
+    Compact JSON written into a buffer and read in one pass over the
+    payload, with no [Json.t] tree: [id], [op], [dim], [demand], then
+    [session], then [radius] or [point] where the op has one.  The
+    decoders take the members in any order and whitespace between any
+    two tokens, check the syntax of members they do not know and skip
+    them, and return [Error] for a known member that repeats or holds
+    the wrong type.  An integer is [[+-]?[0-9]+] within [int]; anything
+    else where one is expected is an [Error].  Neither decoder raises. *)
+
 val request_to_string : request -> string
 
 val request_of_string : string -> (request, string) result
-(** [Error] on malformed JSON, a missing or ill-typed field, an unknown
-    op, a bad demand row, and on a ["scale"] member: answers are
-    resolved on the oracle's fixed LP grid, so a client asking for
-    another resolution is told so rather than answered on that grid. *)
+(** Reads the demand rows straight into the map and sums their
+    {!row_digest} on the way, so the request's [digest] costs no second
+    pass.  [Error] on malformed JSON, a missing or ill-typed member, an
+    unknown op, a bad demand row (wrong width, a negative value, or a
+    point whose total does not fit in an [int]), and on a ["scale"]
+    member: answers are resolved on the oracle's fixed LP grid, so a
+    client asking for another resolution is told so rather than answered
+    on that grid. *)
 
 val response_to_string : response -> string
+
 val response_of_string : string -> (response, string) result
+(** The decoded response has [r_encoded = None]. *)
 
 val answer_equal : answer -> answer -> bool
 (** Bit-exact comparison: float equality on values, [Point.equal] on

@@ -1,7 +1,6 @@
 (* The cache is a plain int-keyed hashtable from digest to entries plus
    a FIFO ring of live digests for eviction.  All structural comparison
-   is explicit (Point.compare via Demand_map bindings), never the
-   polymorphic `=`. *)
+   is explicit ([Demand_map.equal]), never the polymorphic `=`. *)
 
 type key = {
   k_digest : int;
@@ -14,26 +13,17 @@ let op_tag : Protocol.op -> string = function
   | Protocol.Witness -> "witness"
   | Protocol.Lp_value r -> "lp_value:" ^ string_of_int r
   | Protocol.Ping | Protocol.Shutdown ->
-      invalid_arg "Qcache.key: control ops are never cached"
+      invalid_arg "Qcache.key_with_digest: control ops are never cached"
   | Protocol.Session_add _ | Protocol.Session_remove _ | Protocol.Session_query
     ->
-      invalid_arg "Qcache.key: session ops key through their snapshot"
+      invalid_arg "Qcache.key_with_digest: session ops key through their snapshot"
 
 let key_with_digest ~digest ~op demand =
   { k_digest = digest; k_op = op_tag op; k_demand = demand }
 
-let key ~op demand =
-  key_with_digest ~digest:(Protocol.demand_digest demand) ~op demand
-
-let demand_equal a b =
-  Demand_map.dim a = Demand_map.dim b
-  && Demand_map.support_size a = Demand_map.support_size b
-  && Demand_map.fold a ~init:true ~f:(fun acc p v ->
-         acc && Demand_map.value b p = v)
-
 let key_equal a b =
   a.k_digest = b.k_digest && String.equal a.k_op b.k_op
-  && demand_equal a.k_demand b.k_demand
+  && Demand_map.equal a.k_demand b.k_demand
 
 let equal = key_equal
 

@@ -1,12 +1,16 @@
 (** Digest-keyed, structurally verified result cache of the serving
     engine.
 
-    Keys are (demand digest, op); the digest ({!Protocol.demand_digest})
-    is only the bucket index — every lookup re-verifies the candidate
+    Keys are (demand digest, op); the digest ({!Protocol.demand_digest},
+    carried on every request) is only the bucket index — every lookup re-verifies the candidate
     entry against the full key with [Point]-aware structural equality, so
     an FNV collision degrades to a miss, never to a wrong answer.  Cached
     answers are therefore bit-identical to what a fresh oracle call would
     return (the QCheck property in [test/suite_serve.ml]).
+
+    The engine keeps each answer next to its encoded wire member
+    ({!Protocol.encoded}), so a hit writes stored bytes and prints no
+    float.
 
     Capacity is bounded with FIFO eviction (insertion order), which is
     cheap, deterministic, and good enough for replayed query mixes; the
@@ -18,18 +22,15 @@
 
 type key
 
-val key : op:Protocol.op -> Demand_map.t -> key
-(** [Ping]/[Shutdown] requests are never cached, and [Session_*] ops key
-    through their demand snapshot under a stateless op instead; asking
-    for a key on any of them raises [Invalid_argument]. *)
-
 val key_with_digest : digest:int -> op:Protocol.op -> Demand_map.t -> key
-(** {!key} with a caller-maintained digest (an incrementally updated
-    {!Protocol.rowsum_update} closure) instead of a from-scratch
-    {!Protocol.demand_digest}.  The two agree whenever the caller's row
-    sum tracks the demand exactly; a stale digest degrades to a cache
-    miss, never a wrong answer, because lookups still verify
-    structurally. *)
+(** The key of [op] on a demand whose {!Protocol.demand_digest} the
+    caller already holds: a request's [digest] field, or a session's
+    incrementally maintained {!Protocol.rowsum_update} closure.  A stale
+    digest degrades to a cache miss, never a wrong answer, because
+    lookups still verify structurally.  [Ping]/[Shutdown] requests are
+    never cached, and [Session_*] ops key through their demand snapshot
+    under a stateless op instead; asking for a key on any of them raises
+    [Invalid_argument]. *)
 
 val equal : key -> key -> bool
 (** Full structural equality (digest, op tag, then the demand maps

@@ -1,7 +1,8 @@
 (* Independent references for the differential tests: a small max-flow
-   over an edge list, and the exhaustive side of the subset duals
-   (Lemma 2.2.2 and its variants), which enumerate every demand subset.
-   Both are exponential or dense on purpose — tiny instances only. *)
+   over an edge list, the exhaustive side of the subset duals (Lemma
+   2.2.2 and its variants), which enumerate every demand subset, and a
+   request decoder that goes through a [Json.t] tree.  The first two are
+   exponential or dense on purpose — tiny instances only. *)
 
 (* Dinic's algorithm on a dense residual matrix.  Returns the flow value
    and the source side of the minimal minimum cut: the vertices the last
@@ -123,3 +124,101 @@ let breakdown_dual ~longevity dm =
       match Bisect.double ~attempts:16 ~start:1.0 covers with
       | None -> infinity
       | Some hi -> Bisect.halve ~tol:1e-6 ~lo:0.0 ~hi covers)
+
+(* The serving protocol's request decoder as it was before requests were
+   read in one pass: parse the whole payload into a [Json.t] tree, then
+   walk it.  It keeps the rules of today's decoder: a known member that
+   repeats or holds the wrong type is an error, a "scale" member is an
+   error, and so is a demand row whose point total does not fit in an
+   [int].  Members it does not know are ignored. *)
+let request_of_string text =
+  let ( let* ) = Result.bind in
+  let known = [ "id"; "op"; "dim"; "demand"; "session"; "radius"; "point" ] in
+  let ints cells =
+    List.fold_right
+      (fun cell acc ->
+        let* acc = acc in
+        match Json.to_int_opt cell with
+        | Some i -> Ok (i :: acc)
+        | None -> Error "non-integer cell")
+      cells (Ok [])
+  in
+  let typed name project fields =
+    match List.assoc_opt name fields with
+    | None -> Ok None
+    | Some v -> (
+        match project v with
+        | Some x -> Ok (Some x)
+        | None -> Error (Printf.sprintf "ill-typed member %S" name))
+  in
+  let int_list v = Option.bind (Json.to_list_opt v) (fun l -> Result.to_option (ints l)) in
+  let* j = Json.of_string text in
+  let* fields = Option.to_result ~none:"not an object" (Json.to_obj_opt j) in
+  let keys = List.map fst fields in
+  let* () =
+    if List.mem "scale" keys then Error "scale"
+    else if
+      List.exists (fun k -> List.length (List.filter (String.equal k) keys) > 1) known
+    then Error "repeated member"
+    else Ok ()
+  in
+  let* id = typed "id" Json.to_int_opt fields in
+  let* name = typed "op" Json.to_string_opt fields in
+  let* dim = typed "dim" Json.to_int_opt fields in
+  let* session = typed "session" Json.to_string_opt fields in
+  let* radius = typed "radius" Json.to_int_opt fields in
+  let* point = typed "point" int_list fields in
+  let* rows =
+    typed "demand"
+      (fun v ->
+        Option.bind (Json.to_list_opt v) (fun rows ->
+            Result.to_option
+              (List.fold_right
+                 (fun row acc ->
+                   let* acc = acc in
+                   match int_list row with
+                   | Some cells -> Ok (cells :: acc)
+                   | None -> Error "bad row")
+                 rows (Ok []))))
+      fields
+  in
+  let* id = Option.to_result ~none:"missing id" id in
+  let* name = Option.to_result ~none:"missing op" name in
+  let dim = Option.value dim ~default:2 in
+  let* () = if dim >= 1 then Ok () else Error "dim below 1" in
+  let point () =
+    match point with
+    | Some p when List.length p = dim -> Ok (Array.of_list p)
+    | _ -> Error "bad point"
+  in
+  let* op =
+    match name with
+    | "omega_star" -> Ok Protocol.Omega_star
+    | "lp_value" -> (
+        match radius with
+        | Some r when r >= 0 -> Ok (Protocol.Lp_value r)
+        | _ -> Error "bad radius")
+    | "witness" -> Ok Protocol.Witness
+    | "ping" -> Ok Protocol.Ping
+    | "shutdown" -> Ok Protocol.Shutdown
+    | "session_add" -> Result.map (fun p -> Protocol.Session_add p) (point ())
+    | "session_remove" -> Result.map (fun p -> Protocol.Session_remove p) (point ())
+    | "session_query" -> Ok Protocol.Session_query
+    | _ -> Error "unknown op"
+  in
+  let* demand =
+    List.fold_left
+      (fun acc cells ->
+        let* dm = acc in
+        if List.length cells <> dim + 1 then Error "row width"
+        else
+          match List.rev cells with
+          | v :: coords when v >= 0 -> (
+              match Demand_map.add dm (Array.of_list (List.rev coords)) v with
+              | dm -> Ok dm
+              | exception Energy.Overflow m -> Error m)
+          | _ -> Error "negative value")
+      (Ok (Demand_map.empty dim))
+      (Option.value rows ~default:[])
+  in
+  Ok (Protocol.request ?session ~id op demand)

@@ -170,9 +170,33 @@ let test_remove_below_zero_raises () =
     (Invalid_argument "Demand_map.remove: negative demand") (fun () ->
       ignore (Demand_map.remove dm (point2 0 0) (-1)))
 
+(* A total past max_int used to wrap to a negative demand (or to 0,
+   leaving a zero-valued binding). *)
+let test_add_overflow_raises () =
+  let dm = Demand_map.of_alist 2 [ (point2 0 0, max_int) ] in
+  (match Demand_map.add dm (point2 0 0) 1 with
+  | exception Energy.Overflow _ -> ()
+  | _ -> Alcotest.fail "a total past max_int must raise");
+  Alcotest.(check int) "map unchanged" max_int (Demand_map.value dm (point2 0 0))
+
+let test_equal () =
+  let a = Demand_map.of_alist 2 [ (point2 0 0, 3); (point2 1 2, 5) ] in
+  let b = Demand_map.of_alist 2 [ (point2 1 2, 5); (point2 0 0, 1); (point2 0 0, 2) ] in
+  Alcotest.(check bool) "order and split rows do not matter" true (Demand_map.equal a b);
+  Alcotest.(check bool) "a value differs" false
+    (Demand_map.equal a (Demand_map.add a (point2 0 0) 1));
+  Alcotest.(check bool) "a point more" false
+    (Demand_map.equal a (Demand_map.add a (point2 4 4) 1));
+  Alcotest.(check bool) "a point back out" true
+    (Demand_map.equal a (Demand_map.remove (Demand_map.add a (point2 4 4) 1) (point2 4 4) 1));
+  Alcotest.(check bool) "dimension counts" false
+    (Demand_map.equal (Demand_map.empty 2) (Demand_map.empty 3))
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "add overflow raises" `Quick test_add_overflow_raises;
+      Alcotest.test_case "equal" `Quick test_equal;
       Alcotest.test_case "add negative raises" `Quick test_add_negative_raises;
       Alcotest.test_case "remove semantics" `Quick test_remove_semantics;
       Alcotest.test_case "remove below zero raises" `Quick

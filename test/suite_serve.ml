@@ -12,6 +12,9 @@ let demand_equal a b =
   && Demand_map.fold a ~init:true ~f:(fun acc p v ->
          acc && Demand_map.value b p = v)
 
+let response r_id r_cached r_result =
+  { Protocol.r_id; r_cached; r_result; r_encoded = None }
+
 let small_demand seed =
   let rng = Rng.create seed in
   Workload.demand
@@ -43,21 +46,39 @@ let test_frame_chunked_roundtrip () =
   Alcotest.(check (list string)) "byte-at-a-time decode" payloads (List.rev !out);
   Alcotest.(check (option string)) "decoder drained" None (Frame.next dec)
 
+(* The blocking reader over a pipe holding [bytes]. *)
+let read_from_pipe bytes =
+  let rd, wr = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr wr and ic = Unix.in_channel_of_descr rd in
+  output_string oc bytes;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Frame.read ic)
+
 let test_frame_bad_headers () =
   let rejects bytes =
     let dec = Frame.decoder () in
     Frame.feed_string dec bytes;
-    match Frame.next dec with
+    (match Frame.next dec with
     | exception Frame.Bad_frame _ -> ()
     | Some _ | None ->
-        Alcotest.fail (Printf.sprintf "header %S must be rejected" bytes)
+        Alcotest.fail (Printf.sprintf "decoder: header %S must be rejected" bytes));
+    match read_from_pipe bytes with
+    | exception Frame.Bad_frame _ -> ()
+    | Some _ | None -> Alcotest.fail (Printf.sprintf "read: header %S must be rejected" bytes)
   in
   rejects "nope\n";
   rejects "12x34\n";
   rejects "\n";
   rejects (string_of_int (Frame.max_payload + 1) ^ "\n");
   (* Missing trailing newline after the payload. *)
-  rejects "2\nabX"
+  rejects "2\nabX";
+  (* Headers [int_of_string] reads as a length, each followed by a
+     payload of that length: only ASCII digits are a header. *)
+  List.iter
+    (fun header ->
+      rejects
+        (Printf.sprintf "%s\n%s\n" header (String.make (int_of_string header) 'x')))
+    [ "0x14"; "+20"; "0_20"; "0b11"; "0o3"; "-0" ]
 
 let test_frame_channel_io () =
   let rd, wr = Unix.pipe () in
@@ -133,16 +154,12 @@ let test_request_validation () =
 let test_response_roundtrip () =
   let cases =
     [
-      { Protocol.r_id = 1; r_cached = false; r_result = Ok (Protocol.Value (1.0 /. 3.0)) };
-      { Protocol.r_id = 2; r_cached = true; r_result = Ok (Protocol.Value 0.1) };
-      {
-        Protocol.r_id = 3;
-        r_cached = false;
-        r_result = Ok (Protocol.Tight_set (Some ([ [| 0; 1 |]; [| 2; 2 |] ], 2.5)));
-      };
-      { Protocol.r_id = 4; r_cached = true; r_result = Ok (Protocol.Tight_set None) };
-      { Protocol.r_id = 5; r_cached = false; r_result = Ok Protocol.Pong };
-      { Protocol.r_id = 6; r_cached = false; r_result = Error "synthetic failure" };
+      response 1 false (Ok (Protocol.Value (1.0 /. 3.0)));
+      response 2 true (Ok (Protocol.Value 0.1));
+      response 3 false (Ok (Protocol.Tight_set (Some ([ [| 0; 1 |]; [| 2; 2 |] ], 2.5))));
+      response 4 true (Ok (Protocol.Tight_set None));
+      response 5 false (Ok Protocol.Pong);
+      response 6 false (Error "synthetic failure");
     ]
   in
   List.iter
@@ -532,11 +549,8 @@ let test_session_error_paths () =
   | _ -> Alcotest.fail "session must still answer");
   Alcotest.(check int) "one live session" 1 (Engine.session_count engine);
   expect_error "evaluate has no stateless session path"
-    {
-      Protocol.r_id = 0;
-      r_cached = false;
-      r_result = Engine.evaluate (Protocol.request ~session:"s" ~id:0 Protocol.Session_query dm0);
-    }
+    (response 0 false
+       (Engine.evaluate (Protocol.request ~session:"s" ~id:0 Protocol.Session_query dm0)))
 
 let test_session_metrics () =
   Metrics.reset ();
@@ -597,6 +611,404 @@ let test_session_lru_eviction () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "max_sessions 0: expected Invalid_argument")
 
+(* --- one-pass decoding: regressions --- *)
+
+let rejects_request text =
+  match Protocol.request_of_string text with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "must reject %s" text
+
+(* Duplicate rows whose total passes max_int used to wrap: the frame
+   ending in 3 was answered 1.0, the one ending in 2 was answered 0.0 and
+   left a zero-valued binding in the map. *)
+let test_overflowing_rows () =
+  List.iter
+    (fun last ->
+      match
+        Protocol.request_of_string
+          (Printf.sprintf
+             "{\"id\":1,\"op\":\"omega_star\",\"dim\":2,\"demand\":[[0,0,%d],[0,0,%d],[0,0,%d]]}"
+             max_int max_int last)
+      with
+      | Error e ->
+          Alcotest.(check bool) ("overflow named: " ^ e) true
+            (String.starts_with ~prefix:"Energy.add" e)
+      | Ok _ -> Alcotest.failf "rows ending in %d must not wrap" last)
+    [ 3; 2 ]
+
+(* Members the old decoder read past: an ill-typed dim became 2, an
+   ill-typed session was dropped, and a repeated member kept its first
+   value. *)
+let test_ill_typed_and_repeated_members () =
+  List.iter rejects_request
+    [
+      {|{"id":1,"op":"omega_star","dim":2.5,"demand":[[0,0,1]]}|};
+      {|{"id":1,"op":"omega_star","dim":"3","demand":[[0,0,1]]}|};
+      {|{"id":1,"op":"session_query","session":5}|};
+      {|{"id":1,"op":"ping","session":null}|};
+      {|{"id":1,"id":2,"op":"ping"}|};
+      {|{"id":1,"op":"ping","op":"shutdown"}|};
+      {|{"id":1,"op":"omega_star","dim":2,"dim":3}|};
+      {|{"id":1,"op":"omega_star","demand":[[0,0,1]],"demand":[[1,1,1]]}|};
+      {|{"id":1,"op":"session_query","session":"a","session":"b"}|};
+      {|{"id":1,"op":"omega_star","radius":1.5}|};
+    ];
+  (* Unknown members are skipped, but only when they are valid JSON. *)
+  (match
+     Protocol.request_of_string
+       {|{"x":{"a":[1,-2.5e3,"s\n",null,true,false,{}]},"id":4,"op":"ping","x":[]}|}
+   with
+  | Ok r -> Alcotest.(check int) "unknown members skipped" 4 r.Protocol.id
+  | Error e -> Alcotest.fail e);
+  List.iter rejects_request
+    [
+      {|{"id":4,"op":"ping","x":[1,]}|};
+      {|{"id":4,"op":"ping","x":tru}|};
+      {|{"id":4,"op":"ping","x":"\q"}|};
+    ]
+
+(* A hit's allocation through the daemon's three steps: decode, engine,
+   encode.  The tree decoder and the re-encoded answer took about 4,900
+   words. *)
+let test_hit_allocation () =
+  let reqs = Loadgen.queries ~seed:5 ~mix:Loadgen.Repeat_heavy ~n:2000 in
+  let engine = Engine.create () in
+  Array.iter (fun r -> ignore (Engine.process engine r)) reqs;
+  let payloads = Array.map Protocol.request_to_string reqs in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun payload ->
+      match Protocol.request_of_string payload with
+      | Error e -> Alcotest.fail e
+      | Ok req ->
+          let resp = Engine.process engine req in
+          if resp.Protocol.r_cached then incr hits;
+          ignore (Sys.opaque_identity (Protocol.response_to_string resp)))
+    payloads;
+  let words = (Gc.minor_words () -. before) /. float_of_int !hits in
+  Alcotest.(check int) "every request hits" 2000 !hits;
+  if words > 2500.0 then Alcotest.failf "%.1f minor words per hit, above 2,500" words
+
+(* The stdio daemon on a bad header: the ping before it is answered, then
+   the bad frame gets the id -1 error and the daemon exits 1 (it used to
+   die of the uncaught exception, or to read [0x14] as 20). *)
+let serve_exe = Filename.concat ".." (Filename.concat "bin" "cmvrp_serve.exe")
+
+let test_stdio_bad_frame () =
+  let input = Filename.temp_file "cmvrp_stdio_in" ".bin" in
+  let output = Filename.temp_file "cmvrp_stdio_out" ".bin" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove input;
+      Sys.remove output)
+    (fun () ->
+      Out_channel.with_open_bin input (fun oc ->
+          output_string oc (Frame.encode {|{"id":1,"op":"ping"}|});
+          output_string oc "0x14\n{\"id\":3,\"op\":\"ping\"}\n");
+      let status =
+        Sys.command
+          (Filename.quote_command serve_exe ~stdin:input ~stdout:output ~stderr:Filename.null
+             [ "daemon"; "--stdio"; "--quiet" ])
+      in
+      Alcotest.(check int) "exit status" 1 status;
+      let dec = Frame.decoder () in
+      Frame.feed_string dec (In_channel.with_open_bin output In_channel.input_all);
+      let next () =
+        match Frame.next dec with
+        | Some payload -> Protocol.response_of_string payload
+        | None -> Error "missing response"
+      in
+      (match next () with
+      | Ok { Protocol.r_id = 1; r_result = Ok Protocol.Pong; _ } -> ()
+      | _ -> Alcotest.fail "the ping before the bad frame is answered");
+      (match next () with
+      | Ok { Protocol.r_id = -1; r_result = Error e; _ } ->
+          Alcotest.(check bool) ("bad frame named: " ^ e) true
+            (String.starts_with ~prefix:"bad frame" e)
+      | _ -> Alcotest.fail "the bad frame gets an id -1 error");
+      Alcotest.(check (option string)) "nothing after it" None (Frame.next dec))
+
+(* --- fuzz: Frame and Protocol against an independent reference --- *)
+
+let odd_bytes =
+  [| 'a'; 'Z'; '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\031'; '\127'; '\xc3'; '\xa9'; ' '; '/' |]
+
+let random_name rng = String.init (Rng.int rng 7) (fun _ -> Rng.choose rng odd_bytes)
+
+let random_int rng =
+  match Rng.int rng 10 with
+  | 0 -> Rng.choose rng [| max_int; min_int; 0; -1 |]
+  | 1 -> Int64.to_int (Rng.int64 rng)
+  | _ -> Rng.int_in rng (-1000) 1000
+
+let random_point rng dim = Array.init dim (fun _ -> random_int rng)
+
+(* Dimensions 1-3, negative and extreme coordinates, every op, odd
+   session names, extreme ids. *)
+let random_request rng =
+  let dim = Rng.int_in rng 1 3 in
+  let rows =
+    List.init (Rng.int rng 7) (fun _ ->
+        ( (if Rng.int rng 4 = 0 then random_point rng dim
+           else Array.init dim (fun _ -> Rng.int_in rng (-3) 3)),
+          if Rng.int rng 8 = 0 then Rng.int_in rng 0 1_000_000_000 else Rng.int_in rng 0 9 ))
+  in
+  let op =
+    match Rng.int rng 8 with
+    | 0 -> Protocol.Omega_star
+    | 1 -> Protocol.Lp_value (Rng.int rng 6)
+    | 2 -> Protocol.Witness
+    | 3 -> Protocol.Ping
+    | 4 -> Protocol.Shutdown
+    | 5 -> Protocol.Session_add (random_point rng dim)
+    | 6 -> Protocol.Session_remove (random_point rng dim)
+    | _ -> Protocol.Session_query
+  in
+  let session = if Rng.bool rng then Some (random_name rng) else None in
+  Protocol.request ?session ~id:(random_int rng) op (Demand_map.of_alist dim rows)
+
+let same_request (a : Protocol.request) (b : Protocol.request) =
+  a.Protocol.id = b.Protocol.id
+  && a.Protocol.op = b.Protocol.op
+  && Option.equal String.equal a.Protocol.session b.Protocol.session
+  && demand_equal a.Protocol.demand b.Protocol.demand
+  && a.Protocol.digest = b.Protocol.digest
+
+let json_string s =
+  let buf = Buffer.create 16 in
+  Json.write_string buf s;
+  Buffer.contents buf
+
+let whitespace = [| ""; ""; " "; "\n"; "\t"; "\r\n  " |]
+
+(* [items] between brackets, separated by commas. *)
+let bracketed items =
+  ("[" :: List.concat (List.mapi (fun i x -> (if i > 0 then [ "," ] else []) @ x) items)) @ [ "]" ]
+
+let tokens_of_ints xs = bracketed (List.map (fun x -> [ string_of_int x ]) xs)
+
+(* Members the request does not carry, some of them errors: a repeat, a
+   wrong type, "scale".  Keys are JSON tokens; the last spells "id" with
+   an escape, so it repeats "id" only once decoded. *)
+let noise_members =
+  [
+    ("\"dim\"", [ "\"3\"" ]); ("\"dim\"", [ "2.5" ]); ("\"session\"", [ "5" ]);
+    ("\"session\"", [ "null" ]); ("\"id\"", [ "7" ]); ("\"scale\"", [ "1" ]);
+    ("\"radius\"", [ "-1" ]); ("\"radius\"", [ "1e2" ]); ("\"point\"", tokens_of_ints [ 1; 2 ]);
+    ("\"demand\"", [ "["; "]" ]); ("\"op\"", [ "\"ping\"" ]); ("\"y\"", [ "\"\\u00e9\"" ]);
+    ("\"x\"", [ "{"; "\"a\""; ":"; "["; "1"; ","; "-2.5e3"; ","; "null"; ","; "true"; "]"; "}" ]);
+    ("\"\\u0069d\"", [ "8" ]);
+  ]
+
+let op_name = function
+  | Protocol.Omega_star -> "omega_star"
+  | Protocol.Lp_value _ -> "lp_value"
+  | Protocol.Witness -> "witness"
+  | Protocol.Ping -> "ping"
+  | Protocol.Shutdown -> "shutdown"
+  | Protocol.Session_add _ -> "session_add"
+  | Protocol.Session_remove _ -> "session_remove"
+  | Protocol.Session_query -> "session_query"
+
+(* The request as tokens: its members in a random order, its rows
+   shuffled, some rows split in two on the same point or joined by a
+   zero-valued twin (the same demand either way), and each noise member
+   with probability 1/6 when [noise]. *)
+let member_tokens rng ~noise (r : Protocol.request) =
+  let rows =
+    Array.of_list
+      (Demand_map.fold r.Protocol.demand ~init:[] ~f:(fun acc p v ->
+           let row v = Array.to_list p @ [ v ] in
+           match Rng.int rng 8 with
+           | 0 when v >= 2 ->
+               let a = Rng.int_in rng 1 (v - 1) in
+               row a :: row (v - a) :: acc
+           | 1 -> row v :: row 0 :: acc
+           | _ -> row v :: acc))
+  in
+  Rng.shuffle rng rows;
+  let demand = bracketed (List.map tokens_of_ints (Array.to_list rows)) in
+  let own =
+    [
+      ("id", [ string_of_int r.Protocol.id ]);
+      ("op", [ json_string (op_name r.Protocol.op) ]);
+      ("dim", [ string_of_int (Demand_map.dim r.Protocol.demand) ]);
+      ("demand", demand);
+    ]
+    @ (match r.Protocol.session with Some s -> [ ("session", [ json_string s ]) ] | None -> [])
+    @
+    match r.Protocol.op with
+    | Protocol.Lp_value radius -> [ ("radius", [ string_of_int radius ]) ]
+    | Protocol.Session_add p | Protocol.Session_remove p ->
+        [ ("point", tokens_of_ints (Array.to_list p)) ]
+    | _ -> []
+  in
+  let extra = if noise then List.filter (fun _ -> Rng.int rng 6 = 0) noise_members else [] in
+  let members = Array.of_list (List.map (fun (k, v) -> (json_string k, v)) own @ extra) in
+  Rng.shuffle rng members;
+  ("{"
+  :: List.concat
+       (List.mapi
+          (fun i (k, v) -> (if i > 0 then [ "," ] else []) @ (k :: ":" :: v))
+          (Array.to_list members)))
+  @ [ "}" ]
+
+let spaced rng tokens =
+  String.concat "" (List.concat_map (fun t -> [ Rng.choose rng whitespace; t ]) tokens)
+  ^ Rng.choose rng whitespace
+
+let json_bytes = "{}[],:\"\\0123456789-+.eEtrufalsn \n\t\000\255"
+
+(* One to four flipped, inserted or deleted bytes, or a truncation. *)
+let mutate rng text =
+  let b = ref text in
+  for _ = 0 to Rng.int rng 4 do
+    let s = !b and n = String.length !b in
+    let pos = if n = 0 then 0 else Rng.int rng n in
+    let byte () =
+      if Rng.bool rng then String.make 1 json_bytes.[Rng.int rng (String.length json_bytes)]
+      else String.make 1 (Char.chr (Rng.int rng 256))
+    in
+    b :=
+      match Rng.int rng 4 with
+      | 0 when n > 0 -> String.sub s 0 pos ^ byte () ^ String.sub s (pos + 1) (n - pos - 1)
+      | 1 -> String.sub s 0 pos ^ byte () ^ String.sub s pos (n - pos)
+      | 2 when n > 0 -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+      | _ -> String.sub s 0 pos
+  done;
+  !b
+
+let random_bytes rng = String.init (Rng.int rng 64) (fun _ -> Char.chr (Rng.int rng 256))
+
+let random_float rng =
+  match Rng.int rng 6 with
+  | 0 ->
+      Rng.choose rng
+        [| 0.0; -0.0; 5e-324; 2.2250738585072009e-308; 1e15; -1e15; 1e16 +. 2.0;
+           123456789012345678.0; 1.0 /. 3.0; 0.1; Float.max_float |]
+  | 1 -> float_of_int (random_int rng)
+  | 2 -> Int64.float_of_bits (Int64.of_int (Rng.int rng (1 lsl 52)))
+  | _ ->
+      let f = Int64.float_of_bits (Rng.int64 rng) in
+      if Float.is_finite f then f else 1.5
+
+let random_response rng =
+  let answer =
+    match Rng.int rng 4 with
+    | 0 -> Protocol.Value (random_float rng)
+    | 1 -> Protocol.Tight_set None
+    | 2 ->
+        let dim = Rng.int_in rng 1 3 in
+        let points = List.init (Rng.int rng 4) (fun _ -> random_point rng dim) in
+        Protocol.Tight_set (Some (points, random_float rng))
+    | _ -> Protocol.Pong
+  in
+  let r_id = random_int rng in
+  if Rng.int rng 5 = 0 then
+    { Protocol.r_id; r_cached = false; r_result = Error (random_name rng); r_encoded = None }
+  else
+    {
+      Protocol.r_id;
+      r_cached = Rng.bool rng;
+      r_result = Ok answer;
+      r_encoded = (if Rng.bool rng then Some (Protocol.encode_answer answer) else None);
+    }
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_response (a : Protocol.response) (b : Protocol.response) =
+  a.Protocol.r_id = b.Protocol.r_id
+  &&
+  match (a.Protocol.r_result, b.Protocol.r_result) with
+  | Error x, Error y -> String.equal x y
+  | Ok x, Ok y -> (
+      Bool.equal a.Protocol.r_cached b.Protocol.r_cached
+      &&
+      match (x, y) with
+      | Protocol.Value u, Protocol.Value v -> same_bits u v
+      | Protocol.Tight_set (Some (ps, u)), Protocol.Tight_set (Some (qs, v)) ->
+          same_bits u v && List.equal Point.equal ps qs
+      | _ -> Protocol.answer_equal x y)
+  | _ -> false
+
+let seeds name count law = QCheck.Test.make ~name ~count (QCheck.int_bound (1 lsl 30)) law
+
+let prop_decoders_never_raise =
+  seeds "decoders return Ok or Error on mutated and random input" 400 (fun seed ->
+      let rng = Rng.create seed in
+      let req = random_request rng in
+      let texts =
+        [ random_bytes rng; mutate rng (Protocol.request_to_string req);
+          mutate rng (spaced rng (member_tokens rng ~noise:true req));
+          mutate rng (Protocol.response_to_string (random_response rng)) ]
+      in
+      List.for_all
+        (fun text ->
+          (match Protocol.request_of_string text with Ok _ | Error _ -> true)
+          && match Protocol.response_of_string text with Ok _ | Error _ -> true)
+        texts)
+
+let prop_frame_raises_only_bad_frame =
+  seeds "Frame.next raises nothing but Bad_frame" 400 (fun seed ->
+      let rng = Rng.create seed in
+      let wire =
+        String.concat ""
+          (List.init (Rng.int_in rng 1 3) (fun _ ->
+               Frame.encode (Protocol.request_to_string (random_request rng))))
+      in
+      List.for_all
+        (fun bytes ->
+          let dec = Frame.decoder () in
+          Frame.feed_string dec bytes;
+          let rec drain () = match Frame.next dec with Some _ -> drain () | None -> () in
+          match drain () with () -> true | exception Frame.Bad_frame _ -> true)
+        [ mutate rng wire; random_bytes rng; wire ])
+
+let prop_agrees_with_reference =
+  seeds "request decoder agrees with the tree-based reference" 1500 (fun seed ->
+      let rng = Rng.create seed in
+      let req = random_request rng in
+      let source =
+        if Rng.bool rng then Protocol.request_to_string req
+        else spaced rng (member_tokens rng ~noise:true req)
+      in
+      let text = if Rng.int rng 4 = 0 then source else mutate rng source in
+      match (Protocol.request_of_string text, Reference.request_of_string text) with
+      | Error _, Error _ -> true
+      | Ok a, Ok b when same_request a b -> true
+      | got, want ->
+          let show = function Ok r -> Protocol.request_to_string r | Error e -> "Error " ^ e in
+          QCheck.Test.fail_reportf "input %S: decoder %s, reference %s" text (show got) (show want))
+
+let prop_request_roundtrip =
+  seeds "request encode then decode is the identity" 500 (fun seed ->
+      let req = random_request (Rng.create seed) in
+      match Protocol.request_of_string (Protocol.request_to_string req) with
+      | Ok back -> same_request req back
+      | Error e -> QCheck.Test.fail_reportf "%s: %s" (Protocol.request_to_string req) e)
+
+let prop_response_roundtrip =
+  seeds "response encode then decode is the identity" 500 (fun seed ->
+      let resp = random_response (Rng.create seed) in
+      let text = Protocol.response_to_string resp in
+      String.equal text (Protocol.response_to_string { resp with Protocol.r_encoded = None })
+      &&
+      match Protocol.response_of_string text with
+      | Ok back -> same_response resp back
+      | Error e -> QCheck.Test.fail_reportf "%s: %s" text e)
+
+let prop_member_order =
+  seeds "shuffled members and whitespace decode like the compact form" 500 (fun seed ->
+      let rng = Rng.create seed in
+      let req = random_request rng in
+      match
+        ( Protocol.request_of_string (Protocol.request_to_string req),
+          Protocol.request_of_string (spaced rng (member_tokens rng ~noise:false req)) )
+      with
+      | Ok a, Ok b -> same_request a b && same_request req b
+      | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "frame chunked roundtrip" `Quick test_frame_chunked_roundtrip;
@@ -631,4 +1043,15 @@ let suite =
       test_session_shares_cache_with_stateless;
     Alcotest.test_case "session error paths" `Quick test_session_error_paths;
     Alcotest.test_case "session metrics" `Quick test_session_metrics;
+    Alcotest.test_case "overflowing rows are an error" `Quick test_overflowing_rows;
+    Alcotest.test_case "ill-typed and repeated members" `Quick
+      test_ill_typed_and_repeated_members;
+    Alcotest.test_case "hit allocation" `Quick test_hit_allocation;
+    Alcotest.test_case "stdio daemon on a bad frame" `Quick test_stdio_bad_frame;
+    QCheck_alcotest.to_alcotest prop_decoders_never_raise;
+    QCheck_alcotest.to_alcotest prop_frame_raises_only_bad_frame;
+    QCheck_alcotest.to_alcotest prop_agrees_with_reference;
+    QCheck_alcotest.to_alcotest prop_request_roundtrip;
+    QCheck_alcotest.to_alcotest prop_response_roundtrip;
+    QCheck_alcotest.to_alcotest prop_member_order;
   ]
