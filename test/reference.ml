@@ -125,9 +125,9 @@ let breakdown_dual ~longevity dm =
       | None -> infinity
       | Some hi -> Bisect.halve ~tol:1e-6 ~lo:0.0 ~hi covers)
 
-(* The serving protocol's request decoder as it was before requests were
-   read in one pass: parse the whole payload into a [Json.t] tree, then
-   walk it.  It keeps the rules of today's decoder: a known member that
+(* The serving protocol's request decoder written the slow way: parse
+   the whole payload into a [Json.t] tree, then walk it.  It states the
+   rules of [Protocol.request_of_string] on its own: a known member that
    repeats or holds the wrong type is an error, a "scale" member is an
    error, and so is a demand row whose point total does not fit in an
    [int].  Members it does not know are ignored. *)
