@@ -1219,57 +1219,31 @@ let json_scenarios ~quick =
         | Des.Livelock _ -> failwith "des/kernel did not quiesce" );
   ]
 
-let run_json_suite ~quick ~jobs ~revision path =
+let run_json_suite ~quick ~revision path =
   section
-    (Printf.sprintf "JSON regression suite (%s mode%s) -> %s"
+    (Printf.sprintf "JSON regression suite (%s mode) -> %s"
        (if quick then "quick" else "full")
-       (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "")
        path);
   let scenarios =
-    if jobs <= 1 then
-      List.map
-        (fun (name, f) ->
-          Metrics.reset ();
-          let t0 = Metrics.now_ns () in
-          f ();
-          let wall_ms = (Metrics.now_ns () -. t0) /. 1e6 in
-          Printf.printf "  %-32s %10.2f ms\n%!" name wall_ms;
-          (* zero-valued cells are subsystems this scenario never touched;
-             dropping them keeps reports scenario-relevant *)
-          let touched = function
-            | _, Metrics.Count 0 -> false
-            | _, Metrics.Level { value = 0.0; peak = 0.0 } -> false
-            | _, Metrics.Span { calls = 0; _ } -> false
-            | _, Metrics.Dist { count = 0; _ } -> false
-            | _ -> true
-          in
-          let metrics = List.filter touched (Metrics.snapshot ()) in
-          { Bench_report.name; wall_ms; metrics })
-        (json_scenarios ~quick)
-    else begin
-      (* Parallel fan-out through the Domain pool: wall clocks only.  The
-         registry is shared process-wide, so per-scenario snapshots would
-         interleave; metrics are left empty (bench-diff ignores metrics
-         absent from the candidate).  CI keeps jobs = 1. *)
-      Pool.set_workers jobs;
-      Metrics.set_enabled false;
-      let results =
-        Pool.map
-          (fun (name, f) ->
-            let t0 = Metrics.now_ns () in
-            f ();
-            let wall_ms = (Metrics.now_ns () -. t0) /. 1e6 in
-            { Bench_report.name; wall_ms; metrics = [] })
-          (Array.of_list (json_scenarios ~quick))
-      in
-      Metrics.set_enabled true;
-      Array.iter
-        (fun s ->
-          Printf.printf "  %-32s %10.2f ms\n%!" s.Bench_report.name
-            s.Bench_report.wall_ms)
-        results;
-      Array.to_list results
-    end
+    List.map
+      (fun (name, f) ->
+        Metrics.reset ();
+        let t0 = Metrics.now_ns () in
+        f ();
+        let wall_ms = (Metrics.now_ns () -. t0) /. 1e6 in
+        Printf.printf "  %-32s %10.2f ms\n%!" name wall_ms;
+        (* zero-valued cells are subsystems this scenario never touched;
+           dropping them keeps reports scenario-relevant *)
+        let touched = function
+          | _, Metrics.Count 0 -> false
+          | _, Metrics.Level { value = 0.0; peak = 0.0 } -> false
+          | _, Metrics.Span { calls = 0; _ } -> false
+          | _, Metrics.Dist { count = 0; _ } -> false
+          | _ -> true
+        in
+        let metrics = List.filter touched (Metrics.snapshot ()) in
+        { Bench_report.name; wall_ms; metrics })
+      (json_scenarios ~quick)
   in
   let report = Bench_report.make ~revision ~quick scenarios in
   Bench_report.write_file path report;
@@ -1289,7 +1263,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let want_bechamel = ref false in
   let quick = ref false in
-  let jobs = ref 1 in
   let json_path = ref None in
   let revision =
     ref (Option.value ~default:"dev" (Sys.getenv_opt "GITHUB_SHA"))
@@ -1309,17 +1282,6 @@ let () =
     | [ "--json" ] ->
         prerr_endline "--json requires an output path";
         exit 2
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            jobs := n;
-            parse rest
-        | _ ->
-            prerr_endline "--jobs requires a positive integer";
-            exit 2)
-    | [ "--jobs" ] ->
-        prerr_endline "--jobs requires a positive integer";
-        exit 2
     | "--revision" :: rev :: rest ->
         revision := rev;
         parse rest
@@ -1336,7 +1298,7 @@ let () =
     "CMVRP reproduction benchmarks — Gao, \"On a Capacitated Multivehicle \
      Routing Problem\" (Caltech, 2008)";
   (match !json_path with
-  | Some path -> run_json_suite ~quick:!quick ~jobs:!jobs ~revision:!revision path
+  | Some path -> run_json_suite ~quick:!quick ~revision:!revision path
   | None ->
       let to_run =
         match wanted with

@@ -115,56 +115,6 @@ let clarke_wright ~dm ~depot ~capacity =
   done;
   { depot; routes = !routes; capacity }
 
-(* --- Gillett–Miller sweep --- *)
-
-let sweep ?(improve = true) ~dm ~depot capacity =
-  if capacity <= 0 then invalid_arg "Cvrp.sweep: capacity must be positive";
-  let customers = customers_of_demand dm in
-  List.iter
-    (fun c ->
-      if c.amount > capacity then
-        invalid_arg "Cvrp.sweep: a customer exceeds the route capacity")
-    customers;
-  let angle c =
-    let dx = float_of_int (c.location.(0) - depot.(0)) in
-    let dy = float_of_int (c.location.(1) - depot.(1)) in
-    Float.atan2 dy dx
-  in
-  let sorted = List.sort (fun a b -> Float.compare (angle a) (angle b)) customers in
-  (* Cut the angular order into capacity-respecting clusters. *)
-  let clusters = ref [] and current = ref [] and cur_load = ref 0 in
-  List.iter
-    (fun c ->
-      if !cur_load + c.amount > capacity && !current <> [] then begin
-        clusters := List.rev !current :: !clusters;
-        current := [];
-        cur_load := 0
-      end;
-      current := c :: !current;
-      cur_load := !cur_load + c.amount)
-    sorted;
-  if !current <> [] then clusters := List.rev !current :: !clusters;
-  let route_of_cluster cluster =
-    let points = List.map (fun c -> c.location) cluster in
-    let ordered = Tour.nearest_neighbor ~start:depot points in
-    let ordered =
-      if improve then
-        match Tour.two_opt (depot :: ordered) with
-        | d :: rest when Point.equal d depot -> rest
-        | reordered ->
-            (* 2-opt may rotate the depot away from the front; rotate back. *)
-            let rec rotate acc = function
-              | [] -> List.rev acc
-              | d :: rest when Point.equal d depot -> rest @ List.rev acc
-              | p :: rest -> rotate (p :: acc) rest
-            in
-            rotate [] reordered
-      else ordered
-    in
-    { stops = ordered }
-  in
-  { depot; routes = List.rev_map route_of_cluster !clusters; capacity }
-
 let validate ~dm sol =
   let visits = Point.Tbl.create 64 in
   List.iter

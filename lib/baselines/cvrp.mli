@@ -1,12 +1,12 @@
-(** Classical central-depot CVRP heuristics — the comparison points the
-    thesis reviews in §1.1 (Clarke–Wright savings [4], the Gillett–Miller
-    sweep [9]) — adapted to the grid/L1 setting.
+(** Classical central-depot CVRP heuristics — the comparison point the
+    thesis reviews in §1.1 (Clarke–Wright savings [4]) — adapted to the
+    grid/L1 setting.
 
     A route starts at the depot, visits customers, and returns.  Routes
     respect a service-capacity bound [q] (total demand per route).  The
-    {!route_energy} of a route under the thesis's objective is its travel
-    cost plus the demand it serves — directly comparable to the per-vehicle
-    energy [W] of CMVRP. *)
+    energy of a route under the thesis's objective is its travel cost plus
+    the demand it serves — directly comparable to the per-vehicle energy
+    [W] of CMVRP. *)
 
 type customer = { location : Point.t; amount : int }
 
@@ -18,16 +18,7 @@ type solution = {
   capacity : int;  (** the service capacity [q] the routes respect *)
 }
 
-val customers_of_demand : Demand_map.t -> customer list
-(** One customer per support point. *)
-
 val route_demand : Demand_map.t -> route -> int
-
-val route_travel : depot:Point.t -> route -> int
-(** Closed-tour travel: depot through the stops and back. *)
-
-val route_energy : dm:Demand_map.t -> depot:Point.t -> route -> int
-(** Travel plus service — the CMVRP-comparable per-vehicle energy. *)
 
 val total_travel : solution -> int
 
@@ -40,11 +31,6 @@ val clarke_wright : dm:Demand_map.t -> depot:Point.t -> capacity:int -> solution
     merge the route pair with the best positive saving
     [d(0,i) + d(0,j) - d(i,j)] subject to the capacity bound, linking only
     at route endpoints. *)
-
-val sweep : ?improve:bool -> dm:Demand_map.t -> depot:Point.t -> int -> solution
-(** Gillett–Miller: order customers by polar angle around the depot, cut
-    into capacity-respecting clusters, and route each cluster
-    nearest-neighbor (plus 2-opt when [improve], the default). *)
 
 val validate : dm:Demand_map.t -> solution -> (unit, string) result
 (** Every customer visited exactly once across routes; every route within

@@ -15,65 +15,3 @@ let cycle_length points =
         | [] -> assert false
       in
       path_length points + Point.l1_dist (last points) first
-
-let nearest_neighbor ~start points =
-  let remaining = ref points in
-  let out = ref [] in
-  let current = ref start in
-  while !remaining <> [] do
-    let best, rest =
-      List.fold_left
-        (fun (best, rest) p ->
-          match best with
-          | None -> (Some p, rest)
-          | Some b ->
-              if Point.l1_dist !current p < Point.l1_dist !current b then
-                (Some p, b :: rest)
-              else (Some b, p :: rest))
-        (None, []) !remaining
-    in
-    match best with
-    | None -> ()
-    | Some b ->
-        out := b :: !out;
-        current := b;
-        remaining := rest
-  done;
-  List.rev !out
-
-let two_opt ?(max_rounds = 50) points =
-  let arr = Array.of_list points in
-  let n = Array.length arr in
-  if n < 4 then points
-  else begin
-    let dist i j = Point.l1_dist arr.(i mod n) arr.(j mod n) in
-    let reverse i j =
-      (* reverse arr[i..j] inclusive *)
-      let i = ref i and j = ref j in
-      while !i < !j do
-        let tmp = arr.(!i) in
-        arr.(!i) <- arr.(!j);
-        arr.(!j) <- tmp;
-        incr i;
-        decr j
-      done
-    in
-    let improved = ref true in
-    let rounds = ref 0 in
-    while !improved && !rounds < max_rounds do
-      improved := false;
-      incr rounds;
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          (* Swap edges (i-1,i) and (j,j+1) for (i-1,j) and (i,j+1). *)
-          let before = dist ((i + n - 1) mod n) i + dist j ((j + 1) mod n) in
-          let after = dist ((i + n - 1) mod n) j + dist i ((j + 1) mod n) in
-          if after < before then begin
-            reverse i j;
-            improved := true
-          end
-        done
-      done
-    done;
-    Array.to_list arr
-  end

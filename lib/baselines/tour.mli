@@ -2,19 +2,6 @@
     the primitive under the classical central-depot CVRP heuristics the
     thesis reviews in §1.1. *)
 
-val path_length : Point.t list -> int
-(** Sum of consecutive L1 distances (an open path, no return leg). *)
-
 val cycle_length : Point.t list -> int
-(** Closed-tour length: the open path plus the leg back to the start.
-    0 for fewer than two points. *)
-
-val nearest_neighbor : start:Point.t -> Point.t list -> Point.t list
-(** Orders the points greedily by nearest-unvisited, beginning from
-    [start] ([start] itself is not included in the output). *)
-
-val two_opt : ?max_rounds:int -> Point.t list -> Point.t list
-(** 2-opt improvement for the closed tour through the given order:
-    repeatedly reverses segments while the cycle length decreases, up to
-    [max_rounds] (default 50) full passes.  Never increases
-    {!cycle_length}. *)
+(** Closed-tour length: the sum of consecutive L1 distances plus the leg
+    back to the start.  0 for fewer than two points. *)

@@ -106,8 +106,6 @@ let scan dm ~after =
 let omega_star dm =
   if Demand_map.total dm = 0 then 0.0 else scan dm ~after:ignore
 
-let lower_bound_woff = omega_star
-
 let witness dm =
   if Demand_map.total dm = 0 then None
   else begin

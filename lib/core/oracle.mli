@@ -20,7 +20,7 @@
     least multiple of [1/lcm(1..14)] at or above the LP optimum.  That is
     exact when the optimal [|N_r(T)|] divides [lcm(1..14)] (in particular
     when it is at most 14), and otherwise an upper bound by less than one
-    grid step.  ROADMAP item 7 replaces the grid with the exact ratio. *)
+    grid step: the exact ratio is open work on the ROADMAP. *)
 
 val build_instance : Demand_map.t -> radius:int -> Transport.t
 (** The transport instance of program (2.1) at the given radius: demand
@@ -37,9 +37,6 @@ val omega_star : Demand_map.t -> float
     transport is feasible at capacity [ω] — the paper's
     [ω* = max_T ω_T].  Scans integer radius brackets with
     {!Omega.scan_brackets}, as {!Omega.solve} does. *)
-
-val lower_bound_woff : Demand_map.t -> float
-(** Synonym of {!omega_star}: Corollary 2.2.4, [Woff >= ω*]. *)
 
 val witness : Demand_map.t -> (Point.t list * float) option
 (** A tight set for program (2.8): demand positions [T] together with

@@ -36,9 +36,6 @@ val plan : Demand_map.t -> t
     headcount guarantee is violated (which would falsify Corollary 2.2.7 —
     exercised as a property test). *)
 
-val energy_of : assignment -> int
-(** Service plus travel energy the assignment consumes. *)
-
 val max_energy : t -> int
 (** Peak per-vehicle energy of the plan: the measured [Woff] upper
     bound.  0 for an empty plan. *)

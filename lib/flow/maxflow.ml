@@ -361,12 +361,6 @@ let flow_on t id =
     invalid_arg "Maxflow.flow_on: bad edge id";
   Energy.sub t.initial_cap.(id / 2) t.cap.(id)
 
-let reset t =
-  for k = 0 to (t.m / 2) - 1 do
-    t.cap.(2 * k) <- t.initial_cap.(k);
-    t.cap.((2 * k) + 1) <- 0
-  done
-
 let set_even_caps t ids c =
   if c < 0 then invalid_arg "Maxflow.set_even_caps: negative capacity";
   for k = 0 to Array.length ids - 1 do

@@ -4,8 +4,7 @@
     (2.1): for a fixed supply [ω] and radius [r], feasibility of the
     supply-demand transport is a bipartite max-flow question, and the LP
     value is found by a search over [ω] on a fixed grid of multiples of
-    [1/lcm(1..14)] (see {!Transport} and {!Paramflow}; ROADMAP item 7
-    replaces the grid with the exact ratio).
+    [1/lcm(1..14)] (see {!Transport} and {!Paramflow}).
 
     The network is an {e arena}: one allocation serves a whole family of
     related flow problems.  After a [max_flow] run the residual state is
@@ -56,16 +55,12 @@ val max_flow : t -> source:int -> sink:int -> int
 val flow_on : t -> int -> int
 (** Flow currently routed through the edge with the given id. *)
 
-val reset : t -> unit
-(** Drops all routed flow: every edge returns to its most recently set
-    capacity, every twin to 0.  The edge structure is kept. *)
-
 val set_even_caps : t -> int array -> int -> unit
 (** [set_even_caps t ids c] sets the capacity of each (even) edge id in
     [ids] to [c], preserving the flow currently routed through it — the
     new residual is [c - flow].  Raises [Invalid_argument] if any edge
     carries more than [c] flow (lower below current flow with
-    {!drain_even_caps}, or by {!reset}ting). *)
+    {!drain_even_caps}). *)
 
 val drain_even_caps : t -> int array -> int -> source:int -> sink:int -> int
 (** [drain_even_caps t ids c ~source ~sink] sets the capacity of each

@@ -147,7 +147,6 @@ let max_served t ~supply =
   done;
   Maxflow.max_flow net ~source:0 ~sink:1
 
-let feasible t ~supply = max_served t ~supply = total_demand t
 
 let every_demand_linked t =
   let rec loop j =

@@ -54,18 +54,15 @@ val max_served : t -> supply:(int -> int) -> int
 (** Maximum total demand servable when supplier [i] can emit at most
     [supply i] units. *)
 
-val feasible : t -> supply:(int -> int) -> bool
-(** [max_served = total_demand]. *)
-
 val min_uniform_supply : t -> float option
 (** The least multiple of [1/lcm(1..14)] at or above the optimum
     [max_J D(J)/|N(J)|]: the minimal uniform per-supplier capacity on that
     fixed grid.  Exact whenever the optimal [|N(J)|] divides [lcm(1..14)]
     (so always when it is at most 14); otherwise rounded up by less than
-    one grid step.  ROADMAP item 7 replaces the grid with the exact
-    ratio.  [None] when no finite capacity suffices (some positive demand
-    has no link).  [Some 0.] immediately — no arena, no probe — when the
-    total demand is zero, links or not.
+    one grid step: the exact ratio is open work on the ROADMAP.  [None]
+    when no finite capacity suffices (some positive demand has no link).
+    [Some 0.] immediately — no arena, no probe — when the total demand is
+    zero, links or not.
 
     Internally a cached {!Paramflow} driver on one {!Maxflow} arena
     serves every query: the first call runs the monotone parametric

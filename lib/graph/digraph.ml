@@ -1,16 +1,13 @@
 type t = {
   n : int;
   adj : (int * int) list array; (* reversed insertion order internally *)
-  mutable edges : int;
 }
 
 let create n =
   if n < 0 then invalid_arg "Digraph.create: negative size";
-  { n; adj = Array.make n []; edges = 0 }
+  { n; adj = Array.make n [] }
 
 let n_vertices g = g.n
-
-let n_edges g = g.edges
 
 let check_vertex g v name =
   if v < 0 || v >= g.n then invalid_arg ("Digraph." ^ name ^ ": vertex out of range")
@@ -18,8 +15,7 @@ let check_vertex g v name =
 let add_edge g ~src ~dst ~weight =
   check_vertex g src "add_edge";
   check_vertex g dst "add_edge";
-  g.adj.(src) <- (dst, weight) :: g.adj.(src);
-  g.edges <- g.edges + 1
+  g.adj.(src) <- (dst, weight) :: g.adj.(src)
 
 let add_undirected g u v ~weight =
   add_edge g ~src:u ~dst:v ~weight;
@@ -32,7 +28,3 @@ let succ g v =
 let iter_succ g v f =
   check_vertex g v "iter_succ";
   List.iter (fun (dst, weight) -> f ~dst ~weight) (List.rev g.adj.(v))
-
-let mem_edge g ~src ~dst =
-  check_vertex g src "mem_edge";
-  List.exists (fun (d, _) -> d = dst) g.adj.(src)

@@ -1,9 +1,6 @@
-(** Compact directed graphs over integer vertices [0 .. n-1].
-
-    Substrate shared by the flow solvers, the communication topology of the
-    online simulator, and the classical-baseline route builders.  Edges
-    carry an integer weight (interpreted as distance or capacity by the
-    client). *)
+(** Compact directed graphs over integer vertices [0 .. n-1]: the
+    weighted graphs of the graph-metric CMVRP ({!Gcmvrp}, {!Gonline}).
+    Edges carry an integer weight, read as a distance. *)
 
 type t
 
@@ -11,8 +8,6 @@ val create : int -> t
 (** [create n] is an empty graph on [n] vertices. *)
 
 val n_vertices : t -> int
-
-val n_edges : t -> int
 
 val add_edge : t -> src:int -> dst:int -> weight:int -> unit
 
@@ -23,5 +18,3 @@ val succ : t -> int -> (int * int) list
 (** [(dst, weight)] pairs leaving a vertex, in insertion order. *)
 
 val iter_succ : t -> int -> (dst:int -> weight:int -> unit) -> unit
-
-val mem_edge : t -> src:int -> dst:int -> bool

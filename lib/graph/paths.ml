@@ -1,30 +1,6 @@
-let bfs_multi g ~sources =
+let dijkstra g ~source =
   let n = Digraph.n_vertices g in
   let dist = Array.make n max_int in
-  let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      if dist.(s) = max_int then begin
-        dist.(s) <- 0;
-        Queue.add s queue
-      end)
-    sources;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Digraph.iter_succ g v (fun ~dst ~weight:_ ->
-        if dist.(dst) = max_int then begin
-          dist.(dst) <- dist.(v) + 1;
-          Queue.add dst queue
-        end)
-  done;
-  dist
-
-let bfs g ~source = bfs_multi g ~sources:[ source ]
-
-let dijkstra_with_parents g ~source =
-  let n = Digraph.n_vertices g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
   let heap =
     Heap.create ~compare:(fun (a, _) (b, _) -> Int.compare a b) ()
   in
@@ -40,78 +16,9 @@ let dijkstra_with_parents g ~source =
               let nd = d + weight in
               if nd < dist.(dst) then begin
                 dist.(dst) <- nd;
-                parent.(dst) <- v;
                 Heap.push heap (nd, dst)
               end);
         drain ()
   in
   drain ();
-  (dist, parent)
-
-let dijkstra g ~source = fst (dijkstra_with_parents g ~source)
-
-let bellman_ford g ~source =
-  let n = Digraph.n_vertices g in
-  let dist = Array.make n max_int in
-  dist.(source) <- 0;
-  let relax_once () =
-    let changed = ref false in
-    for v = 0 to n - 1 do
-      if dist.(v) <> max_int then
-        Digraph.iter_succ g v (fun ~dst ~weight ->
-            if dist.(v) + weight < dist.(dst) then begin
-              dist.(dst) <- dist.(v) + weight;
-              changed := true
-            end)
-    done;
-    !changed
-  in
-  let rec rounds k =
-    if k = 0 then relax_once ()
-    else begin
-      let changed = relax_once () in
-      if changed then rounds (k - 1) else false
-    end
-  in
-  if rounds (n - 1) then Error () else Ok dist
-
-let path_to ~parents v =
-  let rec climb v acc = if v = -1 then acc else climb parents.(v) (v :: acc) in
-  climb v []
-
-let connected_components g =
-  let n = Digraph.n_vertices g in
-  (* Build an undirected view by collecting reverse edges. *)
-  let rev = Array.make n [] in
-  for v = 0 to n - 1 do
-    Digraph.iter_succ g v (fun ~dst ~weight:_ -> rev.(dst) <- v :: rev.(dst))
-  done;
-  let comp = Array.make n (-1) in
-  let next = ref 0 in
-  for start = 0 to n - 1 do
-    if comp.(start) = -1 then begin
-      let id = !next in
-      incr next;
-      let stack = ref [ start ] in
-      comp.(start) <- id;
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | v :: rest ->
-            stack := rest;
-            Digraph.iter_succ g v (fun ~dst ~weight:_ ->
-                if comp.(dst) = -1 then begin
-                  comp.(dst) <- id;
-                  stack := dst :: !stack
-                end);
-            List.iter
-              (fun u ->
-                if comp.(u) = -1 then begin
-                  comp.(u) <- id;
-                  stack := u :: !stack
-                end)
-              rev.(v)
-      done
-    end
-  done;
-  comp
+  dist

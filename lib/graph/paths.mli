@@ -1,29 +1,5 @@
-(** Shortest paths and reachability on {!Digraph}. *)
-
-val bfs : Digraph.t -> source:int -> int array
-(** Unweighted hop distances from [source]; unreachable vertices get
-    [max_int]. *)
-
-val bfs_multi : Digraph.t -> sources:int list -> int array
-(** Multi-source BFS (distance to the nearest source). *)
+(** Shortest paths on {!Digraph}. *)
 
 val dijkstra : Digraph.t -> source:int -> int array
 (** Weighted distances; requires non-negative weights (raises
     [Invalid_argument] on a negative edge).  Unreachable = [max_int]. *)
-
-val dijkstra_with_parents : Digraph.t -> source:int -> int array * int array
-(** Distances plus a parent vector ([-1] for the source and unreachable
-    vertices); follow parents to recover a shortest path. *)
-
-val bellman_ford : Digraph.t -> source:int -> (int array, unit) result
-(** Handles negative weights; [Error ()] when a negative cycle is reachable
-    from the source.  Used only as a test witness for Dijkstra. *)
-
-val path_to : parents:int array -> int -> int list
-(** Follows the parent vector from a vertex back to the root and returns
-    the root-to-vertex chain.  For an unreachable vertex this is the
-    singleton [\[v\]]; callers decide reachability from the distance
-    vector. *)
-
-val connected_components : Digraph.t -> int array
-(** Component id per vertex, treating edges as undirected. *)

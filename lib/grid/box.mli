@@ -42,8 +42,6 @@ val point_of_index : t -> int -> Point.t
 val iter : t -> (Point.t -> unit) -> unit
 (** Row-major iteration over all lattice points. *)
 
-val fold : t -> init:'a -> f:('a -> Point.t -> 'a) -> 'a
-
 val points : t -> Point.t list
 
 val dilate : t -> int -> t

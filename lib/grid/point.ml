@@ -41,25 +41,11 @@ let l1_dist a b =
   done;
   !acc
 
-let l1_norm a =
-  let acc = ref 0 in
-  Array.iter (fun x -> acc := !acc + abs x) a;
-  !acc
-
 let add a b =
   check_same_dim a b;
   Array.init (Array.length a) (fun i -> a.(i) + b.(i))
 
-let sub a b =
-  check_same_dim a b;
-  Array.init (Array.length a) (fun i -> a.(i) - b.(i))
-
 let origin l = Array.make l 0
-
-let axis l i v =
-  let p = Array.make l 0 in
-  p.(i) <- v;
-  p
 
 let neighbors p =
   let l = Array.length p in

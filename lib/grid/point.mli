@@ -20,17 +20,10 @@ val hash : t -> int
 val l1_dist : t -> t -> int
 (** Manhattan distance [‖x - y‖_1], the travel cost of the paper. *)
 
-val l1_norm : t -> int
-
 val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val origin : int -> t
 (** [origin l] is the zero point of [Z^l]. *)
-
-val axis : int -> int -> int -> t
-(** [axis l i v] is the point with [v] in coordinate [i], 0 elsewhere. *)
 
 val neighbors : t -> t list
 (** The [2l] lattice neighbors at L1 distance exactly 1 — the moves a

@@ -26,7 +26,6 @@ val make : revision:string -> quick:bool -> scenario list -> t
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-val of_string : string -> (t, string) result
 
 val write_file : string -> t -> unit
 val read_file : string -> (t, string) result

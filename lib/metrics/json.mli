@@ -19,8 +19,6 @@ type t =
 val to_string : ?compact:bool -> t -> string
 (** Serialize; 2-space-indented unless [compact] (default [false]). *)
 
-val to_buffer : ?compact:bool -> Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Strict parse of a complete document; the error carries a byte
     offset. *)

@@ -31,15 +31,6 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-(* The enable flag is read on every instrumented fast path, including
-   from Pool worker domains, and flipped by [set_enabled] on the control
-   domain — it must be an Atomic, not a ref (cmvrp_race flags the ref
-   version as shared-unguarded). *)
-let on = Atomic.make true
-
-let set_enabled b = Atomic.set on b
-let enabled () = Atomic.get on
-
 let register name make project describe =
   locked (fun () ->
       match Hashtbl.find_opt registry name with
@@ -85,19 +76,17 @@ let histogram name =
     (function H h -> Some h | _ -> None)
     describe
 
-(* Mutators: a single flag test on the fast path; when disabled they are
-   no-ops so instrumented code pays (almost) nothing.  Counter updates
-   are atomic fetch-and-adds and stay lock-free under Pool fan-out. *)
+(* Counter updates are atomic fetch-and-adds and stay lock-free under
+   Pool fan-out. *)
 
-let incr c = if Atomic.get on then Atomic.incr c
-let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c n)
+let incr c = Atomic.incr c
+let add c n = ignore (Atomic.fetch_and_add c n)
 let count c = Atomic.get c
 
 let set_gauge g v =
-  if Atomic.get on then
-    locked (fun () ->
-        g.g <- v;
-        if v > g.g_peak then g.g_peak <- v)
+  locked (fun () ->
+      g.g <- v;
+      if v > g.g_peak then g.g_peak <- v)
 
 let gauge_value g = g.g
 let gauge_peak g = g.g_peak
@@ -105,20 +94,16 @@ let gauge_peak g = g.g_peak
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 let add_ns t dt =
-  if Atomic.get on then
-    locked (fun () ->
-        t.ns <- t.ns +. dt;
-        t.calls <- t.calls + 1)
+  locked (fun () ->
+      t.ns <- t.ns +. dt;
+      t.calls <- t.calls + 1)
 
 let time t f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let t0 = Monotonic_clock.now () in
-    Fun.protect
-      ~finally:(fun () ->
-        add_ns t (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)))
-      f
-  end
+  let t0 = Monotonic_clock.now () in
+  Fun.protect
+    ~finally:(fun () ->
+      add_ns t (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)))
+    f
 
 let timer_ns t = t.ns
 let timer_calls t = t.calls
@@ -128,12 +113,11 @@ let bucket_of v =
   go 0
 
 let observe h v =
-  if Atomic.get on then
-    locked (fun () ->
-        let i = bucket_of v in
-        h.h_counts.(i) <- h.h_counts.(i) + 1;
-        h.h_sum <- h.h_sum +. v;
-        h.h_count <- h.h_count + 1)
+  locked (fun () ->
+      let i = bucket_of v in
+      h.h_counts.(i) <- h.h_counts.(i) + 1;
+      h.h_sum <- h.h_sum +. v;
+      h.h_count <- h.h_count + 1)
 
 let histogram_count h = h.h_count
 let histogram_sum h = h.h_sum

@@ -3,9 +3,8 @@
 
     Instrumented modules create their cells once at load time
     ([let m = Metrics.counter "maxflow.runs"]) and mutate them on
-    the hot path; every mutator is a single flag test plus a field write,
-    and a no-op while disabled ({!set_enabled}), so instrumentation can
-    stay on in production code paths.
+    the hot path; a counter update is one atomic add, so instrumentation
+    can stay on in production code paths.
 
     Names are dot-separated, [<subsystem>.<quantity>] — the full list
     lives in [docs/OBSERVABILITY.md].  The registry is global and
@@ -19,12 +18,6 @@ type counter
 type gauge
 type timer
 type histogram
-
-val set_enabled : bool -> unit
-(** Globally enable/disable recording (default: enabled).  Reads remain
-    available either way. *)
-
-val enabled : unit -> bool
 
 (** {1 Cells}
 
@@ -55,7 +48,7 @@ val gauge_peak : gauge -> float
 
 val time : timer -> (unit -> 'a) -> 'a
 (** Runs the thunk, accumulating its monotonic-clock duration and call
-    count (also on exception).  When disabled, exactly [f ()]. *)
+    count (also on exception). *)
 
 val add_ns : timer -> float -> unit
 (** Record an externally measured duration. *)

@@ -23,20 +23,52 @@ let length_of_header header =
   if !len > max_payload then bad "frame length %s out of range" header;
   !len
 
+(* The header digits are written by hand into the frame's one buffer:
+   the daemon encodes a frame for every response it sends. *)
 let encode payload =
-  if String.length payload > max_payload then
-    bad "payload of %d bytes exceeds the %d-byte frame cap"
-      (String.length payload) max_payload;
-  Printf.sprintf "%d\n%s\n" (String.length payload) payload
+  let len = String.length payload in
+  if len > max_payload then
+    bad "payload of %d bytes exceeds the %d-byte frame cap" len max_payload;
+  let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
+  let w = width len in
+  let b = Bytes.create (w + len + 2) in
+  let rec digits n i =
+    Bytes.set b i (Char.chr (48 + (n mod 10)));
+    if n >= 10 then digits (n / 10) (i - 1)
+  in
+  digits len (w - 1);
+  Bytes.set b w '\n';
+  Bytes.blit_string payload 0 b (w + 1) len;
+  Bytes.set b (w + len + 1) '\n';
+  Bytes.to_string b
 
 let write oc payload =
   output_string oc (encode payload);
   flush oc
 
+(* The header is read a byte at a time and never past [max_header]
+   bytes, as [next] reads it: a peer that sends no newline costs no more
+   than that. *)
+let read_header ic =
+  let header = Buffer.create max_header in
+  let rec scan () =
+    match input_char ic with
+    | exception End_of_file ->
+        if Buffer.length header = 0 then None
+        else bad "end of stream inside a frame header"
+    | '\n' -> Some (Buffer.contents header)
+    | c ->
+        if Buffer.length header + 1 >= max_header then
+          bad "no frame header within %d bytes" max_header;
+        Buffer.add_char header c;
+        scan ()
+  in
+  scan ()
+
 let read ic =
-  match input_line ic with
-  | exception End_of_file -> None
-  | header -> (
+  match read_header ic with
+  | None -> None
+  | Some header -> (
       let len = length_of_header header in
       match really_input_string ic (len + 1) with
       | exception End_of_file -> bad "end of stream inside a %d-byte frame" len

@@ -33,8 +33,10 @@ val write : out_channel -> string -> unit
 
 val read : in_channel -> string option
 (** Blocking read of one complete frame; [None] at a clean end of stream
-    (EOF before the first header byte).  EOF mid-frame raises
-    {!Bad_frame}. *)
+    (EOF before the first header byte).  EOF mid-frame, header included,
+    raises {!Bad_frame}, and so does a header with no newline within its
+    longest legal length (9 bytes): the reader consumes no more than
+    that. *)
 
 (** {1 Incremental decoding} *)
 

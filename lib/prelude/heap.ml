@@ -30,8 +30,6 @@ let push h x =
     i := (!i - 1) / 2
   done
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
-
 let pop h =
   if h.size = 0 then None
   else begin
@@ -53,12 +51,3 @@ let pop h =
     done;
     Some top
   end
-
-let of_list ~compare xs =
-  let h = create ~compare () in
-  List.iter (push h) xs;
-  h
-
-let drain h =
-  let rec loop acc = match pop h with None -> List.rev acc | Some x -> loop (x :: acc) in
-  loop []

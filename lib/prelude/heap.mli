@@ -1,9 +1,8 @@
-(** Polymorphic binary min-heap.
+(** Polymorphic binary min-heap: Dijkstra's frontier in {!Paths}.
 
-    Shared by Dijkstra's frontier and the discrete-event queue.  The
-    ordering is supplied at creation; ties are broken by it alone, so
+    The ordering is supplied at creation; ties are broken by it alone, so
     clients needing stability must encode a sequence number in the
-    element (as {!Des} does). *)
+    element. *)
 
 type 'a t
 
@@ -15,13 +14,5 @@ val is_empty : _ t -> bool
 
 val push : 'a t -> 'a -> unit
 
-val peek : 'a t -> 'a option
-(** Smallest element without removing it. *)
-
 val pop : 'a t -> 'a option
 (** Removes and returns the smallest element. *)
-
-val of_list : compare:('a -> 'a -> int) -> 'a list -> 'a t
-
-val drain : 'a t -> 'a list
-(** Pops everything: the elements in ascending order.  Empties the heap. *)

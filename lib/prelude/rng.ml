@@ -22,14 +22,10 @@ let of_state s =
 
 let create seed = of_state (mix64 (Int64.of_int seed))
 
-let copy = Bytes.copy
-
 let[@inline] int64 t =
   let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
   Bytes.set_int64_le t 0 s;
   mix64 s
-
-let split t = of_state (int64 t)
 
 let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
 
@@ -66,17 +62,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
-
-let exponential t mean =
-  let rec positive () =
-    let u = float t 1.0 in
-    if u = 0.0 then positive () else u
-  in
-  -.mean *. log (positive ())
 
 let zipf t ~n ~s =
   if n <= 0 then invalid_arg "Rng.zipf: n must be positive";

@@ -3,9 +3,8 @@
     Every stochastic component of the library (workload generators, message
     delays, failure injection) draws from an explicit [Rng.t] so that runs
     are reproducible from a single integer seed.  The generator is
-    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): tiny state, good
-    statistical quality, and cheap [split] for building independent
-    streams. *)
+    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): tiny state and good
+    statistical quality. *)
 
 type t
 (** Mutable generator state. *)
@@ -14,20 +13,8 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed.  Equal
     seeds yield identical streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream.  Use it to
-    give each subsystem its own stream so that adding draws in one place
-    does not perturb another. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val bits30 : t -> int
-(** 30 uniform random bits as a non-negative [int]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
@@ -44,12 +31,6 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] draws from Exp with the given mean. *)
 
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] draws a rank in [\[1, n\]] from a Zipf distribution with

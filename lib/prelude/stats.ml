@@ -5,41 +5,12 @@ let mean xs =
   check_nonempty "Stats.mean" xs;
   Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
 
-let variance xs =
-  check_nonempty "Stats.variance" xs;
-  let n = Array.length xs in
-  if n = 1 then 0.0
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    acc /. float_of_int (n - 1)
-  end
-
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   check_nonempty "Stats.min_max" xs;
   Array.fold_left
     (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
     (xs.(0), xs.(0))
     xs
-
-let percentile xs p =
-  check_nonempty "Stats.percentile" xs;
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = int_of_float (ceil rank) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
-
-let median xs = percentile xs 50.0
 
 let linear_fit points =
   let n = Array.length points in

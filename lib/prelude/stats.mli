@@ -1,21 +1,7 @@
 (** Small descriptive-statistics toolkit used by benchmarks and tests. *)
 
-val mean : float array -> float
-(** Arithmetic mean.  Raises [Invalid_argument] on an empty array. *)
-
-val variance : float array -> float
-(** Unbiased sample variance (n-1 denominator); 0 for singletons. *)
-
-val stddev : float array -> float
-
 val min_max : float array -> float * float
 (** Smallest and largest element.  Raises on an empty array. *)
-
-val percentile : float array -> float -> float
-(** [percentile xs p] with [p] in [\[0,100\]], linear interpolation between
-    order statistics.  Does not mutate its argument. *)
-
-val median : float array -> float
 
 val linear_fit : (float * float) array -> float * float * float
 (** [linear_fit points] least-squares fit [y = a + b*x]; returns

@@ -73,11 +73,8 @@ val demand_digest : Demand_map.t -> int
     fingerprint, not a proof of equality — cache consumers pair it with
     structural comparison ({!Qcache}).  Equals
     [digest_of_rowsum ~dim ~rowsum ~support] where [rowsum] is the
-    wrapping sum of [row_digest] over the support. *)
-
-val row_digest : dim:int -> Point.t -> int -> int
-(** FNV hash of one aggregated [(position, value)] row, seeded by the
-    demand dimension. *)
+    wrapping sum, over the support, of each aggregated
+    [(position, value)] row's FNV hash seeded by the dimension. *)
 
 val rowsum_update : dim:int -> rowsum:int -> Point.t -> before:int -> after:int -> int
 (** The row sum after one site's aggregated demand changes from [before]
@@ -104,8 +101,8 @@ val digest_of_rowsum : dim:int -> rowsum:int -> support:int -> int
 val request_to_string : request -> string
 
 val request_of_string : string -> (request, string) result
-(** Reads the demand rows straight into the map and sums their
-    {!row_digest} on the way, so the request's [digest] costs no second
+(** Reads the demand rows straight into the map and sums their row
+    digests on the way, so the request's [digest] costs no second
     pass.  [Error] on malformed JSON, a missing or ill-typed member, an
     unknown op, a bad demand row (wrong width, a negative value, or a
     point whose total does not fit in an [int]), and on a ["scale"]

@@ -69,4 +69,3 @@ let add t k v =
       t.live <- t.live + 1
 
 let size t = t.live
-let capacity t = t.limit

@@ -47,4 +47,3 @@ val add : 'v t -> key -> 'v -> unit
 (** Re-adding a live key replaces its value without consuming capacity. *)
 
 val size : 'v t -> int
-val capacity : 'v t -> int

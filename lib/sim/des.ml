@@ -32,15 +32,6 @@ let faults ?(drop_p = 0.0) ?(dup_p = 0.0) ?(spike_p = 0.0) ?(spike_delay = 10.0)
     invalid_arg "Des.faults: spike_delay must be finite and non-negative";
   { drop_p; dup_p; spike_p; spike_delay }
 
-(* A fault profile counts as "no override" when it matches the default
-   field for field.  Explicit comparison: the lint tree bans polymorphic
-   equality on records with floats. *)
-let faults_equal a b =
-  Float.equal a.drop_p b.drop_p
-  && Float.equal a.dup_p b.dup_p
-  && Float.equal a.spike_p b.spike_p
-  && Float.equal a.spike_delay b.spike_delay
-
 type outcome = Quiescent | Livelock of { dispatched : int; pending : int }
 
 type 'msg step = { at : float; src : int; dst : int; msg : 'msg }
@@ -89,8 +80,8 @@ let[@inline] pack ~src ~dst flags = (src lsl 32) lor (dst lsl 2) lor flags
 let[@inline] pack_dst p = (p lsr 2) land max_id
 let[@inline] pack_src p = p lsr 32
 
-(* A directed channel as one int, for the FIFO-floor and fault-override
-   tables; partitions key the normalised (low, high) pair the same way. *)
+(* A directed channel as one int, for the FIFO-floor table; partitions
+   key the normalised (low, high) pair the same way. *)
 let[@inline] channel_id src dst = (src lsl 30) lor dst
 
 let[@inline] check_id fn id =
@@ -132,11 +123,10 @@ type 'msg t = {
   mutable ch_floor : float array;
   mutable ch_count : int;
   mutable prune_limit : int;
-  (* Fault model: a process-wide default profile, per-channel overrides,
-     symmetric link partitions and a bitmap of crashed nodes.  The send
-     path tests the tables' emptiness before hashing into them. *)
-  mutable default_faults : faults;
-  channel_faults : (int, faults) Hashtbl.t;
+  (* Fault model: one profile for every channel, symmetric link
+     partitions and a bitmap of crashed nodes.  The send path tests the
+     partition table's emptiness before hashing into it. *)
+  profile : faults;
   partitions : (int, unit) Hashtbl.t;
   mutable down : Bytes.t;
   mutable restart_hook : time:float -> int -> unit;
@@ -198,8 +188,7 @@ let create ?(min_delay = 0.1) ?(max_delay = 1.0) ?(faults = reliable) ~rng () =
     ch_floor = Array.make 64 0.0;
     ch_count = 0;
     prune_limit = 512;
-    default_faults = faults;
-    channel_faults = Hashtbl.create 8;
+    profile = faults;
     partitions = Hashtbl.create 8;
     down = Bytes.empty;
     restart_hook = (fun ~time:_ _ -> ());
@@ -220,29 +209,12 @@ let create ?(min_delay = 0.1) ?(max_delay = 1.0) ?(faults = reliable) ~rng () =
 
 let now t = t.clock
 
-let set_faults t f = t.default_faults <- f
-
-(* Setting a channel's profile back to the (current) default removes the
-   override, so healed channels stop occupying metadata — the other half
-   of the bound [prune] maintains on the FIFO floors. *)
-let set_channel_faults t ~src ~dst f =
-  check_id "Des.set_channel_faults" src;
-  check_id "Des.set_channel_faults" dst;
-  if faults_equal f t.default_faults then
-    Hashtbl.remove t.channel_faults (channel_id src dst)
-  else Hashtbl.replace t.channel_faults (channel_id src dst) f
-
 let link_id a b = if a <= b then channel_id a b else channel_id b a
 
 let partition t a b =
   check_id "Des.partition" a;
   check_id "Des.partition" b;
   if a <> b then Hashtbl.replace t.partitions (link_id a b) ()
-
-let heal t a b =
-  check_id "Des.heal" a;
-  check_id "Des.heal" b;
-  Hashtbl.remove t.partitions (link_id a b)
 
 let[@inline] partitioned t a b =
   Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (link_id a b)
@@ -635,17 +607,10 @@ let[@inline] enqueue_msg t ~weak ~time ~src ~dst msg =
 
 let drop t = t.dropped <- t.dropped + 1
 
-let[@inline] profile t ~src ~dst =
-  if Hashtbl.length t.channel_faults = 0 then t.default_faults
-  else
-    match Hashtbl.find_opt t.channel_faults (channel_id src dst) with
-    | Some f -> f
-    | None -> t.default_faults
-
 (* The fault pipeline.  Self-channels (src = dst) model local timers and
    are exempt from every fault: a process's own clock does not lose
    ticks.  Crashed endpoints and partitioned links swallow the message;
-   otherwise the channel profile may drop it, spike its delay, or deliver
+   otherwise the fault profile may drop it, spike its delay, or deliver
    a duplicate copy (scheduled after the original, so FIFO still holds). *)
 let[@inline] schedule t ~weak ~time ~src ~dst msg =
   t.sent <- t.sent + 1;
@@ -654,7 +619,7 @@ let[@inline] schedule t ~weak ~time ~src ~dst msg =
   end
   else if is_down t src || is_down t dst || partitioned t src dst then drop t
   else begin
-    let f = profile t ~src ~dst in
+    let f = t.profile in
     if f.drop_p > 0.0 && Rng.float t.rng 1.0 < f.drop_p then drop t
     else begin
       let time =
@@ -793,7 +758,7 @@ let dups t = t.duplicated
 
 let digest t = t.digest
 
-let channel_meta_size t = t.ch_count + Hashtbl.length t.channel_faults
+let channel_meta_size t = t.ch_count
 
 (* Heap words reachable from the simulator, with the client-supplied
    restart hook detached for the measurement so a closure capturing the

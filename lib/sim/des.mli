@@ -7,12 +7,13 @@
     communication" in the paper's terminology), with unbounded input
     buffers.  Communication costs no energy.
 
-    On top of that, a per-channel fault model can drop messages, deliver
-    duplicates, spike delays, partition links between process pairs, and
-    crash/restart whole processes — the chaos layer the hardened online
-    protocol (docs/ROBUSTNESS.md) is tested against.  Self-channels
-    ([src = dst]) model local timers and are exempt from channel faults,
-    though a crashed process loses its pending timers.
+    On top of that, one fault profile for every channel can drop
+    messages, deliver duplicates and spike delays; links between process
+    pairs can be partitioned, and whole processes crashed and restarted —
+    the chaos layer the hardened online protocol (docs/ROBUSTNESS.md) is
+    tested against.  Self-channels ([src = dst]) model local timers and
+    are exempt from channel faults, though a crashed process loses its
+    pending timers.
 
     The simulator is generic in the message type.  Clients [send] from
     within the handler; [run_until_quiescent] drains the event queue,
@@ -65,47 +66,34 @@ val create :
 (** Fresh simulator.  Message delays are uniform in
     [\[min_delay, max_delay\]] (defaults 0.1 and 1.0); FIFO order per
     channel is enforced on top of the random draw.  [faults] is the
-    default profile for every channel (default: [reliable]).  Raises
+    profile of every channel for the simulator's life (default:
+    [reliable]).  Raises
     [Invalid_argument] unless both bounds are finite and
     [0 <= min_delay <= max_delay]. *)
 
-val set_faults : _ t -> faults -> unit
-(** Replaces the default fault profile for channels without an override. *)
-
-val set_channel_faults : _ t -> src:int -> dst:int -> faults -> unit
-(** Overrides the fault profile of one directed channel.  Setting a
-    profile equal (field for field) to the current default removes the
-    override instead, so healed channels release their metadata entry —
-    see [channel_meta_size].  Raises [Invalid_argument] on an id outside
-    [\[0, 2^30)], as do [partition], [heal], [crash], [restart_after]
-    and the send functions. *)
-
 val partition : _ t -> int -> int -> unit
-(** Cuts the (symmetric) link between two processes: messages either way
-    are dropped until [heal].  Partitioning a node from itself is a
-    no-op — self-channels are timers, not links. *)
-
-val heal : _ t -> int -> int -> unit
-(** Removes a partition installed by [partition]. *)
+(** Cuts the (symmetric) link between two processes for the rest of the
+    run: messages either way are dropped.  Partitioning a node from
+    itself is a no-op — self-channels are timers, not links.  Raises
+    [Invalid_argument] on an id outside [\[0, 2^30)], as do [crash],
+    [restart_after] and the send functions. *)
 
 val crash : _ t -> int -> unit
 (** Marks a process down.  While down, messages from or to it (including
     its own pending timers) are dropped and counted in [drops].  The
     crashed set is a bitmap sized by the largest id crashed so far. *)
 
-val restart : _ t -> int -> unit
-(** Brings a crashed process back immediately and invokes the restart
-    hook.  No-op if the process is up. *)
-
 val restart_after : _ t -> delay:float -> int -> unit
-(** Schedules a [restart] on the simulated timeline, [delay] from now.
-    Raises [Invalid_argument] on a negative or non-finite delay. *)
+(** Brings a crashed process back [delay] from now on the simulated
+    timeline and invokes the restart hook then; no-op if the process is
+    up by that time.  Raises [Invalid_argument] on a negative or
+    non-finite delay. *)
 
 val is_down : _ t -> int -> bool
 
 val set_restart_hook : _ t -> (time:float -> int -> unit) -> unit
-(** Called from [restart] (immediate or scheduled) with the simulation
-    time at which the process came back, so the protocol layer can
+(** Called when a scheduled restart brings a process back, with the
+    simulation time at which it came back, so the protocol layer can
     re-initialise its state and re-arm timers. *)
 
 (** {1 Sending and draining} *)
@@ -172,11 +160,10 @@ val queue_peak : _ t -> int
     count that drain left. *)
 
 val channel_meta_size : _ t -> int
-(** Live per-channel metadata entries (FIFO fronts + fault overrides).
-    Bounded: fronts behind the clock are pruned on an amortized-O(1)
-    schedule (counted by ["des.channel_prunes"]), and overrides set back
-    to the default profile are removed, so touching many distinct
-    channels once does not grow the simulator without bound. *)
+(** Live per-channel metadata entries (FIFO fronts).  Bounded: fronts
+    behind the clock are pruned on an amortized-O(1) schedule (counted by
+    ["des.channel_prunes"]), so touching many distinct channels once does
+    not grow the simulator without bound. *)
 
 val footprint_bytes : _ t -> int
 (** Heap bytes reachable from the simulator (arena, wheel, channel

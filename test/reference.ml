@@ -1,8 +1,37 @@
-(* Independent references for the differential tests: a small max-flow
-   over an edge list, the exhaustive side of the subset duals (Lemma
-   2.2.2 and its variants), which enumerate every demand subset, and a
-   request decoder that goes through a [Json.t] tree.  The first two are
-   exponential or dense on purpose — tiny instances only. *)
+(* Independent references for the differential tests: Bellman–Ford
+   against Dijkstra, a small max-flow over an edge list, the exhaustive
+   side of the subset duals (Lemma 2.2.2 and its variants), which
+   enumerate every demand subset, and a request decoder that goes through
+   a [Json.t] tree.  The max-flow and the duals are exponential or dense
+   on purpose — tiny instances only. *)
+
+(* Single-source shortest paths that allow negative weights: [Error ()]
+   when a negative cycle is reachable from [source].  Unreachable =
+   [max_int]. *)
+let bellman_ford g ~source =
+  let n = Digraph.n_vertices g in
+  let dist = Array.make n max_int in
+  dist.(source) <- 0;
+  let relax_once () =
+    let changed = ref false in
+    for v = 0 to n - 1 do
+      if dist.(v) <> max_int then
+        Digraph.iter_succ g v (fun ~dst ~weight ->
+            if dist.(v) + weight < dist.(dst) then begin
+              dist.(dst) <- dist.(v) + weight;
+              changed := true
+            end)
+    done;
+    !changed
+  in
+  let rec rounds k =
+    if k = 0 then relax_once ()
+    else begin
+      let changed = relax_once () in
+      if changed then rounds (k - 1) else false
+    end
+  in
+  if rounds (n - 1) then Error () else Ok dist
 
 (* Dinic's algorithm on a dense residual matrix.  Returns the flow value
    and the source side of the minimal minimum cut: the vertices the last

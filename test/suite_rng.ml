@@ -59,13 +59,6 @@ let test_float_bounds () =
     Alcotest.(check bool) "in range" true (v >= 0.0 && v < 3.5)
   done
 
-let test_split_independence () =
-  let rng = Rng.create 12 in
-  let child = Rng.split rng in
-  (* The child stream must not simply replay the parent stream. *)
-  let parent_next = Rng.int64 rng and child_next = Rng.int64 child in
-  Alcotest.(check bool) "split streams diverge" true (parent_next <> child_next)
-
 let test_shuffle_permutes () =
   let rng = Rng.create 13 in
   let a = Array.init 50 (fun i -> i) in
@@ -83,13 +76,6 @@ let test_zipf_range_and_skew () =
     counts.(r - 1) <- counts.(r - 1) + 1
   done;
   Alcotest.(check bool) "rank 1 dominates rank 10" true (counts.(0) > 4 * counts.(9))
-
-let test_exponential_positive_mean () =
-  let rng = Rng.create 15 in
-  let xs = Array.init 20_000 (fun _ -> Rng.exponential rng 2.0) in
-  Array.iter (fun x -> Alcotest.(check bool) "positive" true (x >= 0.0)) xs;
-  let m = Stats.mean xs in
-  Alcotest.(check bool) "mean near 2" true (Float.abs (m -. 2.0) < 0.1)
 
 (* SplitMix64 bit for bit: any change to the state representation must
    keep these streams, which every seeded digest in the repo rests on. *)
@@ -115,25 +101,6 @@ let test_splitmix64_pinned () =
       0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
       0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ]
     (Rng.create 42);
-  let copied =
-    [ 0xe21b503436e97f5bL; 0xa9e76cff841529f5L; 0x583825d25ace04f8L;
-      0x660295fd0c2fa166L ]
-  in
-  let r = Rng.create 7 in
-  ignore (stream r 3);
-  let c = Rng.copy r in
-  check_stream "copy stream" copied c;
-  check_stream "original unaffected by its copy" copied r;
-  let r = Rng.create 12 in
-  let child = Rng.split r in
-  check_stream "split child"
-    [ 0x77f5530ad6954db4L; 0x1e5ed2ad7fbbf364L; 0xcb60e919362c3086L;
-      0x07803de128b69bdfL ]
-    child;
-  check_stream "split parent"
-    [ 0xb76890a6639cbf9eL; 0x6c4b20e225a59c54L; 0x098601b9259b68daL;
-      0xc5ea907b23e96820L ]
-    r;
   let r = Rng.create 5 in
   let units = draws 4 (fun () -> Rng.float r 1.0) in
   let floats = units @ [ Rng.float r 3.5 ] in
@@ -145,7 +112,7 @@ let test_splitmix64_pinned () =
   let ints = draws 4 (fun () -> Rng.int r 1000) in
   let big = Rng.int r (1 lsl 40) in
   let ranged = Rng.int_in r (-5) 5 in
-  let bits = Rng.bits30 r in
+  let bits = Int64.to_int (Int64.shift_right_logical (Rng.int64 r) 34) in
   Alcotest.(check (list int)) "int draws"
     [ 946; 188; 459; 613; 361359947697; 1; 1001485613 ]
     (ints @ [ big; ranged; bits ])
@@ -160,8 +127,6 @@ let suite =
     Alcotest.test_case "int covers all values" `Quick test_int_covers_all_values;
     Alcotest.test_case "int unbiased" `Quick test_int_unbiased;
     Alcotest.test_case "float bounds" `Quick test_float_bounds;
-    Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "zipf range and skew" `Quick test_zipf_range_and_skew;
-    Alcotest.test_case "exponential positive mean" `Quick test_exponential_positive_mean;
   ]

@@ -44,7 +44,19 @@ let test_frame_chunked_roundtrip () =
       drain ())
     wire;
   Alcotest.(check (list string)) "byte-at-a-time decode" payloads (List.rev !out);
-  Alcotest.(check (option string)) "decoder drained" None (Frame.next dec)
+  Alcotest.(check (option string)) "decoder drained" None (Frame.next dec);
+  (* Exact wire bytes, across the header's digit-count boundaries. *)
+  List.iter
+    (fun (payload, wire) ->
+      Alcotest.(check string)
+        (Printf.sprintf "wire form of %d bytes" (String.length payload))
+        wire (Frame.encode payload))
+    [
+      ("", "0\n\n");
+      ("123456789", "9\n123456789\n");
+      ("0123456789", "10\n0123456789\n");
+      (String.make 5000 'q', "5000\n" ^ String.make 5000 'q' ^ "\n");
+    ]
 
 (* The blocking reader over a pipe holding [bytes]. *)
 let read_from_pipe bytes =
@@ -92,6 +104,28 @@ let test_frame_channel_io () =
     "second" (Some "second\nwith newline") (Frame.read ic);
   Alcotest.(check (option string)) "clean EOF" None (Frame.read ic);
   close_in ic
+
+(* 1 MiB of digits and no newline: the blocking reader gives up within
+   the longest legal header, as the incremental decoder does, instead of
+   buffering the whole run. *)
+let test_frame_read_header_bounded () =
+  let path = Filename.temp_file "cmvrp_frame" ".tmp" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc (String.make (1 lsl 20) '7');
+  close_out oc;
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  (match Frame.read ic with
+  | exception Frame.Bad_frame _ -> ()
+  | Some _ | None -> Alcotest.fail "an unterminated header must raise Bad_frame");
+  Alcotest.(check bool)
+    (Printf.sprintf "consumed %d bytes" (pos_in ic))
+    true
+    (pos_in ic <= 9);
+  match read_from_pipe "12" with
+  | exception Frame.Bad_frame _ -> ()
+  | Some _ | None -> Alcotest.fail "EOF inside a header must raise Bad_frame"
 
 let test_frame_eof_mid_frame () =
   let rd, wr = Unix.pipe () in
@@ -731,14 +765,16 @@ let test_stdio_bad_frame () =
 
 (* --- fuzz: Frame and Protocol against an independent reference --- *)
 
+let choose rng a = a.(Rng.int rng (Array.length a))
+
 let odd_bytes =
   [| 'a'; 'Z'; '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\031'; '\127'; '\xc3'; '\xa9'; ' '; '/' |]
 
-let random_name rng = String.init (Rng.int rng 7) (fun _ -> Rng.choose rng odd_bytes)
+let random_name rng = String.init (Rng.int rng 7) (fun _ -> choose rng odd_bytes)
 
 let random_int rng =
   match Rng.int rng 10 with
-  | 0 -> Rng.choose rng [| max_int; min_int; 0; -1 |]
+  | 0 -> choose rng [| max_int; min_int; 0; -1 |]
   | 1 -> Int64.to_int (Rng.int64 rng)
   | _ -> Rng.int_in rng (-1000) 1000
 
@@ -855,8 +891,8 @@ let member_tokens rng ~noise (r : Protocol.request) =
   @ [ "}" ]
 
 let spaced rng tokens =
-  String.concat "" (List.concat_map (fun t -> [ Rng.choose rng whitespace; t ]) tokens)
-  ^ Rng.choose rng whitespace
+  String.concat "" (List.concat_map (fun t -> [ choose rng whitespace; t ]) tokens)
+  ^ choose rng whitespace
 
 let json_bytes = "{}[],:\"\\0123456789-+.eEtrufalsn \n\t\000\255"
 
@@ -884,7 +920,7 @@ let random_bytes rng = String.init (Rng.int rng 64) (fun _ -> Char.chr (Rng.int 
 let random_float rng =
   match Rng.int rng 6 with
   | 0 ->
-      Rng.choose rng
+      choose rng
         [| 0.0; -0.0; 5e-324; 2.2250738585072009e-308; 1e15; -1e15; 1e16 +. 2.0;
            123456789012345678.0; 1.0 /. 3.0; 0.1; Float.max_float |]
   | 1 -> float_of_int (random_int rng)
@@ -1015,6 +1051,7 @@ let suite =
     Alcotest.test_case "frame bad headers" `Quick test_frame_bad_headers;
     Alcotest.test_case "frame channel io" `Quick test_frame_channel_io;
     Alcotest.test_case "frame EOF mid-frame" `Quick test_frame_eof_mid_frame;
+    Alcotest.test_case "frame read header bounded" `Quick test_frame_read_header_bounded;
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "request validation" `Quick test_request_validation;
     Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;

@@ -5,40 +5,10 @@ let check_f ?eps msg expected actual =
     (Printf.sprintf "%s (expected %g, got %g)" msg expected actual)
     true (feq ?eps expected actual)
 
-let test_mean () = check_f "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |])
-
-let test_mean_singleton () = check_f "mean singleton" 7.0 (Stats.mean [| 7.0 |])
-
-let test_variance () =
-  (* Sample variance of 2,4,4,4,5,5,7,9 is 32/7. *)
-  check_f "variance" (32.0 /. 7.0)
-    (Stats.variance [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |])
-
-let test_variance_singleton () = check_f "variance singleton" 0.0 (Stats.variance [| 3.0 |])
-
-let test_stddev_constant () = check_f "stddev constant" 0.0 (Stats.stddev [| 5.; 5.; 5. |])
-
 let test_min_max () =
   let lo, hi = Stats.min_max [| 3.0; -1.0; 2.0 |] in
   check_f "min" (-1.0) lo;
   check_f "max" 3.0 hi
-
-let test_median_odd () = check_f "median odd" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |])
-
-let test_median_even () = check_f "median even" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |])
-
-let test_percentile_extremes () =
-  let xs = [| 10.0; 20.0; 30.0 |] in
-  check_f "p0" 10.0 (Stats.percentile xs 0.0);
-  check_f "p100" 30.0 (Stats.percentile xs 100.0)
-
-let test_percentile_interpolates () =
-  check_f "p25" 1.5 (Stats.percentile [| 1.0; 2.0; 3.0 |] 25.0)
-
-let test_percentile_does_not_mutate () =
-  let xs = [| 3.0; 1.0; 2.0 |] in
-  ignore (Stats.median xs);
-  Alcotest.(check (array (float 0.0))) "unchanged" [| 3.0; 1.0; 2.0 |] xs
 
 let test_linear_fit_exact () =
   let a, b, r2 = Stats.linear_fit [| (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) |] in
@@ -62,22 +32,12 @@ let test_geometric_mean () =
   check_f "geomean" 2.0 (Stats.geometric_mean [| 1.0; 2.0; 4.0 |])
 
 let test_empty_raises () =
-  Alcotest.check_raises "mean of empty" (Invalid_argument "Stats.mean: empty array")
-    (fun () -> ignore (Stats.mean [||]))
+  Alcotest.check_raises "min_max of empty" (Invalid_argument "Stats.min_max: empty array")
+    (fun () -> ignore (Stats.min_max [||]))
 
 let suite =
   [
-    Alcotest.test_case "mean" `Quick test_mean;
-    Alcotest.test_case "mean singleton" `Quick test_mean_singleton;
-    Alcotest.test_case "variance" `Quick test_variance;
-    Alcotest.test_case "variance singleton" `Quick test_variance_singleton;
-    Alcotest.test_case "stddev constant" `Quick test_stddev_constant;
     Alcotest.test_case "min max" `Quick test_min_max;
-    Alcotest.test_case "median odd" `Quick test_median_odd;
-    Alcotest.test_case "median even" `Quick test_median_even;
-    Alcotest.test_case "percentile extremes" `Quick test_percentile_extremes;
-    Alcotest.test_case "percentile interpolates" `Quick test_percentile_interpolates;
-    Alcotest.test_case "percentile pure" `Quick test_percentile_does_not_mutate;
     Alcotest.test_case "linear fit exact" `Quick test_linear_fit_exact;
     Alcotest.test_case "linear fit with noise" `Quick test_linear_fit_r2_below_one_with_noise;
     Alcotest.test_case "loglog slope" `Quick test_loglog_slope_quadratic;
@@ -87,26 +47,35 @@ let suite =
 
 (* --- appended: the shared binary heap --- *)
 
+(* Pops everything: the elements in ascending order. *)
+let drain h =
+  let rec loop acc = match Heap.pop h with None -> List.rev acc | Some x -> loop (x :: acc) in
+  loop []
+
 let test_heap_sorts () =
-  let h = Heap.of_list ~compare:Int.compare [ 5; 1; 4; 1; 3 ] in
-  Alcotest.(check (list int)) "ascending drain" [ 1; 1; 3; 4; 5 ] (Heap.drain h);
+  let h = Heap.create ~compare:Int.compare () in
+  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
+  Alcotest.(check (list int)) "ascending drain" [ 1; 1; 3; 4; 5 ] (drain h);
   Alcotest.(check bool) "empty after drain" true (Heap.is_empty h)
 
-let test_heap_peek_pop () =
+let test_heap_push_pop () =
   let h = Heap.create ~compare:Int.compare () in
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Heap.push h 9;
   Heap.push h 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
   Alcotest.(check int) "size" 2 (Heap.size h);
   Alcotest.(check (option int)) "pop min" (Some 2) (Heap.pop h);
   Alcotest.(check (option int)) "pop next" (Some 9) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
+  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
+  Alcotest.(check bool) "empty after pops" true (Heap.is_empty h)
 
 let prop_heap_matches_sort =
   QCheck.Test.make ~name:"heap drain = List.sort" ~count:200
     QCheck.(list (int_range (-1000) 1000))
-    (fun xs -> Heap.drain (Heap.of_list ~compare:Int.compare xs) = List.sort Int.compare xs)
+    (fun xs ->
+      let h = Heap.create ~compare:Int.compare () in
+      List.iter (Heap.push h) xs;
+      drain h = List.sort Int.compare xs)
 
 let prop_heap_interleaved_ops =
   QCheck.Test.make ~name:"heap correct under interleaved push/pop" ~count:100
@@ -123,7 +92,7 @@ let prop_heap_interleaved_ops =
           if i mod 2 = 1 then
             match Heap.pop h with Some v -> popped := v :: !popped | None -> ())
         xs;
-      let rest = Heap.drain h in
+      let rest = drain h in
       let all = List.sort Int.compare (!popped @ rest) in
       all = List.sort Int.compare xs
       && rest = List.sort Int.compare rest)
@@ -132,7 +101,7 @@ let suite =
   suite
   @ [
       Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
-      Alcotest.test_case "heap peek/pop" `Quick test_heap_peek_pop;
+      Alcotest.test_case "heap push/pop" `Quick test_heap_push_pop;
       QCheck_alcotest.to_alcotest prop_heap_matches_sort;
       QCheck_alcotest.to_alcotest prop_heap_interleaved_ops;
     ]

@@ -21,8 +21,9 @@ let test_max_served () =
 
 let test_feasible () =
   let t = simple_instance () in
-  Alcotest.(check bool) "feasible at 4" true (Transport.feasible t ~supply:(fun _ -> 4));
-  Alcotest.(check bool) "infeasible at 3" false (Transport.feasible t ~supply:(fun _ -> 3))
+  let feasible s = Transport.max_served t ~supply:(fun _ -> s) = Transport.total_demand t in
+  Alcotest.(check bool) "feasible at 4" true (feasible 4);
+  Alcotest.(check bool) "infeasible at 3" false (feasible 3)
 
 let test_min_uniform_supply_exact () =
   let t = simple_instance () in
@@ -158,13 +159,14 @@ let reference_min_uniform_supply t =
   done;
   if !unlinked then None
   else begin
+    let feasible s = Transport.max_served c ~supply:(fun _ -> s) = Transport.total_demand c in
     let lo = ref 0 and hi = ref (max 1 (Transport.total_demand c)) in
-    while not (Transport.feasible c ~supply:(fun _ -> !hi)) do
+    while not (feasible !hi) do
       hi := !hi * 2
     done;
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Transport.feasible c ~supply:(fun _ -> mid) then hi := mid
+      if feasible mid then hi := mid
       else lo := mid + 1
     done;
     Some (float_of_int !lo /. float_of_int grid)

@@ -3,7 +3,7 @@
    Usage: cmvrp_lint [--json] [--out FILE] [PATH ...]
 
    Lints every .ml under the given files/directories (default:
-   lib bin bench tools).  Human-readable diagnostics go to stdout;
+   lib bin bench tools), and the .mli beside each library module.  Human-readable diagnostics go to stdout;
    [--json] switches stdout to the machine-readable report, and
    [--out FILE] additionally writes that report to FILE (CI uploads it
    as an artifact).  Exit codes: 0 clean (advisory diagnostics such as

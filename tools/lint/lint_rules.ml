@@ -22,6 +22,7 @@ let rule_ids =
     "energy-arith";
     "catch-all";
     "domain-confine";
+    "dead-export";
     "unused-waiver";
   ]
 
@@ -493,7 +494,139 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_one ~diags ~metric_regs path =
+(* ------------------------------------------------------------------ *)
+(* Rule: dead-export.  Every [val] of a [lib/] interface — and every
+   [val] one level down, in a [module X : sig ... end] — needs a
+   qualified reference [M.v] (or [M.X.v]) from a .ml of another module
+   somewhere in the repository the interface sits in.  No project module
+   is opened or aliased, so [Pexp_ident] paths are all the references
+   there are.                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let caller_dirs = [ "lib"; "bin"; "bench"; "benchmark"; "examples"; "tools"; "test" ]
+
+let module_name path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* The directory that holds the innermost [lib] component of [path]. *)
+let rec repo_root path =
+  let d = Filename.dirname path in
+  if d = path then None
+  else if Filename.basename d = "lib" then Some (Filename.dirname d)
+  else repo_root d
+
+let rec collect_ml ?(skip = fun _ -> false) acc path =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort String.compare
+    |> List.fold_left
+         (fun acc entry ->
+           if entry = "_build" || String.starts_with ~prefix:"." entry || skip entry
+           then acc
+           else collect_ml ~skip acc (Filename.concat path entry))
+         acc
+  else if Filename.check_suffix path ".ml" then path :: acc
+  else acc
+
+(* Every dotted value path [A.b] or [A.B.c] that some .ml under [root]'s
+   caller directories names, except a module's references to itself. *)
+let references root =
+  let refs = Hashtbl.create 1024 in
+  let files =
+    List.fold_left
+      (fun acc d ->
+        let dir = Filename.concat root d in
+        if Sys.file_exists dir then collect_ml ~skip:(String.equal "fixtures") acc dir
+        else acc)
+      [] caller_dirs
+  in
+  List.iter
+    (fun file ->
+      let self = module_name file in
+      let it =
+        {
+          Ast_iterator.default_iterator with
+          expr =
+            (fun it e ->
+              (match e.pexp_desc with
+              | Pexp_ident { txt; _ } -> (
+                  match flatten txt with
+                  | m :: _ :: _ as comps when m <> self ->
+                      Hashtbl.replace refs (String.concat "." comps) ()
+                  | _ -> ())
+              | _ -> ());
+              Ast_iterator.default_iterator.expr it e);
+        }
+      in
+      match Parse.implementation (Lexing.from_string (read_file file)) with
+      | structure -> it.structure it structure
+      | exception (Syntaxerr.Error _ | Lexer.Error _) -> ())
+    files;
+  refs
+
+(* The [val]s of an interface, top level and one module level down, as
+   paths below the module: [["v"]] or [["X"; "v"]]. *)
+let exported_values signature =
+  let value prefix item =
+    match item.psig_desc with
+    | Psig_value vd -> Some (prefix @ [ vd.pval_name.txt ], vd.pval_loc)
+    | _ -> None
+  in
+  List.concat_map
+    (fun item ->
+      match item.psig_desc with
+      | Psig_module
+          { pmd_name = { txt = Some x; _ }; pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ }
+        ->
+          List.filter_map (value [ x ]) sg
+      | _ -> Option.to_list (value [] item))
+    signature
+
+let parse_error ~path lexbuf =
+  let p = lexbuf.Lexing.lex_curr_p in
+  {
+    rule = "parse-error";
+    file = path;
+    line = p.Lexing.pos_lnum;
+    col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
+    message = "file does not parse as OCaml — cmvrp_lint cannot check it";
+    advisory = false;
+  }
+
+let dead_export_diags ~refs mli =
+  let src = read_file mli in
+  let waivers = waivers_of_source src in
+  let m = module_name mli in
+  let lexbuf = Lexing.from_string src in
+  Lexing.set_filename lexbuf mli;
+  match Parse.interface lexbuf with
+  | exception (Syntaxerr.Error _ | Lexer.Error _) -> [ parse_error ~path:mli lexbuf ]
+  | signature ->
+      let dead =
+        List.filter_map
+          (fun (names, (loc : Location.t)) ->
+            let name = String.concat "." (m :: names) in
+            let p = loc.loc_start in
+            let line = p.Lexing.pos_lnum in
+            if Hashtbl.mem refs name || waived waivers ~rule:"dead-export" ~line then None
+            else
+              Some
+                {
+                  rule = "dead-export";
+                  file = mli;
+                  line;
+                  col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
+                  message =
+                    Printf.sprintf
+                      "`%s` has no caller outside %s — delete it, or drop it \
+                       from the interface if its own module still uses it"
+                      name (String.uncapitalize_ascii m ^ ".ml");
+                  advisory = false;
+                })
+          (exported_values signature)
+      in
+      dead @ unused_waiver_diags ~path:mli waivers
+
+let lint_one ~diags ~metric_regs ~references path =
   let src = read_file path in
   let comps = path_components path in
   let ctx =
@@ -527,6 +660,11 @@ let lint_one ~diags ~metric_regs path =
          "library module has no interface — add %si (every module under lib/ \
           ships an .mli)"
          (Filename.basename path));
+  (* Rule: dead-export, over the interface beside a library module. *)
+  (if ctx.in_lib && Sys.file_exists (path ^ "i") then
+     match repo_root path with
+     | Some root -> diags := dead_export_diags ~refs:(references root) (path ^ "i") @ !diags
+     | None -> ());
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf path;
   match Parse.implementation lexbuf with
@@ -535,28 +673,7 @@ let lint_one ~diags ~metric_regs path =
       it.structure it structure;
       diags := unused_waiver_diags ~path ctx.waivers @ !diags
   | exception (Syntaxerr.Error _ | Lexer.Error _) ->
-      let p = lexbuf.Lexing.lex_curr_p in
-      diags :=
-        {
-          rule = "parse-error";
-          file = path;
-          line = p.Lexing.pos_lnum;
-          col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-          message = "file does not parse as OCaml — cmvrp_lint cannot check it";
-          advisory = false;
-        }
-        :: !diags
-
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc entry ->
-           if entry = "_build" || String.starts_with ~prefix:"." entry then acc
-           else collect_ml acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
+      diags := parse_error ~path lexbuf :: !diags
 
 let compare_diags a b =
   match String.compare a.file b.file with
@@ -614,10 +731,20 @@ let run paths =
         invalid_arg (Printf.sprintf "cmvrp_lint: no such file or directory: %s" p))
     paths;
   let files =
-    List.fold_left collect_ml [] paths |> List.sort_uniq String.compare
+    List.fold_left (fun acc p -> collect_ml acc p) [] paths
+    |> List.sort_uniq String.compare
   in
   let diags = ref [] and metric_regs = ref [] in
-  List.iter (lint_one ~diags ~metric_regs) files;
+  let by_root = Hashtbl.create 2 in
+  let references root =
+    match Hashtbl.find_opt by_root root with
+    | Some refs -> refs
+    | None ->
+        let refs = references root in
+        Hashtbl.add by_root root refs;
+        refs
+  in
+  List.iter (lint_one ~diags ~metric_regs ~references) files;
   let all = duplicate_metric_diags !metric_regs @ !diags in
   (List.length files, List.sort compare_diags all)
 

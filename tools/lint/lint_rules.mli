@@ -31,14 +31,16 @@ val rule_ids : string list
 (** The enforced rules, in documentation order:
     [poly-compare], [handler-raise], [missing-mli], [print-in-lib],
     [metric-name], [unsafe-array], [energy-arith], [catch-all],
-    [domain-confine], plus the advisory [unused-waiver]. *)
+    [domain-confine], [dead-export], plus the advisory [unused-waiver]. *)
 
 val run : string list -> int * diagnostic list
 (** [run paths] lints every [.ml] file under the given files/directories
-    (recursively, skipping [_build] and dot-directories) and returns
+    (recursively, skipping [_build] and dot-directories), and the [.mli]
+    beside each one under a [lib] path component, and returns
     [(checked_files, diagnostics)], diagnostics sorted by
-    file/line/column.  Raises [Invalid_argument] on a path that does not
-    exist. *)
+    file/line/column.  The [dead-export] rule reads its callers from the
+    repository around each such [lib]: see [docs/LINT.md].  Raises
+    [Invalid_argument] on a path that does not exist. *)
 
 val json_report : checked_files:int -> diagnostic list -> Json.t
 (** Machine-readable report ([schema_version 1]): tool name, file and
