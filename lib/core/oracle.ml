@@ -26,7 +26,7 @@ let builder_create dm =
   let inst = Transport.create ~n_suppliers:0 ~n_demands:(Array.length support) in
   Array.iteri (fun j p -> Transport.set_demand inst j (Demand_map.value dm p)) support;
   let fr = Ball.frontier (Array.to_list support) in
-  let index = Point.Tbl.create 1024 in
+  let index = Point.Tbl.create (Array.length support) in
   List.iter
     (fun p -> Point.Tbl.add index p (Transport.add_supplier inst))
     (Ball.frontier_shell fr);
@@ -87,6 +87,16 @@ let lp_value ~radius dm =
   end
   else lp_value_of_inst (build_instance dm ~radius)
 
+(* The bracket scan on a non-empty demand, with [solve m] the value of
+   program (2.1) at radius m >= 1.  At radius 0 a site is served only
+   by the supplier at its own position (N_0(T) = T), so by Lemma 2.2.2
+   the value is max_x d(x) — the float the arena would report, u/grid
+   with u = grid·max d.  It is at least 1, so bracket 0 never holds ω*
+   and is read here instead of solved. *)
+let scan_brackets dm solve =
+  Omega.scan_brackets (fun m ->
+      if m = 0 then float_of_int (Demand_map.max_demand dm) else solve m)
+
 (* The bracket scan of [omega_star] and [witness]; [after b] runs once
    each bracket is solved.  In bracket m the admissible radius is m and
    the minimal capacity is lp_value m.  The incremental builder carries
@@ -96,7 +106,7 @@ let lp_value ~radius dm =
 let scan dm ~after =
   Metrics.time m_omega_star (fun () ->
       let b = builder_create dm in
-      Omega.scan_brackets (fun m ->
+      scan_brackets dm (fun m ->
           Metrics.incr m_radius_brackets;
           builder_to_radius b m;
           let v = lp_value_of_inst b.b_inst in
@@ -106,24 +116,33 @@ let scan dm ~after =
 let omega_star dm =
   if Demand_map.total dm = 0 then 0.0 else scan dm ~after:ignore
 
+(* The demand positions outside the cut that set [b]'s last LP value. *)
+let tight_set b =
+  List.map (fun j -> b.b_support.(j)) (Transport.binding_demands b.b_inst)
+
 let witness dm =
   if Demand_map.total dm = 0 then None
   else begin
-    (* The tight sets of the last two brackets, each read off the cut
-       that set its LP value. *)
+    (* The tight sets of the last two solved brackets. *)
     let prev = ref [] and last = ref [] in
     let star =
       scan dm ~after:(fun b ->
           prev := !last;
-          last :=
-            List.map
-              (fun j -> b.b_support.(j))
-              (Transport.binding_demands b.b_inst))
+          last := tight_set b)
     in
     (* ω* strictly inside [m, m+1) is bracket m's LP value; ω* = m >= 1 is
        bracket m's floor, and bracket m − 1, infeasible below m, holds the
-       set. *)
-    let points = if star > Float.floor star then !last else !prev in
+       set.  For ω* = 1 that is bracket 0, which the scan did not solve:
+       solve it on its own instance. *)
+    let points =
+      if star > Float.floor star then !last
+      else if star > 1.0 then !prev
+      else begin
+        let b = builder_create dm in
+        ignore (lp_value_of_inst b.b_inst);
+        tight_set b
+      end
+    in
     let total =
       List.fold_left (fun acc p -> acc + Demand_map.value dm p) 0 points
     in
@@ -135,11 +154,12 @@ let witness dm =
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  (* One persistent bracket per integer radius [m] the scan has ever
-     visited: a frozen-radius builder (its transport holds exactly the
-     links at distance <= m) plus a demand-site index.  A job delta
-     touches every live bracket in O(1) amortized — a sink-cap patch on
-     the cached parametric arena — except when the job lands on a
+  (* One persistent bracket per integer radius [m >= 1] the scan has
+     ever visited (bracket 0 is read in closed form): a frozen-radius
+     builder (its transport holds exactly the links at distance <= m)
+     plus a demand-site index.  A job delta touches every live bracket
+     in O(1) amortized — a sink-cap patch on the cached parametric
+     arena — except when the job lands on a
      position the bracket has never seen, which appends a demand site,
      absorbs the new ball of suppliers into the frozen frontier
      ({!Ball.absorb}) and links it by sphere enumeration, exactly the
@@ -151,7 +171,7 @@ module Session = struct
 
   type t = {
     mutable s_dm : Demand_map.t;
-    mutable s_brackets : bracket array; (* index = bracket radius *)
+    mutable s_brackets : bracket array; (* index = bracket radius − 1 *)
     mutable s_value : float; (* cached ω*; valid when not dirty *)
     mutable s_dirty : bool;
   }
@@ -167,11 +187,11 @@ module Session = struct
     { bk = b; bk_dindex = dindex }
 
   let bracket s m =
-    while Array.length s.s_brackets <= m do
-      let bk = make_bracket s.s_dm (Array.length s.s_brackets) in
+    while Array.length s.s_brackets < m do
+      let bk = make_bracket s.s_dm (Array.length s.s_brackets + 1) in
       s.s_brackets <- Array.append s.s_brackets [| bk |]
     done;
-    s.s_brackets.(m)
+    s.s_brackets.(m - 1)
 
   (* Propagate [d(p) = v] into one bracket.  The radius is the bracket's
      frozen builder radius. *)
@@ -220,7 +240,7 @@ module Session = struct
   let recompute s =
     if Demand_map.total s.s_dm = 0 then 0.0
     else
-      Omega.scan_brackets (fun m ->
+      scan_brackets s.s_dm (fun m ->
           match Transport.min_uniform_supply (bracket s m).bk.b_inst with
           | Some v -> v
           | None ->

@@ -36,7 +36,11 @@ val omega_star : Demand_map.t -> float
 (** Value of program (2.8): the minimal [ω] such that the radius-[⌊ω⌋]
     transport is feasible at capacity [ω] — the paper's
     [ω* = max_T ω_T].  Scans integer radius brackets with
-    {!Omega.scan_brackets}, as {!Omega.solve} does. *)
+    {!Omega.scan_brackets}, as {!Omega.solve} does.  Bracket 0 is read
+    in closed form: program (2.1) at radius 0 has the value [max_x d(x)]
+    (Lemma 2.2.2 with [N_0(T) = T]), at least 1, so it never holds
+    [ω*].  The scan solves brackets [1 .. ⌊ω*⌋] on one instance grown
+    radius by radius, and [oracle.radius_brackets] rises by [⌊ω*⌋]. *)
 
 val witness : Demand_map.t -> (Point.t list * float) option
 (** A tight set for program (2.8): demand positions [T] together with
@@ -44,16 +48,19 @@ val witness : Demand_map.t -> (Point.t list * float) option
     {!omega_star}'s own, run once: [T] is read off the cut that set the
     binding bracket's LP value ({!Transport.binding_demands}) — bracket
     [m] when [ω*] lies strictly inside [\[m, m+1)], bracket [m − 1] when
-    [ω* = m].  No max-flow runs beyond the scan's.  [ω_T] equals [ω*]
-    whenever the grid resolves the optimum, and otherwise lies less than
-    one grid step below it.  [None] only for empty demand.  This is the
-    certificate the duality proof of Lemma 2.2.3 promises. *)
+    [ω* = m].  For [ω* = 1] that is bracket 0, which the scan does not
+    solve: the witness then solves program (2.1) at radius 0 on a fresh
+    instance, the only max-flow work beyond the scan's.  [ω_T] equals
+    [ω*] whenever the grid resolves the optimum, and otherwise lies less
+    than one grid step below it.  [None] only for empty demand.  This is
+    the certificate the duality proof of Lemma 2.2.3 promises. *)
 
 (** Streaming oracle sessions: jobs arrive and retire one at a time and
     [ω*] is maintained incrementally instead of recomputed from scratch.
 
     A session keeps one persistent transport instance per integer radius
-    bracket the ω* scan has ever visited.  A single-job delta costs a
+    bracket [m >= 1] the ω* scan has ever visited; bracket 0 is read in
+    closed form, as in {!omega_star}.  A single-job delta costs a
     sink-capacity patch per bracket on the cached parametric arena
     (plus, for a never-seen position, one ball absorption and sphere
     enumeration), and the next {!Session.omega_star} re-runs the bracket

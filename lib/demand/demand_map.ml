@@ -39,7 +39,7 @@ let support t = List.map fst (Point.Map.bindings t.map)
 
 let support_size t = Point.Map.cardinal t.map
 
-let total t = Point.Map.fold (fun _ v acc -> acc + v) t.map 0
+let total t = Point.Map.fold (fun _ v acc -> Energy.add acc v) t.map 0
 
 let max_demand t = Point.Map.fold (fun _ v acc -> max v acc) t.map 0
 

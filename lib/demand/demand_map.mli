@@ -38,7 +38,8 @@ val support : t -> Point.t list
 val support_size : t -> int
 
 val total : t -> int
-(** [Σ_x d(x)]. *)
+(** [Σ_x d(x)].
+    @raise Energy.Overflow if the sum does not fit in an [int]. *)
 
 val max_demand : t -> int
 (** The paper's [D]; 0 for empty demand. *)

@@ -79,43 +79,44 @@ let grow_array a fill want =
   Array.blit a 0 bigger 0 (Array.length a);
   bigger
 
+let reserve t ~vertices ~edges =
+  if Array.length t.level < vertices then begin
+    t.level <- grow_array t.level (-1) vertices;
+    t.queue <- grow_array t.queue 0 vertices;
+    t.cur <- grow_array t.cur 0 vertices;
+    t.excess <- grow_array t.excess 0 vertices;
+    t.bnext <- grow_array t.bnext (-1) vertices;
+    t.active <- grow_array t.active false vertices;
+    t.walk_pos <- grow_array t.walk_pos (-1) vertices;
+    t.walk_vert <- grow_array t.walk_vert 0 vertices;
+    t.walk_edge <- grow_array t.walk_edge 0 vertices;
+    t.walk_ptr <- grow_array t.walk_ptr 0 vertices
+  end;
+  if Array.length t.adj_start < vertices + 1 then
+    t.adj_start <- grow_array t.adj_start 0 (vertices + 1);
+  if Array.length t.hcount < (2 * vertices) + 1 then begin
+    t.hcount <- grow_array t.hcount 0 ((2 * vertices) + 1);
+    t.bucket <- grow_array t.bucket (-1) ((2 * vertices) + 1)
+  end;
+  if 2 * edges > Array.length t.dst then begin
+    t.dst <- grow_array t.dst 0 (2 * edges);
+    t.cap <- grow_array t.cap 0 (2 * edges)
+  end;
+  if edges > Array.length t.initial_cap then
+    t.initial_cap <- grow_array t.initial_cap 0 edges
+
 let add_vertex t =
   let v = t.n in
+  reserve t ~vertices:(v + 1) ~edges:(t.m / 2);
   t.n <- v + 1;
-  if Array.length t.level < t.n then begin
-    t.level <- grow_array t.level (-1) t.n;
-    t.queue <- grow_array t.queue 0 t.n;
-    t.cur <- grow_array t.cur 0 t.n;
-    t.excess <- grow_array t.excess 0 t.n;
-    t.bnext <- grow_array t.bnext (-1) t.n;
-    t.active <- grow_array t.active false t.n;
-    t.walk_pos <- grow_array t.walk_pos (-1) t.n;
-    t.walk_vert <- grow_array t.walk_vert 0 t.n;
-    t.walk_edge <- grow_array t.walk_edge 0 t.n;
-    t.walk_ptr <- grow_array t.walk_ptr 0 t.n
-  end;
-  if Array.length t.adj_start < t.n + 1 then
-    t.adj_start <- grow_array t.adj_start 0 (t.n + 1);
-  if Array.length t.hcount < (2 * t.n) + 1 then begin
-    t.hcount <- grow_array t.hcount 0 ((2 * t.n) + 1);
-    t.bucket <- grow_array t.bucket (-1) ((2 * t.n) + 1)
-  end;
   t.csr_valid <- false;
   v
-
-let ensure_edge_room t =
-  if t.m + 2 > Array.length t.dst then begin
-    t.dst <- grow_array t.dst 0 (t.m + 2);
-    t.cap <- grow_array t.cap 0 (t.m + 2)
-  end;
-  if (t.m / 2) + 1 > Array.length t.initial_cap then
-    t.initial_cap <- grow_array t.initial_cap 0 ((t.m / 2) + 1)
 
 let add_edge t ~src ~dst ~cap =
   if cap < 0 then invalid_arg "Maxflow.add_edge: negative capacity";
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Maxflow.add_edge: vertex out of range";
-  ensure_edge_room t;
+  reserve t ~vertices:t.n ~edges:((t.m / 2) + 1);
   let id = t.m in
   t.dst.(id) <- dst;
   t.cap.(id) <- cap;

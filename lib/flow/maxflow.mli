@@ -20,9 +20,10 @@
     extraction read a real flow.
 
     Allocation: the arena owns every scratch array its algorithms use.
-    {!create} allocates, growth ({!add_vertex}, {!add_edge}) allocates
-    when an array doubles, and so does the first {!max_flow}, drain or
-    cut call after new edges when the adjacency index outgrew its array.
+    {!create} allocates, {!reserve} allocates when an array must grow,
+    {!add_vertex} and {!add_edge} when an array doubles, and so does the
+    first {!max_flow}, drain or cut call after new edges when the
+    adjacency index outgrew its array.
     Otherwise {!set_even_caps}, both drains, {!min_cut_into}, {!capacity}
     and {!cut_capacity} allocate nothing, and {!max_flow} only the few
     words that publishing its metrics takes. *)
@@ -36,6 +37,14 @@ val add_vertex : t -> int
 (** Appends one vertex and returns its index.  Existing edges and flow
     are unaffected.  Incremental instance builders (the oracle's
     radius scan) grow the network as the coverage radius dilates. *)
+
+val reserve : t -> vertices:int -> edges:int -> unit
+(** [reserve t ~vertices ~edges] grows the arena's arrays, in one step
+    each, to hold [vertices] vertices and [edges] edges (twins not
+    counted) in all, so that appending up to that size allocates
+    nothing.  Vertices and edges are unchanged; it never shrinks.  The
+    growth path of {!add_vertex} and {!add_edge}, which double an array
+    that runs out. *)
 
 val add_edge : t -> src:int -> dst:int -> cap:int -> int
 (** Adds a directed edge with the given capacity (and its residual twin of

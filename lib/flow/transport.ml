@@ -121,7 +121,7 @@ let iter_links t f =
     f ~supplier:t.links.(2 * k) ~demand:t.links.((2 * k) + 1)
   done
 
-let total_demand t = Array.fold_left ( + ) 0 t.demands
+let total_demand t = Array.fold_left Energy.add 0 t.demands
 
 (* Throw-away network of [max_served]: 0 = source, 1 = sink, suppliers
    at 2..2+S-1, demands after that.  Supplier [i] emits [supply i],
@@ -200,6 +200,12 @@ let ensure_pstate t ~target =
         t.pstate <- Some ps;
         ps
   in
+  (* 0. room for everything below, in one growth step per array: a
+     vertex per demand site and supplier, an edge per site, supplier and
+     link *)
+  Maxflow.reserve ps.p_net
+    ~vertices:(2 + t.n_demands + t.n_suppliers)
+    ~edges:(t.n_demands + t.n_suppliers + t.n_links);
   (* 1. materialize new demand sites: a vertex plus a sink edge each,
      capacity 0 when the demand is 0 — later changes are patches *)
   if ps.p_demands < t.n_demands then begin

@@ -49,6 +49,8 @@ val iter_links : t -> (supplier:int -> demand:int -> unit) -> unit
 (** Iterates links in insertion order. *)
 
 val total_demand : t -> int
+(** The sum of all demands.
+    @raise Energy.Overflow if it does not fit in an [int]. *)
 
 val max_served : t -> supply:(int -> int) -> int
 (** Maximum total demand servable when supplier [i] can emit at most

@@ -17,7 +17,7 @@ let n_vertices t = Digraph.n_vertices t.graph
 
 let demand t v = t.demands.(v)
 
-let total_demand t = Array.fold_left ( + ) 0 t.demands
+let total_demand t = Array.fold_left Energy.add 0 t.demands
 
 let dist_from t v =
   match t.dist_cache.(v) with

@@ -26,6 +26,8 @@ val n_vertices : t -> int
 val demand : t -> int -> int
 
 val total_demand : t -> int
+(** The sum of all demands.
+    @raise Energy.Overflow if it does not fit in an [int]. *)
 
 val distance : t -> int -> int -> int
 (** Shortest-path distance ([max_int] when disconnected).  All-pairs

@@ -89,7 +89,7 @@ let dilate_set points ~radius =
   | p0 :: _ ->
       let l = Point.dim p0 in
       ignore l;
-      let seen = Point.Tbl.create 1024 in
+      let seen = Point.Tbl.create (List.length points) in
       let queue = Queue.create () in
       List.iter
         (fun p ->
@@ -121,7 +121,7 @@ type frontier = {
 }
 
 let frontier points =
-  let f_seen = Point.Tbl.create 1024 in
+  let f_seen = Point.Tbl.create (List.length points) in
   let shell =
     List.filter
       (fun p ->

@@ -179,6 +179,14 @@ let test_add_overflow_raises () =
   | _ -> Alcotest.fail "a total past max_int must raise");
   Alcotest.(check int) "map unchanged" max_int (Demand_map.value dm (point2 0 0))
 
+(* Four rows of 2^61 at distinct points total 2^63, which an unchecked
+   fold wrapped to 0: the daemon then answered ω* = 0 and no witness. *)
+let test_total_overflow_raises () =
+  let dm = Demand_map.of_alist 2 (List.init 4 (fun x -> (point2 x 0, 1 lsl 61))) in
+  match Demand_map.total dm with
+  | exception Energy.Overflow _ -> ()
+  | t -> Alcotest.failf "a total past max_int must raise, not return %d" t
+
 let test_equal () =
   let a = Demand_map.of_alist 2 [ (point2 0 0, 3); (point2 1 2, 5) ] in
   let b = Demand_map.of_alist 2 [ (point2 1 2, 5); (point2 0 0, 1); (point2 0 0, 2) ] in
@@ -196,6 +204,7 @@ let suite =
   suite
   @ [
       Alcotest.test_case "add overflow raises" `Quick test_add_overflow_raises;
+      Alcotest.test_case "total overflow raises" `Quick test_total_overflow_raises;
       Alcotest.test_case "equal" `Quick test_equal;
       Alcotest.test_case "add negative raises" `Quick test_add_negative_raises;
       Alcotest.test_case "remove semantics" `Quick test_remove_semantics;

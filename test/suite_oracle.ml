@@ -143,3 +143,93 @@ let suite =
       QCheck_alcotest.to_alcotest prop_witness_exact;
       Alcotest.test_case "witness: empty" `Quick test_witness_empty;
     ]
+
+(* --- appended: bracket 0 in closed form --- *)
+
+(* The scan reads bracket 0 as max_x d(x) instead of solving it; the
+   arena solve of [lp_value ~radius:0] is the reference, bit for bit. *)
+let prop_radius_zero_closed_form =
+  QCheck.Test.make ~name:"lp radius 0 = max demand, bit for bit" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dim = 1 + Rng.int rng 3 in
+      (* few positions, many rows: most sites carry several jobs *)
+      let site _ = (Array.init dim (fun _ -> Rng.int rng 4), 1 + Rng.int rng 40) in
+      let dm = Demand_map.of_alist dim (List.init (1 + Rng.int rng 16) site) in
+      let closed = float_of_int (Demand_map.max_demand dm) in
+      let solved = Oracle.lp_value ~radius:0 dm in
+      Float.equal closed solved
+      || QCheck.Test.fail_reportf "seed %d: max d %.17g <> lp_value 0 %.17g"
+           seed closed solved)
+
+(* A one-shot ω* solves the brackets 1 .. ⌊ω*⌋ and nothing else. *)
+let test_brackets_solved () =
+  let m = Metrics.counter "oracle.radius_brackets" in
+  let rng = Rng.create 8 in
+  let random _ =
+    Demand_map.of_alist 2
+      (List.init (1 + Rng.int rng 8) (fun _ ->
+           (point2 (Rng.int rng 5) (Rng.int rng 5), 1 + Rng.int rng 30)))
+  in
+  let single d = Demand_map.of_alist 2 [ (point2 0 0, d) ] in
+  let floors = Hashtbl.create 8 in
+  List.iter
+    (fun dm ->
+      let b0 = Metrics.count m in
+      let v = Oracle.omega_star dm in
+      let floor = int_of_float (Float.floor v) in
+      Hashtbl.replace floors floor ();
+      Alcotest.(check int)
+        (Printf.sprintf "brackets for ω* = %g" v)
+        floor
+        (Metrics.count m - b0))
+    ([ single 1; single 5; single 26; single 100; single 1000 ] @ List.init 40 random);
+  Alcotest.(check bool) "ω* spans several brackets" true (Hashtbl.length floors >= 4)
+
+(* ω* = 1 takes its set from bracket 0, which the scan does not solve;
+   the witness solves it on its own instance.  The set is the hot site
+   alone, a strict subset of the support. *)
+let test_witness_from_bracket_zero () =
+  let dm =
+    Demand_map.of_alist 2 [ (point2 0 0, 2); (point2 3 0, 1); (point2 6 0, 1) ]
+  in
+  Alcotest.(check (float 0.0)) "ω* = 1" 1.0 (Oracle.omega_star dm);
+  match Oracle.witness dm with
+  | None -> Alcotest.fail "non-empty demand must have a witness"
+  | Some (points, w) ->
+      Alcotest.(check (list (array int))) "the hot site" [ point2 0 0 ] points;
+      Alcotest.(check (float 0.0)) "ω_T" 1.0 w
+
+(* A cold ω* builds its instance once at its final size: the builder's
+   tables are sized from the support and the arena is reserved once per
+   bracket.  Loadgen's cold-miss demands, as the serving daemon sees
+   them. *)
+let test_cold_allocation () =
+  let dms =
+    Array.map
+      (fun r -> r.Protocol.demand)
+      (Loadgen.queries ~seed:1 ~mix:Loadgen.Cold_miss ~n:500)
+  in
+  let s0 = Gc.quick_stat () and w0 = Gc.minor_words () in
+  Array.iter (fun dm -> ignore (Oracle.omega_star dm)) dms;
+  let s1 = Gc.quick_stat () and w1 = Gc.minor_words () in
+  let calls = float_of_int (Array.length dms) in
+  let minor = (w1 -. w0) /. calls in
+  let major = (s1.Gc.major_words -. s0.Gc.major_words) /. calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per call (at most 6000)" minor)
+    true (minor <= 6000.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words per call (at most 1500)" major)
+    true (major <= 1500.0)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_radius_zero_closed_form;
+      Alcotest.test_case "ω* solves ⌊ω*⌋ brackets" `Quick test_brackets_solved;
+      Alcotest.test_case "witness from bracket 0" `Quick
+        test_witness_from_bracket_zero;
+      Alcotest.test_case "cold ω* allocation" `Quick test_cold_allocation;
+    ]

@@ -389,6 +389,23 @@ let test_engine_error_responses () =
   Alcotest.(check bool) "failed answers are not cached" true
     (Engine.cache_size engine = 1)
 
+(* A demand whose total wraps to 0 in unchecked arithmetic (four rows of
+   2^61): both oracle ops must answer an error, not ω* = 0 and no
+   witness. *)
+let test_engine_wrapping_total () =
+  let engine = Engine.create () in
+  let dm = Demand_map.of_alist 2 (List.init 4 (fun x -> ([| x; 0 |], 1 lsl 61))) in
+  List.iter
+    (fun op ->
+      let r = Engine.process engine (Protocol.request ~id:7 op dm) in
+      let wire = Protocol.response_to_string r in
+      Alcotest.(check bool)
+        ("answered ok:false: " ^ wire)
+        true
+        (String.starts_with ~prefix:{|{"id":7,"ok":false,"error":"Energy.add|}
+           wire))
+    [ Protocol.Omega_star; Protocol.Witness ]
+
 (* --- loadgen --- *)
 
 let test_loadgen_deterministic () =
@@ -1067,6 +1084,7 @@ let suite =
     Alcotest.test_case "cache capacity FIFO" `Quick test_cache_capacity_fifo;
     Alcotest.test_case "session LRU eviction" `Quick test_session_lru_eviction;
     Alcotest.test_case "engine error responses" `Quick test_engine_error_responses;
+    Alcotest.test_case "engine wrapping total" `Quick test_engine_wrapping_total;
     Alcotest.test_case "loadgen deterministic" `Quick test_loadgen_deterministic;
     Alcotest.test_case "loadgen replay stats" `Quick test_loadgen_replay_stats;
     Alcotest.test_case "session request roundtrip" `Quick

@@ -70,7 +70,8 @@ let test_delta_probe_bound () =
   let fc0 = Metrics.count m_fc and pr0 = Metrics.count m_probes in
   Oracle.Session.add_job s (point2 0 0);
   let v = Oracle.Session.omega_star s in
-  let brackets = int_of_float (Float.floor v) + 1 in
+  (* brackets 1 .. ⌊ω*⌋; bracket 0 is read in closed form *)
+  let brackets = int_of_float (Float.floor v) in
   let fc = Metrics.count m_fc - fc0 and pr = Metrics.count m_probes - pr0 in
   Alcotest.(check int) "one warm solve per bracket" brackets fc;
   Alcotest.(check bool)
@@ -103,7 +104,7 @@ let test_certificate_skips_probes () =
     (Float.equal v (Oracle.omega_star (Oracle.Session.demand s)));
   Alcotest.(check int) "no probe" 0 pr;
   Alcotest.(check int) "one feasibility check per bracket"
-    (int_of_float (Float.floor v) + 1)
+    (int_of_float (Float.floor v))
     fc
 
 (* The stream-churn shape (6×6 box, 48–64 live unit jobs, an add or a
@@ -173,8 +174,9 @@ let run_trace ~seed ~events ~side ~witness_every =
         "event %d (seed %d): incremental %.17g <> from-scratch %.17g" e seed
         inc scratch
     end;
-    (* one unsolved feasibility check per visited bracket, nothing more *)
-    let brackets = int_of_float (Float.floor inc) + 1 in
+    (* one unsolved feasibility check per solved bracket (1 .. ⌊ω*⌋),
+       nothing more *)
+    let brackets = int_of_float (Float.floor inc) in
     if !n_live > 0 && fc > brackets then begin
       ok := false;
       QCheck.Test.fail_reportf
