@@ -146,13 +146,6 @@ let e3 () =
 (* Shared random instance pool for E4/E5/E10.                           *)
 (* ------------------------------------------------------------------ *)
 
-let int_pow_e4 base e =
-  let v = ref 1 in
-  for _ = 1 to e do
-    v := !v * base
-  done;
-  !v
-
 let instance_pool () =
   let rng = Rng.create 20080803 in
   let box = Box.make ~lo:[| 0; 0 |] ~hi:[| 7; 7 |] in
@@ -210,7 +203,7 @@ let e4 () =
       Table.add_row t
         [
           name; fl star; fl wc; it measured; fl ratio;
-          fl (float_of_int ((2 * int_pow_e4 3 dim) + dim));
+          fl (float_of_int ((2 * Energy.pow 3 dim) + dim));
         ])
     [
       ("1d-hot-segment", Demand_map.of_alist 1 [ ([| 0 |], 150); ([| 6 |], 40) ], 1);
@@ -954,15 +947,18 @@ let bechamel_suite ~quick () =
         Test.make ~name:"maxflow_64v_400e" (Staged.stage (fun () ->
             let net = flow_net () in
             ignore (Maxflow.max_flow net ~source:0 ~sink:63)));
-        (* Arena kernels introduced by the incremental-oracle work: the
-           warm-started uniform-supply search, frontier-based shell
-           dilation vs re-dilating from scratch, and direct L1-sphere
-           enumeration.  Future PRs track these individually. *)
+        (* Arena kernels of the incremental oracle: the warm-started
+           uniform-supply search, the frontier (Ball's one BFS) grown a
+           shell at a time vs dilating to radius 6 in one call, and
+           direct L1-sphere enumeration. *)
         Test.make ~name:"min_uniform_supply_r2_200jobs" (Staged.stage (fun () ->
             let inst = Oracle.build_instance dm_mid ~radius:2 in
             ignore (Transport.min_uniform_supply inst)));
-        Test.make ~name:"dilate_shells_r6_200jobs" (Staged.stage (fun () ->
-            ignore (Ball.dilate_shells (Demand_map.support dm_mid) ~max_radius:6)));
+        Test.make ~name:"frontier_r6_200jobs" (Staged.stage (fun () ->
+            let f = Ball.frontier (Demand_map.support dm_mid) in
+            for _ = 1 to 6 do
+              ignore (Ball.expand f)
+            done));
         Test.make ~name:"dilate_set_r6_200jobs" (Staged.stage (fun () ->
             ignore (Ball.dilate_set (Demand_map.support dm_mid) ~radius:6)));
         Test.make ~name:"iter_sphere_r6" (Staged.stage (fun () ->

@@ -6,14 +6,7 @@ let m_run = Metrics.timer "alg1.run"
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let int_pow base e =
-  let v = ref 1 in
-  for _ = 1 to e do
-    v := !v * base
-  done;
-  !v
-
-let approximation_factor l = 2.0 *. float_of_int ((2 * int_pow 3 l) + l)
+let approximation_factor l = 2.0 *. float_of_int ((2 * Energy.pow 3 l) + l)
 
 let run_raw ~dim ~n dm =
   if dim <= 0 then invalid_arg "Alg1.run: dimension must be positive";
@@ -22,7 +15,7 @@ let run_raw ~dim ~n dm =
   let grid = Box.cube_at_origin ~dim ~side:n in
   let ops = ref 0 in
   (* Flatten the demand into the finest-scale array d_1. *)
-  let cells = int_pow n dim in
+  let cells = Energy.pow n dim in
   let finest = Array.make cells 0 in
   Demand_map.iter dm (fun p v ->
       if not (Box.mem grid p) then invalid_arg "Alg1.run: support outside the grid";
@@ -49,17 +42,17 @@ let run_raw ~dim ~n dm =
         let w = 2 * w and n' = n' / 2 in
         let child_box = Box.cube_at_origin ~dim ~side:(2 * n') in
         let parent_box = Box.cube_at_origin ~dim ~side:n' in
-        let next = Array.make (int_pow n' dim) 0 in
+        let next = Array.make (Energy.pow n' dim) 0 in
         Box.iter child_box (fun c ->
             incr ops;
             let parent = Array.map (fun x -> x / 2) c in
             let pi = Box.index parent_box parent in
             next.(pi) <- next.(pi) + coarse.(Box.index child_box c));
-        let budget = w * int_pow (3 * w) dim in
+        let budget = w * Energy.pow (3 * w) dim in
         if Array.exists (fun v -> v > budget) next then loop ~w ~n' ~coarse:next
         else
           {
-            value = float_of_int (((2 * int_pow 3 dim) + dim) * w);
+            value = float_of_int (((2 * Energy.pow 3 dim) + dim) * w);
             cube_side = Some w;
             cell_ops = !ops;
           }

@@ -1,9 +1,12 @@
 (* Lattice points at L1 distance exactly r from a vertex of Z^dim:
-   the difference of consecutive ball volumes. *)
+   the difference of consecutive ball volumes around a side-1 cube. *)
 let shell ~dim r =
   if r < 0 then 0
   else if r = 0 then 1
-  else Ball.ball_volume ~dim ~radius:r - Ball.ball_volume ~dim ~radius:(r - 1)
+  else
+    let point = Box.cube_at_origin ~dim ~side:1 in
+    Ball.box_ball_volume point ~radius:r
+    - Ball.box_ball_volume point ~radius:(r - 1)
 
 let point_deliverable ~dim ~w =
   if w <= 0.0 then 0.0

@@ -18,13 +18,32 @@ let solve ~neighborhood_size ~total =
         float_of_int total /. float_of_int c)
 
 let of_points points ~total =
-  match points with
-  | [] -> invalid_arg "Omega.of_points: empty set"
-  | _ ->
-      solve ~total ~neighborhood_size:(fun r -> Ball.neighborhood_size points ~radius:r)
+  match Box.hull points with
+  | None -> invalid_arg "Omega.of_points: empty set"
+  | Some box ->
+      let f = Ball.frontier points in
+      (* The frontier's seeds are the distinct points, so the set fills its
+         bounding box when they number its volume.  A volume past
+         [max_int] is never filled: no list holds that many points. *)
+      let filled =
+        match Box.volume box with
+        | v -> v = Ball.frontier_size f
+        | exception Energy.Overflow _ -> false
+      in
+      if filled then
+        solve ~total ~neighborhood_size:(fun r ->
+            Ball.box_ball_volume box ~radius:r)
+      else
+        (* [solve] asks for radii 0, 1, 2, ... once each, in order
+           ({!scan_brackets}), so one shell per call keeps the frontier at
+           radius [r]. *)
+        solve ~total ~neighborhood_size:(fun r ->
+            if r > 0 then ignore (Ball.expand f);
+            Ball.frontier_size f)
 
 let of_cube ~dim ~side ~total =
-  solve ~total ~neighborhood_size:(fun r -> Ball.cube_ball_volume ~dim ~side ~radius:r)
+  let cube = Box.cube_at_origin ~dim ~side in
+  solve ~total ~neighborhood_size:(fun r -> Ball.box_ball_volume cube ~radius:r)
 
 (* --- l-dimensional prefix sums over a box, for sliding cube scans --- *)
 
@@ -119,13 +138,6 @@ let max_over_cubes dm =
       done;
       !best
 
-let int_pow base e =
-  let v = ref 1 in
-  for _ = 1 to e do
-    v := !v * base
-  done;
-  !v
-
 let cube_fixpoint_with_side dm =
   match Demand_map.bounding_box dm with
   | None -> (0.0, 1)
@@ -147,7 +159,7 @@ let cube_fixpoint_with_side dm =
       let continue = ref true in
       while !continue do
         let m = cube_demand !s in
-        let cand = float_of_int m /. float_of_int (int_pow (3 * !s) dim) in
+        let cand = float_of_int m /. float_of_int (Energy.pow (3 * !s) dim) in
         (* ω with ⌈ω⌉ = s lives in (s-1, s]; the smallest admissible value
            there is max(cand, s-1). *)
         if cand <= float_of_int !s then begin

@@ -31,8 +31,13 @@ val solve : neighborhood_size:(int -> int) -> total:int -> float
     strictly positive [neighborhood_size].  0 when [total = 0]. *)
 
 val of_points : Point.t list -> total:int -> float
-(** [ω_T] for an explicit finite set [T] (closed form when [T] fills a
-    box, BFS dilation otherwise) carrying total demand [total]. *)
+(** [ω_T] for an explicit finite set [T] carrying total demand [total];
+    duplicate points count once.  When [T] fills its bounding box
+    ({!Box.hull}) every [|N_r(T)|] is the closed form
+    {!Ball.box_ball_volume}; otherwise one {!Ball.frontier} over [T]
+    grows a shell per radius the scan asks for, so the whole scan costs
+    one BFS out to the answer's radius.  Raises [Invalid_argument] on an
+    empty set. *)
 
 val of_cube : dim:int -> side:int -> total:int -> float
 (** [ω_T] for a [side]-cube of [Z^dim] via the closed-form

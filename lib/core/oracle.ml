@@ -31,14 +31,22 @@ let builder_create dm =
     (fun p -> Point.Tbl.add index p (Transport.add_supplier inst))
     (Ball.frontier_shell fr);
   (* Radius 0: every demand site is served by the supplier at its own
-     position. *)
-  Array.iteri
-    (fun j p ->
-      match Point.Tbl.find_opt index p with
-      | Some i -> Transport.add_link inst ~supplier:i ~demand:j
-      | None -> assert false)
-    support;
+     position.  The support has no duplicates, so the frontier's shell is
+     the support in order and registered [support.(j)] as supplier [j]. *)
+  for j = 0 to Array.length support - 1 do
+    Transport.add_link inst ~supplier:j ~demand:j
+  done;
   { b_support = support; b_inst = inst; b_frontier = fr; b_index = index; b_radius = 0 }
+
+(* Links demand site [j] at [p] to every registered supplier at L1
+   distance [lo] to [hi] from it, sphere by sphere. *)
+let link_site b j p ~lo ~hi =
+  for k = lo to hi do
+    Ball.iter_sphere ~center:p ~radius:k (fun q ->
+        match Point.Tbl.find_opt b.b_index q with
+        | Some i -> Transport.add_link b.b_inst ~supplier:i ~demand:j
+        | None -> ())
+  done
 
 let builder_extend b =
   (* New suppliers first, so shell points at exactly the new distance from
@@ -51,13 +59,7 @@ let builder_extend b =
   b.b_radius <- r;
   (* Link delta: the pairs at L1 distance exactly r.  Every such supplier
      is already registered (its distance to the support set is <= r). *)
-  Array.iteri
-    (fun j p ->
-      Ball.iter_sphere ~center:p ~radius:r (fun q ->
-          match Point.Tbl.find_opt b.b_index q with
-          | Some i -> Transport.add_link b.b_inst ~supplier:i ~demand:j
-          | None -> ()))
-    b.b_support
+  Array.iteri (fun j p -> link_site b j p ~lo:r ~hi:r) b.b_support
 
 let builder_to_radius b radius =
   while b.b_radius < radius do
@@ -211,12 +213,7 @@ module Session = struct
           (Ball.absorb bk.bk.b_frontier p);
         (* Links: every supplier within distance <= radius of [p]; after
            the absorb every such point is registered. *)
-        for k = 0 to radius do
-          Ball.iter_sphere ~center:p ~radius:k (fun q ->
-              match Point.Tbl.find_opt bk.bk.b_index q with
-              | Some i -> Transport.add_link inst ~supplier:i ~demand:j
-              | None -> ())
-        done;
+        link_site bk.bk j p ~lo:0 ~hi:radius;
         Transport.set_demand inst j v
 
   let apply s p =

@@ -43,19 +43,7 @@ let total t = Point.Map.fold (fun _ v acc -> Energy.add acc v) t.map 0
 
 let max_demand t = Point.Map.fold (fun _ v acc -> max v acc) t.map 0
 
-let bounding_box t =
-  match Point.Map.min_binding_opt t.map with
-  | None -> None
-  | Some (p0, _) ->
-      let lo = Array.copy p0 and hi = Array.copy p0 in
-      Point.Map.iter
-        (fun p _ ->
-          for i = 0 to t.l - 1 do
-            if p.(i) < lo.(i) then lo.(i) <- p.(i);
-            if p.(i) > hi.(i) then hi.(i) <- p.(i)
-          done)
-        t.map;
-      Some (Box.make ~lo ~hi)
+let bounding_box t = Box.hull (support t)
 
 let equal a b = a.l = b.l && Point.Map.equal Int.equal a.map b.map
 

@@ -1,14 +1,3 @@
-let to_channel oc w =
-  Printf.fprintf oc "# workload: %s\n# jobs: %d, dim: %d\n" w.Workload.name
-    (Array.length w.Workload.jobs)
-    w.Workload.dim;
-  Array.iter
-    (fun p ->
-      output_string oc
-        (String.concat " " (Array.to_list (Array.map string_of_int p)));
-      output_char oc '\n')
-    w.Workload.jobs
-
 let to_string w =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -22,6 +11,8 @@ let to_string w =
       Buffer.add_char buf '\n')
     w.Workload.jobs;
   Buffer.contents buf
+
+let to_channel oc w = output_string oc (to_string w)
 
 let parse_lines ?(name = "workload") lines =
   let jobs = ref [] in

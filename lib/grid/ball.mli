@@ -1,13 +1,14 @@
 (** L1 neighborhoods [N_r(T)] and their cardinalities.
 
     Equation (1.1) of the paper, [ω_T · |N_{ω_T}(T)| = Σ_{x∈T} d(x)],
-    requires [|N_r(T)|] for arbitrary finite [T].  This module provides:
+    requires [|N_r(T)|] for arbitrary finite [T].  This module provides
+    one implementation of each way to get it:
 
-    - exact closed forms for the shapes the paper analyses (single points,
-      segments, and [l]-cubes — Examples 2.1.1–2.1.3 and Lemma 2.2.5), and
-    - a BFS dilation for arbitrary finite sets, used both as the general
-      fallback and as an independent witness for the closed forms in the
-      test suite. *)
+    - one closed form, {!box_ball_volume}, for any box — the single
+      points, segments and [l]-cubes the paper analyses (Examples
+      2.1.1–2.1.3 and Lemma 2.2.5) are boxes, and
+    - one breadth-first search, the {!frontier}, for any finite set;
+      {!dilate_set} and {!absorb} are built on it. *)
 
 val binomial : int -> int -> int
 (** [binomial n k] = C(n,k); 0 when [k < 0] or [k > n].  Overflow-checked:
@@ -16,27 +17,16 @@ val binomial : int -> int -> int
     [C(n,i)·(n-k+i)], which can overflow slightly before the result
     itself would. *)
 
-val ball_volume : dim:int -> radius:int -> int
-(** Number of lattice points of [Z^dim] at L1 distance [<= radius] from a
-    point: [Σ_k 2^k C(dim,k) C(radius,k)].  [radius < 0] yields 0. *)
-
-val cube_ball_volume : dim:int -> side:int -> radius:int -> int
-(** [|N_radius(C)|] for a [side]-cube [C ⊆ Z^dim]:
-    [Σ_k C(dim,k) side^(dim-k) 2^k C(radius,k)].  This is the quantity the
-    paper's Corollary 2.2.7 approximates by [(3⌈ω⌉)^l]. *)
-
 val box_ball_volume : Box.t -> radius:int -> int
-(** Closed-form [|N_radius(B)|] for an arbitrary box [B] (sides may
-    differ); covers the segment of Example 2.1.2 as a [1 x m] box. *)
+(** [|N_radius(B)|] for a box [B ⊆ Z^l]: [Σ_k P_k 2^k C(radius,k)],
+    where [P_k] sums, over every choice of [k] axes, the product of the
+    other axes' sides.  A point is a side-1 cube
+    ([Σ_k 2^k C(l,k) C(radius,k)]), an [l]-cube of side [s] gives
+    [Σ_k C(l,k) s^(l−k) 2^k C(radius,k)] (the quantity Corollary 2.2.7
+    approximates by [(3⌈ω⌉)^l]), and the segment of Example 2.1.2 is a
+    [1 × len] box ([(2r+1)·len + 2r^2]).  [radius < 0] yields 0. *)
 
-val segment_ball_volume_2d : len:int -> radius:int -> int
-(** 2-D special case used by Example 2.1.2: [(2r+1)·len + 2r^2]. *)
-
-val dilate_set : Point.t list -> radius:int -> Point.Set.t
-(** [N_radius(T)] by multi-source BFS; exact for any finite [T].
-    Cost is proportional to the volume of the result. *)
-
-(** {1 Incremental dilation}
+(** {1 Breadth-first dilation}
 
     A {!frontier} is a paused multi-source BFS: it remembers everything
     reached so far and the current outermost shell, so growing the
@@ -52,46 +42,36 @@ val frontier : Point.t list -> frontier
 
 val expand : frontier -> Point.t list
 (** Advances the frontier one radius step and returns the new shell: the
-    points at L1 distance exactly [frontier_radius] (after the call) from
-    the seed set, in deterministic discovery order.  The union of the
-    shells up to radius [r] equals [dilate_set ~radius:r]. *)
+    points at L1 distance exactly the new radius from the seed set, in
+    BFS discovery order.  The shells up to radius [r], concatenated, are
+    [N_r(T)] in the order a queue-based multi-source BFS discovers it. *)
 
-val absorb : frontier -> Point.t -> Point.t list
-(** [absorb f p] adds [p] to the frontier's {e seed} set in place: the
-    points within the current radius of [p] that the frontier had not
-    reached yet become reached, and are returned in BFS discovery order
-    ([[]] when the ball around [p] was already covered).  Newly reached
-    points at distance exactly [frontier_radius f] join the shell, so
-    subsequent {!expand}s stay exact for the enlarged seed set.  The
-    shell may retain entries whose exact distance dropped below the
-    radius; they are harmless to {!expand} (their unseen neighbors are
-    necessarily at the next radius).  This is the streaming counterpart
-    of rebuilding the frontier when a job arrives at a new position
-    ([Oracle.Session]). *)
-
-val frontier_radius : frontier -> int
 val frontier_shell : frontier -> Point.t list
 (** The current shell (radius 0: the deduplicated seed set). *)
 
 val frontier_size : frontier -> int
 (** Total points reached so far, [|N_radius(T)|]. *)
 
-val dilate_shells : Point.t list -> max_radius:int -> Point.t list array
-(** [dilate_shells t ~max_radius].(r) = the shell at L1 distance exactly
-    [r] from [T] (index 0: [T] deduplicated).  One BFS pass; the
-    concatenation of entries [0..r] enumerates [dilate_set t ~radius:r]. *)
+val dilate_set : Point.t list -> radius:int -> Point.Set.t
+(** [N_radius(T)]: a frontier expanded [radius] times.  Exact for any
+    finite [T]; cost is proportional to the volume of the result. *)
+
+val absorb : frontier -> Point.t -> Point.t list
+(** [absorb f p] adds [p] to the frontier's {e seed} set in place.  It
+    grows a frontier of its own around [p] to [f]'s radius and returns,
+    shell by shell in discovery order, the points [f] had not reached
+    ([[]] when the ball around [p] was already covered): exactly a BFS
+    around [p] with [f]'s points left out.  Those points become reached,
+    and the ones on the last shell join [f]'s shell, so subsequent
+    {!expand}s stay exact for the enlarged seed set.  The shell may
+    retain entries whose exact distance dropped below the radius; they
+    are harmless to {!expand} (their unreached neighbors are necessarily
+    at the next radius).  This is the streaming counterpart of
+    rebuilding the frontier when a job arrives at a new position
+    ([Oracle.Session]). *)
 
 val iter_sphere : center:Point.t -> radius:int -> (Point.t -> unit) -> unit
 (** Enumerates the L1 sphere [{x : ‖x − center‖₁ = radius}] directly
     (no hashing, no BFS), calling the function once per point.  The point
     array passed to the callback is {e reused between calls} — copy it if
     it must be retained. *)
-
-val neighborhood_size : Point.t list -> radius:int -> int
-(** [|N_radius(T)|].  Uses the closed form when [T] is recognised as a box,
-    BFS otherwise. *)
-
-val shell_sizes : Point.t list -> max_radius:int -> int array
-(** [shell_sizes t ~max_radius].(r) = number of points at L1 distance
-    exactly [r] from [T] (index 0 counts [T] itself).  Used by the
-    energy-decay bound of Theorem 5.1.1. *)

@@ -15,6 +15,19 @@ let of_side ~dim ~lo ~side =
 
 let cube_at_origin ~dim ~side = of_side ~dim ~lo:(Point.origin dim) ~side
 
+let hull = function
+  | [] -> None
+  | p0 :: rest ->
+      let lo = Array.copy p0 and hi = Array.copy p0 in
+      List.iter
+        (fun p ->
+          for i = 0 to Array.length lo - 1 do
+            if p.(i) < lo.(i) then lo.(i) <- p.(i);
+            if p.(i) > hi.(i) then hi.(i) <- p.(i)
+          done)
+        rest;
+      Some (make ~lo ~hi)
+
 let dim b = Array.length b.lo
 
 let side b i = b.hi.(i) - b.lo.(i) + 1
@@ -22,7 +35,7 @@ let side b i = b.hi.(i) - b.lo.(i) + 1
 let volume b =
   let v = ref 1 in
   for i = 0 to dim b - 1 do
-    v := !v * side b i
+    v := Energy.mul !v (side b i)
   done;
   !v
 
@@ -46,8 +59,9 @@ let index b p =
   done;
   !idx
 
-let point_of_index b k =
-  if k < 0 || k >= volume b then invalid_arg "Box.point_of_index: out of range";
+(* The member point of rank [k], for [0 <= k < volume b]: [iter] checks
+   the range once, not at every point. *)
+let unrank b k =
   let n = dim b in
   let p = Array.make n 0 in
   let k = ref k in
@@ -58,10 +72,13 @@ let point_of_index b k =
   done;
   p
 
+let point_of_index b k =
+  if k < 0 || k >= volume b then invalid_arg "Box.point_of_index: out of range";
+  unrank b k
+
 let iter b f =
-  let n = volume b in
-  for k = 0 to n - 1 do
-    f (point_of_index b k)
+  for k = 0 to volume b - 1 do
+    f (unrank b k)
   done
 
 let fold b ~init ~f =

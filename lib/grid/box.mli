@@ -16,13 +16,17 @@ val of_side : dim:int -> lo:Point.t -> side:int -> t
 
 val cube_at_origin : dim:int -> side:int -> t
 
+val hull : Point.t list -> t option
+(** The smallest box containing every point; [None] for no points. *)
+
 val dim : t -> int
 
 val side : t -> int -> int
 (** Number of lattice points along axis [i]. *)
 
 val volume : t -> int
-(** Number of lattice points in the box. *)
+(** Number of lattice points in the box.  Raises [Energy.Overflow] when
+    it does not fit in an [int]. *)
 
 val mem : t -> Point.t -> bool
 

@@ -310,25 +310,13 @@ let window_of ~side ~dim jobs_box =
   in
   Box.make ~lo ~hi
 
-let jobs_box_of workload =
-  let jobs = workload.Workload.jobs in
-  let dim = workload.Workload.dim in
-  let lo = Array.copy jobs.(0) and hi = Array.copy jobs.(0) in
-  Array.iter
-    (fun p ->
-      for i = 0 to dim - 1 do
-        if p.(i) < lo.(i) then lo.(i) <- p.(i);
-        if p.(i) > hi.(i) then hi.(i) <- p.(i)
-      done)
-    jobs;
-  Box.make ~lo ~hi
+let jobs_box_of workload = Box.hull (Array.to_list workload.Workload.jobs)
 
 let fleet_size cfg workload =
-  if Array.length workload.Workload.jobs = 0 then 0
-  else
-    Box.volume
-      (window_of ~side:cfg.side ~dim:workload.Workload.dim
-         (jobs_box_of workload))
+  match jobs_box_of workload with
+  | None -> 0
+  | Some jobs_box ->
+      Box.volume (window_of ~side:cfg.side ~dim:workload.Workload.dim jobs_box)
 
 let validate_ids ~n plan partitions =
   let check what id =
@@ -1070,15 +1058,14 @@ let run_core ?observer ?(job_index = fun i -> i) cfg ~dim ~jobs ~jobs_box =
   (outcome, w)
 
 let run ?observer cfg workload =
-  let jobs = workload.Workload.jobs in
-  if Array.length jobs = 0 then begin
-    validate_plan cfg.faults;
-    empty_outcome
-  end
-  else
-    fst
-      (run_core ?observer cfg ~dim:workload.Workload.dim ~jobs
-         ~jobs_box:(jobs_box_of workload))
+  match jobs_box_of workload with
+  | None ->
+      validate_plan cfg.faults;
+      empty_outcome
+  | Some jobs_box ->
+      fst
+        (run_core ?observer cfg ~dim:workload.Workload.dim
+           ~jobs:workload.Workload.jobs ~jobs_box)
 
 (* --- fleet runner: cube-aligned shard bands on Pool workers --- *)
 
@@ -1154,124 +1141,123 @@ let aggregate_outcomes (outs : outcome array) =
 let run_fleet ?workers ~shards cfg workload =
   if shards < 1 then invalid_arg "Online.run_fleet: shards must be positive";
   let jobs = workload.Workload.jobs in
-  if Array.length jobs = 0 then begin
-    validate_plan cfg.faults;
-    empty_fleet
-  end
-  else begin
-    let dim = workload.Workload.dim in
-    let window = window_of ~side:cfg.side ~dim (jobs_box_of workload) in
-    let n = Box.volume window in
-    validate_plan cfg.faults;
-    validate_ids ~n cfg.faults cfg.partitions;
-    let side = cfg.side in
-    let tiles0 = Box.side window 0 / side in
-    let eff = max 1 (min shards tiles0) in
-    let bound s = s * tiles0 / eff in
-    let tile_shard = Array.make tiles0 0 in
-    for s = 0 to eff - 1 do
-      for tile = bound s to bound (s + 1) - 1 do
-        tile_shard.(tile) <- s
-      done
-    done;
-    let lo0 = window.Box.lo.(0) in
-    let shard_of_point p = tile_shard.((p.(0) - lo0) / side) in
-    let boxes =
-      Array.init eff (fun s ->
-          let lo = Array.copy window.Box.lo and hi = Array.copy window.Box.hi in
-          lo.(0) <- lo0 + (bound s * side);
-          hi.(0) <- lo0 + (bound (s + 1) * side) - 1;
-          Box.make ~lo ~hi)
-    in
-    (* Split arrivals per band, keeping the global 1-based positions for
-       fault translation and reporting. *)
-    let rev_jobs = Array.make eff [] in
-    Array.iteri
-      (fun i p ->
-        let s = shard_of_point p in
-        rev_jobs.(s) <- (i + 1, p) :: rev_jobs.(s))
-      jobs;
-    let shard_jobs = Array.map (fun l -> Array.of_list (List.rev l)) rev_jobs in
-    (* Global vehicle id -> local id within shard [s], if it lives there. *)
-    let local_id s id =
-      let home = Box.point_of_index window id in
-      if shard_of_point home = s then Some (Box.index boxes.(s) home) else None
-    in
-    (* Global job index -> how many of shard [s]'s jobs precede it. *)
-    let local_k s k =
-      Array.fold_left
-        (fun acc (gi, _) -> if gi <= k then acc + 1 else acc)
-        0 shard_jobs.(s)
-    in
-    let shard_cfg s =
-      let faults =
-        {
-          silent_initiators =
-            List.filter_map (local_id s) cfg.faults.silent_initiators;
-          deaths =
-            List.filter_map
-              (fun (k, id) ->
-                Option.map (fun lid -> (local_k s k, lid)) (local_id s id))
-              cfg.faults.deaths;
-          longevity =
-            List.filter_map
-              (fun (id, p) -> Option.map (fun lid -> (lid, p)) (local_id s id))
-              cfg.faults.longevity;
-          outages =
-            List.filter_map
-              (fun (k, id, d) ->
-                Option.map (fun lid -> (local_k s k, lid, d)) (local_id s id))
-              cfg.faults.outages;
-        }
+  match jobs_box_of workload with
+  | None ->
+      validate_plan cfg.faults;
+      empty_fleet
+  | Some jobs_box ->
+      let dim = workload.Workload.dim in
+      let window = window_of ~side:cfg.side ~dim jobs_box in
+      let n = Box.volume window in
+      validate_plan cfg.faults;
+      validate_ids ~n cfg.faults cfg.partitions;
+      let side = cfg.side in
+      let tiles0 = Box.side window 0 / side in
+      let eff = max 1 (min shards tiles0) in
+      let bound s = s * tiles0 / eff in
+      let tile_shard = Array.make tiles0 0 in
+      for s = 0 to eff - 1 do
+        for tile = bound s to bound (s + 1) - 1 do
+          tile_shard.(tile) <- s
+        done
+      done;
+      let lo0 = window.Box.lo.(0) in
+      let shard_of_point p = tile_shard.((p.(0) - lo0) / side) in
+      let boxes =
+        Array.init eff (fun s ->
+            let lo = Array.copy window.Box.lo and hi = Array.copy window.Box.hi in
+            lo.(0) <- lo0 + (bound s * side);
+            hi.(0) <- lo0 + (bound (s + 1) * side) - 1;
+            Box.make ~lo ~hi)
       in
-      (* A partition across bands is moot: there is no cross-band channel
-         to cut. *)
-      let partitions =
-        List.filter_map
-          (fun (a, b) ->
-            match (local_id s a, local_id s b) with
-            | Some la, Some lb -> Some (la, lb)
-            | _ -> None)
-          cfg.partitions
+      (* Split arrivals per band, keeping the global 1-based positions for
+         fault translation and reporting. *)
+      let rev_jobs = Array.make eff [] in
+      Array.iteri
+        (fun i p ->
+          let s = shard_of_point p in
+          rev_jobs.(s) <- (i + 1, p) :: rev_jobs.(s))
+        jobs;
+      let shard_jobs = Array.map (fun l -> Array.of_list (List.rev l)) rev_jobs in
+      (* Global vehicle id -> local id within shard [s], if it lives there. *)
+      let local_id s id =
+        let home = Box.point_of_index window id in
+        if shard_of_point home = s then Some (Box.index boxes.(s) home) else None
       in
-      { cfg with seed = derived_seed cfg.seed s; faults; partitions }
-    in
-    (* Materialize every shard's task on this domain so the workers only
-       read their own immutable task tuple. *)
-    let tasks =
-      Array.init eff (fun s ->
-          (shard_cfg s, Array.map snd shard_jobs.(s), Array.map fst shard_jobs.(s),
-           boxes.(s)))
-    in
-    let saved = Pool.workers () in
-    (match workers with Some k -> Pool.set_workers k | None -> ());
-    let results =
-      Fun.protect
-        ~finally:(fun () -> Pool.set_workers saved)
-        (fun () ->
-          Pool.map
-            (fun (cfg_s, jobs_s, gidx, box) ->
-              let job_index i = if i = 0 then 0 else gidx.(i - 1) in
-              run_core ~job_index cfg_s ~dim ~jobs:jobs_s ~jobs_box:box)
-            tasks)
-    in
-    let outs = Array.map fst results in
-    let total_bytes =
-      Array.fold_left (fun acc (_, w) -> acc + world_footprint_bytes w) 0 results
-    in
-    let vehicles = Array.fold_left (fun acc o -> acc + o.vehicles) 0 outs in
-    let bytes_per_vehicle =
-      float_of_int total_bytes /. float_of_int (max 1 vehicles)
-    in
-    Metrics.set_gauge m_bytes_per_vehicle bytes_per_vehicle;
-    {
-      aggregate = aggregate_outcomes outs;
-      shard_outcomes = outs;
-      shard_digests = Array.map (fun o -> o.trace_digest) outs;
-      shard_count = eff;
-      bytes_per_vehicle;
-    }
-  end
+      (* Global job index -> how many of shard [s]'s jobs precede it. *)
+      let local_k s k =
+        Array.fold_left
+          (fun acc (gi, _) -> if gi <= k then acc + 1 else acc)
+          0 shard_jobs.(s)
+      in
+      let shard_cfg s =
+        let faults =
+          {
+            silent_initiators =
+              List.filter_map (local_id s) cfg.faults.silent_initiators;
+            deaths =
+              List.filter_map
+                (fun (k, id) ->
+                  Option.map (fun lid -> (local_k s k, lid)) (local_id s id))
+                cfg.faults.deaths;
+            longevity =
+              List.filter_map
+                (fun (id, p) -> Option.map (fun lid -> (lid, p)) (local_id s id))
+                cfg.faults.longevity;
+            outages =
+              List.filter_map
+                (fun (k, id, d) ->
+                  Option.map (fun lid -> (local_k s k, lid, d)) (local_id s id))
+                cfg.faults.outages;
+          }
+        in
+        (* A partition across bands is moot: there is no cross-band channel
+           to cut. *)
+        let partitions =
+          List.filter_map
+            (fun (a, b) ->
+              match (local_id s a, local_id s b) with
+              | Some la, Some lb -> Some (la, lb)
+              | _ -> None)
+            cfg.partitions
+        in
+        { cfg with seed = derived_seed cfg.seed s; faults; partitions }
+      in
+      (* Materialize every shard's task on this domain so the workers only
+         read their own immutable task tuple. *)
+      let tasks =
+        Array.init eff (fun s ->
+            (shard_cfg s, Array.map snd shard_jobs.(s), Array.map fst shard_jobs.(s),
+             boxes.(s)))
+      in
+      let saved = Pool.workers () in
+      (match workers with Some k -> Pool.set_workers k | None -> ());
+      let results =
+        Fun.protect
+          ~finally:(fun () -> Pool.set_workers saved)
+          (fun () ->
+            Pool.map
+              (fun (cfg_s, jobs_s, gidx, box) ->
+                let job_index i = if i = 0 then 0 else gidx.(i - 1) in
+                run_core ~job_index cfg_s ~dim ~jobs:jobs_s ~jobs_box:box)
+              tasks)
+      in
+      let outs = Array.map fst results in
+      let total_bytes =
+        Array.fold_left (fun acc (_, w) -> acc + world_footprint_bytes w) 0 results
+      in
+      let vehicles = Array.fold_left (fun acc o -> acc + o.vehicles) 0 outs in
+      let bytes_per_vehicle =
+        float_of_int total_bytes /. float_of_int (max 1 vehicles)
+      in
+      Metrics.set_gauge m_bytes_per_vehicle bytes_per_vehicle;
+      {
+        aggregate = aggregate_outcomes outs;
+        shard_outcomes = outs;
+        shard_digests = Array.map (fun o -> o.trace_digest) outs;
+        shard_count = eff;
+        bytes_per_vehicle;
+      }
 
 let recommended ?(seed = 0) workload =
   let dm = Workload.demand workload in

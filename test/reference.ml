@@ -1,5 +1,6 @@
 (* Independent references for the differential tests: Bellman–Ford
-   against Dijkstra, a small max-flow over an edge list, the exhaustive
+   against Dijkstra, a queue-based lattice BFS against [Ball]'s frontier
+   and closed form, a small max-flow over an edge list, the exhaustive
    side of the subset duals (Lemma 2.2.2 and its variants), which
    enumerate every demand subset, and a request decoder that goes through
    a [Json.t] tree.  The max-flow and the duals are exponential or dense
@@ -32,6 +33,40 @@ let bellman_ford g ~source =
     end
   in
   if rounds (n - 1) then Error () else Ok dist
+
+(* [N_radius(T)] by multi-source breadth-first search with a queue and a
+   distance table: every point paired with its L1 distance to [points],
+   in discovery order (seeds first, in input order, duplicates dropped). *)
+let bfs points ~radius =
+  let dist = Point.Tbl.create 64 in
+  let queue = Queue.create () in
+  let order = ref [] in
+  let visit d p =
+    if not (Point.Tbl.mem dist p) then begin
+      Point.Tbl.add dist p d;
+      Queue.add p queue;
+      order := (p, d) :: !order
+    end
+  in
+  List.iter (visit 0) points;
+  while not (Queue.is_empty queue) do
+    let p = Queue.pop queue in
+    let d = Point.Tbl.find dist p in
+    if d < radius then List.iter (visit (d + 1)) (Point.neighbors p)
+  done;
+  List.rev !order
+
+(* [|N_radius(T)|]. *)
+let dilation_size points ~radius = List.length (bfs points ~radius)
+
+(* The shells of [bfs], index r holding the points at distance exactly r
+   in discovery order. *)
+let dilate_shells points ~max_radius =
+  let shells = Array.make (max_radius + 1) [] in
+  List.iter
+    (fun (p, d) -> shells.(d) <- p :: shells.(d))
+    (bfs points ~radius:max_radius);
+  Array.map List.rev shells
 
 (* Dinic's algorithm on a dense residual matrix.  Returns the flow value
    and the source side of the minimal minimum cut: the vertices the last

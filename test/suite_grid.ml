@@ -148,10 +148,19 @@ let test_box_dilate () =
   Alcotest.(check int) "volume" 36 (Box.volume b);
   Alcotest.(check bool) "lo" true (Point.equal b.Box.lo (point2 (-2) (-2)))
 
+(* 4 · (2^61 + 1) lattice points: an unchecked product wraps to 4. *)
+let test_box_volume_overflow () =
+  let b = Box.make ~lo:(point2 0 0) ~hi:(point2 3 (1 lsl 61)) in
+  match Box.volume b with
+  | exception Energy.Overflow _ -> ()
+  | v -> Alcotest.failf "volume returned %d instead of raising" v
+
 let suite =
   suite
   @ [
       Alcotest.test_case "box rejects inverted" `Quick test_box_make_rejects_inverted;
       Alcotest.test_case "box of_side" `Quick test_box_of_side;
       Alcotest.test_case "box dilate" `Quick test_box_dilate;
+      Alcotest.test_case "box volume overflow raises" `Quick
+        test_box_volume_overflow;
     ]

@@ -20,23 +20,75 @@ let test_single_point_small_demands () =
   Alcotest.(check (float 1e-12)) "d=7 -> ω=1.4" 1.4
     (Omega.of_points [ point2 0 0 ] ~total:7)
 
+(* ω_T with every |N_r(T)| counted by the reference BFS. *)
+let omega_by_bfs points ~total =
+  Omega.solve ~total ~neighborhood_size:(fun r ->
+      Reference.dilation_size points ~radius:r)
+
 let test_of_cube_matches_of_points () =
   for side = 1 to 3 do
     for total = 1 to 40 do
       let cube = Box.cube_at_origin ~dim:2 ~side in
+      let label = Printf.sprintf "side=%d total=%d" side total in
+      let bfs = omega_by_bfs (Box.points cube) ~total in
       Alcotest.(check (float 1e-12))
-        (Printf.sprintf "side=%d total=%d" side total)
+        label bfs
+        (Omega.of_cube ~dim:2 ~side ~total);
+      Alcotest.(check (float 1e-12))
+        label bfs
         (Omega.of_points (Box.points cube) ~total)
-        (Omega.of_cube ~dim:2 ~side ~total)
     done
   done
+
+(* Four points whose bounding box holds 4·(2^61 + 1) lattice points: an
+   unchecked volume wraps to 4, passes them for a filled box, and the
+   closed form then overflows. *)
+let test_of_points_wrapping_hull () =
+  let points = [ point2 0 0; point2 1 0; point2 2 0; point2 3 (1 lsl 61) ] in
+  Alcotest.(check (float 0.0))
+    "four unit demands" 1.0
+    (Omega.of_points points ~total:4)
+
+(* Random 1-D to 3-D point lists: scattered points, or every point of a
+   box; either with a prefix repeated. *)
+let arb_points =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun dim ->
+      let point = array_size (return dim) (int_range (-3) 3) in
+      let box =
+        map2
+          (fun lo sides ->
+            let hi = Array.mapi (fun i l -> l + sides.(i) - 1) lo in
+            Box.points (Box.make ~lo ~hi))
+          point
+          (array_size (return dim) (int_range 1 3))
+      in
+      oneof [ list_size (int_range 1 6) point; box ] >>= fun pts ->
+      int_range 0 (List.length pts) >>= fun dups ->
+      int_range 1 300 >|= fun total ->
+      (pts @ List.filteri (fun i _ -> i < dups) pts, total))
+  in
+  let print (pts, total) =
+    Printf.sprintf "%s total=%d"
+      (String.concat " " (List.map Point.to_string pts))
+      total
+  in
+  QCheck.make ~print gen
+
+let prop_of_points_matches_bfs =
+  QCheck.Test.make ~name:"of_points = solve over reference BFS sizes" ~count:200
+    arb_points (fun (points, total) ->
+      Int64.equal
+        (Int64.bits_of_float (Omega.of_points points ~total))
+        (Int64.bits_of_float (omega_by_bfs points ~total)))
 
 let test_solve_defining_inequality () =
   (* The returned ω satisfies ω·|N_⌊ω⌋| >= total, and nothing visibly
      smaller does. *)
   let check points total =
     let w = Omega.of_points points ~total in
-    let nsize r = Ball.neighborhood_size points ~radius:r in
+    let nsize r = Reference.dilation_size points ~radius:r in
     let value v = v *. float_of_int (nsize (int_of_float (Float.floor v))) in
     Alcotest.(check bool) "feasible at omega" true
       (value w >= float_of_int total -. 1e-6);
@@ -170,5 +222,8 @@ let suite =
     Alcotest.test_case "W3 plugs back" `Quick test_example_point_w3_plugs_back;
     Alcotest.test_case "W1 plugs back" `Quick test_example_square_w1_plugs_back;
     Alcotest.test_case "W1 -> d as a grows" `Quick test_example_square_w1_approaches_d;
+    Alcotest.test_case "of_points on a wrapping hull" `Quick
+      test_of_points_wrapping_hull;
     QCheck_alcotest.to_alcotest prop_omega_scale_invariance_line;
+    QCheck_alcotest.to_alcotest prop_of_points_matches_bfs;
   ]

@@ -406,6 +406,23 @@ let test_engine_wrapping_total () =
            wire))
     [ Protocol.Omega_star; Protocol.Witness ]
 
+(* Unit demands at (0,0), (1,0), (2,0) and (3,2^61): the witness is all
+   four points, whose bounding box's volume does not fit in an int.  It
+   must be answered, with the ω the omega_star op gives. *)
+let test_engine_witness_wrapping_hull () =
+  let engine = Engine.create () in
+  let dm =
+    Demand_map.of_alist 2
+      (List.map
+         (fun p -> (p, 1))
+         [ [| 0; 0 |]; [| 1; 0 |]; [| 2; 0 |]; [| 3; 1 lsl 61 |] ])
+  in
+  let r = Engine.process engine (Protocol.request ~id:8 Protocol.Witness dm) in
+  Alcotest.(check string) "witness answered"
+    ({|{"id":8,"ok":true,"cached":false,"witness":{"points":[[0,0],[1,0],|}
+   ^ {|[2,0],[3,2305843009213693952]],"omega":1.0}}|})
+    (Protocol.response_to_string r)
+
 (* --- loadgen --- *)
 
 let test_loadgen_deterministic () =
@@ -1085,6 +1102,8 @@ let suite =
     Alcotest.test_case "session LRU eviction" `Quick test_session_lru_eviction;
     Alcotest.test_case "engine error responses" `Quick test_engine_error_responses;
     Alcotest.test_case "engine wrapping total" `Quick test_engine_wrapping_total;
+    Alcotest.test_case "engine witness on a wrapping hull" `Quick
+      test_engine_witness_wrapping_hull;
     Alcotest.test_case "loadgen deterministic" `Quick test_loadgen_deterministic;
     Alcotest.test_case "loadgen replay stats" `Quick test_loadgen_replay_stats;
     Alcotest.test_case "session request roundtrip" `Quick
