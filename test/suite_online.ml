@@ -680,3 +680,212 @@ let suite =
         test_outage_restart_recovers;
       Alcotest.test_case "outage validation" `Quick test_outage_validation;
     ]
+
+(* --- Grid protocol pins ---
+
+   Fixed values, taken from the protocol as it stood before the world
+   took its topology as data: per run the trace digest, every outcome
+   counter and float bit pattern, an FNV of the observer's event stream
+   (positions, walks and replacement destinations included) and an FNV of
+   the failure list.  The two chaos runs are the anchors of
+   [cmvrp simulate -k point --drop-p 0.2 --dup-p 0.1]; the others cover
+   silent initiators with deaths, outages, a capacity too tight to serve
+   everything, 1-D and 3-D replacements, and the bands of [run_fleet]. *)
+
+let fold_ints = List.fold_left Fnv.add_int
+let fold_point h p = Array.fold_left Fnv.add_int (Fnv.add_int h (Array.length p)) p
+
+let fold_event h = function
+  | Online.Job_served { job; position; vehicle; walk } ->
+      fold_point (fold_ints h [ 0; job; vehicle; walk ]) position
+  | Online.Vehicle_retired { vehicle; pair } -> fold_ints h [ 1; vehicle; pair ]
+  | Online.Vehicle_died { vehicle } -> fold_ints h [ 2; vehicle ]
+  | Online.Computation_started { initiator; pair } ->
+      fold_ints h [ 3; initiator; pair ]
+  | Online.Candidate_found { initiator; pair } -> fold_ints h [ 4; initiator; pair ]
+  | Online.Replacement { vehicle; pair; dest } ->
+      fold_point (fold_ints h [ 5; vehicle; pair ]) dest
+  | Online.Search_starved { pair } -> fold_ints h [ 6; pair ]
+
+let fold_failures failures =
+  List.fold_left
+    (fun h (f : Online.failure) ->
+      Fnv.add_string (fold_point (Fnv.add_int h f.Online.job) f.Online.position)
+        f.Online.reason)
+    Fnv.basis failures
+
+let pin_outcome (o : Online.outcome) =
+  Printf.sprintf
+    "digest %016x served %d failures %d/%x max %Lx mean %Lx consumers %d msgs %d \
+     repl %d comp %d starved %d vehicles %d serviceable %d drops %d dups %d \
+     retries %d livelocks %d"
+    o.Online.trace_digest o.Online.served
+    (List.length o.Online.failures)
+    (fold_failures o.Online.failures)
+    (Int64.bits_of_float o.Online.max_energy_used)
+    (Int64.bits_of_float o.Online.mean_energy_used)
+    o.Online.energy_consumers o.Online.messages o.Online.replacements
+    o.Online.computations o.Online.starved_searches o.Online.vehicles
+    o.Online.vehicles_still_serviceable o.Online.drops o.Online.dups
+    o.Online.retries_sent o.Online.livelocks
+
+let pin_run name cfg w =
+  let h = ref Fnv.basis and n = ref 0 in
+  let o =
+    Online.run
+      ~observer:(fun e ->
+        incr n;
+        h := fold_event !h e)
+      cfg w
+  in
+  Printf.sprintf "%s: %s events %d/%x" name (pin_outcome o) !n !h
+
+let pin_lines () =
+  let anchor total seed =
+    {
+      (Online.recommended ~seed (Workload.point ~total ())) with
+      Online.chaos = Des.faults ~drop_p:0.2 ~dup_p:0.1 ();
+    }
+  in
+  let square = Workload.square ~side:4 ~per_point:40 () in
+  let silent_deaths =
+    let base = Online.recommended square in
+    {
+      base with
+      Online.capacity = base.Online.capacity +. 8.0;
+      faults =
+        {
+          Online.no_faults with
+          Online.silent_initiators = List.init 12 (fun i -> 2 * i);
+          deaths = [ (10, 0); (30, 5); (90, 21) ];
+        };
+    }
+  in
+  let point120 = Workload.point ~total:120 () in
+  let outages =
+    {
+      (Online.recommended ~seed:4 point120) with
+      Online.faults =
+        {
+          Online.no_faults with
+          Online.outages = [ (10, 0, 50.0); (60, 3, 80.0) ];
+        };
+      chaos = Des.faults ~drop_p:0.1 ~dup_p:0.05 ();
+    }
+  in
+  let point300 = Workload.point ~total:300 () in
+  let tight = { (Online.recommended point300) with Online.capacity = 5.0 } in
+  let one_d =
+    {
+      Workload.name = "1d-hot";
+      dim = 1;
+      jobs = Array.init 200 (fun _ -> [| 0 |]);
+    }
+  in
+  let three_d =
+    {
+      Workload.name = "3d-burst";
+      dim = 3;
+      jobs =
+        Array.init 120 (fun i ->
+            if i mod 3 = 0 then [| 0; 0; 0 |] else [| 1; 0; 0 |]);
+    }
+  in
+  let fleet_w =
+    let rng = Rng.create 606 in
+    let box = Box.make ~lo:(point2 0 0) ~hi:(point2 23 23) in
+    let w = Workload.uniform ~rng ~box ~jobs:150 in
+    {
+      w with
+      Workload.jobs = Array.append [| point2 0 0; point2 23 23 |] w.Workload.jobs;
+    }
+  in
+  let fleet_cfg =
+    Online.config ~seed:9 ~capacity:2.5 ~side:4
+      ~chaos:(Des.faults ~drop_p:0.02 ~dup_p:0.01 ())
+      ~faults:
+        {
+          Online.no_faults with
+          Online.deaths = [ (5, 30) ];
+          outages = [ (10, 300, 40.0) ];
+        }
+      ~partitions:[ (0, 1); (100, 101) ]
+      ()
+  in
+  let f = Online.run_fleet ~workers:1 ~shards:3 fleet_cfg fleet_w in
+  [
+    pin_run "chaos-300-seed1" (anchor 300 1) (Workload.point ~total:300 ());
+    pin_run "chaos-400-seed3" (anchor 400 3) (Workload.point ~total:400 ());
+    pin_run "silent+deaths" silent_deaths square;
+    pin_run "outages" outages point120;
+    pin_run "tight" tight point300;
+    pin_run "1-D" { (Online.recommended one_d) with Online.capacity = 40.0 } one_d;
+    pin_run "3-D"
+      { (Online.recommended three_d) with Online.capacity = 24.0 }
+      three_d;
+    Printf.sprintf "fleet: %s shards %s"
+      (pin_outcome f.Online.aggregate)
+      (String.concat ","
+         (Array.to_list
+            (Array.map (Printf.sprintf "%016x") f.Online.shard_digests)));
+  ]
+
+let pinned_lines =
+  [
+    "chaos-300-seed1: "
+    ^ "digest 24e98c33567c79c5 served 300 failures "
+    ^ "0/bf29ce484222325 max 405d400000000000 mean "
+    ^ "4053300000000000 consumers 4 msgs 2584 repl 3 comp 5 "
+    ^ "starved 0 vehicles 16 serviceable 14 drops 353 dups 145 "
+    ^ "retries 273 livelocks 0 events 313/34019b91e5a2c029";
+    "chaos-400-seed3: "
+    ^ "digest 0311f671ee09bec8 served 400 failures "
+    ^ "0/bf29ce484222325 max 405d400000000000 mean "
+    ^ "4054666666666666 consumers 5 msgs 5564 repl 4 comp 17 "
+    ^ "starved 0 vehicles 16 serviceable 13 drops 761 dups 324 "
+    ^ "retries 620 livelocks 0 events 428/298e2d03d5200c8f";
+    "silent+deaths: "
+    ^ "digest 2939b66003a7b70f served 640 failures "
+    ^ "0/bf29ce484222325 max 4054800000000000 mean "
+    ^ "4052238e38e38e39 consumers 9 msgs 410 repl 1 comp 1 "
+    ^ "starved 0 vehicles 25 serviceable 22 drops 0 dups 0 "
+    ^ "retries 0 livelocks 0 events 646/3c35156782a3a06c";
+    "outages: "
+    ^ "digest 2033624f50310a01 served 120 failures "
+    ^ "0/bf29ce484222325 max 4053c00000000000 mean "
+    ^ "404e400000000000 consumers 2 msgs 287 repl 1 comp 1 "
+    ^ "starved 0 vehicles 9 serviceable 8 drops 24 dups 9 retries "
+    ^ "10 livelocks 0 events 124/32d1df825b97b5c";
+    "tight: "
+    ^ "digest 3ce05106a0f64be7 served 5 failures "
+    ^ "295/1d894c8fc97b4748 max 4014000000000000 mean "
+    ^ "4011555555555555 consumers 3 msgs 545 repl 2 comp 2 "
+    ^ "starved 0 vehicles 16 serviceable 13 drops 0 dups 0 "
+    ^ "retries 0 livelocks 0 events 13/23d811d621ae444";
+    "1-D: "
+    ^ "digest 0f2d9b9068f592dd served 179 failures "
+    ^ "21/58504ba9cc7d743 max 4043800000000000 mean "
+    ^ "4043800000000000 consumers 5 msgs 1166 repl 4 comp 7 "
+    ^ "starved 3 vehicles 9 serviceable 4 drops 0 dups 0 retries "
+    ^ "0 livelocks 0 events 202/11c6d527ad4f77c7";
+    "3-D: "
+    ^ "digest 26d11aed11057deb served 120 failures "
+    ^ "0/bf29ce484222325 max 4037000000000000 mean "
+    ^ "4035aaaaaaaaaaab consumers 6 msgs 725 repl 4 comp 4 "
+    ^ "starved 0 vehicles 8 serviceable 4 drops 0 dups 0 retries "
+    ^ "0 livelocks 0 events 136/971656fe719e899";
+    "fleet: "
+    ^ "digest 28c0a0fa7258ba4a served 130 failures "
+    ^ "52/1a2f60c528328c64 max 4014000000000000 mean "
+    ^ "3ff8e91b0e91b0e9 consumers 246 msgs 86354 repl 130 comp "
+    ^ "152 starved 0 vehicles 576 serviceable 329 drops 974 dups "
+    ^ "455 retries 949 livelocks 0 shards "
+    ^ "11531c1f26aec410,0d85a0ffbe5a686e,3b2950483d0ee27d";
+  ]
+
+let test_grid_protocol_pins () =
+  Alcotest.(check (list string))
+    "grid protocol pins" pinned_lines (pin_lines ())
+
+let suite =
+  suite @ [ Alcotest.test_case "grid protocol pins" `Quick test_grid_protocol_pins ]
