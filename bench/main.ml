@@ -850,9 +850,7 @@ let e17 () =
   let row name inst jobs =
     let star = Gcmvrp.omega_star inst in
     let measured = Gonline.min_feasible_capacity inst ~jobs in
-    let o =
-      Gonline.run inst ~jobs { Gonline.capacity = measured +. 2.0; seed = 0 }
-    in
+    let o = Gonline.run inst ~jobs ~capacity:(measured +. 2.0) in
     Table.add_row t
       [
         name;
@@ -860,8 +858,8 @@ let e17 () =
         fl star;
         fl measured;
         fl (measured /. star);
-        it o.Gonline.messages;
-        it o.Gonline.replacements;
+        it o.Online.messages;
+        it o.Online.replacements;
       ]
   in
   (* Path with a hot middle. *)

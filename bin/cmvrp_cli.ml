@@ -95,6 +95,15 @@ let load_jobs_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> Workload_io.of_channel ~name:(Printf.sprintf "file(%s)" path) ic)
 
+(* A number too large for native ints (a coordinate whose bounding box's
+   volume overflows, say) is bad input, not an internal error: report it
+   and exit 2, as the subcommands do for other bad input. *)
+let exit_on_overflow f =
+  try f ()
+  with Energy.Overflow m ->
+    Printf.eprintf "cmvrp: %s\n" m;
+    exit 2
+
 let realize spec =
   match spec.input with
   | Some path -> load_jobs_file path
@@ -138,6 +147,7 @@ let workload_cmd =
 
 let solve_cmd =
   let run spec =
+    exit_on_overflow @@ fun () ->
     let w = realize spec in
     let dm = Workload.demand w in
     Printf.printf "workload        : %s\n" w.Workload.name;
@@ -272,6 +282,7 @@ let simulate_cmd =
   in
   let run spec capacity cube_side kills silent find_min trace drop_p dup_p
       partition no_retries budget check =
+    exit_on_overflow @@ fun () ->
     let w = realize spec in
     let recommended = Online.recommended ~seed:spec.seed w in
     let cfg =
@@ -437,6 +448,7 @@ let fleet_cmd =
   in
   let run spec capacity cube_side shards workers kills outages drop_p dup_p
       spike_p budget check =
+    exit_on_overflow @@ fun () ->
     let w = realize spec in
     let capacity =
       match capacity with

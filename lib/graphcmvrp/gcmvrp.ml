@@ -15,8 +15,6 @@ let create graph ~demand =
 
 let n_vertices t = Digraph.n_vertices t.graph
 
-let demand t v = t.demands.(v)
-
 let total_demand t = Array.fold_left Energy.add 0 t.demands
 
 let dist_from t v =
@@ -83,20 +81,13 @@ let omega_star t =
 
 (* --- constructive heuristic: greedy ball cover + budgeted service --- *)
 
-type plan = {
-  clusters : int list array;
-  assignments : (int * int * int) list;
-}
-
-let plan_greedy t =
+let cover t =
   let n = n_vertices t in
-  let star = omega_star t in
-  let radius = max 1 (int_of_float (Float.ceil star)) in
-  (* Greedy cover: repeatedly take the unclustered vertex with the largest
-     demand and claim every unclustered vertex within the radius. *)
+  let radius = max 1 (int_of_float (Float.ceil (omega_star t))) in
   let cluster_of = Array.make n (-1) in
-  let clusters = ref [] and n_clusters = ref 0 in
-  let rec cover () =
+  (* Repeatedly take the unclustered vertex with the largest demand and
+     claim every unclustered vertex within the radius. *)
+  let rec claim id =
     let center = ref (-1) in
     for v = 0 to n - 1 do
       if
@@ -105,23 +96,31 @@ let plan_greedy t =
         && (!center = -1 || t.demands.(v) > t.demands.(!center))
       then center := v
     done;
-    if !center >= 0 then begin
-      let id = !n_clusters in
-      incr n_clusters;
+    if !center < 0 then id
+    else begin
       let d = dist_from t !center in
-      let members = ref [] in
       for v = 0 to n - 1 do
-        if cluster_of.(v) = -1 && d.(v) <> max_int && d.(v) <= radius then begin
-          cluster_of.(v) <- id;
-          members := v :: !members
-        end
+        if cluster_of.(v) = -1 && d.(v) <> max_int && d.(v) <= radius then
+          cluster_of.(v) <- id
       done;
-      clusters := List.rev !members :: !clusters;
-      cover ()
+      claim (id + 1)
     end
   in
-  cover ();
-  let clusters = Array.of_list (List.rev !clusters) in
+  let count = claim 0 in
+  (cluster_of, count)
+
+type plan = {
+  clusters : int list array;
+  assignments : (int * int * int) list;
+}
+
+let plan_greedy t =
+  let cluster_of, count = cover t in
+  let clusters = Array.make count [] in
+  for v = n_vertices t - 1 downto 0 do
+    let c = cluster_of.(v) in
+    if c >= 0 then clusters.(c) <- v :: clusters.(c)
+  done;
   (* Serve each cluster with its own vehicles, doubling the chunk budget
      until the headcount fits. *)
   let assignments = ref [] in

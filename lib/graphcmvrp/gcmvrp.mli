@@ -23,8 +23,6 @@ val create : Digraph.t -> demand:int array -> t
 
 val n_vertices : t -> int
 
-val demand : t -> int -> int
-
 val total_demand : t -> int
 (** The sum of all demands.
     @raise Energy.Overflow if it does not fit in an [int]. *)
@@ -41,6 +39,14 @@ val omega_star : t -> float
     max-flow method as {!Oracle.omega_star}, on the same LP grid; the
     lower bound on the graph [Woff]. *)
 
+val cover : t -> int array * int
+(** The greedy ball cover: the unclustered vertex of largest demand (the
+    first in vertex order on a tie) claims every unclustered vertex
+    within distance [max 1 ⌈ω*⌉] of it, until every demand vertex is
+    clustered.  Returns each vertex's cluster id, [-1] for a vertex no
+    ball reached, and the number of clusters; ids count up in claiming
+    order. *)
+
 (** A constructive upper bound: greedy ball cover + budgeted service. *)
 type plan = {
   clusters : int list array;  (** cluster id -> member vertices *)
@@ -49,9 +55,9 @@ type plan = {
 }
 
 val plan_greedy : t -> plan
-(** Covers the demand support by balls of radius [⌈ω*⌉] around greedily
-    chosen centers, then serves each cluster with its own vehicles in
-    budgeted chunks.  Always succeeds on a connected graph. *)
+(** Takes the clusters of {!cover}, members in vertex order, then serves
+    each cluster with its own vehicles in budgeted chunks.  Always
+    succeeds on a connected graph. *)
 
 val plan_max_energy : t -> plan -> int
 (** Peak per-vehicle energy of the plan (travel + units), the measured

@@ -128,5 +128,3 @@ let containing_cube b ~side:s p =
   let lo = Array.init n (fun i -> b.lo.(i) + ((p.(i) - b.lo.(i)) / s * s)) in
   let hi = Array.init n (fun i -> min b.hi.(i) (lo.(i) + s - 1)) in
   make ~lo ~hi
-
-let pp fmt b = Format.fprintf fmt "[%a..%a]" Point.pp b.lo Point.pp b.hi

@@ -61,5 +61,3 @@ val partition_cubes : t -> side:int -> t list
 
 val containing_cube : t -> side:int -> Point.t -> t
 (** The tile of [partition_cubes] containing the given member point. *)
-
-val pp : Format.formatter -> t -> unit

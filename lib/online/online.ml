@@ -113,7 +113,7 @@ let succeeded o = match o.failures with [] -> true | _ :: _ -> false
 type body =
   | Query of { init : int * int }
   | Reply of { init : int * int; flag : bool }
-  | Move of { init : int * int; dest : Point.t; pair : int }
+  | Move of { init : int * int; dest : int; pair : int }
 
 type msg =
   | Payload of { msg_id : int; body : body }
@@ -130,6 +130,21 @@ type event =
   | Candidate_found of { initiator : int; pair : int }
   | Replacement of { vehicle : int; pair : int; dest : Point.t }
   | Search_starved of { pair : int }
+
+(* --- topology --- *)
+
+type topology = {
+  cells : int;
+  nbr_off : int array;
+  nbr_ids : int array;
+  ring_off : int array;
+  pair_ring : int array;
+  pair_anchor : int array;
+  pair_partner : int array;
+  pair_walk : int array;
+  dist : int -> int -> int;
+  point : int -> Point.t;
+}
 
 (* --- vehicle state (§3.2.1), struct-of-arrays --- *)
 
@@ -153,11 +168,9 @@ type pending = { p_src : int; p_dst : int; p_body : body; mutable attempts : int
 type world = {
   cfg : config;
   observer : event -> unit;
-  dim : int;
-  window : Box.t;
-  n : int; (* fleet size = window volume; one vehicle per cell *)
-  (* vehicles *)
-  veh_pos : Point.t array;
+  topo : topology;
+  (* vehicles, one per cell *)
+  veh_pos : int array; (* cell ids *)
   veh_energy : float array;
   veh_working : Bytes.t; (* st_* codes *)
   veh_transfer : Bytes.t; (* tr_* codes *)
@@ -168,17 +181,10 @@ type world = {
   veh_num : int array;
   veh_init_id : int array; (* -1 = the paper's NULL identifier *)
   veh_init_seq : int array;
-  (* pairs: ids are assigned cube by cube, so each cube's pairs form the
-     contiguous range [cp_off.(c), cp_off.(c+1)) — the monitoring ring
-     needs no explicit member list. *)
-  n_pairs : int;
-  pair_cube : int array;
-  pair_anchor : int array; (* vehicle on cells.(0): initial active, timer host *)
-  pair_dest : Point.t array; (* cells.(0): the replacement destination *)
+  (* pairs; their rings, anchors and walks are in [topo] *)
   pair_active : int array; (* vehicle id, or -1 while a replacement is pending *)
   anchor_pair : int array; (* vehicle -> pair anchored at it, or -1 *)
   cell_pair : int array; (* cell (= vehicle id) -> owning pair *)
-  cp_off : int array; (* cube -> first pair id *)
   (* per-pair monitoring-ring state (§3.2.5); the anchor hosts the pair's
      deadline self-timer (timers are fault-exempt, so any fixed vehicle
      works) *)
@@ -196,9 +202,6 @@ type world = {
      O(1) instead of a fleet-wide scan. *)
   covered : Bytes.t;
   mutable uncovered : int;
-  (* depot communication graph, CSR over cube-confined neighbors *)
-  nbr_off : int array;
-  nbr_ids : int array;
   des : msg Des.t;
   silent : Bytes.t;
   break_at : float array; (* used-energy threshold per vehicle (Ch. 4) *)
@@ -257,27 +260,36 @@ let sync_pair w pid =
     w.uncovered <- w.uncovered + 1
   end
 
-(* Neighbor scans preserve the CSR fill order (Box.iter, row-major within
-   the cube), which is the Query fan-out order and hence part of the
-   deterministic trace. *)
+(* Neighbor scans preserve the CSR fill order, which is the Query fan-out
+   order and hence part of the deterministic trace. *)
 let count_alive_neighbors w v =
+  let t = w.topo in
   let c = ref 0 in
-  for i = w.nbr_off.(v) to w.nbr_off.(v + 1) - 1 do
-    if alive w w.nbr_ids.(i) then incr c
+  for i = t.nbr_off.(v) to t.nbr_off.(v + 1) - 1 do
+    if alive w t.nbr_ids.(i) then incr c
   done;
   !c
 
 let iter_alive_neighbors w v f =
-  for i = w.nbr_off.(v) to w.nbr_off.(v + 1) - 1 do
-    if alive w w.nbr_ids.(i) then f w.nbr_ids.(i)
+  let t = w.topo in
+  for i = t.nbr_off.(v) to t.nbr_off.(v + 1) - 1 do
+    if alive w t.nbr_ids.(i) then f t.nbr_ids.(i)
   done
+
+(* What an active vehicle keeps back for one more job of its pair: the
+   walk across the pair plus the job itself. *)
+let reserve w v = float_of_int (w.topo.pair_walk.(w.veh_pair.(v)) + 1)
 
 let spend w v cost =
   w.veh_energy.(v) <- w.veh_energy.(v) -. cost;
   if w.veh_energy.(v) < -1e-9 then begin
     w.violations <- w.violations + 1;
     w.failures <-
-      { job = w.served; position = w.veh_pos.(v); reason = "energy went negative" }
+      {
+        job = w.served;
+        position = w.topo.point w.veh_pos.(v);
+        reason = "energy went negative";
+      }
       :: w.failures
   end
 
@@ -335,100 +347,46 @@ let validate_ids ~n plan partitions =
       check "partitions" b)
     partitions
 
-(* Forward declarations resolved after the handlers: the Des restart hook
-   needs [arm_deadline], which needs the world built first. *)
-
-let build ?(observer = fun (_ : event) -> ()) cfg ~dim ~jobs_box =
-  let side = cfg.side in
-  let window = window_of ~side ~dim jobs_box in
-  let lo = window.Box.lo in
-  let cubes = Array.of_list (Box.partition_cubes window ~side) in
-  (* Tile counts per axis, axis 0 most significant — the mixed-radix
-     order [Box.partition_cubes] lists cubes in. *)
-  let counts =
-    Array.init dim (fun i -> (Box.side window i + side - 1) / side)
-  in
-  let cube_of_point p =
-    let k = ref 0 in
-    for i = 0 to dim - 1 do
-      let off = p.(i) - lo.(i) in
-      if off < 0 || p.(i) > window.Box.hi.(i) then
-        invalid_arg
-          (Format.asprintf "Online.build: point %a outside the window %a"
-             Point.pp p Box.pp window);
-      k := (!k * counts.(i)) + (off / side)
-    done;
-    !k
-  in
+(* The grid producer: one vehicle per cell of [window]; [cfg.side]-cubes
+   are the rings, in [Box.partition_cubes]'s order; each cube's cells are
+   paired by [Snake.pairing] (walk 1, a single cell too, so the reserve is
+   2); and cells at most [cfg.comm_radius] apart in one cube are linked,
+   in [Box.iter] order. *)
+let grid_topology cfg window =
+  let cubes = Array.of_list (Box.partition_cubes window ~side:cfg.side) in
   let n = Box.volume window in
-  validate_plan cfg.faults;
-  validate_ids ~n cfg.faults cfg.partitions;
-  (* Pairs, cube by cube (Snake.pairing), ids contiguous per cube. *)
+  let index = Box.index window in
   let n_cubes = Array.length cubes in
-  let cp_off = Array.make (n_cubes + 1) 0 in
-  let cell_pair = Array.make n (-1) in
-  let rev_pairs = ref [] (* (cube, anchor vehicle, dest cell, partner) *)
-  and n_pairs = ref 0 in
+  let ring_off = Array.make (n_cubes + 1) 0 in
+  let ring = Array.make n 0 and anchor = Array.make n 0 in
+  let partner = Array.make n (-1) and n_pairs = ref 0 in
+  let add c a b =
+    ring.(!n_pairs) <- c;
+    anchor.(!n_pairs) <- a;
+    partner.(!n_pairs) <- b;
+    incr n_pairs
+  in
   Array.iteri
     (fun c cube ->
-      cp_off.(c) <- !n_pairs;
-      let { Snake.pairs = matched; unpaired } = Snake.pairing cube in
-      let register cells =
-        let pid = !n_pairs in
-        incr n_pairs;
-        let cube_id = cube_of_point cells.(0) in
-        let anchor = Box.index window cells.(0) in
-        let partner =
-          if Array.length cells = 2 then Box.index window cells.(1) else -1
-        in
-        rev_pairs := (cube_id, anchor, cells.(0), partner) :: !rev_pairs;
-        Array.iter (fun cell -> cell_pair.(Box.index window cell) <- pid) cells
-      in
-      Array.iter (fun (a, b) -> register [| a; b |]) matched;
-      match unpaired with None -> () | Some cell -> register [| cell |])
+      ring_off.(c) <- !n_pairs;
+      let { Snake.pairs; unpaired } = Snake.pairing cube in
+      Array.iter (fun (a, b) -> add c (index a) (index b)) pairs;
+      Option.iter (fun a -> add c (index a) (-1)) unpaired)
     cubes;
-  cp_off.(n_cubes) <- !n_pairs;
+  ring_off.(n_cubes) <- !n_pairs;
   let n_pairs = !n_pairs in
-  let pair_cube = Array.make n_pairs 0 in
-  let pair_anchor = Array.make n_pairs 0 in
-  let pair_dest = Array.make n_pairs [||] in
-  let pair_partner = Array.make n_pairs (-1) in
-  List.iteri
-    (fun i (cube_id, anchor, dest, partner) ->
-      let pid = n_pairs - 1 - i in
-      pair_cube.(pid) <- cube_id;
-      pair_anchor.(pid) <- anchor;
-      pair_dest.(pid) <- dest;
-      pair_partner.(pid) <- partner)
-    !rev_pairs;
-  (* Initial roles: the anchor cell of each pair hosts the active vehicle,
-     its partner stays idle (the paper's black/white split). *)
-  let veh_working = Bytes.make n (Char.chr st_idle) in
-  let veh_pair = Array.make n (-1) in
-  let pair_active = Array.make n_pairs (-1) in
-  let anchor_pair = Array.make n (-1) in
-  for pid = 0 to n_pairs - 1 do
-    let a = pair_anchor.(pid) in
-    pair_active.(pid) <- a;
-    anchor_pair.(a) <- pid;
-    Bytes.set_uint8 veh_working a st_active;
-    veh_pair.(a) <- pid;
-    let partner = pair_partner.(pid) in
-    if partner >= 0 then veh_pair.(partner) <- pid
-  done;
-  (* Depot-based communication graph, confined to cubes (§3.2.3), in CSR
-     form: count pass, prefix sum, fill pass — all in Box.iter order so
-     the adjacency order (and hence the Query fan-out) is unchanged. *)
+  (* CSR: count pass, prefix sum, fill pass. *)
   let nbr_off = Array.make (n + 1) 0 in
+  let linked p home =
+    let d = Point.l1_dist p home in
+    d > 0 && d <= cfg.comm_radius
+  in
   Array.iter
     (fun cube ->
       Box.iter cube (fun home ->
-          let id = Box.index window home in
           let c = ref 0 in
-          Box.iter cube (fun p ->
-              let d = Point.l1_dist p home in
-              if d > 0 && d <= cfg.comm_radius then incr c);
-          nbr_off.(id + 1) <- !c))
+          Box.iter cube (fun p -> if linked p home then incr c);
+          nbr_off.(index home + 1) <- !c))
     cubes;
   for i = 1 to n do
     nbr_off.(i) <- nbr_off.(i) + nbr_off.(i - 1)
@@ -437,15 +395,47 @@ let build ?(observer = fun (_ : event) -> ()) cfg ~dim ~jobs_box =
   Array.iter
     (fun cube ->
       Box.iter cube (fun home ->
-          let id = Box.index window home in
-          let at = ref nbr_off.(id) in
+          let at = ref nbr_off.(index home) in
           Box.iter cube (fun p ->
-              let d = Point.l1_dist p home in
-              if d > 0 && d <= cfg.comm_radius then begin
-                nbr_ids.(!at) <- Box.index window p;
+              if linked p home then begin
+                nbr_ids.(!at) <- index p;
                 incr at
               end)))
     cubes;
+  let point = Box.point_of_index window in
+  {
+    cells = n;
+    nbr_off;
+    nbr_ids;
+    ring_off;
+    pair_ring = Array.sub ring 0 n_pairs;
+    pair_anchor = Array.sub anchor 0 n_pairs;
+    pair_partner = Array.sub partner 0 n_pairs;
+    pair_walk = Array.make n_pairs 1;
+    dist = (fun a b -> Point.l1_dist (point a) (point b));
+    point;
+  }
+
+let build ?(observer = fun (_ : event) -> ()) cfg topo =
+  let n = topo.cells in
+  validate_plan cfg.faults;
+  validate_ids ~n cfg.faults cfg.partitions;
+  let n_pairs = Array.length topo.pair_anchor in
+  (* Initial roles: the anchor cell of each pair hosts the active vehicle,
+     its partner stays idle (the paper's black/white split). *)
+  let veh_working = Bytes.make n (Char.chr st_idle) in
+  let veh_pair = Array.make n (-1) in
+  let pair_active = Array.make n_pairs (-1) in
+  let anchor_pair = Array.make n (-1) in
+  for pid = 0 to n_pairs - 1 do
+    let a = topo.pair_anchor.(pid) in
+    pair_active.(pid) <- a;
+    anchor_pair.(a) <- pid;
+    Bytes.set_uint8 veh_working a st_active;
+    veh_pair.(a) <- pid;
+    let partner = topo.pair_partner.(pid) in
+    if partner >= 0 then veh_pair.(partner) <- pid
+  done;
   let silent = Bytes.make n '\000' in
   List.iter
     (fun id -> Bytes.set_uint8 silent id 1)
@@ -460,10 +450,8 @@ let build ?(observer = fun (_ : event) -> ()) cfg ~dim ~jobs_box =
     {
       cfg;
       observer;
-      dim;
-      window;
-      n;
-      veh_pos = Array.init n (fun id -> Box.point_of_index window id);
+      topo;
+      veh_pos = Array.init n Fun.id;
       veh_energy = Array.make n cfg.capacity;
       veh_working;
       veh_transfer = Bytes.make n (Char.chr tr_waiting);
@@ -473,14 +461,9 @@ let build ?(observer = fun (_ : event) -> ()) cfg ~dim ~jobs_box =
       veh_num = Array.make n 0;
       veh_init_id = Array.make n (-1);
       veh_init_seq = Array.make n (-1);
-      n_pairs;
-      pair_cube;
-      pair_anchor;
-      pair_dest;
       pair_active;
       anchor_pair;
-      cell_pair;
-      cp_off;
+      cell_pair = Array.copy veh_pair;
       w_beats = Array.make n_pairs 0;
       w_beats_at_arm = Array.make n_pairs 0;
       w_armed = Bytes.make n_pairs '\000';
@@ -491,8 +474,6 @@ let build ?(observer = fun (_ : event) -> ()) cfg ~dim ~jobs_box =
       w_hopeless = Bytes.make n_pairs '\000';
       covered = Bytes.make n_pairs '\001'; (* every pair starts covered *)
       uncovered = 0;
-      nbr_off;
-      nbr_ids;
       des;
       silent;
       break_at;
@@ -518,7 +499,7 @@ let build ?(observer = fun (_ : event) -> ()) cfg ~dim ~jobs_box =
     Bytes.set_uint8 w.w_armed pid 1;
     w.w_beats_at_arm.(pid) <- w.w_beats.(pid);
     Des.send_after ~weak:true des ~delay:heartbeat_timeout
-      ~src:w.pair_anchor.(pid) ~dst:w.pair_anchor.(pid)
+      ~src:topo.pair_anchor.(pid) ~dst:topo.pair_anchor.(pid)
       (Deadline { pair = pid })
   done;
   w
@@ -557,9 +538,9 @@ let seen_add w id =
 (* --- monitoring ring (§3.2.5, scenarios 2 and 3) --- *)
 
 let monitor_of w ~pair_id =
-  let cube = w.pair_cube.(pair_id) in
-  let first = w.cp_off.(cube) in
-  let count = w.cp_off.(cube + 1) - first in
+  let ring = w.topo.pair_ring.(pair_id) in
+  let first = w.topo.ring_off.(ring) in
+  let count = w.topo.ring_off.(ring + 1) - first in
   let start = pair_id - first in
   let rec scan k =
     if k >= count then None
@@ -575,8 +556,8 @@ let arm_deadline w ~pair_id ~delay =
   Bytes.set_uint8 w.w_armed pair_id 1;
   w.w_beats_at_arm.(pair_id) <- w.w_beats.(pair_id);
   w.w_interval.(pair_id) <- delay;
-  Des.send_after ~weak:true w.des ~delay ~src:w.pair_anchor.(pair_id)
-    ~dst:w.pair_anchor.(pair_id)
+  let anchor = w.topo.pair_anchor.(pair_id) in
+  Des.send_after ~weak:true w.des ~delay ~src:anchor ~dst:anchor
     (Deadline { pair = pair_id })
 
 let send_heartbeat w v =
@@ -636,12 +617,11 @@ let complete_initiator w v =
       Hashtbl.remove w.phase2 v;
       if w.veh_child.(v) >= 0 then begin
         w.observer (Candidate_found { initiator = v; pair = pair_id });
-        let dest = w.pair_dest.(pair_id) in
         send_reliable w ~src:v ~dst:w.veh_child.(v)
           (Move
              {
                init = (w.veh_init_id.(v), w.veh_init_seq.(v));
-               dest;
+               dest = w.topo.pair_anchor.(pair_id);
                pair = pair_id;
              })
       end
@@ -698,14 +678,15 @@ let handle_move w p init ~dest ~pair_id =
   if alive w p then begin
     if working w p = st_idle then begin
       (* Phase II terminus: the candidate relocates and takes over. *)
-      spend w p (float_of_int (Point.l1_dist w.veh_pos.(p) dest));
+      spend w p (float_of_int (w.topo.dist w.veh_pos.(p) dest));
       w.veh_pos.(p) <- dest;
       set_working w p st_active;
       w.veh_pair.(p) <- pair_id;
       w.pair_active.(pair_id) <- p;
       w.replacements <- w.replacements + 1;
       Metrics.incr m_replacements;
-      w.observer (Replacement { vehicle = p; pair = pair_id; dest });
+      w.observer
+        (Replacement { vehicle = p; pair = pair_id; dest = w.topo.point dest });
       Bytes.set_uint8 w.w_searching pair_id 0;
       w.w_stalls.(pair_id) <- 0;
       w.w_starves.(pair_id) <- 0;
@@ -821,8 +802,8 @@ let on_retry w msg_id =
 (* --- job service (§3.2.2, first part) --- *)
 
 let retire w v =
-  (* An active vehicle that can no longer guarantee the next job (walk 1 +
-     serve 1) becomes done and triggers its replacement.  A silent
+  (* An active vehicle that can no longer guarantee the next job (its
+     reserve) becomes done and triggers its replacement.  A silent
      initiator (scenario 2) does nothing — its monitor's deadline notices
      the missing heartbeats and initiates on its behalf. *)
   set_working w v st_done;
@@ -835,36 +816,27 @@ let retire w v =
     start_computation w ~initiator:v ~pair_id
 
 let process_job w ~index x =
-  if not (Box.mem w.window x) then
-    w.failures <-
-      { job = index; position = x; reason = "job outside the window" }
-      :: w.failures
+  let fail reason =
+    w.failures <- { job = index; position = w.topo.point x; reason } :: w.failures
+  in
+  let active = w.pair_active.(w.cell_pair.(x)) in
+  if active < 0 then fail "no active vehicle in pair"
   else begin
-    let pair_id = w.cell_pair.(Box.index w.window x) in
-    let active = w.pair_active.(pair_id) in
-    if active < 0 then
-      w.failures <-
-        { job = index; position = x; reason = "no active vehicle in pair" }
-        :: w.failures
+    let walk = w.topo.dist w.veh_pos.(active) x in
+    let cost = float_of_int (walk + 1) in
+    if w.veh_energy.(active) < cost -. 1e-9 then fail "active vehicle out of energy"
     else begin
-      let cost = float_of_int (Point.l1_dist w.veh_pos.(active) x + 1) in
-      if w.veh_energy.(active) < cost -. 1e-9 then
-        w.failures <-
-          { job = index; position = x; reason = "active vehicle out of energy" }
-          :: w.failures
-      else begin
-        let walk = Point.l1_dist w.veh_pos.(active) x in
-        spend w active cost;
-        w.veh_pos.(active) <- x;
-        w.served <- w.served + 1;
-        Metrics.incr m_jobs_served;
-        w.observer
-          (Job_served { job = index; position = x; vehicle = active; walk });
-        send_heartbeat w active;
-        maybe_break w active;
-        if working w active = st_active && w.veh_energy.(active) < 2.0 then
-          retire w active
-      end
+      spend w active cost;
+      w.veh_pos.(active) <- x;
+      w.served <- w.served + 1;
+      Metrics.incr m_jobs_served;
+      w.observer
+        (Job_served
+           { job = index; position = w.topo.point x; vehicle = active; walk });
+      send_heartbeat w active;
+      maybe_break w active;
+      if working w active = st_active && w.veh_energy.(active) < reserve w active
+      then retire w active
     end
   end
 
@@ -970,11 +942,11 @@ let compare_events a b =
 
 let event_index e = match event_key e with k, _, _ -> k
 
-(* Core runner over an explicit job list and window box.  [job_index]
-   maps the local 1-based arrival position to the index reported in
-   events and failures — the fleet runner passes the global position. *)
-let run_core ?observer ?(job_index = fun i -> i) cfg ~dim ~jobs ~jobs_box =
-  let w = build ?observer cfg ~dim ~jobs_box in
+(* Core runner over a topology and the jobs' cells.  [job_index] maps the
+   local 1-based arrival position to the index reported in events and
+   failures — the fleet runner passes the global position. *)
+let run_core ?observer ?(job_index = fun i -> i) cfg topo ~jobs =
+  let w = build ?observer cfg topo in
   Des.set_restart_hook w.des (fun ~time:_ v -> on_vehicle_restart w v);
   let quiesce () =
     (* After a livelock the run is degraded: draining stops, remaining
@@ -1022,7 +994,7 @@ let run_core ?observer ?(job_index = fun i -> i) cfg ~dim ~jobs ~jobs_box =
       apply_faults (i + 1))
     jobs;
   let consumers = ref 0 and used_sum = ref 0.0 and used_max = ref 0.0 in
-  for v = 0 to w.n - 1 do
+  for v = 0 to topo.cells - 1 do
     let used = cfg.capacity -. w.veh_energy.(v) in
     if used > !used_max then used_max := used;
     if used > 0.0 then begin
@@ -1031,8 +1003,8 @@ let run_core ?observer ?(job_index = fun i -> i) cfg ~dim ~jobs ~jobs_box =
     end
   done;
   let serviceable = ref 0 in
-  for v = 0 to w.n - 1 do
-    if alive w v && w.veh_energy.(v) >= 2.0 then incr serviceable
+  for v = 0 to topo.cells - 1 do
+    if alive w v && w.veh_energy.(v) >= reserve w v then incr serviceable
   done;
   let outcome =
     {
@@ -1046,7 +1018,7 @@ let run_core ?observer ?(job_index = fun i -> i) cfg ~dim ~jobs ~jobs_box =
       replacements = w.replacements;
       computations = w.computations;
       starved_searches = w.starved;
-      vehicles = w.n;
+      vehicles = topo.cells;
       vehicles_still_serviceable = !serviceable;
       drops = Des.drops w.des;
       dups = Des.dups w.des;
@@ -1063,9 +1035,20 @@ let run ?observer cfg workload =
       validate_plan cfg.faults;
       empty_outcome
   | Some jobs_box ->
+      let window = window_of ~side:cfg.side ~dim:workload.Workload.dim jobs_box in
       fst
-        (run_core ?observer cfg ~dim:workload.Workload.dim
-           ~jobs:workload.Workload.jobs ~jobs_box)
+        (run_core ?observer cfg (grid_topology cfg window)
+           ~jobs:(Array.map (Box.index window) workload.Workload.jobs))
+
+let run_topology ?observer cfg topo ~jobs =
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= topo.cells then
+        invalid_arg
+          (Printf.sprintf "Online.run_topology: job at cell %d outside [0,%d)" c
+             topo.cells))
+    jobs;
+  fst (run_core ?observer cfg topo ~jobs)
 
 (* --- fleet runner: cube-aligned shard bands on Pool workers --- *)
 
@@ -1227,8 +1210,10 @@ let run_fleet ?workers ~shards cfg workload =
          read their own immutable task tuple. *)
       let tasks =
         Array.init eff (fun s ->
-            (shard_cfg s, Array.map snd shard_jobs.(s), Array.map fst shard_jobs.(s),
-             boxes.(s)))
+            ( shard_cfg s,
+              Array.map (fun (_, p) -> Box.index boxes.(s) p) shard_jobs.(s),
+              Array.map fst shard_jobs.(s),
+              boxes.(s) ))
       in
       let saved = Pool.workers () in
       (match workers with Some k -> Pool.set_workers k | None -> ());
@@ -1239,7 +1224,7 @@ let run_fleet ?workers ~shards cfg workload =
             Pool.map
               (fun (cfg_s, jobs_s, gidx, box) ->
                 let job_index i = if i = 0 then 0 else gidx.(i - 1) in
-                run_core ~job_index cfg_s ~dim ~jobs:jobs_s ~jobs_box:box)
+                run_core ~job_index cfg_s (grid_topology cfg_s box) ~jobs:jobs_s)
               tasks)
       in
       let outs = Array.map fst results in

@@ -1,20 +1,27 @@
 (** The decentralized on-line strategy of Chapter 3, hardened against
     unreliable channels.
 
-    One vehicle per grid vertex; the world is partitioned into
-    [side]-cubes; each cube's cells are matched into adjacent black/white
-    pairs (via {!Snake.pairing}).  The vehicle on one cell of each pair
-    starts [Active] and serves every job arriving at either cell of its
-    pair (walking at most distance 1); its partner starts [Idle].  When an
-    active vehicle runs out of energy it becomes [Done] and starts a
+    The world is a {!topology}: cells with one vehicle each, a
+    communication graph, pairs of cells and the rings that group them.
+    The vehicle on the anchor cell of each pair starts [Active] and
+    serves every job arriving at either cell of its pair; its partner
+    starts [Idle].  When an active vehicle's energy falls below its
+    pair's walk plus one job, it becomes [Done] and starts a
     Dijkstra–Scholten diffusing computation (§3.1, Algorithm 2) over the
-    cube's communication graph to locate an idle vehicle; phase II routes a
+    communication graph to locate an idle vehicle; phase II routes a
     [Move] order down the discovered tree path, and the idle candidate
-    relocates and takes over the pair.
+    relocates to the anchor and takes over the pair.
+
+    The grid is one producer of that record ({!run}, {!run_fleet}): the
+    cells are the window's lattice points, the rings are its
+    [side]-cubes, each cube's cells are matched into adjacent
+    black/white pairs (via {!Snake.pairing}, walk 1), and cells at most
+    [comm_radius] apart in one cube are linked.  A general graph is
+    another ([Gonline.topology], run through {!run_topology}).
 
     Failure handling follows §3.2.5 with real messages: the active
     vehicle of each pair heartbeats to its monitor — the active vehicle
-    of the next pair of the cube, realizing the paper's
+    of the next pair of the ring, realizing the paper's
     "monitoring"-pointer loop — and a per-pair deadline timer notices
     missing heartbeats and has the monitor initiate the replacement.  A
     vehicle that fails to initiate (scenario 2) or dies outright
@@ -30,13 +37,12 @@
     disabled on lossy channels) ends in a reported livelock instead of an
     infinite spin.  See docs/ROBUSTNESS.md for the full design.
 
-    Modelling notes (DESIGN.md §2): the communication topology links
-    vehicles whose depots are within [comm_radius] (default 2) in the same
-    cube — depot-based rather than position-based, constant-equivalent
-    since vehicles stay within distance 1 of a pair cell; message delays
-    are random but FIFO per channel.  Job arrivals are spaced so that the
-    network quiesces in between, exactly the paper's timing
-    assumption. *)
+    Modelling notes (DESIGN.md §2): the communication graph links depots,
+    not positions — on the grid, depots within [comm_radius] (default 2)
+    in the same cube, constant-equivalent since vehicles stay within
+    distance 1 of a pair cell; message delays are random but FIFO per
+    channel.  Job arrivals are spaced so that the network quiesces in
+    between, exactly the paper's timing assumption. *)
 
 type fault_plan = {
   silent_initiators : int list;
@@ -65,8 +71,10 @@ val no_faults : fault_plan
 
 type config = {
   capacity : float;  (** initial energy [W] of every vehicle *)
-  side : int;  (** cube side of the partition *)
-  comm_radius : int;  (** neighbor radius (the paper's constant, 2) *)
+  side : int;  (** cube side of the grid partition *)
+  comm_radius : int;
+      (** grid neighbor radius (the paper's constant, 2); this and [side]
+          are read only by the grid producer *)
   seed : int;  (** message-delay and channel-fault randomness *)
   faults : fault_plan;
   chaos : Des.faults;
@@ -98,8 +106,8 @@ val config :
 (** Validated constructor: positive capacity/side/comm_radius/budget,
     death job indices non-negative, longevity fractions in [\[0,1\]]
     ([Invalid_argument] otherwise).  Vehicle ids in [faults] and
-    [partitions] are checked against the fleet once the window is known,
-    in [run]/[build]. *)
+    [partitions] are checked against the fleet once its size is known,
+    when a run starts. *)
 
 type failure = {
   job : int;  (** 1-based index in the arrival sequence *)
@@ -153,10 +161,46 @@ type event =
       (** no idle vehicle could be found for the pair *)
 
 val run : ?observer:(event -> unit) -> config -> Workload.t -> outcome
-(** Executes the strategy on the arrival sequence.  [observer] (default
-    ignore) receives every protocol event as it happens.  Raises
-    [Invalid_argument] if the fault plan or partitions name vehicles
-    outside the fleet. *)
+(** Executes the strategy on the arrival sequence, over the grid topology
+    of the window that tiles the jobs' bounding box by [side]-cubes.
+    [observer] (default ignore) receives every protocol event as it
+    happens.  Raises [Invalid_argument] if the fault plan or partitions
+    name vehicles outside the fleet. *)
+
+(** The world the protocol runs in, as data.  Cells are [0 .. cells-1],
+    and vehicle [v] starts on cell [v]. *)
+type topology = {
+  cells : int;  (** one vehicle per cell *)
+  nbr_off : int array;
+  nbr_ids : int array;
+      (** the communication graph in CSR form: the neighbours of cell [c]
+          are [nbr_ids.(nbr_off.(c)) .. nbr_ids.(nbr_off.(c+1) - 1)], in
+          Query fan-out order *)
+  ring_off : int array;
+      (** the pairs of ring [r] are [ring_off.(r) .. ring_off.(r+1) - 1];
+          a ring is a monitoring order (a cube on the grid, a cluster on a
+          graph) *)
+  pair_ring : int array;  (** pair -> its ring *)
+  pair_anchor : int array;
+      (** pair -> the cell that hosts its first active vehicle and its
+          deadline timer, and where a replacement moves to *)
+  pair_partner : int array;  (** pair -> its other cell, or [-1] *)
+  pair_walk : int array;
+      (** pair -> the walk across it: an active vehicle retires when its
+          energy falls below [walk + 1] *)
+  dist : int -> int -> int;
+      (** travel cost between two cells, read per job and per relocation *)
+  point : int -> Point.t;  (** a cell's name in events and failures *)
+}
+
+val run_topology :
+  ?observer:(event -> unit) -> config -> topology -> jobs:int array -> outcome
+(** Like {!run}, on an explicit topology and the cells of the arrivals;
+    [config.side] and [config.comm_radius] are not read.  The record is
+    trusted, not checked: every cell must be in exactly one pair, and a
+    pair's ring must be the range that holds it.  Raises
+    [Invalid_argument] on a job outside [\[0, cells)], or on a fault plan
+    or partitions naming vehicles outside the fleet. *)
 
 val fleet_size : config -> Workload.t -> int
 (** Number of vehicles [run] would deploy (the window volume) — the valid

@@ -158,8 +158,7 @@ let suite =
 (* --- appended: the online strategy on general graphs --- *)
 
 let run_gonline inst jobs =
-  Gonline.run inst ~jobs
-    { Gonline.capacity = Gonline.recommended_capacity inst; seed = 0 }
+  Gonline.run inst ~jobs ~capacity:(Gonline.recommended_capacity inst)
 
 let test_gonline_path_hot_middle () =
   let n = 21 in
@@ -168,13 +167,13 @@ let test_gonline_path_hot_middle () =
   let inst = Gcmvrp.create (Gcmvrp.line_graph n) ~demand in
   let jobs = Array.make 60 10 in
   let o = run_gonline inst jobs in
-  Alcotest.(check int) "all served" 60 o.Gonline.served;
-  Alcotest.(check bool) "success" true (Gonline.succeeded o);
+  Alcotest.(check int) "all served" 60 o.Online.served;
+  Alcotest.(check bool) "success" true (Online.succeeded o);
   (* At a deliberately tight capacity the actives must burn out and the
      diffusing computations must bring in replacements. *)
-  let tight = Gonline.run inst ~jobs { Gonline.capacity = 25.0; seed = 0 } in
-  Alcotest.(check bool) "tight run succeeds" true (Gonline.succeeded tight);
-  Alcotest.(check bool) "replacements happened" true (tight.Gonline.replacements > 0)
+  let tight = Gonline.run inst ~jobs ~capacity:25.0 in
+  Alcotest.(check bool) "tight run succeeds" true (Online.succeeded tight);
+  Alcotest.(check bool) "replacements happened" true (tight.Online.replacements > 0)
 
 let test_gonline_star () =
   let n = 15 in
@@ -186,7 +185,7 @@ let test_gonline_star () =
   demand.(0) <- 80;
   let inst = Gcmvrp.create g ~demand in
   let o = run_gonline inst (Array.make 80 0) in
-  Alcotest.(check bool) "success" true (Gonline.succeeded o)
+  Alcotest.(check bool) "success" true (Online.succeeded o)
 
 let test_gonline_random_geometric () =
   let rng = Rng.create 4141 in
@@ -203,7 +202,7 @@ let test_gonline_random_geometric () =
     Array.iteri (fun v d -> for _ = 1 to d do sites := v :: !sites done) demand;
     let jobs = Array.of_list !sites in
     let o = run_gonline inst jobs in
-    Alcotest.(check int) "all served" (Array.length jobs) o.Gonline.served
+    Alcotest.(check int) "all served" (Array.length jobs) o.Online.served
   done
 
 let test_gonline_min_capacity_above_omega_star () =
@@ -226,9 +225,9 @@ let test_gonline_insufficient_capacity_fails () =
   let demand = Array.make n 0 in
   demand.(4) <- 50;
   let inst = Gcmvrp.create (Gcmvrp.line_graph n) ~demand in
-  let o = Gonline.run inst ~jobs:(Array.make 50 4) { Gonline.capacity = 3.0; seed = 0 } in
-  Alcotest.(check bool) "fails cleanly" true (not (Gonline.succeeded o));
-  Alcotest.(check bool) "partial service" true (o.Gonline.served > 0)
+  let o = Gonline.run inst ~jobs:(Array.make 50 4) ~capacity:3.0 in
+  Alcotest.(check bool) "fails cleanly" true (not (Online.succeeded o));
+  Alcotest.(check bool) "partial service" true (o.Online.served > 0)
 
 let suite =
   suite
@@ -238,4 +237,174 @@ let suite =
       Alcotest.test_case "gonline: random geometric" `Quick test_gonline_random_geometric;
       Alcotest.test_case "gonline: ω* sandwich" `Quick test_gonline_min_capacity_above_omega_star;
       Alcotest.test_case "gonline: fails cleanly" `Quick test_gonline_insufficient_capacity_fails;
+    ]
+
+(* --- appended: the graph topology under the shared protocol --- *)
+
+(* E17's four graphs and arrival sequences, built as bench/main.ml builds
+   them. *)
+let e17_graphs () =
+  let path_demand = Array.make 25 0 in
+  path_demand.(12) <- 100;
+  let star = Digraph.create 17 in
+  for leaf = 1 to 16 do
+    Digraph.add_undirected star 0 leaf ~weight:1
+  done;
+  let star_demand = Array.make 17 0 in
+  star_demand.(0) <- 120;
+  let geometric n =
+    let rng = Rng.create (3000 + n) in
+    let g, _ =
+      Gcmvrp.random_geometric ~rng ~n
+        ~box:(Box.make ~lo:[| 0; 0 |] ~hi:[| 9; 9 |])
+        ~radius:7
+    in
+    let demand =
+      Array.init n (fun i -> if i mod 5 = 0 then 10 + Rng.int rng 20 else 0)
+    in
+    let sites = ref [] in
+    Array.iteri (fun v d -> for _ = 1 to d do sites := v :: !sites done) demand;
+    (Printf.sprintf "geometric-%d" n, Gcmvrp.create g ~demand, Array.of_list !sites)
+  in
+  [
+    ( "path-25",
+      Gcmvrp.create (Gcmvrp.line_graph 25) ~demand:path_demand,
+      Array.make 100 12 );
+    ("star-17", Gcmvrp.create star ~demand:star_demand, Array.make 120 0);
+    geometric 20;
+    geometric 35;
+  ]
+
+(* Each graph's topology against its definition; every broken rule is
+   listed, so one check per graph reports them all. *)
+let test_gonline_topology_shape () =
+  List.iter
+    (fun (name, inst, _) ->
+      let t = Gonline.topology inst in
+      let n = Gcmvrp.n_vertices inst in
+      let graph = Gcmvrp.graph_of inst in
+      let problems = ref [] in
+      let expect ok fmt =
+        Printf.ksprintf (fun m -> if not ok then problems := m :: !problems) fmt
+      in
+      expect (t.Online.cells = n) "%d cells for %d vertices" t.Online.cells n;
+      (* Every vertex is in exactly one pair. *)
+      let n_pairs = Array.length t.Online.pair_anchor in
+      let owner = Array.make n (-1) in
+      let claim p c =
+        expect (owner.(c) < 0) "vertex %d in two pairs" c;
+        owner.(c) <- p
+      in
+      for p = 0 to n_pairs - 1 do
+        claim p t.Online.pair_anchor.(p);
+        if t.Online.pair_partner.(p) >= 0 then claim p t.Online.pair_partner.(p)
+      done;
+      Array.iteri (fun c p -> expect (p >= 0) "vertex %d in no pair" c) owner;
+      (* Rings are the contiguous ranges that [pair_ring] names. *)
+      let n_rings = Array.length t.Online.ring_off - 1 in
+      expect
+        (t.Online.ring_off.(0) = 0 && t.Online.ring_off.(n_rings) = n_pairs)
+        "rings do not cover the pairs";
+      for r = 0 to n_rings - 1 do
+        for p = t.Online.ring_off.(r) to t.Online.ring_off.(r + 1) - 1 do
+          expect (t.Online.pair_ring.(p) = r) "pair %d outside ring %d" p r
+        done
+      done;
+      let ring_of c = t.Online.pair_ring.(owner.(c)) in
+      (* A ring is one cluster: the ball cover's clusters map one to one
+         onto rings. *)
+      let cover, _ = Gcmvrp.cover inst in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if cover.(u) >= 0 && cover.(v) >= 0 then
+            expect
+              (cover.(u) = cover.(v) = (ring_of u = ring_of v))
+              "vertices %d and %d: clusters and rings disagree" u v
+        done
+      done;
+      (* A partner is a neighbour in the same cluster, and the pair's walk
+         is their edge weight; a lone cell walks 0. *)
+      for p = 0 to n_pairs - 1 do
+        let a = t.Online.pair_anchor.(p) and b = t.Online.pair_partner.(p) in
+        let walk = t.Online.pair_walk.(p) in
+        if b < 0 then expect (walk = 0) "lone pair %d walks %d" p walk
+        else begin
+          expect (ring_of a = ring_of b) "pair %d spans two clusters" p;
+          match List.assoc_opt b (Digraph.succ graph a) with
+          | None -> expect false "pair %d is not an edge" p
+          | Some w -> expect (w = walk) "pair %d walks %d, edge weighs %d" p walk w
+        end
+      done;
+      (* The CSR lists a cell's arcs inside its cluster, in arc order. *)
+      for v = 0 to n - 1 do
+        let off = t.Online.nbr_off.(v) in
+        let csr =
+          Array.to_list (Array.sub t.Online.nbr_ids off (t.Online.nbr_off.(v + 1) - off))
+        in
+        let arcs =
+          List.filter_map
+            (fun (u, _) -> if ring_of u = ring_of v then Some u else None)
+            (Digraph.succ graph v)
+        in
+        expect (csr = arcs) "neighbours of %d are not its cluster arcs" v
+      done;
+      Alcotest.(check (list string)) name [] (List.rev !problems))
+    (e17_graphs ())
+
+let test_gonline_e17_capacities () =
+  let pinned = [ 15.0; 62.0; 26.0; 19.0 ] in
+  List.iter2
+    (fun (name, inst, jobs) w ->
+      Alcotest.(check (float 0.0)) name w (Gonline.min_feasible_capacity inst ~jobs))
+    (e17_graphs ()) pinned
+
+let test_gonline_chaos () =
+  let demand = Array.make 21 0 in
+  demand.(10) <- 60;
+  let inst = Gcmvrp.create (Gcmvrp.line_graph 21) ~demand in
+  let topo = Gonline.topology inst in
+  let jobs = Array.make 60 10 in
+  let chaos = Des.faults ~drop_p:0.2 ~dup_p:0.1 () in
+  let run seed retries =
+    Online.run_topology
+      (Online.config ~seed ~capacity:25.0 ~side:1 ~chaos ~retries ())
+      topo ~jobs
+  in
+  let livelocked = ref 0 in
+  for seed = 0 to 7 do
+    let o = run seed true in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check int) (name "all served") 60 o.Online.served;
+    Alcotest.(check bool) (name "success") true (Online.succeeded o);
+    Alcotest.(check int) (name "replacements") 2 o.Online.replacements;
+    Alcotest.(check bool) (name "retransmitted") true (o.Online.retries_sent > 0);
+    if (run seed false).Online.livelocks > 0 then incr livelocked
+  done;
+  Alcotest.(check bool) "retries off: a livelock is reported" true (!livelocked > 0)
+
+let test_gonline_relocation_energy_checked () =
+  (* Thirty jobs at one end of a long path: the replacement walks far to
+     the anchor, and at capacity 10 that walk overdraws it. *)
+  let demand = Array.make 60 0 in
+  demand.(0) <- 30;
+  let inst = Gcmvrp.create (Gcmvrp.line_graph 60) ~demand in
+  let jobs = Array.make 30 0 in
+  let o = Gonline.run inst ~jobs ~capacity:10.0 in
+  Alcotest.(check bool) "not a success" false (Online.succeeded o);
+  Alcotest.(check bool) "energy went negative" true
+    (List.exists
+       (fun f -> f.Online.reason = "energy went negative")
+       o.Online.failures);
+  Alcotest.(check (float 0.0)) "least capacity" 11.0
+    (Gonline.min_feasible_capacity inst ~jobs)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "gonline: topology on E17's graphs" `Quick
+        test_gonline_topology_shape;
+      Alcotest.test_case "gonline: E17 capacities" `Quick test_gonline_e17_capacities;
+      Alcotest.test_case "gonline: chaos" `Quick test_gonline_chaos;
+      Alcotest.test_case "gonline: relocation energy checked" `Quick
+        test_gonline_relocation_energy_checked;
     ]

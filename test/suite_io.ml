@@ -81,6 +81,37 @@ let test_heatmap_runs () =
   let art = Workload_io.heatmap w in
   Alcotest.(check bool) "non-empty" true (String.length art > 10)
 
+(* A coordinate whose bounding box's volume overflows an int is bad input:
+   [cmvrp] names the overflow and exits 2 (it used to die with an uncaught
+   [Energy.Overflow], exit 125). *)
+let cli_exe = Filename.concat ".." (Filename.concat "bin" "cmvrp_cli.exe")
+
+let test_cli_overflow_exits_2 () =
+  let input = Filename.temp_file "cmvrp_huge" ".txt" in
+  let err = Filename.temp_file "cmvrp_huge" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove input;
+      Sys.remove err)
+    (fun () ->
+      Out_channel.with_open_text input (fun oc ->
+          output_string oc "0 0\n1 0\n2 0\n3 2305843009213693953\n");
+      List.iter
+        (fun args ->
+          let name = List.hd args in
+          let status =
+            Sys.command
+              (Filename.quote_command cli_exe ~stdout:Filename.null ~stderr:err
+                 (args @ [ "--input"; input ]))
+          in
+          Alcotest.(check int) (name ^ " exit status") 2 status;
+          let message = In_channel.with_open_text err In_channel.input_all in
+          Alcotest.(check bool)
+            (name ^ " names the overflow: " ^ message)
+            true
+            (String.starts_with ~prefix:"cmvrp: Energy.mul" message))
+        [ [ "solve" ]; [ "simulate" ]; [ "fleet"; "--capacity"; "3" ] ])
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -92,4 +123,5 @@ let suite =
     Alcotest.test_case "render orientation" `Quick test_render_orientation;
     Alcotest.test_case "heat char monotone" `Quick test_heat_char_monotone;
     Alcotest.test_case "heatmap runs" `Quick test_heatmap_runs;
+    Alcotest.test_case "cli: overflow exits 2" `Quick test_cli_overflow_exits_2;
   ]
