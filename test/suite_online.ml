@@ -683,11 +683,11 @@ let suite =
 
 (* --- Grid protocol pins ---
 
-   Fixed values, taken from the protocol as it stood before the world
-   took its topology as data: per run the trace digest, every outcome
-   counter and float bit pattern, an FNV of the observer's event stream
-   (positions, walks and replacement destinations included) and an FNV of
-   the failure list.  The two chaos runs are the anchors of
+   The grid protocol's reference behaviour, bit for bit: per run the
+   trace digest, every outcome counter and float bit pattern, an FNV of
+   the observer's event stream (positions, walks and replacement
+   destinations included) and an FNV of the failure list.  A change to
+   [Online] that is not meant to change the protocol keeps them all.  The two chaos runs are the anchors of
    [cmvrp simulate -k point --drop-p 0.2 --dup-p 0.1]; the others cover
    silent initiators with deaths, outages, a capacity too tight to serve
    everything, 1-D and 3-D replacements, and the bands of [run_fleet]. *)
