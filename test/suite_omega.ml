@@ -158,6 +158,44 @@ let test_cube_fixpoint_bounds () =
 let test_cube_fixpoint_empty () =
   Alcotest.(check (float 0.0)) "empty" 0.0 (Omega.cube_fixpoint (Demand_map.empty 2))
 
+(* --- Cube scan pins ---
+
+   The cube scans' answers on 200 seeded demands, bit for bit: 1-D to
+   3-D, 1–12 sites with demand 1–20, coordinates on both sides of the
+   origin and every seventh demand shifted by -1,000.  Per demand, an
+   FNV folds the float bits and side of [cube_fixpoint_with_side] and
+   [max_cube_demand] at sides 1–8.  A change to the cube scans that is
+   not meant to change their answers keeps both digests. *)
+
+let pin_demands () =
+  let rng = Rng.create 2027 in
+  List.init 200 (fun k ->
+      let dim = 1 + (k mod 3) in
+      let span = [| 40; 12; 6 |].(dim - 1) in
+      let shift = if k mod 7 = 0 then -1000 else 0 in
+      let sites = 1 + Rng.int rng 12 in
+      Demand_map.of_alist dim
+        (List.init sites (fun _ ->
+             ( Array.init dim (fun _ -> shift + Rng.int_in rng (-span / 2) span),
+               1 + Rng.int rng 20 ))))
+
+let pin_digests () =
+  List.fold_left
+    (fun (hc, hm) dm ->
+      let w, side = Omega.cube_fixpoint_with_side dm in
+      let hc = Fnv.add_int (Fnv.add_int hc (Int64.to_int (Int64.bits_of_float w))) side in
+      let hm = ref hm in
+      for s = 1 to 8 do
+        hm := Fnv.add_int !hm (Omega.max_cube_demand dm ~side:s)
+      done;
+      (hc, !hm))
+    (Fnv.basis, Fnv.basis) (pin_demands ())
+
+let test_cube_scan_pins () =
+  let hc, hm = pin_digests () in
+  Alcotest.(check string) "cube_fixpoint_with_side" "05a0dd1fd96a2792" (Printf.sprintf "%016x" hc);
+  Alcotest.(check string) "max_cube_demand, sides 1-8" "25c784472b013b7f" (Printf.sprintf "%016x" hm)
+
 let test_example_line_w2_closed_form () =
   (* W(2W+1) = d has W = (-1 + sqrt(1+8d))/4; d = 10 gives exactly 2. *)
   Alcotest.(check (float 1e-9)) "d=10" 2.0 (Omega.example_line_w2 ~d:10);
@@ -218,6 +256,7 @@ let suite =
     Alcotest.test_case "cube scan finds hot square" `Quick test_cube_scan_finds_hot_square;
     Alcotest.test_case "cube fixpoint bounds" `Quick test_cube_fixpoint_bounds;
     Alcotest.test_case "cube fixpoint empty" `Quick test_cube_fixpoint_empty;
+    Alcotest.test_case "cube scan pins" `Quick test_cube_scan_pins;
     Alcotest.test_case "W2 closed form" `Quick test_example_line_w2_closed_form;
     Alcotest.test_case "W3 plugs back" `Quick test_example_point_w3_plugs_back;
     Alcotest.test_case "W1 plugs back" `Quick test_example_square_w1_plugs_back;
