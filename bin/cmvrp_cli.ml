@@ -136,8 +136,14 @@ let workload_cmd =
       & info [ "heatmap" ] ~doc:"Print an ASCII demand heatmap instead of jobs.")
   in
   let run spec heat =
+    exit_on_overflow @@ fun () ->
     let w = realize spec in
-    if heat then print_string (Workload_io.heatmap w)
+    if heat then (
+      match Workload_io.heatmap w with
+      | art -> print_string art
+      | exception Invalid_argument m ->
+          Printf.eprintf "cmvrp: %s\n" m;
+          exit 2)
     else Workload_io.to_channel stdout w
   in
   let doc = "Generate an arrival sequence and print it." in

@@ -12,16 +12,7 @@ let run ?(pad = 0) ~capacity workload =
   if Array.length jobs = 0 then
     { served = 0; failed = 0; max_energy_used = 0.0; moves = 0 }
   else begin
-    let dim = workload.Workload.dim in
-    let lo = Array.copy jobs.(0) and hi = Array.copy jobs.(0) in
-    Array.iter
-      (fun p ->
-        for i = 0 to dim - 1 do
-          if p.(i) < lo.(i) then lo.(i) <- p.(i);
-          if p.(i) > hi.(i) then hi.(i) <- p.(i)
-        done)
-      jobs;
-    let window = Box.dilate (Box.make ~lo ~hi) pad in
+    let window = Box.dilate (Option.get (Box.hull (Array.to_list jobs))) pad in
     let n = Box.volume window in
     let pos = Array.init n (fun i -> Box.point_of_index window i) in
     let energy = Array.make n capacity in

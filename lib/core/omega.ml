@@ -45,138 +45,107 @@ let of_cube ~dim ~side ~total =
   let cube = Box.cube_at_origin ~dim ~side in
   solve ~total ~neighborhood_size:(fun r -> Ball.box_ball_volume cube ~radius:r)
 
-(* --- l-dimensional prefix sums over a box, for sliding cube scans --- *)
+(* --- cube demand over the support's own coordinates ---
 
-module Prefix = struct
-  type t = { box : Box.t; sums : int array }
+   Sliding a cube up one axis until its lower face meets a support
+   coordinate loses no demand, so some heaviest side-[s] cube has every
+   lower face on one.  The anchors are then the product of each axis's
+   distinct support coordinates ([coords], ascending), and [cells] holds
+   one cell per anchor, row-major: d(x) at a support point, 0 elsewhere.
+   Its size is never more than the bounding box's volume. *)
 
-  let build dm box =
-    let vol = Box.volume box in
-    let sums = Array.make vol 0 in
-    Box.iter box (fun p -> sums.(Box.index box p) <- Demand_map.value dm p);
-    (* Accumulate along each axis in turn. *)
-    let n = Box.dim box in
-    for axis = 0 to n - 1 do
-      Box.iter box (fun p ->
-          if p.(axis) > box.Box.lo.(axis) then begin
-            let prev = Array.copy p in
-            prev.(axis) <- prev.(axis) - 1;
-            sums.(Box.index box p) <-
-              sums.(Box.index box p) + sums.(Box.index box prev)
-          end)
-    done;
-    { box; sums }
-
-  (* Sum of demand over the intersection of [qlo, qhi] with the box. *)
-  let query t ~qlo ~qhi =
-    let n = Box.dim t.box in
-    let lo = Array.init n (fun i -> max qlo.(i) t.box.Box.lo.(i)) in
-    let hi = Array.init n (fun i -> min qhi.(i) t.box.Box.hi.(i)) in
-    if Array.exists (fun i -> lo.(i) > hi.(i)) (Array.init n (fun i -> i)) then 0
-    else begin
-      (* Inclusion–exclusion over the 2^n corners. *)
-      let acc = ref 0 in
-      let corner = Array.make n 0 in
-      for mask = 0 to (1 lsl n) - 1 do
-        let sign = ref 1 in
-        let valid = ref true in
-        for i = 0 to n - 1 do
-          if mask land (1 lsl i) = 0 then corner.(i) <- hi.(i)
-          else begin
-            corner.(i) <- lo.(i) - 1;
-            sign := - !sign;
-            if corner.(i) < t.box.Box.lo.(i) then valid := false
-          end
-        done;
-        if !valid then acc := !acc + (!sign * t.sums.(Box.index t.box corner))
-      done;
-      !acc
-    end
-end
-
-(* Maximum demand over all side-[s] cubes meeting the support. *)
-let scan_cube_demand prefix bbox ~s =
-  let n = Box.dim bbox in
-  let anchor_box =
-    Box.make
-      ~lo:(Array.init n (fun i -> bbox.Box.lo.(i) - s + 1))
-      ~hi:(Array.map (fun x -> x) bbox.Box.hi)
+let cube_grid dm =
+  let support = Demand_map.support dm in
+  let coords =
+    Array.init (Demand_map.dim dm) (fun i ->
+        Array.of_list (List.sort_uniq Int.compare (List.map (fun p -> p.(i)) support)))
   in
-  let best = ref 0 in
-  Box.iter anchor_box (fun a ->
-      let qhi = Array.map (fun x -> x + s - 1) a in
-      let v = Prefix.query prefix ~qlo:a ~qhi in
-      if v > !best then best := v);
-  !best
+  let rank c x =
+    let rec search lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if c.(mid) <= x then search mid hi else search lo mid
+    in
+    search 0 (Array.length c)
+  in
+  let size = Array.fold_left (fun n c -> Energy.mul n (Array.length c)) 1 coords in
+  let cells = Array.make size 0 in
+  Demand_map.iter dm (fun p d ->
+      let k = ref 0 in
+      Array.iteri (fun i c -> k := (!k * Array.length c) + rank c p.(i)) coords;
+      cells.(!k) <- d);
+  (coords, cells)
 
-let max_cube_demand dm ~side =
-  if side <= 0 then invalid_arg "Omega.max_cube_demand: side must be positive";
-  match Demand_map.bounding_box dm with
-  | None -> 0
-  | Some bbox -> scan_cube_demand (Prefix.build dm bbox) bbox ~s:side
-
-let max_over_cubes dm =
-  match Demand_map.bounding_box dm with
-  | None -> 0.0
-  | Some bbox ->
-      let dim = Box.dim bbox in
-      let prefix = Prefix.build dm bbox in
-      let max_side =
-        let s = ref 1 in
-        for i = 0 to dim - 1 do
-          s := max !s (Box.side bbox i)
+(* Turns [cells] into the demand of the side-[side] cube anchored at each
+   cell, and returns the largest.  Along each axis in turn, a two-pointer
+   window over that axis's coordinates replaces every cell by the total
+   of the cells at most [side - 1] above it.  "x lies in [lo, lo + side -
+   1]" is tested as [x - lo < side] when [lo >= 0] and as [x < lo + side]
+   otherwise, so neither form can overflow. *)
+let window_sums coords cells ~side =
+  let stride = ref (Array.length cells) in
+  Array.iter
+    (fun c ->
+      let n = Array.length c in
+      let inner = !stride / n in
+      stride := inner;
+      let block = ref 0 in
+      while !block < Array.length cells do
+        for line = !block to !block + inner - 1 do
+          let sum = ref 0 and hi = ref 0 in
+          for k = 0 to n - 1 do
+            let lo = c.(k) in
+            while
+              !hi < n && if lo >= 0 then c.(!hi) - lo < side else c.(!hi) < lo + side
+            do
+              sum := Energy.add !sum cells.(line + (!hi * inner));
+              incr hi
+            done;
+            let at = line + (k * inner) in
+            let v = cells.(at) in
+            cells.(at) <- !sum;
+            sum := !sum - v
+          done
         done;
-        !s
-      in
-      let best = ref 0.0 in
-      for s = 1 to max_side do
-        let d = scan_cube_demand prefix bbox ~s in
-        if d > 0 then begin
-          let w = of_cube ~dim ~side:s ~total:d in
-          if w > !best then best := w
-        end
-      done;
-      !best
+        block := !block + (n * inner)
+      done)
+    coords;
+  Array.fold_left Int.max 0 cells
+
+let max_cube_demand dm =
+  let coords, cells = cube_grid dm in
+  fun ~side ->
+    if side <= 0 then invalid_arg "Omega.max_cube_demand: side must be positive";
+    if Array.length cells = 0 then 0 else window_sums coords (Array.copy cells) ~side
 
 let cube_fixpoint_with_side dm =
-  match Demand_map.bounding_box dm with
-  | None -> (0.0, 1)
-  | Some bbox ->
-      let dim = Box.dim bbox in
-      let prefix = Prefix.build dm bbox in
-      let total = Demand_map.total dm in
-      let cube_demand s =
-        (* Beyond the bounding box's largest side, every cube placement can
-           cover the full support. *)
-        let covers_all =
-          let rec loop i = i = dim || (Box.side bbox i <= s && loop (i + 1)) in
-          loop 0
-        in
-        if covers_all then total else scan_cube_demand prefix bbox ~s
-      in
-      let best = ref infinity and best_side = ref 1 in
-      let s = ref 1 in
-      let continue = ref true in
-      while !continue do
-        let m = cube_demand !s in
-        let cand = float_of_int m /. float_of_int (Energy.pow (3 * !s) dim) in
-        (* ω with ⌈ω⌉ = s lives in (s-1, s]; the smallest admissible value
-           there is max(cand, s-1). *)
-        if cand <= float_of_int !s then begin
-          let w = Float.max cand (float_of_int (!s - 1)) in
-          if w < !best then begin
-            best := w;
-            best_side := !s
-          end
-        end;
-        (* Larger sides can only yield ω >= s-1; stop once that exceeds the
-           best found. *)
-        if float_of_int !s >= !best || !s > total + 1 then continue := false
-        else incr s
-      done;
-      if !best = infinity then (0.0, 1) else (!best, !best_side)
-
-let cube_fixpoint dm = fst (cube_fixpoint_with_side dm)
+  let dim = Demand_map.dim dm in
+  let heaviest = max_cube_demand dm in
+  let total = Demand_map.total dm in
+  let best = ref infinity and best_side = ref 1 in
+  let s = ref 1 in
+  let continue = ref true in
+  while !continue do
+    (* Once [s] spans the support, the cube anchored at its lowest
+       coordinates holds all of it, so [m] is the total. *)
+    let m = heaviest ~side:!s in
+    let cand = float_of_int m /. float_of_int (Energy.pow (3 * !s) dim) in
+    (* ω with ⌈ω⌉ = s lives in (s-1, s]; the smallest admissible value
+       there is max(cand, s-1). *)
+    if cand <= float_of_int !s then begin
+      let w = Float.max cand (float_of_int (!s - 1)) in
+      if w < !best then begin
+        best := w;
+        best_side := !s
+      end
+    end;
+    (* Larger sides can only yield ω >= s-1; stop once that exceeds the
+       best found. *)
+    if float_of_int !s >= !best || !s > total + 1 then continue := false
+    else incr s
+  done;
+  if !best = infinity then (0.0, 1) else (!best, !best_side)
 
 (* --- closed forms of §2.1, solved by bisection: each [f] is increasing,
    so halving [0, d] to the last float finds [w] with [f w = target]. --- *)

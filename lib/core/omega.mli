@@ -13,8 +13,9 @@
     (DESIGN.md §2).
 
     Theorem 1.4.1: [Woff = Θ(max_T ω_T)].  Corollary 2.2.6 restricts the
-    maximization to cubes at constant-factor cost; that restriction is what
-    makes the quantity computable, and {!max_over_cubes} implements it. *)
+    maximization to cubes at constant-factor cost, and Corollary 2.2.7
+    turns the heaviest cube of each side into the fixpoint [ωc]
+    ({!cube_fixpoint_with_side}). *)
 
 val scan_brackets : (int -> float) -> float
 (** The integer bracket scan behind every [ω*] in the library.  An [ω] in
@@ -44,27 +45,25 @@ val of_cube : dim:int -> side:int -> total:int -> float
     [|N_r(cube)|]. *)
 
 val max_cube_demand : Demand_map.t -> side:int -> int
-(** Largest total demand inside any axis-aligned [side]-cube (any anchor),
-    by sliding-window prefix sums.  Shared by the cube scans here and by
-    the Theorem 5.1.1 lower bound in the transfer library. *)
-
-val max_over_cubes : Demand_map.t -> float
-(** [max (ω_T : T an l-cube)] over all cube sides and anchor positions
-    meeting the demand support — the computable characterization of
-    Corollary 2.2.6.  Cost [O(sides · volume)] over the support's bounding
-    box. *)
-
-val cube_fixpoint : Demand_map.t -> float
-(** The [ωc] of Corollary 2.2.7:
-    [min (ω : ω·(3⌈ω⌉)^l >= max demand in any ⌈ω⌉-cube)], computed by
-    scanning integer cube sides.  Satisfies [ωc <= max_over_cubes] and
-    [Woff <= (2·3^l + l)·ωc]. *)
+(** Largest total demand inside any axis-aligned [side]-cube.  Some
+    heaviest cube has every lower face on a support coordinate, so the
+    anchors are the product of each axis's distinct support coordinates,
+    and one window-sum pass per axis over them gives every anchored
+    cube's demand: the cost follows the support, never its bounding
+    box.  [max_cube_demand dm] builds that anchor grid once, so a caller
+    that scans many sides applies it to [dm] first.  Shared by
+    {!cube_fixpoint_with_side} and by the Theorem 5.1.1 lower bound in
+    the transfer library.  Raises [Invalid_argument] when [side <= 0]. *)
 
 val cube_fixpoint_with_side : Demand_map.t -> float * int
-(** [ωc] together with the integer cube side [s = ⌈ωc⌉] achieving it (so
-    [s - 1 <= ωc <= s] and every side-[s] cube carries at most
-    [ωc·(3s)^l] demand).  The side is what the offline planner and the
-    online strategy partition by.  [(0.0, 1)] for empty demand. *)
+(** The [ωc] of Corollary 2.2.7,
+    [min (ω : ω·(3⌈ω⌉)^l >= max demand in any ⌈ω⌉-cube)], computed by
+    scanning integer cube sides over one anchor grid (see
+    {!max_cube_demand}), together with the side [s = ⌈ωc⌉] achieving it:
+    [s - 1 <= ωc <= s], every side-[s] cube carries at most [ωc·(3s)^l]
+    demand, and [Woff <= (2·3^l + l)·ωc].  The side is what the offline
+    planner and the online strategy partition by.  [(0.0, 1)] for empty
+    demand. *)
 
 (** Closed-form capacities of the worked examples of §2.1 (Figure 2.1);
     each solves its cubic by bisection to [1e-9] relative accuracy. *)

@@ -13,20 +13,6 @@ type t = {
   assignments : assignment list;
 }
 
-let window_for bbox ~side =
-  (* Expand the bounding box so that each axis is an exact multiple of
-     [side]: the partition then consists of full cubes only, which is what
-     the headcount argument of Corollary 2.2.7 needs. *)
-  let n = Box.dim bbox in
-  let lo = Array.init n (fun i -> bbox.Box.lo.(i)) in
-  let hi =
-    Array.init n (fun i ->
-        let extent = Box.side bbox i in
-        let tiles = (extent + side - 1) / side in
-        bbox.Box.lo.(i) + (tiles * side) - 1)
-  in
-  Box.make ~lo ~hi
-
 let plan_cube dm ~budget cube =
   (* Home service first. *)
   let residuals = ref [] in
@@ -95,7 +81,7 @@ let plan dm =
       let budget =
         max 1 (int_of_float (Float.ceil (float_of_int (Energy.pow 3 dim) *. omega)))
       in
-      let window = window_for bbox ~side in
+      let window = Box.tiled bbox ~side in
       let cubes = Box.partition_cubes window ~side in
       (* Cubes are independent (plan_cube only reads the demand map), so
          they fan out through the Domain pool; results come back in cube

@@ -59,12 +59,19 @@ let of_channel ?name ic =
    with End_of_file -> ());
   parse_lines ?name (List.rev !lines)
 
+let max_heatmap_cells = 1_000_000
+
 let heatmap w =
   if w.Workload.dim <> 2 then invalid_arg "Workload_io.heatmap: need a 2-D workload";
   let dm = Workload.demand w in
   match Demand_map.bounding_box dm with
   | None -> "(empty workload)\n"
   | Some box ->
+      let cells = Box.volume box in
+      if cells > max_heatmap_cells then
+        invalid_arg
+          (Printf.sprintf "Workload_io.heatmap: a %d x %d canvas exceeds %d cells"
+             (Box.side box 0) (Box.side box 1) max_heatmap_cells);
       let max_d = Demand_map.max_demand dm in
       Render.grid box ~cell:(fun p -> Render.heat_char ~max:max_d (Demand_map.value dm p))
       ^ Printf.sprintf "(%s)\n" (Render.legend ~max:max_d)

@@ -16,4 +16,7 @@ val of_channel : ?name:string -> in_channel -> Workload.t
 val of_string : ?name:string -> string -> Workload.t
 
 val heatmap : Workload.t -> string
-(** ASCII heatmap of the aggregated demand (2-D workloads only). *)
+(** ASCII heatmap of the aggregated demand, one character per cell of its
+    bounding box.  Raises [Invalid_argument] for a workload that is not
+    2-D or whose box holds more than 10^6 cells, and [Energy.Overflow]
+    when the box's volume does not fit in an [int]. *)

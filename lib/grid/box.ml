@@ -102,12 +102,16 @@ let intersect a b =
   if Array.exists (fun i -> lo.(i) > hi.(i)) (Array.init n (fun i -> i)) then None
   else Some (make ~lo ~hi)
 
+let tiled b ~side:s =
+  if s <= 0 then invalid_arg "Box.tiled: side must be positive";
+  make ~lo:b.lo ~hi:(Array.mapi (fun i l -> l + (((side b i + s - 1) / s) * s) - 1) b.lo)
+
 let partition_cubes b ~side:s =
   if s <= 0 then invalid_arg "Box.partition_cubes: side must be positive";
   let n = dim b in
   (* Number of tiles along each axis. *)
   let counts = Array.init n (fun i -> ((side b i + s - 1) / s)) in
-  let tiles = Array.fold_left ( * ) 1 counts in
+  let tiles = Array.fold_left Energy.mul 1 counts in
   let out = ref [] in
   for k = tiles - 1 downto 0 do
     let idx = Array.make n 0 in

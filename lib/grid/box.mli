@@ -54,10 +54,17 @@ val dilate : t -> int -> t
 
 val intersect : t -> t -> t option
 
+val tiled : t -> side:int -> t
+(** The box anchored at [lo] whose sides are the least multiples of
+    [side] that cover the given box: the window that {!partition_cubes}
+    tiles by full [side]-cubes only, as the headcount argument of
+    Corollary 2.2.7 needs. *)
+
 val partition_cubes : t -> side:int -> t list
 (** Tiles the box by [side]-cubes anchored at [lo] (the partition of
     Lemma 2.2.5 / §3.2 of the paper); boundary tiles are cropped to the
-    box. *)
+    box.  Raises [Energy.Overflow] when the number of tiles does not fit
+    in an [int]. *)
 
 val containing_cube : t -> side:int -> Point.t -> t
 (** The tile of [partition_cubes] containing the given member point. *)

@@ -312,23 +312,13 @@ let maybe_break w v =
 
 (* --- world construction --- *)
 
-let window_of ~side ~dim jobs_box =
-  let lo = jobs_box.Box.lo in
-  let hi =
-    Array.init dim (fun i ->
-        let extent = Box.side jobs_box i in
-        let tiles = (extent + side - 1) / side in
-        lo.(i) + (tiles * side) - 1)
-  in
-  Box.make ~lo ~hi
-
 let jobs_box_of workload = Box.hull (Array.to_list workload.Workload.jobs)
 
 let fleet_size cfg workload =
   match jobs_box_of workload with
   | None -> 0
   | Some jobs_box ->
-      Box.volume (window_of ~side:cfg.side ~dim:workload.Workload.dim jobs_box)
+      Box.volume (Box.tiled jobs_box ~side:cfg.side)
 
 let validate_ids ~n plan partitions =
   let check what id =
@@ -1035,7 +1025,7 @@ let run ?observer cfg workload =
       validate_plan cfg.faults;
       empty_outcome
   | Some jobs_box ->
-      let window = window_of ~side:cfg.side ~dim:workload.Workload.dim jobs_box in
+      let window = Box.tiled jobs_box ~side:cfg.side in
       fst
         (run_core ?observer cfg (grid_topology cfg window)
            ~jobs:(Array.map (Box.index window) workload.Workload.jobs))
@@ -1129,8 +1119,7 @@ let run_fleet ?workers ~shards cfg workload =
       validate_plan cfg.faults;
       empty_fleet
   | Some jobs_box ->
-      let dim = workload.Workload.dim in
-      let window = window_of ~side:cfg.side ~dim jobs_box in
+      let window = Box.tiled jobs_box ~side:cfg.side in
       let n = Box.volume window in
       validate_plan cfg.faults;
       validate_ids ~n cfg.faults cfg.partitions;

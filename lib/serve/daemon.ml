@@ -43,18 +43,15 @@ let send_response conn resp =
 let parse_error_response msg =
   { Protocol.r_id = -1; r_cached = false; r_result = Error msg; r_encoded = None }
 
-(* Drain every complete frame the decoder holds into the pending queue.
-   A frame that fails to parse as a request gets an immediate id = -1
-   error response and does not enter the queue. *)
+(* Drain every complete frame the decoder holds into the pending queue,
+   decoded: a frame that fails to parse as a request is answered with an
+   id = -1 error in its turn, after the requests sent before it. *)
 let drain_frames conn pending =
   let continue = ref true in
   while !continue do
     match Frame.next conn.dec with
     | None -> continue := false
-    | Some payload -> (
-        match Protocol.request_of_string payload with
-        | Ok req -> Queue.push (conn, req) pending
-        | Error msg -> send_response conn (parse_error_response msg))
+    | Some payload -> Queue.push (conn, Protocol.request_of_string payload) pending
   done
 
 let read_chunk_size = 65536
@@ -82,12 +79,25 @@ let drain_pending engine max_batch pending =
   while not (Queue.is_empty pending) do
     let take = min max_batch (Queue.length pending) in
     let owners = Array.init take (fun _ -> Queue.pop pending) in
-    let reqs = Array.map snd owners in
+    let reqs =
+      Array.to_seq owners
+      |> Seq.filter_map (fun (_, decoded) -> Result.to_option decoded)
+      |> Array.of_seq
+    in
     Array.iter
       (fun r -> if Engine.wants_shutdown r then saw_shutdown := true)
       reqs;
     let responses = Engine.process_batch engine reqs in
-    Array.iteri (fun i resp -> send_response (fst owners.(i)) resp) responses
+    let answered = ref 0 in
+    Array.iter
+      (fun (conn, decoded) ->
+        send_response conn
+          (match decoded with
+          | Ok _ ->
+              incr answered;
+              responses.(!answered - 1)
+          | Error msg -> parse_error_response msg))
+      owners
   done;
   !saw_shutdown
 

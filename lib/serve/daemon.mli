@@ -10,10 +10,12 @@
     come back in the order it sent its requests (the per-client FIFO the
     concurrent-client suite asserts).
 
-    Framing is {!Frame}'s length-prefixed JSON lines.  A frame that is
-    not valid JSON, or a [Frame.Bad_frame] (oversized / corrupt header),
-    gets an [id = -1] error response; [Bad_frame] additionally closes the
-    connection, since the byte stream can no longer be trusted.  On
+    Framing is {!Frame}'s length-prefixed JSON lines.  A frame that does
+    not decode as a request gets an [id = -1] error response in its turn,
+    after the answers to the requests sent before it: such an error can
+    only be matched by its position.  A [Frame.Bad_frame] (oversized /
+    corrupt header) gets one too, and closes the connection, since the
+    byte stream can no longer be trusted.  On
     stdio that connection is the only one, so {!run} re-raises it.
 
     A [shutdown] request is answered like any other, then the loop

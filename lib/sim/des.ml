@@ -760,17 +760,6 @@ let digest t = t.digest
 
 let channel_meta_size t = t.ch_count
 
-(* Heap words reachable from the simulator, with the client-supplied
-   restart hook detached for the measurement so a closure capturing the
-   whole protocol world is not billed to the queue.  Feeds the
-   ["des.bytes_per_vehicle"] gauge at fleet scale. *)
-let footprint_bytes t =
-  let hook = t.restart_hook in
-  t.restart_hook <- (fun ~time:_ _ -> ());
-  let words = Obj.reachable_words (Obj.repr t) in
-  t.restart_hook <- hook;
-  words * (Sys.word_size / 8)
-
 let set_trace t on =
   t.trace_on <- on;
   if not on then t.trace_rev <- []

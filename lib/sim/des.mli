@@ -29,7 +29,10 @@
     are O(1) amortized instead of O(log n), and the dispatch order is
     bit-identical to the former comparison heap's [(time, seq)] order, so
     trace digests replay across the change.  Process ids must fit 30
-    bits. *)
+    bits.  The simulator does not weigh itself: the
+    ["des.bytes_per_vehicle"] gauge comes from [Online.run_fleet], which
+    measures the heap reachable from each shard's whole protocol world,
+    this simulator included. *)
 
 type 'msg t
 
@@ -164,13 +167,6 @@ val channel_meta_size : _ t -> int
     behind the clock are pruned on an amortized-O(1) schedule (counted by
     ["des.channel_prunes"]), so touching many distinct channels once does
     not grow the simulator without bound. *)
-
-val footprint_bytes : _ t -> int
-(** Heap bytes reachable from the simulator (arena, wheel, channel
-    metadata, traces), measured with the client's restart hook detached
-    so protocol state captured by that closure is not counted.  The
-    fleet runner divides this by the fleet size into the
-    ["des.bytes_per_vehicle"] gauge. *)
 
 val drops : _ t -> int
 (** Messages lost to channel faults, partitions or crashed endpoints. *)

@@ -24,9 +24,10 @@ let lower_bound dm =
   | None -> 0.0
   | Some bbox ->
       let max_side = max (Box.side bbox 0) (Box.side bbox 1) in
+      let heaviest = Omega.max_cube_demand dm in
       let best = ref 0.0 in
       for side = 1 to max_side do
-        let demand = Omega.max_cube_demand dm ~side in
+        let demand = heaviest ~side in
         if demand > 0 then begin
           (* Smallest w whose import bound covers the square's demand. *)
           let target = float_of_int demand in

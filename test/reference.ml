@@ -2,9 +2,10 @@
    against Dijkstra, a queue-based lattice BFS against [Ball]'s frontier
    and closed form, a small max-flow over an edge list, the exhaustive
    side of the subset duals (Lemma 2.2.2 and its variants), which
-   enumerate every demand subset, and a request decoder that goes through
-   a [Json.t] tree.  The max-flow and the duals are exponential or dense
-   on purpose — tiny instances only. *)
+   enumerate every demand subset, cube scans that try every anchor of
+   the bounding box, and a request decoder that goes through a [Json.t]
+   tree.  The max-flow, the duals and the cube scans are exponential,
+   dense or box-sized on purpose — tiny instances only. *)
 
 (* Single-source shortest paths that allow negative weights: [Error ()]
    when a negative cycle is reachable from [source].  Unreachable =
@@ -161,6 +162,40 @@ let omega_dual dm =
       let points = List.map (fun i -> support.(i)) idx in
       let total = List.fold_left (fun acc p -> acc + Demand_map.value dm p) 0 points in
       Omega.of_points points ~total)
+
+(* The largest demand in a [side]-cube: every support point tested
+   against every anchor of the bounding box stretched [side - 1] below. *)
+let max_cube_demand dm ~side =
+  match Demand_map.bounding_box dm with
+  | None -> 0
+  | Some b ->
+      let anchors =
+        Box.make ~lo:(Array.map (fun x -> x - side + 1) b.Box.lo) ~hi:b.Box.hi
+      in
+      let best = ref 0 in
+      Box.iter anchors (fun a ->
+          let cube = Box.of_side ~dim:(Box.dim b) ~lo:a ~side in
+          let d =
+            Demand_map.fold dm ~init:0 ~f:(fun acc p d ->
+                if Box.mem cube p then acc + d else acc)
+          in
+          if d > !best then best := d);
+      !best
+
+(* Corollary 2.2.6: [max ω_T] over every cube T, of every side up to the
+   bounding box's widest. *)
+let omega_over_cubes dm =
+  match Demand_map.bounding_box dm with
+  | None -> 0.0
+  | Some b ->
+      let dim = Box.dim b in
+      let widest = List.fold_left max 1 (List.init dim (Box.side b)) in
+      let best = ref 0.0 in
+      for side = 1 to widest do
+        let d = max_cube_demand dm ~side in
+        if d > 0 then best := Float.max !best (Omega.of_cube ~dim ~side ~total:d)
+      done;
+      !best
 
 (* Theorem 4.1.1: [max_T ω_T] with longevity-scaled reach.  For one
    subset T, ω_T solves ω · Σ_{i : ‖i-T‖ <= p_i·ω} p_i = D(T); the left

@@ -496,21 +496,6 @@ let test_queue_depth_counts_strong_only () =
   Alcotest.(check int) "queue peak counts the full queue" 5
     (Des.queue_peak des)
 
-let test_footprint_reported () =
-  let des = Des.create ~rng:(Rng.create 26) () in
-  (* The restart hook is detached during measurement: a hook capturing a
-     large structure must not inflate the footprint. *)
-  let big = Array.make 4_000_000 0 in
-  Des.set_restart_hook des (fun ~time:_ i -> big.(i) <- big.(i));
-  for i = 0 to 99 do
-    Des.send des ~src:i ~dst:(i + 1) ()
-  done;
-  let bytes = Des.footprint_bytes des in
-  Alcotest.(check bool)
-    (Printf.sprintf "footprint sane (%d bytes)" bytes)
-    true
-    (bytes > 1_000 && bytes < 4_000_000)
-
 let suite =
   suite
   @ [
@@ -522,7 +507,6 @@ let suite =
         test_pruning_invisible_to_digest;
       Alcotest.test_case "queue depth counts strong only" `Quick
         test_queue_depth_counts_strong_only;
-      Alcotest.test_case "footprint reported" `Quick test_footprint_reported;
     ]
 
 (* --- appended: non-finite delays, the per-drain Metrics contract and

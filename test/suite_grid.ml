@@ -66,6 +66,22 @@ let test_partition_cubes_cropped () =
   let total = List.fold_left (fun acc t -> acc + Box.volume t) 0 tiles in
   Alcotest.(check int) "tiles cover the box" (Box.volume b) total
 
+(* The tile count of a box whose volume does not fit in an int: an
+   unchecked product wraps and tiles nothing. *)
+let test_partition_cubes_overflow () =
+  let b = Box.make ~lo:(point2 0 0) ~hi:(point2 3 ((1 lsl 61) + 1)) in
+  match Box.partition_cubes b ~side:1 with
+  | tiles -> Alcotest.failf "%d tiles, expected Energy.Overflow" (List.length tiles)
+  | exception Energy.Overflow _ -> ()
+
+let test_tiled () =
+  let b = Box.make ~lo:(point2 (-2) 3) ~hi:(point2 4 5) in
+  let w = Box.tiled b ~side:3 in
+  Alcotest.(check bool) "anchored at lo" true (Point.equal w.Box.lo b.Box.lo);
+  Alcotest.(check bool) "sides are the least covering multiples" true
+    (Point.equal w.Box.hi (point2 6 5));
+  Alcotest.(check int) "full cubes only" 3 (List.length (Box.partition_cubes w ~side:3))
+
 let test_containing_cube () =
   let b = Box.make ~lo:(point2 0 0) ~hi:(point2 5 5) in
   let cube = Box.containing_cube b ~side:3 (point2 4 1) in
@@ -126,6 +142,8 @@ let suite =
     Alcotest.test_case "box clamp and dist" `Quick test_box_clamp_and_dist;
     Alcotest.test_case "partition exact" `Quick test_partition_cubes_exact;
     Alcotest.test_case "partition cropped" `Quick test_partition_cubes_cropped;
+    Alcotest.test_case "partition count overflow" `Quick test_partition_cubes_overflow;
+    Alcotest.test_case "tiled window" `Quick test_tiled;
     Alcotest.test_case "containing cube" `Quick test_containing_cube;
     Alcotest.test_case "intersect" `Quick test_intersect;
     QCheck_alcotest.to_alcotest prop_containing_cube_consistent;

@@ -112,6 +112,36 @@ let test_cli_overflow_exits_2 () =
             (String.starts_with ~prefix:"cmvrp: Energy.mul" message))
         [ [ "solve" ]; [ "simulate" ]; [ "fleet"; "--capacity"; "3" ] ])
 
+(* [workload --heatmap] draws one character per cell of the bounding box,
+   so it refuses a canvas past 10^6 cells, or one whose cell count does not
+   fit in an int, at once: exit 2 and a message. *)
+let test_cli_heatmap_capped () =
+  List.iter
+    (fun (name, jobs, prefix) ->
+      let input = Filename.temp_file "cmvrp_heat" ".txt" in
+      let err = Filename.temp_file "cmvrp_heat" ".err" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove input;
+          Sys.remove err)
+        (fun () ->
+          Out_channel.with_open_text input (fun oc -> output_string oc jobs);
+          let status =
+            Sys.command
+              (Filename.quote_command cli_exe ~stdout:Filename.null ~stderr:err
+                 [ "workload"; "--heatmap"; "--input"; input ])
+          in
+          Alcotest.(check int) (name ^ " exit status") 2 status;
+          let message = In_channel.with_open_text err In_channel.input_all in
+          Alcotest.(check bool)
+            (name ^ " says why: " ^ message)
+            true
+            (String.starts_with ~prefix message)))
+    [
+      ("2,000 x 2,000 box", "0 0\n1999 1999\n", "cmvrp: Workload_io.heatmap");
+      ("far four points", "0 0\n1 0\n2 0\n3 2305843009213693953\n", "cmvrp: Energy.mul");
+    ]
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -124,4 +154,5 @@ let suite =
     Alcotest.test_case "heat char monotone" `Quick test_heat_char_monotone;
     Alcotest.test_case "heatmap runs" `Quick test_heatmap_runs;
     Alcotest.test_case "cli: overflow exits 2" `Quick test_cli_overflow_exits_2;
+    Alcotest.test_case "cli: heatmap canvas capped" `Quick test_cli_heatmap_capped;
   ]

@@ -122,7 +122,7 @@ let test_subsets_dominate_cubes () =
   let rng = Rng.create 123 in
   for _ = 1 to 30 do
     let dm = random_demand rng ~support:5 ~max_d:8 in
-    let cubes = Omega.max_over_cubes dm in
+    let cubes = Reference.omega_over_cubes dm in
     let subsets = Reference.omega_dual dm in
     Alcotest.(check bool)
       (Printf.sprintf "subsets (%g) >= cubes (%g)" subsets cubes)
@@ -137,7 +137,7 @@ let test_cube_scan_finds_hot_square () =
       [ (point2 0 0, 8); (point2 0 1, 8); (point2 1 0, 8); (point2 1 1, 8) ]
   in
   let expected = Omega.of_cube ~dim:2 ~side:2 ~total:32 in
-  Alcotest.(check (float 1e-12)) "hot square found" expected (Omega.max_over_cubes dm)
+  Alcotest.(check (float 1e-12)) "hot square found" expected (Reference.omega_over_cubes dm)
 
 let test_cube_fixpoint_bounds () =
   let rng = Rng.create 321 in
@@ -156,7 +156,9 @@ let test_cube_fixpoint_bounds () =
   done
 
 let test_cube_fixpoint_empty () =
-  Alcotest.(check (float 0.0)) "empty" 0.0 (Omega.cube_fixpoint (Demand_map.empty 2))
+  Alcotest.(check (float 0.0))
+    "empty" 0.0
+    (fst (Omega.cube_fixpoint_with_side (Demand_map.empty 2)))
 
 (* --- Cube scan pins ---
 
@@ -195,6 +197,78 @@ let test_cube_scan_pins () =
   let hc, hm = pin_digests () in
   Alcotest.(check string) "cube_fixpoint_with_side" "05a0dd1fd96a2792" (Printf.sprintf "%016x" hc);
   Alcotest.(check string) "max_cube_demand, sides 1-8" "25c784472b013b7f" (Printf.sprintf "%016x" hm)
+
+(* --- The cube scans at the cost of the support --- *)
+
+(* Random 1-D to 3-D demands of 1–10 sites with demand 1–20, on both sides
+   of the origin; one in three, on average, is shifted by -1,000. *)
+let arb_cube_demand =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun dim ->
+      let span = [| 20; 6; 4 |].(dim - 1) in
+      int_range 0 2 >>= fun shifted ->
+      let coord = map (fun x -> x - if shifted = 0 then 1000 else 0) (int_range (-span) span) in
+      list_size (int_range 1 10) (pair (array_size (return dim) coord) (int_range 1 20))
+      >|= Demand_map.of_alist dim)
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Demand_map.pp) gen
+
+let prop_max_cube_demand_matches_reference =
+  QCheck.Test.make ~name:"max_cube_demand = box brute force at every side" ~count:300
+    arb_cube_demand (fun dm ->
+      let widest =
+        match Demand_map.bounding_box dm with
+        | None -> 0
+        | Some b -> List.fold_left max 1 (List.init (Box.dim b) (Box.side b))
+      in
+      List.for_all
+        (fun side -> Omega.max_cube_demand dm ~side = Reference.max_cube_demand dm ~side)
+        (List.init (widest + 2) succ))
+
+(* Words allocated by [f ()], minor plus major, counted as "cold ω*
+   allocation" counts them. *)
+let words f =
+  let s0 = Gc.quick_stat () and w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let s1 = Gc.quick_stat () and w1 = Gc.minor_words () in
+  w1 -. w0 +. (s1.Gc.major_words -. s0.Gc.major_words)
+
+(* The anchors come from the support, so a sparse demand never pays for
+   its bounding box: four jobs spanning a 5001 × 3001 box, and 200 sites
+   in an 800 × 800 box. *)
+let test_cube_fixpoint_allocation () =
+  let four =
+    Demand_map.of_jobs 2 [ point2 0 0; point2 0 0; point2 5000 0; point2 5000 3000 ]
+  in
+  let sparse =
+    let rng = Rng.create 7 in
+    Demand_map.of_alist 2
+      (List.init 200 (fun _ ->
+           let x = Rng.int rng 800 in
+           let y = Rng.int rng 800 in
+           (point2 x y, 1 + Rng.int rng 5)))
+  in
+  List.iter
+    (fun (name, dm, bound) ->
+      let w = words (fun () -> Omega.cube_fixpoint_with_side dm) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words (at most %.0f)" name w bound)
+        true (w <= bound))
+    [ ("four jobs", four, 10_000.0); ("200 sites, 800² box", sparse, 500_000.0) ]
+
+(* Coordinates spanning the whole int range: a box side would wrap, the
+   support's own coordinates do not. *)
+let test_cube_scans_at_int_extremes () =
+  let dm =
+    Demand_map.of_alist 2
+      [ (point2 max_int 0, 3); (point2 min_int 0, 5); (point2 0 max_int, 2) ]
+  in
+  Alcotest.(check int) "side 1" 5 (Omega.max_cube_demand dm ~side:1);
+  Alcotest.(check int) "side max_int" 5 (Omega.max_cube_demand dm ~side:max_int);
+  Alcotest.(check (pair (float 0.0) int))
+    "ωc and its side" (5.0 /. 9.0, 1)
+    (Omega.cube_fixpoint_with_side dm)
 
 let test_example_line_w2_closed_form () =
   (* W(2W+1) = d has W = (-1 + sqrt(1+8d))/4; d = 10 gives exactly 2. *)
@@ -257,6 +331,9 @@ let suite =
     Alcotest.test_case "cube fixpoint bounds" `Quick test_cube_fixpoint_bounds;
     Alcotest.test_case "cube fixpoint empty" `Quick test_cube_fixpoint_empty;
     Alcotest.test_case "cube scan pins" `Quick test_cube_scan_pins;
+    Alcotest.test_case "cube fixpoint allocation" `Quick test_cube_fixpoint_allocation;
+    Alcotest.test_case "cube scans at the int extremes" `Quick
+      test_cube_scans_at_int_extremes;
     Alcotest.test_case "W2 closed form" `Quick test_example_line_w2_closed_form;
     Alcotest.test_case "W3 plugs back" `Quick test_example_point_w3_plugs_back;
     Alcotest.test_case "W1 plugs back" `Quick test_example_square_w1_plugs_back;
@@ -265,4 +342,5 @@ let suite =
       test_of_points_wrapping_hull;
     QCheck_alcotest.to_alcotest prop_omega_scale_invariance_line;
     QCheck_alcotest.to_alcotest prop_of_points_matches_bfs;
+    QCheck_alcotest.to_alcotest prop_max_cube_demand_matches_reference;
   ]

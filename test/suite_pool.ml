@@ -148,6 +148,59 @@ let test_daemon_survives_vanished_reader () =
             s.Loadgen.completed);
       Alcotest.(check (result unit string)) "shutdown answered" (Ok ()) stopped)
 
+let test_daemon_answers_decode_errors_in_turn () =
+  (* One write carries an omega_star request, a frame that does not
+     decode and a ping.  An id -1 error can only be matched by its
+     position, so the replies must come back as ids 1, -1, 3 — not with
+     the error first, ahead of the requests still in the batch queue. *)
+  with_workers 2 (fun () ->
+      let path = Filename.temp_file "cmvrp_fifo" ".sock" in
+      Sys.remove path;
+      let omega =
+        Protocol.request ~id:1 Protocol.Omega_star
+          (Demand_map.of_alist 2 [ ([| 0; 0 |], 5); ([| 1; 2 |], 3) ])
+      in
+      let ping = Protocol.request ~id:3 Protocol.Ping (Demand_map.empty 2) in
+      let wire =
+        String.concat ""
+          (List.map Frame.encode
+             [
+               Protocol.request_to_string omega;
+               {|{"id":2,"op":"nonsense"|};
+               Protocol.request_to_string ping;
+             ])
+      in
+      let client () =
+        match Loadgen.connect path with
+        | Error e -> Error e
+        | Ok fd ->
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                ignore (Unix.write_substring fd wire 0 (String.length wire));
+                let ic = Unix.in_channel_of_descr fd in
+                Ok
+                  (List.init 3 (fun _ ->
+                       match Option.map Protocol.response_of_string (Frame.read ic) with
+                       | Some (Ok r) -> r.Protocol.r_id
+                       | Some (Error e) -> failwith e
+                       | None -> failwith "connection closed early")))
+      in
+      let (), (ids, stopped) =
+        Pool.both
+          (fun () -> Daemon.run (Daemon.config (Daemon.Unix_socket path)))
+          (fun () ->
+            let ids =
+              try client () with
+              | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+              | Failure e -> Error e
+            in
+            (ids, Loadgen.send_shutdown ~socket:path ()))
+      in
+      Alcotest.(check (result (list int) string)) "reply ids in request order"
+        (Ok [ 1; -1; 3 ]) ids;
+      Alcotest.(check (result unit string)) "shutdown answered" (Ok ()) stopped)
+
 let test_daemon_per_client_streams_deterministic () =
   (* Two identical replays against two fresh daemons: the per-request
      response payloads must match run to run (cached flags and answers
@@ -193,6 +246,8 @@ let suite =
       test_daemon_concurrent_clients;
     Alcotest.test_case "daemon survives a vanished reader" `Quick
       test_daemon_survives_vanished_reader;
+    Alcotest.test_case "daemon answers a decode error in its turn" `Quick
+      test_daemon_answers_decode_errors_in_turn;
     Alcotest.test_case "daemon response streams deterministic" `Quick
       test_daemon_per_client_streams_deterministic;
   ]

@@ -21,7 +21,7 @@ let prop_lower_bounds_chain =
     arb_demand
     (fun dm ->
       let star = Oracle.omega_star dm in
-      let wc = Omega.cube_fixpoint dm in
+      let wc = fst (Omega.cube_fixpoint_with_side dm) in
       let peak = float_of_int (Planner.max_energy (Planner.plan dm)) in
       wc <= star +. 1.0 && star <= peak +. 1e-6)
 
