@@ -24,6 +24,8 @@ type conn = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
   mutable alive : bool;
+  mutable hanging_up : bool;
+      (* a bad header's error is queued: close once the queue is answered *)
 }
 
 (* Blocking write of a whole frame; small responses, prompt readers. *)
@@ -56,7 +58,11 @@ let drain_frames conn pending =
 
 let read_chunk_size = 65536
 
-(* Read once from a ready connection; false when the peer is gone. *)
+(* Read once from a ready connection; false when the peer is gone.  A
+   bad header queues its error behind the frames decoded before it and
+   marks the connection to be closed once that error has been answered:
+   the byte stream past it cannot be trusted, but the requests sent
+   before it are still owed their replies. *)
 let pump_conn conn pending buf =
   match Unix.read conn.fd buf 0 read_chunk_size with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
@@ -68,8 +74,9 @@ let pump_conn conn pending buf =
       | () -> true
       | exception Frame.Bad_frame msg ->
           Metrics.incr m_bad_frames;
-          send_response conn (parse_error_response ("bad frame: " ^ msg));
-          false)
+          Queue.push (conn, Error ("bad frame: " ^ msg)) pending;
+          conn.hanging_up <- true;
+          true)
 
 (* Feed the pending queue to the engine, [max_batch] at a time, sending
    each response to its connection as soon as its batch completes.
@@ -123,24 +130,29 @@ let run_socket ~trace cfg path =
         if List.memq listen_fd ready then begin
           let fd, _ = Unix.accept listen_fd in
           Metrics.incr m_accepted;
-          conns := { fd; dec = Frame.decoder (); alive = true } :: !conns;
+          conns :=
+            { fd; dec = Frame.decoder (); alive = true; hanging_up = false }
+            :: !conns;
           Metrics.set_gauge m_conns (float_of_int (List.length !conns));
           trace "accepted connection"
         end;
+        let hang_up conn =
+          conn.alive <- false;
+          close_quietly conn.fd;
+          trace "connection closed"
+        in
         List.iter
           (fun conn ->
             if conn.alive && List.memq conn.fd ready then
-              if not (pump_conn conn pending buf) then begin
-                conn.alive <- false;
-                close_quietly conn.fd;
-                trace "connection closed"
-              end)
+              if not (pump_conn conn pending buf) then hang_up conn)
           !conns;
+        if drain_pending engine cfg.max_batch pending then running := false;
+        (* the queue is empty now, so every bad header has been answered *)
+        List.iter (fun c -> if c.alive && c.hanging_up then hang_up c) !conns;
         let before = List.length !conns in
         conns := List.filter (fun c -> c.alive) !conns;
         if List.length !conns <> before then
-          Metrics.set_gauge m_conns (float_of_int (List.length !conns));
-        if drain_pending engine cfg.max_batch pending then running := false
+          Metrics.set_gauge m_conns (float_of_int (List.length !conns))
   done;
   trace "shutting down";
   List.iter (fun c -> if c.alive then close_quietly c.fd) !conns;

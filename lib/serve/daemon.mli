@@ -14,9 +14,11 @@
     not decode as a request gets an [id = -1] error response in its turn,
     after the answers to the requests sent before it: such an error can
     only be matched by its position.  A [Frame.Bad_frame] (oversized /
-    corrupt header) gets one too, and closes the connection, since the
-    byte stream can no longer be trusted.  On
-    stdio that connection is the only one, so {!run} re-raises it.
+    corrupt header) gets one too, also in its turn: the requests decoded
+    before it on that connection are answered first, then its error, and
+    then the connection is closed, since the byte stream past the header
+    can no longer be trusted.  On stdio that connection is the only one,
+    so {!run} re-raises it.
 
     A [shutdown] request is answered like any other, then the loop
     flushes all connections and returns.  On stdio transport, EOF on

@@ -201,6 +201,59 @@ let test_daemon_answers_decode_errors_in_turn () =
         (Ok [ 1; -1; 3 ]) ids;
       Alcotest.(check (result unit string)) "shutdown answered" (Ok ()) stopped)
 
+let test_daemon_answers_bad_header_after_earlier_requests () =
+  (* One write carries an omega_star request, a ping and a header that is
+     not digits.  The two requests were decoded before the bad header, so
+     their replies are owed: the connection gets ids 1, 3, then the id -1
+     bad-frame error, then end of stream. *)
+  with_workers 2 (fun () ->
+      let path = Filename.temp_file "cmvrp_badhdr" ".sock" in
+      Sys.remove path;
+      let omega =
+        Protocol.request ~id:1 Protocol.Omega_star
+          (Demand_map.of_alist 2 [ ([| 0; 0 |], 5); ([| 1; 2 |], 3) ])
+      in
+      let ping = Protocol.request ~id:3 Protocol.Ping (Demand_map.empty 2) in
+      let wire =
+        String.concat ""
+          (List.map Frame.encode
+             [ Protocol.request_to_string omega; Protocol.request_to_string ping ])
+        ^ "zz\n"
+      in
+      let client () =
+        match Loadgen.connect path with
+        | Error e -> Error e
+        | Ok fd ->
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                ignore (Unix.write_substring fd wire 0 (String.length wire));
+                let ic = Unix.in_channel_of_descr fd in
+                let rec replies acc =
+                  match Frame.read ic with
+                  | None -> Ok (List.rev acc)
+                  | Some payload -> (
+                      match Protocol.response_of_string payload with
+                      | Ok r -> replies (r.Protocol.r_id :: acc)
+                      | Error e -> Error e)
+                in
+                replies [])
+      in
+      let (), (ids, stopped) =
+        Pool.both
+          (fun () -> Daemon.run (Daemon.config (Daemon.Unix_socket path)))
+          (fun () ->
+            let ids =
+              try client () with
+              | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+              | Frame.Bad_frame e -> Error e
+            in
+            (ids, Loadgen.send_shutdown ~socket:path ()))
+      in
+      Alcotest.(check (result (list int) string))
+        "replies in request order, then end of stream" (Ok [ 1; 3; -1 ]) ids;
+      Alcotest.(check (result unit string)) "shutdown answered" (Ok ()) stopped)
+
 let test_daemon_per_client_streams_deterministic () =
   (* Two identical replays against two fresh daemons: the per-request
      response payloads must match run to run (cached flags and answers
@@ -248,6 +301,8 @@ let suite =
       test_daemon_survives_vanished_reader;
     Alcotest.test_case "daemon answers a decode error in its turn" `Quick
       test_daemon_answers_decode_errors_in_turn;
+    Alcotest.test_case "daemon answers a bad header after the requests before it"
+      `Quick test_daemon_answers_bad_header_after_earlier_requests;
     Alcotest.test_case "daemon response streams deterministic" `Quick
       test_daemon_per_client_streams_deterministic;
   ]
