@@ -92,12 +92,11 @@ let lp_value ~radius dm =
 (* The bracket scan on a non-empty demand, with [solve m] the value of
    program (2.1) at radius m >= 1.  At radius 0 a site is served only
    by the supplier at its own position (N_0(T) = T), so by Lemma 2.2.2
-   the value is max_x d(x) — the float the arena would report, u/grid
-   with u = grid·max d.  It is at least 1, so bracket 0 never holds ω*
-   and is read here instead of solved. *)
-let scan_brackets dm solve =
-  Omega.scan_brackets (fun m ->
-      if m = 0 then float_of_int (Demand_map.max_demand dm) else solve m)
+   the value is max_x d(x), at least 1: bracket 0 never holds ω*.  The
+   scan only asks whether bracket 0's value is below 1, so 1.0 stands in
+   for it, without a fold over the demand. *)
+let scan_brackets solve =
+  Omega.scan_brackets (fun m -> if m = 0 then 1.0 else solve m)
 
 (* The bracket scan of [omega_star] and [witness]; [after b] runs once
    each bracket is solved.  In bracket m the admissible radius is m and
@@ -108,7 +107,7 @@ let scan_brackets dm solve =
 let scan dm ~after =
   Metrics.time m_omega_star (fun () ->
       let b = builder_create dm in
-      scan_brackets dm (fun m ->
+      scan_brackets (fun m ->
           Metrics.incr m_radius_brackets;
           builder_to_radius b m;
           let v = lp_value_of_inst b.b_inst in
@@ -235,9 +234,9 @@ module Session = struct
     apply s p
 
   let recompute s =
-    if Demand_map.total s.s_dm = 0 then 0.0
+    if Demand_map.is_empty s.s_dm then 0.0
     else
-      scan_brackets s.s_dm (fun m ->
+      scan_brackets (fun m ->
           match Transport.min_uniform_supply (bracket s m).bk.b_inst with
           | Some v -> v
           | None ->

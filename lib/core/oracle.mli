@@ -36,8 +36,8 @@ val omega_star : Demand_map.t -> float
 (** Value of program (2.8): the minimal [ω] such that the radius-[⌊ω⌋]
     transport is feasible at capacity [ω] — the paper's
     [ω* = max_T ω_T].  Scans integer radius brackets with
-    {!Omega.scan_brackets}, as {!Omega.solve} does.  Bracket 0 is read
-    in closed form: program (2.1) at radius 0 has the value [max_x d(x)]
+    {!Omega.scan_brackets}, as {!Omega.solve} does.  Bracket 0 is not
+    solved: program (2.1) at radius 0 has the value [max_x d(x)]
     (Lemma 2.2.2 with [N_0(T) = T]), at least 1, so it never holds
     [ω*].  The scan solves brackets [1 .. ⌊ω*⌋] on one instance grown
     radius by radius, and [oracle.radius_brackets] rises by [⌊ω*⌋]. *)

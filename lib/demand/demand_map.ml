@@ -39,6 +39,8 @@ let support t = List.map fst (Point.Map.bindings t.map)
 
 let support_size t = Point.Map.cardinal t.map
 
+let is_empty t = Point.Map.is_empty t.map
+
 let total t = Point.Map.fold (fun _ v acc -> Energy.add acc v) t.map 0
 
 let max_demand t = Point.Map.fold (fun _ v acc -> max v acc) t.map 0

@@ -37,6 +37,10 @@ val support : t -> Point.t list
 
 val support_size : t -> int
 
+val is_empty : t -> bool
+(** Whether the support is empty: [total t = 0] in constant time, with no
+    sum to overflow. *)
+
 val total : t -> int
 (** [Σ_x d(x)].
     @raise Energy.Overflow if the sum does not fit in an [int]. *)

@@ -7,10 +7,17 @@
 
    The core is push-relabel with highest-label selection, the gap
    heuristic and periodic global relabeling (two backward BFS passes over
-   the existing ring buffer).  It runs single-phase with heights up to 2n,
-   so leftover excess drains back to the source and the terminal state is a
-   valid *flow*, not a preflow — required by the arena contract
-   ([flow_on], warm restarts, [drain_even_caps]). *)
+   the existing ring buffer, which also count the vertices per height).
+   It runs single-phase with heights up to 2n, so leftover excess drains
+   back to the source and the terminal state is a valid *flow*, not a
+   preflow — required by the arena contract ([flow_on], warm restarts,
+   [drain_even_caps]).  A run labels the arena first and then saturates
+   only the residual source arcs whose head can reach the sink: on a warm
+   restart most of the source's head-room leads nowhere, and flooding it
+   would only push it straight back.
+
+   The hot loops bind the arena's arrays to locals once: OCaml reloads a
+   mutable record field at every access. *)
 
 let m_runs = Metrics.counter "maxflow.runs"
 let m_residual_edges = Metrics.gauge "maxflow.residual_edges"
@@ -26,6 +33,7 @@ type t = {
   mutable level : int array; (* push-relabel heights *)
   mutable queue : int array; (* BFS ring buffer, length >= n *)
   mutable adj : int array; (* CSR payload: edge ids grouped by source *)
+  mutable adj_dst : int array; (* destination of each CSR slot's edge *)
   mutable adj_start : int array; (* CSR index, length >= n+1 *)
   mutable cur : int array; (* current-arc pointer per vertex *)
   mutable csr_valid : bool;
@@ -43,6 +51,7 @@ type t = {
   mutable walk_vert : int array; (* vertices of the walk *)
   mutable walk_edge : int array; (* flow-carrying even edge of each step *)
   mutable walk_ptr : int array; (* per-vertex scan pointer, one call *)
+  mutable version : int; (* bumped by every edge, vertex or capacity change *)
 }
 
 let create n =
@@ -56,6 +65,7 @@ let create n =
     level = Array.make n1 (-1);
     queue = Array.make n1 0;
     adj = [||];
+    adj_dst = [||];
     adj_start = Array.make (n + 1) 0;
     cur = Array.make n1 0;
     csr_valid = false;
@@ -69,9 +79,11 @@ let create n =
     walk_vert = Array.make n1 0;
     walk_edge = Array.make n1 0;
     walk_ptr = Array.make n1 0;
+    version = 0;
   }
 
 let n_vertices t = t.n
+let version t = t.version
 
 let grow_array a fill want =
   let len = max want (2 * Array.length a) in
@@ -110,6 +122,7 @@ let add_vertex t =
   reserve t ~vertices:(v + 1) ~edges:(t.m / 2);
   t.n <- v + 1;
   t.csr_valid <- false;
+  t.version <- t.version + 1;
   v
 
 let add_edge t ~src ~dst ~cap =
@@ -125,6 +138,7 @@ let add_edge t ~src ~dst ~cap =
   t.initial_cap.(id / 2) <- cap;
   t.m <- t.m + 2;
   t.csr_valid <- false;
+  t.version <- t.version + 1;
   id
 
 let edge_dst t id =
@@ -143,11 +157,15 @@ let build_csr t =
   for v = 1 to t.n do
     start.(v) <- start.(v) + start.(v - 1)
   done;
-  if Array.length t.adj < t.m then t.adj <- Array.make (Array.length t.dst) 0;
+  if Array.length t.adj < t.m then begin
+    t.adj <- Array.make (Array.length t.dst) 0;
+    t.adj_dst <- Array.make (Array.length t.dst) 0
+  end;
   Array.blit start 0 t.cur 0 t.n;
   for e = 0 to t.m - 1 do
     let src = t.dst.(e lxor 1) in
     t.adj.(t.cur.(src)) <- e;
+    t.adj_dst.(t.cur.(src)) <- t.dst.(e);
     t.cur.(src) <- t.cur.(src) + 1
   done;
   t.csr_valid <- true
@@ -161,163 +179,185 @@ let ensure_csr t = if not t.csr_valid then build_csr t
 (* Exact height labeling by two backward BFS passes over the ring buffer:
    first distances-to-sink through residual arcs (the sink side of any
    min cut), then [n + distance-to-source] for what is left (the source
-   side).  No residual arc leaves the source side into the sink side —
-   such an arc would have put its tail in the sink-side BFS — so the
-   labeling is valid for the current flow. *)
-let global_relabel t ~source ~sink =
-  Metrics.incr m_global_relabels;
-  let n = t.n in
-  let unreached = 2 * n in
-  let h = t.level and q = t.queue in
-  Array.fill h 0 n unreached;
-  h.(sink) <- 0;
-  q.(0) <- sink;
+   side); a vertex neither pass reaches gets [2n].  No residual arc
+   leaves the source side into the sink side — such an arc would have
+   put its tail in the sink-side BFS — so the labeling is valid for the
+   current flow, except on residual arcs out of the source itself, whose
+   heads the first pass may reach below [n - 1]: [pr_max_flow] saturates
+   exactly those.  [hcount] is filled as heights are assigned. *)
+
+(* One backward BFS from [root], already labeled: every unlabeled vertex
+   with a residual arc into a labeled one gets one more than its height.
+   Returns how many vertices the pass holds, [root] included. *)
+let label_from t root =
+  let unreached = 2 * t.n in
+  let h = t.level and q = t.queue and hcount = t.hcount in
+  let adj = t.adj and adj_dst = t.adj_dst and adj_start = t.adj_start in
+  let cap = t.cap in
+  q.(0) <- root;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
     let w = q.(!head) in
     incr head;
-    for i = t.adj_start.(w) to t.adj_start.(w + 1) - 1 do
-      let e = t.adj.(i) in
-      let v = t.dst.(e) in
-      (* residual arc v->w exists iff the reverse of [e] has capacity *)
-      if v <> source && h.(v) = unreached && t.cap.(e lxor 1) > 0 then begin
-        h.(v) <- h.(w) + 1;
+    let hv = h.(w) + 1 in
+    for i = adj_start.(w) to adj_start.(w + 1) - 1 do
+      let v = adj_dst.(i) in
+      (* residual arc v->w exists iff the reverse of its edge has
+         capacity *)
+      if h.(v) = unreached && cap.(adj.(i) lxor 1) > 0 then begin
+        h.(v) <- hv;
+        hcount.(hv) <- hcount.(hv) + 1;
         q.(!tail) <- v;
         incr tail
       end
     done
   done;
-  h.(source) <- n;
-  q.(0) <- source;
-  head := 0;
-  tail := 1;
-  while !head < !tail do
-    let w = q.(!head) in
-    incr head;
-    for i = t.adj_start.(w) to t.adj_start.(w + 1) - 1 do
-      let e = t.adj.(i) in
-      let v = t.dst.(e) in
-      if h.(v) = unreached && t.cap.(e lxor 1) > 0 then begin
-        h.(v) <- h.(w) + 1;
-        q.(!tail) <- v;
-        incr tail
-      end
-    done
-  done
+  !tail
 
-(* Rebuild height counts and the active-vertex buckets from scratch; used
-   after every global relabel.  Returns the highest active height. *)
+let global_relabel t ~source ~sink =
+  Metrics.incr m_global_relabels;
+  let n = t.n in
+  let unreached = 2 * n in
+  Array.fill t.level 0 n unreached;
+  Array.fill t.hcount 0 (unreached + 1) 0;
+  (* the source is labeled first, so the sink-side pass passes it by *)
+  t.level.(source) <- n;
+  t.hcount.(n) <- 1;
+  t.level.(sink) <- 0;
+  t.hcount.(0) <- 1;
+  let sink_side = label_from t sink in
+  let source_side = label_from t source in
+  t.hcount.(unreached) <- n - sink_side - source_side
+
+(* Rebuild the active-vertex buckets from scratch; used after every
+   global relabel, which has just counted the heights.  Returns the
+   highest active height. *)
 let rebuild_active t ~source ~sink =
   let n = t.n in
-  Array.fill t.hcount 0 ((2 * n) + 1) 0;
-  for v = 0 to n - 1 do
-    t.hcount.(t.level.(v)) <- t.hcount.(t.level.(v)) + 1
-  done;
-  Array.fill t.bucket 0 ((2 * n) + 1) (-1);
-  Array.fill t.active 0 n false;
+  let level = t.level and excess = t.excess in
+  let bucket = t.bucket and bnext = t.bnext and active = t.active in
+  Array.fill bucket 0 ((2 * n) + 1) (-1);
+  Array.fill active 0 n false;
   let highest = ref (-1) in
   for v = 0 to n - 1 do
-    if v <> source && v <> sink && t.excess.(v) > 0 && t.level.(v) < 2 * n
-    then begin
-      t.active.(v) <- true;
-      t.bnext.(v) <- t.bucket.(t.level.(v));
-      t.bucket.(t.level.(v)) <- v;
-      if t.level.(v) > !highest then highest := t.level.(v)
+    let hv = level.(v) in
+    if v <> source && v <> sink && excess.(v) > 0 && hv < 2 * n then begin
+      active.(v) <- true;
+      bnext.(v) <- bucket.(hv);
+      bucket.(hv) <- v;
+      if hv > !highest then highest := hv
     end
   done;
   !highest
 
 let pr_max_flow t ~source ~sink =
   let n = t.n in
-  Array.fill t.excess 0 n 0;
-  (* Saturate every residual source-adjacent arc: each positive-capacity
-     arc out of the source becomes excess at its head.  On a warm restart
-     this is exactly the capacity head-room added since the last run.
-     This must happen before the labeling pass — the reverse arcs it
-     creates are what connect otherwise-dead-end heads back to the
-     source, so every vertex holding excess gets a finite height. *)
-  for i = t.adj_start.(source) to t.adj_start.(source + 1) - 1 do
-    let e = t.adj.(i) in
-    let c = t.cap.(e) in
+  let level = t.level and excess = t.excess and hcount = t.hcount in
+  let adj = t.adj and adj_dst = t.adj_dst and adj_start = t.adj_start in
+  let cur = t.cur and cap = t.cap in
+  let bucket = t.bucket and bnext = t.bnext and active = t.active in
+  Array.fill excess 0 n 0;
+  (* Label first, then saturate only the residual source arcs whose head
+     got a height below [n], i.e. can reach the sink: each becomes excess
+     at its head.  On a warm restart this is the capacity head-room added
+     since the last run that can lead anywhere.  An arc left residual
+     ends at a head of height [n] or more, where h(source) = n <=
+     h(head) + 1 holds, so the labeling stays valid, every vertex holding
+     excess has a finite height, and the run still ends on a maximum
+     flow.  The minimal min cut is the same for every maximum flow, so
+     the cuts read afterwards do not depend on this order. *)
+  global_relabel t ~source ~sink;
+  for i = adj_start.(source) to adj_start.(source + 1) - 1 do
+    let e = adj.(i) in
+    let c = cap.(e) in
     if c > 0 then begin
-      let v = t.dst.(e) in
-      if v <> source then begin
-        t.cap.(e) <- 0;
-        t.cap.(e lxor 1) <- Energy.add t.cap.(e lxor 1) c;
-        t.excess.(v) <- Energy.add t.excess.(v) c
+      let v = adj_dst.(i) in
+      if v <> source && level.(v) < n then begin
+        cap.(e) <- 0;
+        cap.(e lxor 1) <- Energy.add cap.(e lxor 1) c;
+        excess.(v) <- Energy.add excess.(v) c
       end
     end
   done;
-  global_relabel t ~source ~sink;
-  Array.blit t.adj_start 0 t.cur 0 n;
+  Array.blit adj_start 0 cur 0 n;
   let highest = ref (rebuild_active t ~source ~sink) in
-  let relabels_since = ref 0 in
+  let relabels = ref 0 and gap_hits = ref 0 and relabels_since = ref 0 in
   let gr_period = n + (t.m / 4) + 1 in
   while !highest >= 0 do
     let b = !highest in
-    let v = t.bucket.(b) in
+    let v = bucket.(b) in
     if v = -1 then decr highest
     else begin
-      t.bucket.(b) <- t.bnext.(v);
-      if not t.active.(v) then () (* stale after a global relabel rebuild *)
-      else if t.level.(v) <> b then begin
+      bucket.(b) <- bnext.(v);
+      if not active.(v) then () (* stale after a global relabel rebuild *)
+      else if level.(v) <> b then begin
         (* lifted (gap heuristic) while queued: re-file at its height *)
-        let hv = t.level.(v) in
-        t.bnext.(v) <- t.bucket.(hv);
-        t.bucket.(hv) <- v;
+        let hv = level.(v) in
+        bnext.(v) <- bucket.(hv);
+        bucket.(hv) <- v;
         if hv > !highest then highest := hv
       end
       else begin
-        t.active.(v) <- false;
+        active.(v) <- false;
         (* discharge v *)
+        let first = adj_start.(v) and limit = adj_start.(v + 1) in
         let discharging = ref true in
         while !discharging do
-          let limit = t.adj_start.(v + 1) in
-          let i = ref t.cur.(v) in
+          let hv = level.(v) in
+          let i = ref cur.(v) in
           let emptied = ref false in
           while (not !emptied) && !i < limit do
-            let e = t.adj.(!i) in
-            let w = t.dst.(e) in
-            if t.cap.(e) > 0 && t.level.(v) = t.level.(w) + 1 then begin
-              let delta = min t.excess.(v) t.cap.(e) in
-              t.cap.(e) <- Energy.sub t.cap.(e) delta;
-              t.cap.(e lxor 1) <- Energy.add t.cap.(e lxor 1) delta;
-              t.excess.(v) <- Energy.sub t.excess.(v) delta;
-              t.excess.(w) <- Energy.add t.excess.(w) delta;
-              if w <> source && w <> sink && not t.active.(w) then begin
-                t.active.(w) <- true;
-                t.bnext.(w) <- t.bucket.(t.level.(w));
-                t.bucket.(t.level.(w)) <- w
+            let e = adj.(!i) in
+            let w = adj_dst.(!i) in
+            let ce = cap.(e) in
+            if ce > 0 && hv = level.(w) + 1 then begin
+              (* a push empties the arc or the excess, whichever is less *)
+              let ex = excess.(v) in
+              let delta = if ex < ce then ex else ce in
+              if delta = ce then begin
+                cap.(e) <- 0;
+                excess.(v) <- Energy.sub ex delta
+              end
+              else begin
+                cap.(e) <- Energy.sub ce delta;
+                excess.(v) <- 0
               end;
-              if t.excess.(v) = 0 then emptied := true else incr i
+              cap.(e lxor 1) <- Energy.add cap.(e lxor 1) delta;
+              excess.(w) <- Energy.add excess.(w) delta;
+              if w <> source && w <> sink && not active.(w) then begin
+                active.(w) <- true;
+                bnext.(w) <- bucket.(level.(w));
+                bucket.(level.(w)) <- w
+              end;
+              if delta = ex then emptied := true else incr i
             end
             else incr i
           done;
-          t.cur.(v) <- !i;
+          cur.(v) <- !i;
           if !emptied then discharging := false
           else begin
             (* relabel v to one above its lowest residual neighbor *)
-            Metrics.incr m_relabels;
+            incr relabels;
             incr relabels_since;
-            let old = t.level.(v) in
             let nh = ref (2 * n) in
-            for j = t.adj_start.(v) to limit - 1 do
-              let e = t.adj.(j) in
-              if t.cap.(e) > 0 && t.level.(t.dst.(e)) + 1 < !nh then
-                nh := t.level.(t.dst.(e)) + 1
+            for j = first to limit - 1 do
+              if cap.(adj.(j)) > 0 then begin
+                let hw = level.(adj_dst.(j)) + 1 in
+                if hw < !nh then nh := hw
+              end
             done;
-            t.hcount.(old) <- t.hcount.(old) - 1;
-            if t.hcount.(old) = 0 && old < n then begin
-              (* gap: heights strictly between [old] and [n] are dead —
+            hcount.(hv) <- hcount.(hv) - 1;
+            if hcount.(hv) = 0 && hv < n then begin
+              (* gap: heights strictly between [hv] and [n] are dead —
                  no residual path to the sink can cross the empty level,
                  so lift those vertices straight past [n]. *)
-              Metrics.incr m_gap_hits;
+              incr gap_hits;
               for u = 0 to n - 1 do
-                let hu = t.level.(u) in
-                if hu > old && hu < n then begin
-                  t.hcount.(hu) <- t.hcount.(hu) - 1;
-                  t.level.(u) <- n + 1;
-                  t.hcount.(n + 1) <- t.hcount.(n + 1) + 1
+                let hu = level.(u) in
+                if hu > hv && hu < n then begin
+                  hcount.(hu) <- hcount.(hu) - 1;
+                  level.(u) <- n + 1;
+                  hcount.(n + 1) <- hcount.(n + 1) + 1
                 end
               done;
               if !nh < n + 1 then nh := n + 1
@@ -325,14 +365,14 @@ let pr_max_flow t ~source ~sink =
             if !nh >= 2 * n then begin
               (* no residual arc at all: park the vertex (cannot happen
                  when the run starts from a valid flow) *)
-              t.level.(v) <- 2 * n;
-              t.hcount.(2 * n) <- t.hcount.(2 * n) + 1;
+              level.(v) <- 2 * n;
+              hcount.(2 * n) <- hcount.(2 * n) + 1;
               discharging := false
             end
             else begin
-              t.level.(v) <- !nh;
-              t.hcount.(!nh) <- t.hcount.(!nh) + 1;
-              t.cur.(v) <- t.adj_start.(v);
+              level.(v) <- !nh;
+              hcount.(!nh) <- hcount.(!nh) + 1;
+              cur.(v) <- first;
               if !nh > !highest then highest := !nh
             end
           end
@@ -340,13 +380,15 @@ let pr_max_flow t ~source ~sink =
         if !relabels_since >= gr_period then begin
           relabels_since := 0;
           global_relabel t ~source ~sink;
-          Array.blit t.adj_start 0 t.cur 0 n;
+          Array.blit adj_start 0 cur 0 n;
           highest := rebuild_active t ~source ~sink
         end
       end
     end
   done;
-  t.excess.(sink)
+  if !relabels > 0 then Metrics.add m_relabels !relabels;
+  if !gap_hits > 0 then Metrics.add m_gap_hits !gap_hits;
+  excess.(sink)
 
 let max_flow t ~source ~sink =
   if source = sink then invalid_arg "Maxflow.max_flow: source = sink";
@@ -357,23 +399,27 @@ let max_flow t ~source ~sink =
   ensure_csr t;
   pr_max_flow t ~source ~sink
 
+(* Flow on a valid even edge id. *)
+let flow t id = Energy.sub t.initial_cap.(id / 2) t.cap.(id)
+
 let flow_on t id =
-  if id < 0 || id >= t.m || id mod 2 <> 0 then
+  if id < 0 || id >= t.m || id land 1 <> 0 then
     invalid_arg "Maxflow.flow_on: bad edge id";
-  Energy.sub t.initial_cap.(id / 2) t.cap.(id)
+  flow t id
 
 let set_even_caps t ids c =
   if c < 0 then invalid_arg "Maxflow.set_even_caps: negative capacity";
+  t.version <- t.version + 1;
+  let cap = t.cap and initial_cap = t.initial_cap and m = t.m in
   for k = 0 to Array.length ids - 1 do
     let id = ids.(k) in
-    if id < 0 || id >= t.m || id mod 2 <> 0 then
+    if id < 0 || id >= m || id land 1 <> 0 then
       invalid_arg "Maxflow.set_even_caps: bad edge id";
-    let flow = Energy.sub t.initial_cap.(id / 2) t.cap.(id) in
-    let residual = Energy.sub c flow in
+    let residual = Energy.sub c (Energy.sub initial_cap.(id / 2) cap.(id)) in
     if residual < 0 then
       invalid_arg "Maxflow.set_even_caps: capacity below current flow";
-    t.cap.(id) <- residual;
-    t.initial_cap.(id / 2) <- c
+    cap.(id) <- residual;
+    initial_cap.(id / 2) <- c
   done
 
 (* ------------------------------------------------------------------ *)
@@ -408,8 +454,8 @@ let cancel_surplus t e c ~source ~sink ~backward =
   let pos = t.walk_pos and path_vert = t.walk_vert in
   let path_edge = t.walk_edge and ptr = t.walk_ptr in
   let drained = ref 0 in
-  while flow_on t e > c do
-    let need = Energy.sub (flow_on t e) c in
+  while flow t e > c do
+    let need = Energy.sub (flow t e) c in
     let len = ref 0 in
     pos.(start) <- 0;
     path_vert.(0) <- start;
@@ -497,30 +543,40 @@ let cancel_surplus t e c ~source ~sink ~backward =
   !drained
 
 (* Shared body of the two drains: validate every id first (nothing is
-   touched when one is bad), then cancel each edge's surplus and set its
-   capacity.  The scan pointers are reset once per call. *)
+   touched when one is bad), then cancel each surplus and set every
+   capacity.  The scan pointers are reset once per call, before the
+   first cancellation. *)
 let drain t ids c ~source ~sink ~backward ~fn =
   if c < 0 then invalid_arg (fn ^ ": negative capacity");
   if source < 0 || source >= t.n || sink < 0 || sink >= t.n || source = sink
   then invalid_arg (fn ^ ": bad source/sink");
+  let dst = t.dst and m = t.m in
   for k = 0 to Array.length ids - 1 do
     let id = ids.(k) in
-    if id < 0 || id >= t.m || id mod 2 <> 0 then
+    if id < 0 || id >= m || id land 1 <> 0 then
       invalid_arg (fn ^ ": bad edge id");
-    if backward && t.dst.(id) <> sink then
+    if backward && dst.(id) <> sink then
       invalid_arg (fn ^ ": edge head is not the sink");
-    if (not backward) && t.dst.(id lxor 1) <> source then
+    if (not backward) && dst.(id lxor 1) <> source then
       invalid_arg (fn ^ ": edge tail is not the source")
   done;
   ensure_csr t;
-  Array.blit t.adj_start 0 t.walk_ptr 0 t.n;
+  t.version <- t.version + 1;
+  let cap = t.cap and initial_cap = t.initial_cap in
+  let rewound = ref false in
   let drained = ref 0 in
   for k = 0 to Array.length ids - 1 do
     let id = ids.(k) in
-    drained :=
-      Energy.add !drained (cancel_surplus t id c ~source ~sink ~backward);
-    t.cap.(id) <- Energy.sub c (flow_on t id);
-    t.initial_cap.(id / 2) <- c
+    if flow t id > c then begin
+      if not !rewound then begin
+        Array.blit t.adj_start 0 t.walk_ptr 0 t.n;
+        rewound := true
+      end;
+      drained :=
+        Energy.add !drained (cancel_surplus t id c ~source ~sink ~backward)
+    end;
+    cap.(id) <- Energy.sub c (flow t id);
+    initial_cap.(id / 2) <- c
   done;
   !drained
 
@@ -540,16 +596,17 @@ let min_cut_into t ~source side =
   ensure_csr t;
   Array.fill side 0 t.n false;
   let q = t.queue in
+  let adj = t.adj and adj_dst = t.adj_dst and adj_start = t.adj_start in
+  let cap = t.cap in
   q.(0) <- source;
   side.(source) <- true;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
     let v = q.(!head) in
     incr head;
-    for i = t.adj_start.(v) to t.adj_start.(v + 1) - 1 do
-      let e = t.adj.(i) in
-      let w = t.dst.(e) in
-      if t.cap.(e) > 0 && not side.(w) then begin
+    for i = adj_start.(v) to adj_start.(v + 1) - 1 do
+      let w = adj_dst.(i) in
+      if cap.(adj.(i)) > 0 && not side.(w) then begin
         side.(w) <- true;
         q.(!tail) <- w;
         incr tail
@@ -565,14 +622,16 @@ let capacity t id =
 let cut_capacity t side =
   ensure_csr t;
   let len = Array.length side in
+  let adj = t.adj and adj_dst = t.adj_dst and adj_start = t.adj_start in
+  let initial_cap = t.initial_cap in
   let total = ref 0 in
   for v = 0 to min len t.n - 1 do
     if side.(v) then
-      for i = t.adj_start.(v) to t.adj_start.(v + 1) - 1 do
-        let e = t.adj.(i) in
-        let w = t.dst.(e) in
+      for i = adj_start.(v) to adj_start.(v + 1) - 1 do
+        let e = adj.(i) in
+        let w = adj_dst.(i) in
         if e land 1 = 0 && not (w < len && side.(w)) then
-          total := Energy.add !total t.initial_cap.(e / 2)
+          total := Energy.add !total initial_cap.(e / 2)
       done
   done;
   !total

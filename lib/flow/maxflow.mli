@@ -15,9 +15,12 @@
     rebuilding.
 
     The engine is push-relabel with highest-label selection, the gap
-    heuristic and periodic global relabeling.  It leaves a valid maximum
-    {e flow} (not a preflow), so {!flow_on}, warm restarts and cut
-    extraction read a real flow.
+    heuristic and periodic global relabeling.  A run first labels every
+    vertex with its exact residual distance, then saturates only the
+    residual source arcs whose head can reach the sink, so a warm
+    restart floods just the head-room that can lead somewhere.  It
+    leaves a valid maximum {e flow} (not a preflow), so {!flow_on}, warm
+    restarts and cut extraction read a real flow.
 
     Allocation: the arena owns every scratch array its algorithms use.
     {!create} allocates, {!reserve} allocates when an array must grow,
@@ -59,7 +62,12 @@ val max_flow : t -> source:int -> sink:int -> int
 (** Runs push-relabel to completion and returns the flow value
     {e pushed by this call}.  The network keeps its residual state: after
     raising capacities with {!set_even_caps}, a subsequent call continues
-    from the current flow and returns only the increment. *)
+    from the current flow and returns only the increment.  The run starts
+    with one global relabel of the current residual network and then
+    saturates the residual arcs out of [source] whose head can reach
+    [sink]; the others stay residual and carry the flow they had.  Which
+    maximum flow it leaves may depend on that order; the minimal minimum
+    cut ({!min_cut_into}) does not. *)
 
 val flow_on : t -> int -> int
 (** Flow currently routed through the edge with the given id. *)
@@ -96,6 +104,13 @@ val drain_sink_caps : t -> int array -> int -> source:int -> sink:int -> int
     {!Paramflow} and [Transport]). *)
 
 val n_vertices : t -> int
+
+val version : t -> int
+(** A counter that every call changing the arena's edges, vertices or
+    capacities bumps: {!add_vertex}, {!add_edge}, {!set_even_caps} and
+    both drains.  {!max_flow} moves flow only and leaves it.  A caller
+    that keeps numbers derived from the capacities ({!Paramflow}'s cut
+    constants) compares it to tell whether they are still current. *)
 
 val min_cut_into : t -> source:int -> bool array -> unit
 (** After [max_flow], [min_cut_into t ~source side] writes the source side

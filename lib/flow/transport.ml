@@ -43,6 +43,7 @@ type t = {
   mutable n_links : int;
   mutable linked : bool array; (* demand j has at least one link *)
   mutable demands_gen : int; (* bumped by set_demand *)
+  mutable last_set : int; (* the demand the last bump changed *)
   mutable pstate : pstate option;
 }
 
@@ -57,6 +58,7 @@ let create ~n_suppliers ~n_demands =
     n_links = 0;
     linked = Array.make n_demands false;
     demands_gen = 0;
+    last_set = 0;
     pstate = None;
   }
 
@@ -91,7 +93,8 @@ let set_demand t j d =
     invalid_arg "Transport.set_demand: demand out of range";
   if t.demands.(j) <> d then begin
     t.demands.(j) <- d;
-    t.demands_gen <- t.demands_gen + 1
+    t.demands_gen <- t.demands_gen + 1;
+    t.last_set <- j
   end
 
 let demand t j =
@@ -222,9 +225,13 @@ let ensure_pstate t ~target =
     done;
     ps.p_demands <- t.n_demands
   end;
-  (* 2. patch demand values changed since the arena's caps last matched *)
+  (* 2. patch demand values changed since the arena's caps last matched;
+     after a single change only [t.last_set] can differ *)
   if ps.p_gen <> t.demands_gen then begin
-    for j = 0 to ps.p_demands - 1 do
+    let single = t.demands_gen = ps.p_gen + 1 in
+    let first = if single then t.last_set else 0
+    and last = if single then t.last_set else ps.p_demands - 1 in
+    for j = first to last do
       if ps.p_dem_val.(j) <> t.demands.(j) then begin
         Paramflow.patch_sink_cap ps.pf ps.p_dem_edge.(j)
           (Energy.mul t.demands.(j) grid);
