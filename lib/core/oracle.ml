@@ -134,14 +134,17 @@ let witness dm =
     (* ω* strictly inside [m, m+1) is bracket m's LP value; ω* = m >= 1 is
        bracket m's floor, and bracket m − 1, infeasible below m, holds the
        set.  For ω* = 1 that is bracket 0, which the scan did not solve:
-       solve it on its own instance. *)
+       at radius 0 each site is its own only supplier, so its binding cut
+       is read off the demand values. *)
     let points =
       if star > Float.floor star then !last
       else if star > 1.0 then !prev
       else begin
-        let b = builder_create dm in
-        ignore (lp_value_of_inst b.b_inst);
-        tight_set b
+        let support = Array.of_list (Demand_map.support dm) in
+        List.map
+          (fun j -> support.(j))
+          (Transport.self_served_binding
+             (Array.map (Demand_map.value dm) support))
       end
     in
     let total =

@@ -320,3 +320,36 @@ let binding_demands t =
       !out
   | _ ->
       invalid_arg "Transport.binding_demands: no solve of the current instance"
+
+(* When every demand has a supplier of its own and no other link, the
+   arena is disjoint source→supplier→demand→sink paths and F(u) is
+   Σ_j min(u, grid·d(j)), so the Paramflow sweep is arithmetic.  It
+   starts at the trivial cut's bound ⌈grid·D/S⌉ over the S suppliers.
+   A level u below grid·max d routes less than the target, and the
+   minimal min cut of its flow leaves outside exactly the demands
+   J = {j : grid·d(j) >= u} with their suppliers, so Newton jumps to
+   ⌈grid·D(J)/|J|⌉.  The cut that bounds the answer is the J of the
+   last level below grid·max d, or {source} when the first level already
+   routes the target: then every positive demand is outside.  With at
+   most [grid] demands that set is exactly the demands of largest value,
+   since its mean rounds up to grid·max d. *)
+let self_served_binding d =
+  let total = Array.fold_left Energy.add 0 d in
+  if total = 0 then invalid_arg "Transport.self_served_binding: zero demand";
+  let scaled j = Energy.mul grid d.(j) in
+  let top = ref 0 in
+  Array.iteri (fun j _ -> if scaled j > !top then top := scaled j) d;
+  (* ⌈grid·sum/count⌉, with sum >= 1 *)
+  let level sum count = ((Energy.mul grid sum - 1) / count) + 1 in
+  let outside u =
+    List.filter (fun j -> scaled j >= u) (List.init (Array.length d) Fun.id)
+  in
+  let rec sweep u tight =
+    if u >= !top then tight
+    else begin
+      let j_set = outside u in
+      let sum = List.fold_left (fun acc j -> Energy.add acc d.(j)) 0 j_set in
+      sweep (level sum (List.length j_set)) j_set
+    end
+  in
+  sweep (level total (Array.length d)) (outside 1)

@@ -88,3 +88,12 @@ val binding_demands : t -> int list
     on the LP grid, and equals it when [|N(J)|] divides [lcm(1..14)].
     @raise Invalid_argument unless {!min_uniform_supply} answered a
     positive value and the instance has not changed since. *)
+
+val self_served_binding : int array -> int list
+(** [self_served_binding d] is what {!binding_demands} returns after
+    {!min_uniform_supply} on the instance with demands [d] in which
+    demand [j] has a supplier of its own and no other link (the
+    oracle's radius 0), computed without a flow: there the parametric
+    sweep's levels and cuts are arithmetic on the sorted demand values.
+    @raise Invalid_argument if every demand is 0.
+    @raise Energy.Overflow if a scaled demand does not fit in an [int]. *)

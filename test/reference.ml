@@ -155,6 +155,23 @@ let transport_dual t =
       else if neighbours = 0 then infinity
       else float_of_int d /. float_of_int neighbours)
 
+(* The tight set of program (2.1) at radius 0 the way a flow reads it: a
+   transport instance in which each support point is its own only
+   supplier, one parametric sweep, and the points outside the cut that
+   set its answer ([Transport.binding_demands]).  This is how
+   [Oracle.witness] read it before the arithmetic of
+   [Transport.self_served_binding]. *)
+let radius0_tight_set dm =
+  let support = Array.of_list (Demand_map.support dm) in
+  let n = Array.length support in
+  let t = Transport.create ~n_suppliers:n ~n_demands:n in
+  Array.iteri (fun j p -> Transport.set_demand t j (Demand_map.value dm p)) support;
+  for j = 0 to n - 1 do
+    Transport.add_link t ~supplier:j ~demand:j
+  done;
+  ignore (Transport.min_uniform_supply t);
+  List.map (fun j -> support.(j)) (Transport.binding_demands t)
+
 (* Lemma 2.2.3: [max_T ω_T] over subsets of a demand map's support. *)
 let omega_dual dm =
   let support = Array.of_list (Demand_map.support dm) in

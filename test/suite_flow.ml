@@ -227,10 +227,36 @@ let test_drain_even_caps_guards () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "odd (residual) id must raise")
 
+(* The flow the arena holds, read through [flow_on] on every edge the
+   test built ([(u, v, capacity, id)]), is a valid flow of the given
+   value: within every capacity, conserved at every inner vertex, and
+   [value] out of [source] and into [sink]. *)
+let valid_flow net ~n ~source ~sink edges value =
+  let balance = Array.make n 0 in
+  let within =
+    List.for_all
+      (fun (u, v, c, id) ->
+        let f = Maxflow.flow_on net id in
+        balance.(u) <- balance.(u) - f;
+        balance.(v) <- balance.(v) + f;
+        0 <= f && f <= c)
+      edges
+  in
+  let conserved = ref true in
+  Array.iteri
+    (fun w b -> if w <> source && w <> sink && b <> 0 then conserved := false)
+    balance;
+  within && !conserved && balance.(source) = -value && balance.(sink) = value
+
 let prop_drain_resume_matches_fresh =
   (* Lowering the parametric source edges with a drain and re-augmenting
-     must land exactly where a fresh solve at the lower level lands; the
-     fresh solve is the test-side reference. *)
+     must land exactly where a fresh solve at the lower level lands, and
+     raising them past the start level with [set_even_caps] and
+     re-augmenting exactly where a fresh solve at the higher level does;
+     the fresh solves are the test-side reference.  After every run and
+     every drain the arena holds a valid flow of the value so far: a warm
+     run may leave a different maximum flow than a cold one, and the next
+     drain walks whichever it left. *)
   QCheck.Test.make ~name:"drain then warm resume = fresh solve (reference)"
     ~count:150
     QCheck.(int_range 0 1_000_000)
@@ -240,21 +266,40 @@ let prop_drain_resume_matches_fresh =
       let k = 1 + Rng.int rng 3 in
       let dsts = Array.init k (fun _ -> Rng.int rng n) in
       let hi = 6 and lo = Rng.int rng 6 in
+      let up = hi + 1 + Rng.int rng 6 in
+      let source = n and sink = n - 1 in
       let net = Maxflow.create (n + 1) in
-      let src = Array.map (fun v -> Maxflow.add_edge net ~src:n ~dst:v ~cap:hi) dsts in
-      List.iter
-        (fun (u, v, c) -> ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:c))
-        edges;
-      let f0 = Maxflow.max_flow net ~source:n ~sink:(n - 1) in
-      let drained = Maxflow.drain_even_caps net src lo ~source:n ~sink:(n - 1) in
-      let within = Array.for_all (fun e -> Maxflow.flow_on net e <= lo) src in
-      let inc = Maxflow.max_flow net ~source:n ~sink:(n - 1) in
-      let fv, _ =
-        Reference.max_flow ~n:(n + 1)
-          ~edges:(Array.to_list (Array.map (fun v -> (n, v, lo)) dsts) @ edges)
-          ~source:n ~sink:(n - 1)
+      let src = Array.map (fun v -> Maxflow.add_edge net ~src:source ~dst:v ~cap:hi) dsts in
+      let fixed =
+        List.map
+          (fun (u, v, c) -> (u, v, c, Maxflow.add_edge net ~src:u ~dst:v ~cap:c))
+          edges
       in
-      within && drained >= 0 && inc >= 0 && f0 - drained + inc = fv)
+      let built level =
+        Array.to_list (Array.map2 (fun v e -> (source, v, level, e)) dsts src) @ fixed
+      in
+      let valid level value = valid_flow net ~n:(n + 1) ~source ~sink (built level) value in
+      let fresh level =
+        fst
+          (Reference.max_flow ~n:(n + 1)
+             ~edges:(Array.to_list (Array.map (fun v -> (source, v, level)) dsts) @ edges)
+             ~source ~sink)
+      in
+      let f0 = Maxflow.max_flow net ~source ~sink in
+      let cold = valid hi f0 in
+      let drained = Maxflow.drain_even_caps net src lo ~source ~sink in
+      let after_drain = valid lo (f0 - drained) in
+      let within = Array.for_all (fun e -> Maxflow.flow_on net e <= lo) src in
+      let inc = Maxflow.max_flow net ~source ~sink in
+      let fv = fresh lo in
+      let lowered = valid lo fv in
+      Maxflow.set_even_caps net src up;
+      let raised = valid up fv in
+      let inc_up = Maxflow.max_flow net ~source ~sink in
+      let fu = fresh up in
+      cold && after_drain && within && lowered && raised && drained >= 0
+      && inc >= 0 && f0 - drained + inc = fv && inc_up >= 0
+      && fv + inc_up = fu && valid up fu)
 
 let suite =
   [

@@ -188,7 +188,7 @@ let test_brackets_solved () =
   Alcotest.(check bool) "ω* spans several brackets" true (Hashtbl.length floors >= 4)
 
 (* ω* = 1 takes its set from bracket 0, which the scan does not solve;
-   the witness solves it on its own instance.  The set is the hot site
+   the witness reads it off the demand values.  The set is the hot site
    alone, a strict subset of the support. *)
 let test_witness_from_bracket_zero () =
   let dm =
@@ -224,10 +224,63 @@ let test_cold_allocation () =
     (Printf.sprintf "%.0f major words per call (at most 1500)" major)
     true (major <= 1500.0)
 
+(* The radius-0 tight set without a flow: the arithmetic of
+   [Transport.self_served_binding] against a radius-0 instance solved
+   and read through [Transport.binding_demands].  Few values, so maxima
+   repeat and sites tie at every level. *)
+let self_served_points dm =
+  let support = Array.of_list (Demand_map.support dm) in
+  List.map
+    (fun j -> support.(j))
+    (Transport.self_served_binding (Array.map (Demand_map.value dm) support))
+
+let prop_radius0_tight_set =
+  QCheck.Test.make ~name:"radius-0 tight set = flow reference" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dim = 1 + Rng.int rng 3 in
+      let top = 1 + Rng.int rng 5 in
+      let site _ = (Array.init dim (fun _ -> Rng.int rng 5), 1 + Rng.int rng top) in
+      let dm = Demand_map.of_alist dim (List.init (1 + Rng.int rng 20) site) in
+      let fast = self_served_points dm and flow = Reference.radius0_tight_set dm in
+      List.equal Point.equal fast flow
+      || QCheck.Test.fail_reportf "seed %d: %d points, the flow reads %d" seed
+           (List.length fast) (List.length flow))
+
+(* The same on loadgen's cold-miss demands, as the daemon sees them; at
+   ω* = 1 the witness's points are that set. *)
+let test_radius0_tight_set_loadgen () =
+  let checked = ref 0 and at_one = ref 0 in
+  List.iter
+    (fun seed ->
+      Array.iter
+        (fun r ->
+          let dm = r.Protocol.demand in
+          let flow = Reference.radius0_tight_set dm in
+          if not (List.equal Point.equal (self_served_points dm) flow) then
+            Alcotest.failf "seed %d: radius-0 tight set differs" seed;
+          if Oracle.omega_star dm = 1.0 then begin
+            incr at_one;
+            match Oracle.witness dm with
+            | Some (points, _) when List.equal Point.equal points flow -> ()
+            | _ -> Alcotest.failf "seed %d: witness at ω* = 1 differs" seed
+          end;
+          incr checked)
+        (Loadgen.queries ~seed ~mix:Loadgen.Cold_miss ~n:3000))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "demands checked" 9000 !checked;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d witnesses at ω* = 1" !at_one)
+    true (!at_one >= 1000)
+
 let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest prop_radius_zero_closed_form;
+      QCheck_alcotest.to_alcotest prop_radius0_tight_set;
+      Alcotest.test_case "radius-0 tight set on loadgen demands" `Slow
+        test_radius0_tight_set_loadgen;
       Alcotest.test_case "ω* solves ⌊ω*⌋ brackets" `Quick test_brackets_solved;
       Alcotest.test_case "witness from bracket 0" `Quick
         test_witness_from_bracket_zero;

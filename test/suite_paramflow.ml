@@ -116,11 +116,66 @@ let test_fixed_source_edge () =
   List.iter solve_at
     [ (9, 6); (5, 6); (9, 2); (12, 0); (2, 9); (3, 9); (0, 0); (7, 4) ]
 
+(* The arena of [test_fixed_source_edge] under a fixed trace of sink
+   patches, each followed by one solve: raises and lowerings of either
+   site, with the patched site inside or outside the recorded cut, and
+   patches that leave the answer's certificate standing.  Each answer is
+   pinned with the probes its solve ran.  The driver keeps each cut's
+   bound constants and moves them with every patch instead of scanning
+   the arena again; a constant that missed a patch would show here as a
+   wrong answer (a floor too high) or an extra probe (a floor too low). *)
+let test_patch_trace_pins () =
+  let src = 0 and snk = 1 and a = 2 and b = 3 and c = 4 and x = 5 and y = 6 in
+  let net = Maxflow.create 7 in
+  let param v = Maxflow.add_edge net ~src ~dst:v ~cap:0 in
+  let link (u, v) = ignore (Maxflow.add_edge net ~src:u ~dst:v ~cap:100) in
+  let pa = param a and pb = param b in
+  ignore (Maxflow.add_edge net ~src ~dst:c ~cap:3);
+  List.iter link [ (a, x); (b, x); (b, y); (c, y) ];
+  let ex = Maxflow.add_edge net ~src:x ~dst:snk ~cap:0 in
+  let ey = Maxflow.add_edge net ~src:y ~dst:snk ~cap:0 in
+  let pf =
+    Paramflow.create ~net ~source:src ~sink:snk ~src_edges:[| pa; pb |]
+      ~target:0
+  in
+  let probes = Metrics.counter "paramflow.probes" in
+  let step (dx, dy) =
+    Paramflow.patch_sink_cap pf ex dx;
+    Paramflow.patch_sink_cap pf ey dy;
+    Paramflow.retarget pf ~target:(dx + dy);
+    let before = Metrics.count probes in
+    let answer = Paramflow.solve pf in
+    (dx, dy, answer, Metrics.count probes - before)
+  in
+  let trace =
+    [ (4, 5); (8, 5); (8, 9); (8, 2); (3, 2); (3, 7); (12, 7); (12, 1); (0, 1);
+      (0, 6); (7, 6); (7, 0); (2, 0); (2, 11); (10, 11); (10, 4); (1, 4);
+      (6, 4); (6, 3); (6, 10); (6, 10); (6, 9); (5, 9) ]
+  in
+  let pins =
+    [ (4, 5, Some 3, 1); (8, 5, Some 5, 1); (8, 9, Some 7, 1); (8, 2, Some 4, 1);
+      (3, 2, Some 2, 2); (3, 7, Some 4, 1); (12, 7, Some 8, 1); (12, 1, Some 6, 1);
+      (0, 1, Some 0, 1); (0, 6, Some 3, 2); (7, 6, Some 5, 1); (7, 0, Some 4, 2);
+      (2, 0, Some 1, 1); (2, 11, Some 8, 2); (10, 11, Some 9, 1); (10, 4, Some 6, 1);
+      (1, 4, Some 1, 1); (6, 4, Some 4, 1); (6, 3, Some 3, 1); (6, 10, Some 7, 1);
+      (6, 10, Some 7, 0); (6, 9, Some 6, 1); (5, 9, Some 6, 0) ]
+  in
+  let show (dx, dy, answer, probes) =
+    Printf.sprintf "(%d, %d): %s in %d probes" dx dy
+      (match answer with Some u -> string_of_int u | None -> "none")
+      probes
+  in
+  Alcotest.(check (list string)) "answers and probes"
+    (List.map show pins)
+    (List.map (fun d -> show (step d)) trace)
+
 let suite =
   [
     Alcotest.test_case "degenerate solves" `Quick test_degenerate_solves;
     Alcotest.test_case "fixed-capacity source edge" `Quick
       test_fixed_source_edge;
+    Alcotest.test_case "patch trace: answers and probes pinned" `Quick
+      test_patch_trace_pins;
     Alcotest.test_case "answer matches exhaustive dual" `Quick
       test_answer_matches_exhaustive_dual;
   ]
