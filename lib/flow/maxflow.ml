@@ -567,15 +567,17 @@ let drain t ids c ~source ~sink ~backward ~fn =
   let drained = ref 0 in
   for k = 0 to Array.length ids - 1 do
     let id = ids.(k) in
-    if flow t id > c then begin
+    let f = flow t id in
+    if f > c then begin
       if not !rewound then begin
         Array.blit t.adj_start 0 t.walk_ptr 0 t.n;
         rewound := true
       end;
       drained :=
-        Energy.add !drained (cancel_surplus t id c ~source ~sink ~backward)
-    end;
-    cap.(id) <- Energy.sub c (flow t id);
+        Energy.add !drained (cancel_surplus t id c ~source ~sink ~backward);
+      cap.(id) <- Energy.sub c (flow t id)
+    end
+    else cap.(id) <- Energy.sub c f;
     initial_cap.(id / 2) <- c
   done;
   !drained

@@ -42,6 +42,8 @@ type t = {
   mutable links : int array; (* flattened pairs: 2k = supplier, 2k+1 = demand *)
   mutable n_links : int;
   mutable linked : bool array; (* demand j has at least one link *)
+  mutable total : int; (* sum of the demands *)
+  mutable unlinked : int; (* positive demands with no link *)
   mutable demands_gen : int; (* bumped by set_demand *)
   mutable last_set : int; (* the demand the last bump changed *)
   mutable pstate : pstate option;
@@ -57,6 +59,8 @@ let create ~n_suppliers ~n_demands =
     links = [||];
     n_links = 0;
     linked = Array.make n_demands false;
+    total = 0;
+    unlinked = 0;
     demands_gen = 0;
     last_set = 0;
     pstate = None;
@@ -91,7 +95,13 @@ let set_demand t j d =
   if d < 0 then invalid_arg "Transport.set_demand: negative demand";
   if j < 0 || j >= t.n_demands then
     invalid_arg "Transport.set_demand: demand out of range";
-  if t.demands.(j) <> d then begin
+  let old = t.demands.(j) in
+  if old <> d then begin
+    t.total <- Energy.add (Energy.sub t.total old) d;
+    if not t.linked.(j) then begin
+      if old = 0 then t.unlinked <- t.unlinked + 1
+      else if d = 0 then t.unlinked <- t.unlinked - 1
+    end;
     t.demands.(j) <- d;
     t.demands_gen <- t.demands_gen + 1;
     t.last_set <- j
@@ -115,6 +125,8 @@ let add_link t ~supplier ~demand =
   t.links.(2 * t.n_links) <- supplier;
   t.links.((2 * t.n_links) + 1) <- demand;
   t.n_links <- t.n_links + 1;
+  if (not t.linked.(demand)) && t.demands.(demand) > 0 then
+    t.unlinked <- t.unlinked - 1;
   t.linked.(demand) <- true
 
 let n_links t = t.n_links
@@ -124,7 +136,7 @@ let iter_links t f =
     f ~supplier:t.links.(2 * k) ~demand:t.links.((2 * k) + 1)
   done
 
-let total_demand t = Array.fold_left Energy.add 0 t.demands
+let total_demand t = t.total
 
 (* Throw-away network of [max_served]: 0 = source, 1 = sink, suppliers
    at 2..2+S-1, demands after that.  Supplier [i] emits [supply i],
@@ -150,12 +162,6 @@ let max_served t ~supply =
   done;
   Maxflow.max_flow net ~source:0 ~sink:1
 
-
-let every_demand_linked t =
-  let rec loop j =
-    j = t.n_demands || ((t.demands.(j) = 0 || t.linked.(j)) && loop (j + 1))
-  in
-  loop 0
 
 let grow_int_array arr n =
   if Array.length arr >= n then arr
@@ -285,7 +291,7 @@ let min_uniform_supply t =
     (* Empty (or all-zero-demand) instance: no arena, no probe — the
        answer is 0 supply regardless of suppliers and links. *)
     Some 0.0
-  else if not (every_demand_linked t) then None
+  else if t.unlinked > 0 then None
   else begin
     (* Scaled problem: demands d*grid, integer uniform capacity u; answer
        u/grid.  The cached parametric driver (GGT-style: one monotone

@@ -34,7 +34,9 @@ val set_demand : t -> int -> int -> unit
 (** [set_demand t j d] with [d >= 0]; demands default to 0.  On the
     cached parametric arena this is a single sink-edge capacity patch at
     the next query — a raise keeps the routed flow, a lowering cancels
-    the surplus flow ({!Maxflow.drain_sink_caps}) — never a rebuild. *)
+    the surplus flow ({!Maxflow.drain_sink_caps}) — never a rebuild.
+    @raise Energy.Overflow if the total demand would not fit in an
+    [int]; the instance is then unchanged. *)
 
 val demand : t -> int -> int
 
@@ -49,8 +51,7 @@ val iter_links : t -> (supplier:int -> demand:int -> unit) -> unit
 (** Iterates links in insertion order. *)
 
 val total_demand : t -> int
-(** The sum of all demands.
-    @raise Energy.Overflow if it does not fit in an [int]. *)
+(** The sum of all demands, kept up to date by {!set_demand}. *)
 
 val max_served : t -> supply:(int -> int) -> int
 (** Maximum total demand servable when supplier [i] can emit at most
