@@ -159,7 +159,7 @@ let witness dm =
 
 module Session = struct
   (* One persistent bracket per integer radius [m >= 1] the scan has
-     ever visited (bracket 0 is read in closed form): a frozen-radius
+     ever visited (bracket 0 is never solved): a frozen-radius
      builder (its transport holds exactly the links at distance <= m)
      plus a demand-site index.  A job delta touches every live bracket
      in O(1) amortized — a sink-cap patch on the cached parametric

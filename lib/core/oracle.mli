@@ -49,8 +49,10 @@ val witness : Demand_map.t -> (Point.t list * float) option
     binding bracket's LP value ({!Transport.binding_demands}) — bracket
     [m] when [ω*] lies strictly inside [\[m, m+1)], bracket [m − 1] when
     [ω* = m].  For [ω* = 1] that is bracket 0, which the scan does not
-    solve: the witness then solves program (2.1) at radius 0 on a fresh
-    instance, the only max-flow work beyond the scan's.  [ω_T] equals
+    solve: at radius 0 each site is its own only supplier, and the
+    witness reads that bracket's binding cut off the demand values
+    ({!Transport.self_served_binding}), with no max-flow run beyond the
+    scan's.  [ω_T] equals
     [ω*] whenever the grid resolves the optimum, and otherwise lies less
     than one grid step below it.  [None] only for empty demand.  This is
     the certificate the duality proof of Lemma 2.2.3 promises. *)
@@ -59,8 +61,8 @@ val witness : Demand_map.t -> (Point.t list * float) option
     [ω*] is maintained incrementally instead of recomputed from scratch.
 
     A session keeps one persistent transport instance per integer radius
-    bracket [m >= 1] the ω* scan has ever visited; bracket 0 is read in
-    closed form, as in {!omega_star}.  A single-job delta costs a
+    bracket [m >= 1] the ω* scan has ever visited; bracket 0 is never
+    solved, as in {!omega_star}.  A single-job delta costs a
     sink-capacity patch per bracket on the cached parametric arena
     (plus, for a never-seen position, one ball absorption and sphere
     enumeration), and the next {!Session.omega_star} re-runs the bracket

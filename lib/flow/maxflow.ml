@@ -1,9 +1,11 @@
 (* Max-flow arena with one push-relabel core on an edge-array
    representation: edge 2k and its residual twin 2k+1 are stored adjacently,
    so the reverse of edge [e] is [e lxor 1].  Adjacency is CSR-style — edge
-   ids grouped by source vertex in one flat array with a prefix-sum index —
-   rebuilt lazily after edge insertions, so the hot loops (BFS, current-arc
-   scans, discharge) touch nothing but int arrays.
+   ids grouped by source vertex in one flat array with a prefix-sum index,
+   and each slot's destination in a parallel array so a scan reads it
+   without going through the edge id — rebuilt lazily after edge
+   insertions, so the hot loops (BFS, current-arc scans, discharge) touch
+   nothing but int arrays.
 
    The core is push-relabel with highest-label selection, the gap
    heuristic and periodic global relabeling (two backward BFS passes over
@@ -176,19 +178,10 @@ let ensure_csr t = if not t.csr_valid then build_csr t
 (* Push-relabel core                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Exact height labeling by two backward BFS passes over the ring buffer:
-   first distances-to-sink through residual arcs (the sink side of any
-   min cut), then [n + distance-to-source] for what is left (the source
-   side); a vertex neither pass reaches gets [2n].  No residual arc
-   leaves the source side into the sink side — such an arc would have
-   put its tail in the sink-side BFS — so the labeling is valid for the
-   current flow, except on residual arcs out of the source itself, whose
-   heads the first pass may reach below [n - 1]: [pr_max_flow] saturates
-   exactly those.  [hcount] is filled as heights are assigned. *)
-
 (* One backward BFS from [root], already labeled: every unlabeled vertex
-   with a residual arc into a labeled one gets one more than its height.
-   Returns how many vertices the pass holds, [root] included. *)
+   with a residual arc into a labeled one gets one more than its height,
+   counted in [hcount].  Returns how many vertices the pass holds, [root]
+   included. *)
 let label_from t root =
   let unreached = 2 * t.n in
   let h = t.level and q = t.queue and hcount = t.hcount in
@@ -199,14 +192,14 @@ let label_from t root =
   while !head < !tail do
     let w = q.(!head) in
     incr head;
-    let hv = h.(w) + 1 in
+    let next = h.(w) + 1 in
     for i = adj_start.(w) to adj_start.(w + 1) - 1 do
       let v = adj_dst.(i) in
       (* residual arc v->w exists iff the reverse of its edge has
          capacity *)
       if h.(v) = unreached && cap.(adj.(i) lxor 1) > 0 then begin
-        h.(v) <- hv;
-        hcount.(hv) <- hcount.(hv) + 1;
+        h.(v) <- next;
+        hcount.(next) <- hcount.(next) + 1;
         q.(!tail) <- v;
         incr tail
       end
@@ -214,6 +207,15 @@ let label_from t root =
   done;
   !tail
 
+(* Exact height labeling by two backward BFS passes over the ring buffer:
+   first distances-to-sink through residual arcs (the sink side of any
+   min cut), then [n + distance-to-source] for what is left (the source
+   side); a vertex neither pass reaches gets [2n].  No residual arc
+   leaves the source side into the sink side — such an arc would have
+   put its tail in the sink-side BFS — so the labeling is valid for the
+   current flow, except on residual arcs out of the source itself, whose
+   heads the first pass may reach below [n - 1]: [pr_max_flow] saturates
+   exactly those.  [hcount] is filled as heights are assigned. *)
 let global_relabel t ~source ~sink =
   Metrics.incr m_global_relabels;
   let n = t.n in

@@ -16,9 +16,15 @@
     capacity is [c_C + k_C·u], with [k_C] the parametric edges leaving
     [C] and [c_C] every other edge leaving it, and no flow exceeds it.
     The driver keeps the source side of the last cut a probe found below
-    the target and evaluates it on the arena as it is at the next solve
-    (vertices added since count as outside), so the bound survives every
-    patch, retarget and growth.
+    the target, and the two constants of that cut and of the trivial cut
+    [{source}].  It reads a recorded cut's [c_C] off the maximum flow it
+    came from (every edge leaving the cut is saturated there, so its
+    capacity is the routed value), moves it by each {!patch_sink_cap}
+    whose edge leaves the cut, and scans the arena for both cuts again
+    only when {!Maxflow.version} shows some other change (vertices added
+    since a cut was recorded count as outside it).  So the bound survives
+    every patch, retarget and growth, and a solve after a patch reads it
+    without a pass over the arena.
 
     This is the engine behind [Transport.min_uniform_supply]: the supply
     search asks for the minimal [u] with [F u = target], where [u] counts
@@ -58,8 +64,9 @@ val solve : t -> int option
     uniform level and that bound reaches the level, the level is the
     answer and no max-flow runs (the {e certificate}: the flow bounds the
     answer from above, the cut from below).  Otherwise the sweep moves
-    every parametric edge to the bound — a drain when it lies below the
-    level — and climbs by discrete Newton: each probe is one warm
+    every parametric edge to the bound — a capacity update when it lies
+    above a uniform level, a drain when it lies below or the level is
+    mixed — and climbs by discrete Newton: each probe is one warm
     {!Maxflow.max_flow}; a probe that reaches the target ends the sweep,
     and one that does not records its minimal min cut, whose bound is the
     next level.  Newton from any start at or below the answer lands on
@@ -103,5 +110,6 @@ val patch_sink_cap : t -> int -> int -> unit
     the routed flow; lowering below the edge's current flow cancels the
     surplus along the flow decomposition ({!Maxflow.drain_sink_caps}).
     Invalidate-only for the cached answer: it is dropped, the retained
-    flow, level and recorded cut survive.  This is the streamed-demand
-    delta path of [Transport.set_demand]. *)
+    flow, level and recorded cut survive, and a kept cut that [edge]
+    leaves has its constant moved by the change.  This is the
+    streamed-demand delta path of [Transport.set_demand]. *)
