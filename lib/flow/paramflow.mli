@@ -21,8 +21,8 @@
     came from (every edge leaving the cut is saturated there, so its
     capacity is the routed value), moves it by each {!patch_sink_cap}
     whose edge leaves the cut, and scans the arena for both cuts again
-    only when {!Maxflow.version} shows some other change (vertices added
-    since a cut was recorded count as outside it).  So the bound survives
+    only after {!grow} or when {!Maxflow.version} shows some other change
+    (vertices added since a cut was recorded count as outside it).  So the bound survives
     every patch, retarget and growth, and a solve after a patch reads it
     without a pass over the arena.
 

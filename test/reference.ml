@@ -158,9 +158,8 @@ let transport_dual t =
 (* The tight set of program (2.1) at radius 0 the way a flow reads it: a
    transport instance in which each support point is its own only
    supplier, one parametric sweep, and the points outside the cut that
-   set its answer ([Transport.binding_demands]).  This is how
-   [Oracle.witness] read it before the arithmetic of
-   [Transport.self_served_binding]. *)
+   set its answer ([Transport.binding_demands]).  The reference for the
+   arithmetic of [Transport.self_served_binding]. *)
 let radius0_tight_set dm =
   let support = Array.of_list (Demand_map.support dm) in
   let n = Array.length support in
