@@ -337,70 +337,101 @@ let validate_ids ~n plan partitions =
       check "partitions" b)
     partitions
 
-(* The grid producer: one vehicle per cell of [window]; [cfg.side]-cubes
-   are the rings, in [Box.partition_cubes]'s order; each cube's cells are
-   paired by [Snake.pairing] (walk 1, a single cell too, so the reserve is
-   2); and cells at most [cfg.comm_radius] apart in one cube are linked,
-   in [Box.iter] order. *)
+(* The grid producer.  The window is tiled by whole [cfg.side]-cubes (both
+   callers pass one: [Box.tiled] and its tile-column bands), so every cube
+   is a translate of the origin cube and has the same pairs and links.
+   The origin cube's pattern is computed once, each cell as its offset in
+   the window's row-major index: [Snake.pairing]'s pairs (walk 1, a single
+   cell too, so the reserve is 2) and, per cell in [Box.iter] order, the
+   cells at most [cfg.comm_radius] away.  Each cube, in
+   [Box.partition_cubes]'s order, is a ring; stamping the pattern at its
+   base index allocates nothing per cell. *)
 let grid_topology cfg window =
-  let cubes = Array.of_list (Box.partition_cubes window ~side:cfg.side) in
+  let s = cfg.side and dim = Box.dim window in
+  for i = 0 to dim - 1 do
+    if Box.side window i mod s <> 0 then
+      invalid_arg "Online.grid_topology: window not tiled by whole cubes"
+  done;
   let n = Box.volume window in
-  let index = Box.index window in
-  let n_cubes = Array.length cubes in
-  let ring_off = Array.make (n_cubes + 1) 0 in
-  let ring = Array.make n 0 and anchor = Array.make n 0 in
-  let partner = Array.make n (-1) and n_pairs = ref 0 in
-  let add c a b =
-    ring.(!n_pairs) <- c;
-    anchor.(!n_pairs) <- a;
-    partner.(!n_pairs) <- b;
-    incr n_pairs
+  let stride = Array.make dim 1 in
+  for i = dim - 2 downto 0 do
+    stride.(i) <- stride.(i + 1) * Box.side window (i + 1)
+  done;
+  let offset p =
+    let o = ref 0 in
+    Array.iteri (fun i x -> o := !o + (x * stride.(i))) p;
+    !o
   in
-  Array.iteri
-    (fun c cube ->
-      ring_off.(c) <- !n_pairs;
-      let { Snake.pairs; unpaired } = Snake.pairing cube in
-      Array.iter (fun (a, b) -> add c (index a) (index b)) pairs;
-      Option.iter (fun a -> add c (index a) (-1)) unpaired)
-    cubes;
-  ring_off.(n_cubes) <- !n_pairs;
-  let n_pairs = !n_pairs in
+  let cube = Box.cube_at_origin ~dim ~side:s in
+  let cells = Array.of_list (Box.points cube) in
+  let cell_off = Array.map offset cells in
+  let { Snake.pairs; unpaired } = Snake.pairing cube in
+  let pattern =
+    Array.append
+      (Array.map (fun (a, b) -> (offset a, offset b)) pairs)
+      (Option.fold ~none:[||] ~some:(fun a -> [| (offset a, -1) |]) unpaired)
+  in
+  let links =
+    Array.map
+      (fun home ->
+        Array.of_list
+          (List.filter_map
+             (fun p ->
+               let d = Point.l1_dist p home in
+               if d > 0 && d <= cfg.comm_radius then Some (offset p) else None)
+             (Array.to_list cells)))
+      cells
+  in
+  (* Cube [c]'s base index: its tile coordinates, last axis fastest. *)
+  let tiles = Array.init dim (fun i -> Box.side window i / s) in
+  let base c =
+    let b = ref 0 and c = ref c in
+    for i = dim - 1 downto 0 do
+      b := !b + (!c mod tiles.(i) * s * stride.(i));
+      c := !c / tiles.(i)
+    done;
+    !b
+  in
+  let n_cubes = n / Array.length cells and per_cube = Array.length pattern in
+  let n_pairs = n_cubes * per_cube in
+  let ring_off = Array.init (n_cubes + 1) (fun c -> c * per_cube) in
+  let pair_ring = Array.init n_pairs (fun pid -> pid / per_cube) in
+  let pair_anchor = Array.make n_pairs 0 and pair_partner = Array.make n_pairs 0 in
   (* CSR: count pass, prefix sum, fill pass. *)
   let nbr_off = Array.make (n + 1) 0 in
-  let linked p home =
-    let d = Point.l1_dist p home in
-    d > 0 && d <= cfg.comm_radius
-  in
-  Array.iter
-    (fun cube ->
-      Box.iter cube (fun home ->
-          let c = ref 0 in
-          Box.iter cube (fun p -> if linked p home then incr c);
-          nbr_off.(index home + 1) <- !c))
-    cubes;
+  for c = 0 to n_cubes - 1 do
+    let b = base c in
+    for j = 0 to per_cube - 1 do
+      let anchor, partner = pattern.(j) in
+      pair_anchor.((c * per_cube) + j) <- b + anchor;
+      pair_partner.((c * per_cube) + j) <- (if partner < 0 then -1 else b + partner)
+    done;
+    for h = 0 to Array.length cells - 1 do
+      nbr_off.(b + cell_off.(h) + 1) <- Array.length links.(h)
+    done
+  done;
   for i = 1 to n do
     nbr_off.(i) <- nbr_off.(i) + nbr_off.(i - 1)
   done;
   let nbr_ids = Array.make nbr_off.(n) 0 in
-  Array.iter
-    (fun cube ->
-      Box.iter cube (fun home ->
-          let at = ref nbr_off.(index home) in
-          Box.iter cube (fun p ->
-              if linked p home then begin
-                nbr_ids.(!at) <- index p;
-                incr at
-              end)))
-    cubes;
+  for c = 0 to n_cubes - 1 do
+    let b = base c in
+    for h = 0 to Array.length cells - 1 do
+      let at = nbr_off.(b + cell_off.(h)) and l = links.(h) in
+      for j = 0 to Array.length l - 1 do
+        nbr_ids.(at + j) <- b + l.(j)
+      done
+    done
+  done;
   let point = Box.point_of_index window in
   {
     cells = n;
     nbr_off;
     nbr_ids;
     ring_off;
-    pair_ring = Array.sub ring 0 n_pairs;
-    pair_anchor = Array.sub anchor 0 n_pairs;
-    pair_partner = Array.sub partner 0 n_pairs;
+    pair_ring;
+    pair_anchor;
+    pair_partner;
     pair_walk = Array.make n_pairs 1;
     dist = (fun a b -> Point.l1_dist (point a) (point b));
     point;

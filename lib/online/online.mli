@@ -12,12 +12,15 @@
     [Move] order down the discovered tree path, and the idle candidate
     relocates to the anchor and takes over the pair.
 
-    The grid is one producer of that record ({!run}, {!run_fleet}): the
-    cells are the window's lattice points, the rings are its
-    [side]-cubes, each cube's cells are matched into adjacent
-    black/white pairs (via {!Snake.pairing}, walk 1), and cells at most
-    [comm_radius] apart in one cube are linked.  A general graph is
-    another ([Gonline.topology], run through {!run_topology}).
+    The grid is one producer of that record ({!grid_topology}, behind
+    {!run} and {!run_fleet}): the cells are the window's lattice points,
+    the rings are its [side]-cubes, each cube's cells are matched into
+    adjacent black/white pairs (via {!Snake.pairing}, walk 1), and cells
+    at most [comm_radius] apart in one cube are linked.  The window is
+    tiled by whole cubes, so every cube has the same pairs and links up
+    to translation: they are computed once and stamped onto each cube.
+    A general graph is another producer ([Gonline.topology], run through
+    {!run_topology}).
 
     Failure handling follows §3.2.5 with real messages: the active
     vehicle of each pair heartbeats to its monitor — the active vehicle
@@ -192,6 +195,17 @@ type topology = {
       (** travel cost between two cells, read per job and per relocation *)
   point : int -> Point.t;  (** a cell's name in events and failures *)
 }
+
+val grid_topology : config -> Box.t -> topology
+(** The grid's topology on a window tiled by whole [config.side]-cubes:
+    one cell per lattice point in row-major order ({!Box.index}), one
+    ring per cube in {!Box.partition_cubes}'s order, its pairs in
+    {!Snake.pairing}'s order (the leftover cell of an odd cube last,
+    partner [-1]), and each cell's links to the cells of its cube at
+    L1 distance at most [config.comm_radius], in {!Box.iter} order.
+    [point] is {!Box.point_of_index} and [dist] the L1 distance between
+    two cells' points.  Raises [Invalid_argument] if a side of the
+    window is not a multiple of [config.side]. *)
 
 val run_topology :
   ?observer:(event -> unit) -> config -> topology -> jobs:int array -> outcome

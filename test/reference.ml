@@ -3,9 +3,10 @@
    and closed form, a small max-flow over an edge list, the exhaustive
    side of the subset duals (Lemma 2.2.2 and its variants), which
    enumerate every demand subset, cube scans that try every anchor of
-   the bounding box, and a request decoder that goes through a [Json.t]
-   tree.  The max-flow, the duals and the cube scans are exponential,
-   dense or box-sized on purpose — tiny instances only. *)
+   the bounding box, the online grid topology built cube by cube, and a
+   request decoder that goes through a [Json.t] tree.  The max-flow, the
+   duals and the cube scans are exponential, dense or box-sized on
+   purpose — tiny instances only. *)
 
 (* Single-source shortest paths that allow negative weights: [Error ()]
    when a negative cycle is reachable from [source].  Unreachable =
@@ -212,6 +213,75 @@ let omega_over_cubes dm =
         if d > 0 then best := Float.max !best (Omega.of_cube ~dim ~side ~total:d)
       done;
       !best
+
+(* [Online]'s grid topology built cube by cube, the way a cropped cube
+   would need it: each tile of [Box.partition_cubes] paired by its own
+   [Snake.pairing] call, and every cell of the tile tested against every
+   other for a link, with [Box.index] naming each cell.  The reference
+   for the pattern that [Online.grid_topology] stamps onto whole cubes. *)
+let grid_topology (cfg : Online.config) window =
+  let cubes = Array.of_list (Box.partition_cubes window ~side:cfg.Online.side) in
+  let n = Box.volume window in
+  let index = Box.index window in
+  let n_cubes = Array.length cubes in
+  let ring_off = Array.make (n_cubes + 1) 0 in
+  let ring = Array.make n 0 and anchor = Array.make n 0 in
+  let partner = Array.make n (-1) and n_pairs = ref 0 in
+  let add c a b =
+    ring.(!n_pairs) <- c;
+    anchor.(!n_pairs) <- a;
+    partner.(!n_pairs) <- b;
+    incr n_pairs
+  in
+  Array.iteri
+    (fun c cube ->
+      ring_off.(c) <- !n_pairs;
+      let { Snake.pairs; unpaired } = Snake.pairing cube in
+      Array.iter (fun (a, b) -> add c (index a) (index b)) pairs;
+      Option.iter (fun a -> add c (index a) (-1)) unpaired)
+    cubes;
+  ring_off.(n_cubes) <- !n_pairs;
+  let n_pairs = !n_pairs in
+  (* CSR: count pass, prefix sum, fill pass. *)
+  let nbr_off = Array.make (n + 1) 0 in
+  let linked p home =
+    let d = Point.l1_dist p home in
+    d > 0 && d <= cfg.Online.comm_radius
+  in
+  Array.iter
+    (fun cube ->
+      Box.iter cube (fun home ->
+          let c = ref 0 in
+          Box.iter cube (fun p -> if linked p home then incr c);
+          nbr_off.(index home + 1) <- !c))
+    cubes;
+  for i = 1 to n do
+    nbr_off.(i) <- nbr_off.(i) + nbr_off.(i - 1)
+  done;
+  let nbr_ids = Array.make nbr_off.(n) 0 in
+  Array.iter
+    (fun cube ->
+      Box.iter cube (fun home ->
+          let at = ref nbr_off.(index home) in
+          Box.iter cube (fun p ->
+              if linked p home then begin
+                nbr_ids.(!at) <- index p;
+                incr at
+              end)))
+    cubes;
+  let point = Box.point_of_index window in
+  {
+    Online.cells = n;
+    nbr_off;
+    nbr_ids;
+    ring_off;
+    pair_ring = Array.sub ring 0 n_pairs;
+    pair_anchor = Array.sub anchor 0 n_pairs;
+    pair_partner = Array.sub partner 0 n_pairs;
+    pair_walk = Array.make n_pairs 1;
+    dist = (fun a b -> Point.l1_dist (point a) (point b));
+    point;
+  }
 
 (* Theorem 4.1.1: [max_T ω_T] with longevity-scaled reach.  For one
    subset T, ω_T solves ω · Σ_{i : ‖i-T‖ <= p_i·ω} p_i = D(T); the left

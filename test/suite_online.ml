@@ -890,3 +890,122 @@ let test_grid_protocol_pins () =
 
 let suite =
   suite @ [ Alcotest.test_case "grid protocol pins" `Quick test_grid_protocol_pins ]
+
+(* --- Grid topology: one cube pattern, stamped ---
+
+   [Online.grid_topology] computes one cube's pairs and links and stamps
+   them onto every cube of the window.  It must give the record that
+   building every cube on its own gives ([Reference.grid_topology]),
+   array for array: the CSR fill order is the Query fan-out order and
+   the ring order the monitoring order, both part of the trace. *)
+
+let check_same_topology name (a : Online.topology) (b : Online.topology) =
+  let same what f = Alcotest.(check (array int)) (name ^ ": " ^ what) (f a) (f b) in
+  Alcotest.(check int) (name ^ ": cells") a.Online.cells b.Online.cells;
+  same "nbr_off" (fun t -> t.Online.nbr_off);
+  same "nbr_ids" (fun t -> t.Online.nbr_ids);
+  same "ring_off" (fun t -> t.Online.ring_off);
+  same "pair_ring" (fun t -> t.Online.pair_ring);
+  same "pair_anchor" (fun t -> t.Online.pair_anchor);
+  same "pair_partner" (fun t -> t.Online.pair_partner);
+  same "pair_walk" (fun t -> t.Online.pair_walk);
+  for c = 0 to a.Online.cells - 1 do
+    let c' = ((c * 7) + 3) mod a.Online.cells in
+    if not (Point.equal (a.Online.point c) (b.Online.point c)) then
+      Alcotest.failf "%s: point of cell %d" name c;
+    Alcotest.(check int)
+      (Printf.sprintf "%s: dist %d %d" name c c')
+      (b.Online.dist c c') (a.Online.dist c c')
+  done
+
+let test_grid_topology_matches_reference () =
+  let lo = [| -7; 3; -2 |] and tiles = [| 2; 3; 2 |] in
+  for dim = 1 to 3 do
+    for side = 1 to 5 do
+      for comm_radius = 1 to 3 do
+        let cfg = Online.config ~comm_radius ~capacity:4.0 ~side () in
+        let lo = Array.sub lo 0 dim in
+        let tiles = if dim = 1 then [| 3 |] else Array.sub tiles 0 dim in
+        let window =
+          Box.make ~lo ~hi:(Array.mapi (fun i l -> l + (tiles.(i) * side) - 1) lo)
+        in
+        check_same_topology
+          (Printf.sprintf "dim %d side %d radius %d" dim side comm_radius)
+          (Online.grid_topology cfg window)
+          (Reference.grid_topology cfg window)
+      done
+    done
+  done;
+  (* [run_fleet]'s bands: runs of whole tile columns along axis 0 of a
+     tiled window, here 7 columns in 3 bands of 2, 2 and 3. *)
+  let cfg = Online.config ~capacity:2.5 ~side:4 () in
+  List.iter
+    (fun (first, cols) ->
+      let band =
+        Box.make
+          ~lo:(point2 (-5 + (4 * first)) 2)
+          ~hi:(point2 (-5 + (4 * (first + cols)) - 1) (2 + (4 * 5) - 1))
+      in
+      check_same_topology
+        (Printf.sprintf "band of columns %d..%d" first (first + cols - 1))
+        (Online.grid_topology cfg band)
+        (Reference.grid_topology cfg band))
+    [ (0, 2); (2, 2); (4, 3) ];
+  match Online.grid_topology cfg (Box.make ~lo:(point2 0 0) ~hi:(point2 7 9)) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a 8x10 window of 4-cubes: expected Invalid_argument"
+
+(* A fleet call's allocation per delivered message: 16 jobs on a 64²
+   window, one per 4×4 cube, plus the two corner pins, in eight bands on
+   one worker — fleet-50k's shape at 1/12 of its vehicles.  When every
+   call rebuilt each cube's pairs and links through [Box.iter] and
+   [Snake.pairing], a call allocated about 91 minor words per delivered
+   message; stamping one cube pattern brings it to about 19. *)
+let test_fleet_call_allocation () =
+  let box_side = 64 and cube_side = 4 in
+  let rng = Rng.create (Fnv.of_ints [ 1; 0 ]) in
+  let pins = [| point2 0 0; point2 (box_side - 1) (box_side - 1) |] in
+  let cube p = (p.(0) / cube_side * (box_side / cube_side)) + (p.(1) / cube_side) in
+  let taken = Hashtbl.create 32 in
+  Array.iter (fun p -> Hashtbl.replace taken (cube p) ()) pins;
+  let rec draw acc left =
+    if left = 0 then List.rev acc
+    else
+      let p = point2 (Rng.int rng box_side) (Rng.int rng box_side) in
+      if Hashtbl.mem taken (cube p) then draw acc left
+      else begin
+        Hashtbl.replace taken (cube p) ();
+        draw (p :: acc) (left - 1)
+      end
+  in
+  let w =
+    {
+      Workload.name = "fleet-64";
+      dim = 2;
+      jobs = Array.append (Array.of_list (draw [] 16)) pins;
+    }
+  in
+  let cfg =
+    Online.config ~seed:1 ~capacity:2.5 ~side:cube_side
+      ~chaos:(Des.faults ~drop_p:0.02 ~dup_p:0.01 ())
+      ~quiesce_budget:10_000_000 ()
+  in
+  let run () = Online.run_fleet ~workers:1 ~shards:8 cfg w in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let f = run () in
+  let words = Gc.minor_words () -. w0 in
+  let a = f.Online.aggregate in
+  Alcotest.(check int) "every job served" (Array.length w.Workload.jobs) a.Online.served;
+  let per_message = words /. float_of_int a.Online.messages in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per delivered message (at most 35)" per_message)
+    true (per_message <= 35.0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "grid topology = reference" `Quick
+        test_grid_topology_matches_reference;
+      Alcotest.test_case "fleet call allocation" `Quick test_fleet_call_allocation;
+    ]
