@@ -223,7 +223,11 @@ type world = {
 
 (* Protocol constants: the heartbeat deadline of §3.2.5, the idle backoff
    cap for deadline re-arming, and the retry schedule of the reliable
-   layer (base * 2^k, at most [max_attempts] transmissions). *)
+   layer (at most [max_attempts] transmissions, the k-th retry timer set
+   for base * 2^k).  A vehicle's timers are one FIFO self-channel of
+   [Des], so a retry fires no earlier than any timer the vehicle set
+   before it: on a pair's anchor, a retry armed behind the pair's
+   deadline (up to [max_deadline_interval] away) waits for it. *)
 let heartbeat_timeout = 50.0
 let max_deadline_interval = 1600.0
 let retry_delay = 4.0

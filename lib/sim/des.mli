@@ -11,9 +11,12 @@
     messages, deliver duplicates and spike delays; links between process
     pairs can be partitioned, and whole processes crashed and restarted —
     the chaos layer the hardened online protocol (docs/ROBUSTNESS.md) is
-    tested against.  Self-channels ([src = dst]) model local timers and
-    are exempt from channel faults, though a crashed process loses its
-    pending timers.
+    tested against.  Self-channels ([src = dst]) carry a process's local
+    timers and are exempt from channel faults, though a crashed process
+    loses its pending timers.  A self-channel is FIFO like any other, so
+    all of a process's timers share one queue: a timer fires no earlier
+    than every timer the same process set before it (one set for +4
+    after one set for +1,600 fires just after the latter).
 
     The simulator is generic in the message type.  Clients [send] from
     within the handler; [run_until_quiescent] drains the event queue,
@@ -113,7 +116,9 @@ val send : ?weak:bool -> 'msg t -> src:int -> dst:int -> 'msg -> unit
 val send_after :
   ?weak:bool -> 'msg t -> delay:float -> src:int -> dst:int -> 'msg -> unit
 (** Enqueues with an explicit extra delay — used for timer-style
-    self-messages (heartbeat deadlines, retry backoff).  Raises
+    self-messages (heartbeat deadlines, retry backoff), which the
+    self-channel's FIFO order can hold back behind the process's earlier
+    timers.  Raises
     [Invalid_argument] on a negative or non-finite delay: a [nan] or
     infinite delivery time has no place on the timeline. *)
 

@@ -78,6 +78,27 @@ let test_send_after_ordering () =
   Alcotest.(check bool) "delayed message arrives second" true
     (List.rev !got = [ `Early; `Late ])
 
+(* A process's timers are one FIFO channel (src = dst): a timer set for
+   +4 after one set for +1,600 does not fire at +4 but just after the
+   earlier one.  [Online]'s retries and pair deadlines share that
+   channel on their anchor vehicle, so a retry armed behind a deadline
+   waits for it. *)
+let test_self_timers_share_one_fifo () =
+  let des = Des.create ~rng:(Rng.create 7) () in
+  let got = ref [] in
+  Des.send_after des ~delay:1600.0 ~src:3 ~dst:3 `Deadline;
+  Des.send_after des ~delay:4.0 ~src:3 ~dst:3 `Retry;
+  Des.send_after des ~delay:4.0 ~src:5 ~dst:5 `Other_process;
+  drain des (fun ~time ~src:_ ~dst:_ m -> got := (m, time) :: !got);
+  match List.rev !got with
+  | [ (`Other_process, t0); (`Deadline, t1); (`Retry, t2) ] ->
+      Alcotest.(check bool) "another process's timer fires at +4" true (t0 < 6.0);
+      Alcotest.(check bool) "the deadline fires at +1,600" true
+        (t1 >= 1600.0 && t1 < 1602.0);
+      Alcotest.(check bool) "the retry fires just after the deadline" true
+        (t2 > t1 && t2 < t1 +. 1e-6)
+  | _ -> Alcotest.fail "expected the other process's timer, then Deadline, then Retry"
+
 let test_determinism () =
   let trace seed =
     let des = Des.create ~rng:(Rng.create seed) () in
@@ -99,6 +120,7 @@ let suite =
     Alcotest.test_case "fifo independent channels" `Quick test_fifo_independent_channels;
     Alcotest.test_case "time monotone" `Quick test_time_monotone;
     Alcotest.test_case "handler chain extends run" `Quick test_handler_chain_extends_run;
+    Alcotest.test_case "self timers share one fifo" `Quick test_self_timers_share_one_fifo;
     Alcotest.test_case "send_after ordering" `Quick test_send_after_ordering;
     Alcotest.test_case "determinism" `Quick test_determinism;
   ]
