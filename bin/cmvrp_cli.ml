@@ -522,14 +522,104 @@ let fleet_cmd =
 
 (* --- bench-diff subcommand --- *)
 
+(* A sample as one number: a counter's count, a gauge's value, a
+   timer's nanoseconds, a histogram's observation count. *)
+let sample_value = function
+  | Metrics.Count n -> float_of_int n
+  | Metrics.Level { value; _ } -> value
+  | Metrics.Span { ns; _ } -> ns
+  | Metrics.Dist { count; _ } -> float_of_int count
+
+(* [bench-diff --series DIR --metric NAME]: one metric across the
+   trajectory files BENCH_pr<N>.json of DIR, in PR order, one column per
+   scenario that carries it. *)
+let print_series ~dir ~metric ~prefix =
+  let fail e =
+    Printf.eprintf "bench-diff: %s\n" e;
+    exit 2
+  in
+  let names = try Sys.readdir dir with Sys_error e -> fail e in
+  let points =
+    Array.to_list names
+    |> List.filter_map (fun name ->
+           Option.map
+             (fun n -> (n, name))
+             (Scanf.sscanf_opt name "BENCH_pr%u.json%!" Fun.id))
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (_, name) ->
+           match Bench_report.read_file (Filename.concat dir name) with
+           | Ok r -> r
+           | Error e -> fail e)
+  in
+  let carries (s : Bench_report.scenario) =
+    List.mem_assoc metric s.Bench_report.metrics
+    && String.starts_with ~prefix s.Bench_report.name
+  in
+  let columns =
+    List.fold_left
+      (fun acc (r : Bench_report.t) ->
+        List.fold_left
+          (fun acc (s : Bench_report.scenario) ->
+            if carries s && not (List.mem s.Bench_report.name acc) then
+              acc @ [ s.Bench_report.name ]
+            else acc)
+          acc r.Bench_report.scenarios)
+      [] points
+  in
+  if columns = [] then fail (Printf.sprintf "no scenario of %s carries metric %S" dir metric);
+  let cell (r : Bench_report.t) column =
+    List.find_opt
+      (fun (s : Bench_report.scenario) -> String.equal s.Bench_report.name column)
+      r.Bench_report.scenarios
+    |> Fun.flip Option.bind (fun (s : Bench_report.scenario) ->
+           List.assoc_opt metric s.Bench_report.metrics)
+    |> Option.fold ~none:"-" ~some:(fun v -> Printf.sprintf "%.6g" (sample_value v))
+  in
+  (* A point's label: its revision up to the machine description. *)
+  let label (r : Bench_report.t) =
+    String.trim (List.hd (String.split_on_char '|' r.Bench_report.revision))
+  in
+  let rows =
+    ("point" :: columns)
+    :: List.map (fun r -> label r :: List.map (cell r) columns) points
+  in
+  let widths =
+    List.fold_left
+      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
+      (List.map (fun _ -> 0) (List.hd rows))
+      rows
+  in
+  Printf.printf "bench-diff: %s across %d point(s) of %s\n" metric
+    (List.length points) dir;
+  List.iter
+    (fun row ->
+      print_endline
+        (String.trim (String.concat "  " (List.map2 (Printf.sprintf "%-*s") widths row))))
+    rows
+
 let bench_diff_cmd =
   let baseline =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE"
+    Arg.(value & pos 0 (some file) None & info [] ~docv:"BASELINE"
          ~doc:"Baseline BENCH_<rev>.json report.")
   in
   let candidate =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"CANDIDATE"
+    Arg.(value & pos 1 (some file) None & info [] ~docv:"CANDIDATE"
          ~doc:"Candidate BENCH_<rev>.json report to vet against the baseline.")
+  in
+  let series =
+    Arg.(
+      value & opt (some dir) None
+      & info [ "series" ] ~docv:"DIR"
+          ~doc:
+            "Instead of comparing two reports, print the metric named by \
+             $(b,--metric) across the trajectory files BENCH_pr<N>.json of \
+             $(docv), in PR order, one column per scenario that carries \
+             it (see bench/trajectory).")
+  in
+  let metric =
+    Arg.(
+      value & opt (some string) None
+      & info [ "metric" ] ~docv:"NAME" ~doc:"The metric that $(b,--series) prints.")
   in
   let tolerance =
     Arg.(
@@ -552,11 +642,13 @@ let bench_diff_cmd =
       value & opt (some string) None
       & info [ "scenario" ] ~docv:"PREFIX"
           ~doc:
-            "Restrict the comparison to scenarios whose name starts with \
-             \\$(docv) (e.g. oracle/).  Lets CI hold a hot subsystem to a \
-             tighter tolerance than the rest of the suite.")
+            "Restrict the comparison, or the columns of $(b,--series), to \
+             scenarios whose name starts with $(docv) (e.g. oracle/).  Lets \
+             CI hold a hot subsystem to a tighter tolerance than the rest of \
+             the suite.")
   in
-  let run baseline_path candidate_path tolerance metric_tolerance scenario_prefix =
+  let diff_reports baseline_path candidate_path tolerance metric_tolerance
+      scenario_prefix =
     if tolerance < 0.0 || metric_tolerance < 0.0 then begin
       Printf.eprintf "bench-diff: tolerances must be non-negative\n";
       exit 2
@@ -625,12 +717,32 @@ let bench_diff_cmd =
         Printf.printf "%d regression(s) found\n" (List.length regressions);
         exit 1
   in
-  let doc = "Compare two benchmark reports; exit 1 on regression." in
+  let run baseline_path candidate_path tolerance metric_tolerance scenario_prefix
+      series metric =
+    match (series, metric, baseline_path, candidate_path) with
+    | Some dir, Some metric, None, None ->
+        print_series ~dir ~metric ~prefix:(Option.value scenario_prefix ~default:"")
+    | Some _, _, _, _ | None, Some _, _, _ ->
+        Printf.eprintf
+          "bench-diff: --series DIR and --metric NAME go together, without \
+           BASELINE and CANDIDATE\n";
+        exit 2
+    | None, None, Some baseline_path, Some candidate_path ->
+        diff_reports baseline_path candidate_path tolerance metric_tolerance
+          scenario_prefix
+    | None, None, _, _ ->
+        Printf.eprintf "bench-diff: BASELINE and CANDIDATE are required\n";
+        exit 2
+  in
+  let doc =
+    "Compare two benchmark reports; exit 1 on regression.  With --series, \
+     print one metric across a trajectory directory instead."
+  in
   Cmd.v
     (Cmd.info "bench-diff" ~doc)
     Term.(
       const run $ baseline $ candidate $ tolerance $ metric_tolerance
-      $ scenario_prefix)
+      $ scenario_prefix $ series $ metric)
 
 let () =
   let doc = "CMVRP: capacitated multivehicle routing on the grid (Gao 2008)" in

@@ -184,8 +184,105 @@ let prop_self_diff_empty =
         ~candidate:r ()
       = [])
 
+(* --- The benchmark trajectory (bench/trajectory) ---
+
+   One BENCH_pr<N>.json per PR: the quick suite's scenarios and one
+   e2e/<workload> scenario per benchmark/ workload, carrying the four
+   end-to-end metrics and the traced per-layer ones.  Every file must
+   parse and name its PR; [bench-diff --series] prints one metric across
+   them in PR order. *)
+
+let trajectory_dir = "../bench/trajectory"
+
+let trajectory_files () =
+  List.sort
+    (fun a b -> Int.compare (fst a) (fst b))
+    (List.filter_map
+       (fun f -> Option.map (fun n -> (n, f)) (Scanf.sscanf_opt f "BENCH_pr%u.json%!" Fun.id))
+       (Array.to_list (Sys.readdir trajectory_dir)))
+
+let e2e_workloads = [ "serve-hot"; "serve-cold"; "stream-churn"; "fleet-50k" ]
+
+let test_trajectory_points_parse () =
+  let files = trajectory_files () in
+  Alcotest.(check bool) "at least ten points" true (List.length files >= 10);
+  List.iter
+    (fun (n, f) ->
+      match Bench_report.read_file (Filename.concat trajectory_dir f) with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+          let pr = Printf.sprintf "pr%d " n in
+          Alcotest.(check bool)
+            (f ^ " revision names its PR: " ^ r.Bench_report.revision)
+            true
+            (String.starts_with ~prefix:pr r.Bench_report.revision);
+          let scenario name =
+            List.find_opt
+              (fun (s : Bench_report.scenario) -> String.equal s.Bench_report.name name)
+              r.Bench_report.scenarios
+          in
+          Alcotest.(check bool) (f ^ " has the quick suite") true
+            (Option.is_some (scenario "des/kernel"));
+          List.iter
+            (fun w ->
+              match scenario ("e2e/" ^ w) with
+              | None -> Alcotest.failf "%s: no e2e/%s scenario" f w
+              | Some s ->
+                  List.iter
+                    (fun m ->
+                      if not (List.mem_assoc m s.Bench_report.metrics) then
+                        Alcotest.failf "%s: e2e/%s lacks %s" f w m)
+                    [ "setup_s"; "latency_p50_us"; "ops_per_s"; "peak_rss_mb";
+                      "attempted"; "failed"; "gc.minor_words_per_op" ])
+            e2e_workloads)
+    files
+
+let cli_exe = Filename.concat ".." (Filename.concat "bin" "cmvrp_cli.exe")
+
+let test_series_view () =
+  let out = Filename.temp_file "cmvrp_series" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let run args =
+        let status =
+          Sys.command
+            (Filename.quote_command cli_exe ~stdout:out ~stderr:Filename.null
+               ("bench-diff" :: args))
+        in
+        (status, In_channel.with_open_text out In_channel.input_lines)
+      in
+      let status, lines =
+        run [ "--series"; trajectory_dir; "--metric"; "ops_per_s"; "--scenario"; "e2e/" ]
+      in
+      Alcotest.(check int) "exit status" 0 status;
+      let files = trajectory_files () in
+      Alcotest.(check int) "title, header and one row per point"
+        (List.length files + 2) (List.length lines);
+      (match lines with
+      | _ :: header :: rows ->
+          List.iter
+            (fun w ->
+              Alcotest.(check bool) ("column e2e/" ^ w) true
+                (Option.is_some
+                   (List.find_opt (String.equal ("e2e/" ^ w))
+                      (String.split_on_char ' ' header))))
+            e2e_workloads;
+          List.iter2
+            (fun (n, _) row ->
+              Alcotest.(check bool) ("row of pr" ^ string_of_int n) true
+                (String.starts_with ~prefix:(Printf.sprintf "pr%d " n) row))
+            files rows
+      | _ -> Alcotest.fail "no header");
+      let status, _ = run [ "--series"; trajectory_dir; "--metric"; "no.such.metric" ] in
+      Alcotest.(check int) "unknown metric exits 2" 2 status;
+      let status, _ = run [ "--series"; trajectory_dir ] in
+      Alcotest.(check int) "--series without --metric exits 2" 2 status)
+
 let suite =
   [
+    Alcotest.test_case "trajectory points parse" `Quick test_trajectory_points_parse;
+    Alcotest.test_case "series view" `Quick test_series_view;
     Alcotest.test_case "json roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "identical reports clean" `Quick
