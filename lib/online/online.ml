@@ -1248,13 +1248,17 @@ let run_fleet ?workers ~shards cfg workload =
             Pool.map
               (fun (cfg_s, jobs_s, gidx, box) ->
                 let job_index i = if i = 0 then 0 else gidx.(i - 1) in
-                run_core ~job_index cfg_s (grid_topology cfg_s box) ~jobs:jobs_s)
+                let o, w =
+                  run_core ~job_index cfg_s (grid_topology cfg_s box) ~jobs:jobs_s
+                in
+                (* Weighed as its band ends, a world is garbage before the
+                   next band starts: a call holds one band's world per
+                   worker, not every band's. *)
+                (o, world_footprint_bytes w))
               tasks)
       in
       let outs = Array.map fst results in
-      let total_bytes =
-        Array.fold_left (fun acc (_, w) -> acc + world_footprint_bytes w) 0 results
-      in
+      let total_bytes = Array.fold_left (fun acc (_, b) -> acc + b) 0 results in
       let vehicles = Array.fold_left (fun acc o -> acc + o.vehicles) 0 outs in
       let bytes_per_vehicle =
         float_of_int total_bytes /. float_of_int (max 1 vehicles)

@@ -569,7 +569,10 @@ let test_fleet_digests_worker_invariant () =
         f.Online.aggregate.Online.trace_digest;
       Alcotest.(check int)
         (Printf.sprintf "workers=%d served matches" workers)
-        base.Online.aggregate.Online.served f.Online.aggregate.Online.served)
+        base.Online.aggregate.Online.served f.Online.aggregate.Online.served;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "workers=%d footprint matches" workers)
+        base.Online.bytes_per_vehicle f.Online.bytes_per_vehicle)
     [ 2; 4 ];
   Alcotest.(check bool) "per-vehicle footprint within budget" true
     (base.Online.bytes_per_vehicle <= 512.0)
