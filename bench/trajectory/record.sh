@@ -7,8 +7,9 @@
 #   sh bench/trajectory/record.sh SRC N
 #
 # In SRC it builds the tree, runs the quick bench suite, and runs each
-# benchmark/ workload twice: untraced (--seed 1 --seconds 10) for the
-# end-to-end metrics, and traced (--seed 3) for the per-layer metrics.
+# benchmark/ workload untraced three times (--seed 1 --seconds 10) for
+# the end-to-end metrics, whose medians the point keeps, and traced once
+# (--seed 3) for the per-layer metrics.  It takes about four minutes.
 # This repository's bench/trajectory/point.exe then merges the results.
 # The revision string names the PR, SRC's directory (the commit), the
 # CPU model and nproc.  Run nothing else on the machine
@@ -30,8 +31,10 @@ DUNE_CACHE=disabled dune build --root . --display quiet \
 ./_build/default/bench/main.exe --quick --json "$work/quick.json" \
   --revision "$revision" >/dev/null
 for w in serve-hot serve-cold stream-churn fleet-50k; do
-  sh benchmark/run.sh --workload "$w" --seed 1 --seconds 10 --trace 0 \
-    | tail -n 1 >"$work/$w.trace0"
+  for run in 1 2 3; do
+    sh benchmark/run.sh --workload "$w" --seed 1 --seconds 10 --trace 0 \
+      | tail -n 1 >>"$work/$w.trace0"
+  done
   sh benchmark/run.sh --workload "$w" --seed 3 --trace 1 \
     | tail -n 1 >"$work/$w.trace1"
 done
