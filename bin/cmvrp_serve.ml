@@ -76,6 +76,10 @@ let daemon_cmd =
     | exception Frame.Bad_frame msg ->
         Printf.eprintf "cmvrp_serve daemon: bad frame: %s\n%!" msg;
         exit 1
+    | exception Unix.Unix_error (e, ("socket" | "bind" | "listen"), _) ->
+        Printf.eprintf "cmvrp_serve daemon: cannot listen on %s: %s\n%!"
+          (Option.value socket ~default:"") (Unix.error_message e);
+        exit 2
   in
   let doc = "Run the oracle daemon." in
   Cmd.v

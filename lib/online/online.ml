@@ -1197,6 +1197,9 @@ let run_fleet ?workers ~shards cfg workload =
           (fun acc (gi, _) -> if gi <= k then acc + 1 else acc)
           0 shard_jobs.(s)
       in
+      (* A fault after the k-th job, for k past the last job, never fires
+         in [run]; [local_k] would move it to the band's last job. *)
+      let fires k = k <= Array.length jobs in
       let shard_cfg s =
         let faults =
           {
@@ -1205,7 +1208,8 @@ let run_fleet ?workers ~shards cfg workload =
             deaths =
               List.filter_map
                 (fun (k, id) ->
-                  Option.map (fun lid -> (local_k s k, lid)) (local_id s id))
+                  if fires k then Option.map (fun lid -> (local_k s k, lid)) (local_id s id)
+                  else None)
                 cfg.faults.deaths;
             longevity =
               List.filter_map
@@ -1214,7 +1218,8 @@ let run_fleet ?workers ~shards cfg workload =
             outages =
               List.filter_map
                 (fun (k, id, d) ->
-                  Option.map (fun lid -> (local_k s k, lid, d)) (local_id s id))
+                  if fires k then Option.map (fun lid -> (local_k s k, lid, d)) (local_id s id)
+                  else None)
                 cfg.faults.outages;
           }
         in

@@ -42,41 +42,6 @@ let encode payload =
   Bytes.set b (w + len + 1) '\n';
   Bytes.to_string b
 
-let write oc payload =
-  output_string oc (encode payload);
-  flush oc
-
-(* The header is read a byte at a time and never past [max_header]
-   bytes, as [next] reads it: a peer that sends no newline costs no more
-   than that. *)
-let read_header ic =
-  let header = Buffer.create max_header in
-  let rec scan () =
-    match input_char ic with
-    | exception End_of_file ->
-        if Buffer.length header = 0 then None
-        else bad "end of stream inside a frame header"
-    | '\n' -> Some (Buffer.contents header)
-    | c ->
-        if Buffer.length header + 1 >= max_header then
-          bad "no frame header within %d bytes" max_header;
-        Buffer.add_char header c;
-        scan ()
-  in
-  scan ()
-
-let read ic =
-  match read_header ic with
-  | None -> None
-  | Some header -> (
-      let len = length_of_header header in
-      match really_input_string ic (len + 1) with
-      | exception End_of_file -> bad "end of stream inside a %d-byte frame" len
-      | body ->
-          if body.[len] <> '\n' then
-            bad "frame of %d bytes not terminated by a newline" len;
-          Some (String.sub body 0 len))
-
 (* --- incremental decoding --- *)
 
 (* [buf] holds every byte received but not yet popped; [pos] is the
@@ -100,7 +65,9 @@ let compact d =
     d.pos <- 0
   end
 
-let next d =
+(* The buffered header's length, newline excluded, or [None] while its
+   newline has not arrived; never scans past [max_header] bytes. *)
+let header_length d =
   let avail = Buffer.length d.buf - d.pos in
   let rec find_newline i =
     if i >= avail then None
@@ -109,12 +76,17 @@ let next d =
       bad "no frame header within %d bytes" max_header
     else find_newline (i + 1)
   in
-  match find_newline 0 with
-  | None -> if avail >= max_header then bad "unterminated frame header" else None
-  | Some header_len -> (
-      let len = length_of_header (Buffer.sub d.buf d.pos header_len) in
+  find_newline 0
+
+let payload_length d header_len = length_of_header (Buffer.sub d.buf d.pos header_len)
+
+let next d =
+  match header_length d with
+  | None -> None
+  | Some header_len ->
+      let len = payload_length d header_len in
       let total = header_len + 1 + len + 1 in
-      if avail < total then None
+      if Buffer.length d.buf - d.pos < total then None
       else begin
         let terminator = Buffer.nth d.buf (d.pos + total - 1) in
         if not (Char.equal terminator '\n') then
@@ -123,4 +95,11 @@ let next d =
         d.pos <- d.pos + total;
         compact d;
         Some payload
-      end)
+      end
+
+let finish d =
+  if Buffer.length d.buf > d.pos then
+    match header_length d with
+    | None -> bad "end of stream inside a frame header"
+    | Some header_len ->
+        bad "end of stream inside a %d-byte frame" (payload_length d header_len)

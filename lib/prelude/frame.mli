@@ -10,16 +10,16 @@
     violation raises {!Bad_frame} rather than silently skewing the
     stream.
 
-    Two consumption styles:
-    - blocking {!read}/{!write} over [Stdlib] channels (the stdio
-      transport and the load-generator client);
-    - an incremental {!decoder} fed arbitrary byte chunks (the daemon's
-      select loop, which reads whatever the socket has and pops the
-      complete frames).  See [docs/SERVING.md]. *)
+    Frames go out through {!encode} and come in through an incremental
+    {!decoder} fed arbitrary byte chunks: the daemon's one select loop
+    reads whatever a socket or stdin has and pops the complete frames,
+    and so do the load generator's clients.  See [docs/SERVING.md]. *)
 
 exception Bad_frame of string
-(** Malformed header (empty, a byte other than an ASCII digit, or a
-    length past {!max_payload}) or missing trailing newline. *)
+(** Malformed header (empty, a byte other than an ASCII digit, no
+    newline within its longest legal length of 9 bytes, or a length
+    past {!max_payload}), missing trailing newline, or the end of the
+    stream inside a frame. *)
 
 val max_payload : int
 (** Hard cap on a single payload (16 MiB) — a corrupt or hostile header
@@ -27,16 +27,6 @@ val max_payload : int
 
 val encode : string -> string
 (** The full wire form of one payload. *)
-
-val write : out_channel -> string -> unit
-(** [write oc payload] emits one frame and flushes. *)
-
-val read : in_channel -> string option
-(** Blocking read of one complete frame; [None] at a clean end of stream
-    (EOF before the first header byte).  EOF mid-frame, header included,
-    raises {!Bad_frame}, and so does a header with no newline within its
-    longest legal length (9 bytes): the reader consumes no more than
-    that. *)
 
 (** {1 Incremental decoding} *)
 
@@ -52,4 +42,10 @@ val feed_string : decoder -> string -> unit
 val next : decoder -> string option
 (** Pops the next complete payload, or [None] if more bytes are needed.
     Raises {!Bad_frame} as soon as the buffered prefix cannot start a
-    valid frame. *)
+    valid frame: a header is never scanned past 9 bytes. *)
+
+val finish : decoder -> unit
+(** The end of the stream, once {!next} has returned [None]: raises
+    {!Bad_frame} if the decoder still holds the start of a frame
+    (["end of stream inside a frame header"] or ["end of stream inside
+    a N-byte frame"]), and returns if the stream ended between frames. *)

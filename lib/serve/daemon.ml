@@ -20,13 +20,20 @@ let config ?(cache_capacity = 4096) ?(max_sessions = 64)
     invalid_arg "Daemon.config: max_sessions must be positive";
   { transport; cache_capacity; max_sessions; max_batch }
 
+(* One client of the loop: requests come in on [rd] and replies go out on
+   [wr].  A socket is both; the stdio client reads stdin and writes
+   stdout. *)
 type conn = {
-  fd : Unix.file_descr;
+  rd : Unix.file_descr;
+  wr : Unix.file_descr;
   dec : Frame.decoder;
   mutable alive : bool;
-  mutable hanging_up : bool;
-      (* a bad header's error is queued: close once the queue is answered *)
+  mutable bad_frame : string option;
+      (* its error is queued: close once the queue is answered *)
 }
+
+let connection rd wr =
+  { rd; wr; dec = Frame.decoder (); alive = true; bad_frame = None }
 
 (* Blocking write of a whole frame; small responses, prompt readers. *)
 let send_all fd payload =
@@ -40,7 +47,7 @@ let send_all fd payload =
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
 let send_response conn resp =
-  if conn.alive then send_all conn.fd (Protocol.response_to_string resp)
+  if conn.alive then send_all conn.wr (Protocol.response_to_string resp)
 
 let parse_error_response msg =
   { Protocol.r_id = -1; r_cached = false; r_result = Error msg; r_encoded = None }
@@ -48,35 +55,41 @@ let parse_error_response msg =
 (* Drain every complete frame the decoder holds into the pending queue,
    decoded: a frame that fails to parse as a request is answered with an
    id = -1 error in its turn, after the requests sent before it. *)
-let drain_frames conn pending =
-  let continue = ref true in
-  while !continue do
-    match Frame.next conn.dec with
-    | None -> continue := false
-    | Some payload -> Queue.push (conn, Protocol.request_of_string payload) pending
-  done
+let rec drain_frames conn pending =
+  match Frame.next conn.dec with
+  | None -> ()
+  | Some payload ->
+      Queue.push (conn, Protocol.request_of_string payload) pending;
+      drain_frames conn pending
 
 let read_chunk_size = 65536
 
 (* Read once from a ready connection; false when the peer is gone.  A
-   bad header queues its error behind the frames decoded before it and
-   marks the connection to be closed once that error has been answered:
-   the byte stream past it cannot be trusted, but the requests sent
-   before it are still owed their replies. *)
+   bad frame (a bad header, or the end of the stream inside a frame)
+   queues its error behind the frames decoded before it and marks the
+   connection to be closed once that error has been answered: the byte
+   stream past it cannot be trusted, but the requests sent before it
+   are still owed their replies. *)
 let pump_conn conn pending buf =
-  match Unix.read conn.fd buf 0 read_chunk_size with
+  let read () =
+    match Unix.read conn.rd buf 0 read_chunk_size with
+    | 0 ->
+        Frame.finish conn.dec;
+        false
+    | n ->
+        Frame.feed conn.dec buf 0 n;
+        drain_frames conn pending;
+        true
+  in
+  match read () with
+  | more -> more
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
-  | 0 -> false
-  | n -> (
-      Frame.feed conn.dec buf 0 n;
-      match drain_frames conn pending with
-      | () -> true
-      | exception Frame.Bad_frame msg ->
-          Metrics.incr m_bad_frames;
-          Queue.push (conn, Error ("bad frame: " ^ msg)) pending;
-          conn.hanging_up <- true;
-          true)
+  | exception Frame.Bad_frame msg ->
+      Metrics.incr m_bad_frames;
+      Queue.push (conn, Error ("bad frame: " ^ msg)) pending;
+      conn.bad_frame <- Some msg;
+      true
 
 (* Feed the pending queue to the engine, [max_batch] at a time, sending
    each response to its connection as soon as its batch completes.
@@ -111,84 +124,101 @@ let drain_pending engine max_batch pending =
 let close_quietly fd =
   try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
-let run_socket ~trace cfg path =
+(* The one serving loop, over [listener]'s connections (when there is a
+   listener) and [conns].  Returns once a shutdown request has been
+   served, or once no listener and no connection is left. *)
+let serve ~trace cfg listener conns =
   let engine = Engine.create ~cache_capacity:cfg.cache_capacity ~max_sessions:cfg.max_sessions () in
-  (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX path);
-  Unix.listen listen_fd 64;
-  trace ("listening on " ^ path);
-  let conns = ref [] in
+  let conns = ref conns in
   let pending = Queue.create () in
   let buf = Bytes.create read_chunk_size in
   let running = ref true in
-  while !running do
-    let fds = listen_fd :: List.map (fun c -> c.fd) !conns in
-    match Unix.select fds [] [] (-1.0) with
+  (* Out of descriptors, [accept] fails while the waiting client keeps
+     the listener readable: leave the listener out of the select until a
+     connection closes, instead of spinning.  Retry after a quiet second
+     too, since with no connection open, or on ENFILE (a system-wide
+     limit), no close of ours may come. *)
+  let accepting = ref true in
+  let publish_count () =
+    Metrics.set_gauge m_conns (float_of_int (List.length !conns))
+  in
+  let accept fd =
+    match Unix.accept fd with
+    | client, _ ->
+        Metrics.incr m_accepted;
+        conns := connection client client :: !conns;
+        publish_count ();
+        trace "accepted connection"
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        accepting := false;
+        trace "out of descriptors: not accepting until a connection closes"
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
+  in
+  let hang_up conn =
+    conn.alive <- false;
+    (* a socket is the loop's to close; stdin and stdout are the process's *)
+    if conn.rd == conn.wr then close_quietly conn.rd;
+    accepting := true;
+    trace "connection closed"
+  in
+  publish_count ();
+  while !running && (Option.is_some listener || not (List.is_empty !conns)) do
+    let reading = List.map (fun c -> c.rd) !conns in
+    let watched, timeout =
+      match listener with
+      | Some fd when !accepting -> (fd :: reading, -1.0)
+      | Some _ -> (reading, 1.0)
+      | None -> (reading, -1.0)
+    in
+    match Unix.select watched [] [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ -> accepting := true
     | ready, _, _ ->
-        if List.memq listen_fd ready then begin
-          let fd, _ = Unix.accept listen_fd in
-          Metrics.incr m_accepted;
-          conns :=
-            { fd; dec = Frame.decoder (); alive = true; hanging_up = false }
-            :: !conns;
-          Metrics.set_gauge m_conns (float_of_int (List.length !conns));
-          trace "accepted connection"
-        end;
-        let hang_up conn =
-          conn.alive <- false;
-          close_quietly conn.fd;
-          trace "connection closed"
-        in
+        Option.iter (fun fd -> if List.memq fd ready then accept fd) listener;
         List.iter
           (fun conn ->
-            if conn.alive && List.memq conn.fd ready then
+            if conn.alive && List.memq conn.rd ready then
               if not (pump_conn conn pending buf) then hang_up conn)
           !conns;
         if drain_pending engine cfg.max_batch pending then running := false;
-        (* the queue is empty now, so every bad header has been answered *)
-        List.iter (fun c -> if c.alive && c.hanging_up then hang_up c) !conns;
+        (* the queue is empty now, so every bad frame has been answered *)
+        List.iter
+          (fun c -> if c.alive && Option.is_some c.bad_frame then hang_up c)
+          !conns;
         let before = List.length !conns in
         conns := List.filter (fun c -> c.alive) !conns;
-        if List.length !conns <> before then
-          Metrics.set_gauge m_conns (float_of_int (List.length !conns))
+        if List.length !conns <> before then publish_count ()
   done;
-  trace "shutting down";
-  List.iter (fun c -> if c.alive then close_quietly c.fd) !conns;
-  close_quietly listen_fd;
-  (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
+  if not !running then trace "shutting down";
+  List.iter (fun c -> if c.alive then hang_up c) !conns
 
-let run_stdio ~trace cfg =
-  let engine = Engine.create ~cache_capacity:cfg.cache_capacity ~max_sessions:cfg.max_sessions () in
-  trace "serving on stdio";
-  let running = ref true in
-  while !running do
-    match Frame.read stdin with
-    | exception (Frame.Bad_frame msg as bad) ->
-        (* The stream cannot be resynchronised: answer as the socket path
-           does, then give up on it. *)
-        Metrics.incr m_bad_frames;
-        Frame.write stdout
-          (Protocol.response_to_string (parse_error_response ("bad frame: " ^ msg)));
-        raise bad
-    | None -> running := false
-    | Some payload -> (
-        match Protocol.request_of_string payload with
-        | Error msg ->
-            Frame.write stdout
-              (Protocol.response_to_string (parse_error_response msg))
-        | Ok req ->
-            let resp = Engine.process engine req in
-            Frame.write stdout (Protocol.response_to_string resp);
-            if Engine.wants_shutdown req then running := false)
-  done;
-  trace "stdio stream ended"
+let unlink_quietly path =
+  try Unix.unlink path with Unix.Unix_error (_, _, _) -> ()
+
+let listen path =
+  unlink_quietly path;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  try
+    Unix.bind fd (Unix.ADDR_UNIX path);
+    Unix.listen fd 64;
+    fd
+  with Unix.Unix_error _ as e ->
+    close_quietly fd;
+    raise e
 
 let run ?(trace = fun (_ : string) -> ()) cfg =
   (* A client that disconnects with responses pending must cost an EPIPE
      in [send_all], not the process: SIGPIPE's default action is to die. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match cfg.transport with
-  | Unix_socket path -> run_socket ~trace cfg path
-  | Stdio -> run_stdio ~trace cfg
+  | Unix_socket path ->
+      let listener = listen path in
+      trace ("listening on " ^ path);
+      serve ~trace cfg (Some listener) [];
+      close_quietly listener;
+      unlink_quietly path
+  | Stdio ->
+      trace "serving on stdio";
+      let stdio = connection Unix.stdin Unix.stdout in
+      serve ~trace cfg None [ stdio ];
+      Option.iter (fun msg -> raise (Frame.Bad_frame msg)) stdio.bad_frame

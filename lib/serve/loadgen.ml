@@ -355,25 +355,5 @@ let replay_socket ?(check = false) ~socket ~clients ~window reqs =
   end
 
 let send_shutdown ~socket () =
-  let* fd = connect socket in
-  let req =
-    Protocol.request ~id:0 Protocol.Shutdown (Demand_map.empty 1)
-  in
-  write_all fd (Frame.encode (Protocol.request_to_string req));
-  let dec = Frame.decoder () in
-  let buf = Bytes.create 4096 in
-  let rec await () =
-    match Frame.next dec with
-    | Some _ -> Ok ()
-    | exception Frame.Bad_frame m -> Error ("bad frame from daemon: " ^ m)
-    | None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-        | 0 -> Error "daemon closed before acknowledging shutdown"
-        | got ->
-            Frame.feed dec buf 0 got;
-            await ())
-  in
-  let r = await () in
-  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-  r
+  let req = Protocol.request ~id:0 Protocol.Shutdown (Demand_map.empty 1) in
+  Result.map ignore (replay_socket ~socket ~clients:1 ~window:1 [| req |])

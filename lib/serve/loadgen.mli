@@ -63,4 +63,6 @@ val replay_socket :
     responses arrive in the order its requests were sent. *)
 
 val send_shutdown : socket:string -> unit -> (unit, string) result
-(** One [shutdown] request on a fresh connection; waits for the pong. *)
+(** One [shutdown] request on a fresh connection, sent through
+    {!replay_socket} (so it counts in [loadgen.queries]); waits for the
+    pong. *)

@@ -257,6 +257,98 @@ let test_names_documented () =
   Alcotest.(check (list string)) "undocumented metric names" []
     (List.filter (fun name -> not (row name)) names)
 
+(* The names an interface declares at its top level: values, types and
+   their constructors and fields, exceptions and submodules. *)
+let declared_names mli =
+  let type_names (d : Parsetree.type_declaration) =
+    d.ptype_name.txt
+    ::
+    (match d.ptype_kind with
+    | Ptype_variant cs -> List.map (fun (c : Parsetree.constructor_declaration) -> c.pcd_name.txt) cs
+    | Ptype_record ls -> List.map (fun (l : Parsetree.label_declaration) -> l.pld_name.txt) ls
+    | Ptype_abstract | Ptype_open -> [])
+  in
+  Parse.interface (Lexing.from_string (read_file mli))
+  |> List.concat_map (fun (item : Parsetree.signature_item) ->
+         match item.psig_desc with
+         | Psig_value v -> [ v.pval_name.txt ]
+         | Psig_type (_, ds) | Psig_typesubst ds -> List.concat_map type_names ds
+         | Psig_exception e -> [ e.ptyexn_constructor.pext_name.txt ]
+         | Psig_module m -> Option.to_list m.pmd_name.txt
+         | Psig_modtype t -> [ t.pmtd_name.txt ]
+         | _ -> [])
+
+(* The text of [doc]'s code spans, fenced blocks left out. *)
+let code_spans doc =
+  let prose, _ =
+    List.fold_left
+      (fun (acc, fenced) line ->
+        if String.starts_with ~prefix:"```" (String.trim line) then (acc, not fenced)
+        else if fenced then (acc, fenced)
+        else (line :: acc, fenced))
+      ([], false) (String.split_on_char '\n' doc)
+  in
+  String.concat "\n" (List.rev prose)
+  |> String.split_on_char '`'
+  |> List.filteri (fun i _ -> i mod 2 = 1)
+
+(* The first two parts of each dotted path in [span]: ["Oracle.Session.add"]
+   gives [("Oracle", "Session")]. *)
+let path_heads span =
+  let is_path_char = function
+    | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '\'' | '.' -> true
+    | _ -> false
+  in
+  let n = String.length span in
+  let rec scan i acc =
+    if i >= n then acc
+    else if not (is_path_char span.[i]) then scan (i + 1) acc
+    else begin
+      let j = ref i in
+      while !j < n && is_path_char span.[!j] do incr j done;
+      let acc =
+        match String.split_on_char '.' (String.sub span i (!j - i)) with
+        | m :: x :: _ when x <> "" -> (m, x) :: acc
+        | _ -> acc
+      in
+      scan !j acc
+    end
+  in
+  scan 0 []
+
+(* A backticked [Module.name] in docs/, where [Module] is a lib/ module,
+   names something that module's interface declares. *)
+let test_doc_names_exported () =
+  let interfaces = Hashtbl.create 64 in
+  Array.iter
+    (fun dir ->
+      let dir = Filename.concat "../lib" dir in
+      if Sys.is_directory dir then
+        Array.iter
+          (fun f ->
+            if Filename.check_suffix f ".mli" then
+              Hashtbl.replace interfaces
+                (String.capitalize_ascii (Filename.chop_suffix f ".mli"))
+                (declared_names (Filename.concat dir f)))
+          (Sys.readdir dir))
+    (Sys.readdir "../lib");
+  let checked = ref 0 in
+  let misses =
+    Sys.readdir "../docs" |> Array.to_list |> List.sort String.compare
+    |> List.filter (fun f -> Filename.check_suffix f ".md")
+    |> List.concat_map (fun f ->
+           code_spans (read_file (Filename.concat "../docs" f))
+           |> List.concat_map path_heads
+           |> List.filter_map (fun (m, x) ->
+                  match Hashtbl.find_opt interfaces m with
+                  | None -> None
+                  | Some names ->
+                      incr checked;
+                      if List.mem x names then None else Some (f ^ ": " ^ m ^ "." ^ x)))
+  in
+  Alcotest.(check bool) "found the references" true (!checked > 100);
+  Alcotest.(check (list string)) "doc names that are not exports" [] misses
+
 let suite =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
@@ -275,4 +367,5 @@ let suite =
     Alcotest.test_case "json print/parse roundtrip" `Quick
       test_json_print_parse_roundtrip;
     Alcotest.test_case "every metric name documented" `Quick test_names_documented;
+    Alcotest.test_case "doc names are exports" `Quick test_doc_names_exported;
   ]

@@ -619,6 +619,28 @@ let test_fleet_single_shard_matches_run () =
   Alcotest.(check int) "shards=1 retries equal run" o.Online.retries_sent
     a.Online.retries_sent
 
+(* A death or an outage after the k-th job, for k past the last job,
+   never fires in [run], so it must not fire in [run_fleet] either: the
+   fleet runner used to move it to its band's last job (52 messages
+   delivered on this 40-job point, against none in [run]). *)
+let test_fleet_drops_faults_past_last_job () =
+  let w = Workload.point ~total:40 () in
+  let cfg =
+    {
+      (Online.recommended w) with
+      Online.faults =
+        {
+          Online.no_faults with
+          Online.deaths = [ (1000, 0) ];
+          outages = [ (1000, 1, 5.0) ];
+        };
+    }
+  in
+  let o = Online.run cfg w in
+  let a = (Online.run_fleet ~workers:1 ~shards:1 cfg w).Online.aggregate in
+  Alcotest.(check int) "digest equals run" o.Online.trace_digest a.Online.trace_digest;
+  Alcotest.(check int) "messages equal run" o.Online.messages a.Online.messages
+
 let test_outage_restart_recovers () =
   (* Radio silence on a vehicle of a hot-point fleet: the protocol state
      survives the crash, the restart hook re-arms the lost timers, and
@@ -680,6 +702,8 @@ let suite =
         `Quick test_fleet_des_metrics_worker_invariant;
       Alcotest.test_case "scale: single shard fleet equals run" `Quick
         test_fleet_single_shard_matches_run;
+      Alcotest.test_case "fleet drops faults past the last job" `Quick
+        test_fleet_drops_faults_past_last_job;
       Alcotest.test_case "outage restart recovers" `Quick
         test_outage_restart_recovers;
       Alcotest.test_case "outage validation" `Quick test_outage_validation;

@@ -148,6 +148,28 @@ let test_daemon_survives_vanished_reader () =
             s.Loadgen.completed);
       Alcotest.(check (result unit string)) "shutdown answered" (Ok ()) stopped)
 
+(* The ids of the replies on [fd], read until the daemon closes it or
+   [limit] have come. *)
+let reply_ids ?(limit = max_int) fd =
+  let dec = Frame.decoder () and buf = Bytes.create 4096 in
+  let rec go acc n =
+    if n = limit then Ok (List.rev acc)
+    else
+      match Frame.next dec with
+      | exception Frame.Bad_frame e -> Error ("bad frame from the daemon: " ^ e)
+      | Some payload -> (
+          match Protocol.response_of_string payload with
+          | Ok r -> go (r.Protocol.r_id :: acc) (n + 1)
+          | Error e -> Error e)
+      | None -> (
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> Ok (List.rev acc)
+          | got ->
+              Frame.feed dec buf 0 got;
+              go acc n)
+  in
+  go [] 0
+
 let test_daemon_answers_decode_errors_in_turn () =
   (* One write carries an omega_star request, a frame that does not
      decode and a ping.  An id -1 error can only be matched by its
@@ -178,22 +200,14 @@ let test_daemon_answers_decode_errors_in_turn () =
               ~finally:(fun () -> Unix.close fd)
               (fun () ->
                 ignore (Unix.write_substring fd wire 0 (String.length wire));
-                let ic = Unix.in_channel_of_descr fd in
-                Ok
-                  (List.init 3 (fun _ ->
-                       match Option.map Protocol.response_of_string (Frame.read ic) with
-                       | Some (Ok r) -> r.Protocol.r_id
-                       | Some (Error e) -> failwith e
-                       | None -> failwith "connection closed early")))
+                reply_ids ~limit:3 fd)
       in
       let (), (ids, stopped) =
         Pool.both
           (fun () -> Daemon.run (Daemon.config (Daemon.Unix_socket path)))
           (fun () ->
             let ids =
-              try client () with
-              | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-              | Failure e -> Error e
+              try client () with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
             in
             (ids, Loadgen.send_shutdown ~socket:path ()))
       in
@@ -228,25 +242,14 @@ let test_daemon_answers_bad_header_after_earlier_requests () =
               ~finally:(fun () -> Unix.close fd)
               (fun () ->
                 ignore (Unix.write_substring fd wire 0 (String.length wire));
-                let ic = Unix.in_channel_of_descr fd in
-                let rec replies acc =
-                  match Frame.read ic with
-                  | None -> Ok (List.rev acc)
-                  | Some payload -> (
-                      match Protocol.response_of_string payload with
-                      | Ok r -> replies (r.Protocol.r_id :: acc)
-                      | Error e -> Error e)
-                in
-                replies [])
+                reply_ids fd)
       in
       let (), (ids, stopped) =
         Pool.both
           (fun () -> Daemon.run (Daemon.config (Daemon.Unix_socket path)))
           (fun () ->
             let ids =
-              try client () with
-              | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-              | Frame.Bad_frame e -> Error e
+              try client () with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
             in
             (ids, Loadgen.send_shutdown ~socket:path ()))
       in

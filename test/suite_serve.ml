@@ -1,4 +1,4 @@
-(* The serving stack: frame codec (blocking and incremental), protocol
+(* The serving stack: the frame codec, protocol
    JSON roundtrips, the canonical demand digest (QCheck), the result
    cache's bit-identical answers, and the engine's dedup/metrics
    contract.  The daemon's socket loop is exercised end to end from
@@ -58,25 +58,13 @@ let test_frame_chunked_roundtrip () =
       (String.make 5000 'q', "5000\n" ^ String.make 5000 'q' ^ "\n");
     ]
 
-(* The blocking reader over a pipe holding [bytes]. *)
-let read_from_pipe bytes =
-  let rd, wr = Unix.pipe () in
-  let oc = Unix.out_channel_of_descr wr and ic = Unix.in_channel_of_descr rd in
-  output_string oc bytes;
-  close_out oc;
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Frame.read ic)
-
 let test_frame_bad_headers () =
   let rejects bytes =
     let dec = Frame.decoder () in
     Frame.feed_string dec bytes;
-    (match Frame.next dec with
+    match Frame.next dec with
     | exception Frame.Bad_frame _ -> ()
-    | Some _ | None ->
-        Alcotest.fail (Printf.sprintf "decoder: header %S must be rejected" bytes));
-    match read_from_pipe bytes with
-    | exception Frame.Bad_frame _ -> ()
-    | Some _ | None -> Alcotest.fail (Printf.sprintf "read: header %S must be rejected" bytes)
+    | Some _ | None -> Alcotest.fail (Printf.sprintf "header %S must be rejected" bytes)
   in
   rejects "nope\n";
   rejects "12x34\n";
@@ -92,51 +80,47 @@ let test_frame_bad_headers () =
         (Printf.sprintf "%s\n%s\n" header (String.make (int_of_string header) 'x')))
     [ "0x14"; "+20"; "0_20"; "0b11"; "0o3"; "-0" ]
 
-let test_frame_channel_io () =
-  let rd, wr = Unix.pipe () in
-  let oc = Unix.out_channel_of_descr wr in
-  let ic = Unix.in_channel_of_descr rd in
-  Frame.write oc "first";
-  Frame.write oc "second\nwith newline";
-  close_out oc;
-  Alcotest.(check (option string)) "first" (Some "first") (Frame.read ic);
-  Alcotest.(check (option string))
-    "second" (Some "second\nwith newline") (Frame.read ic);
-  Alcotest.(check (option string)) "clean EOF" None (Frame.read ic);
-  close_in ic
-
-(* 1 MiB of digits and no newline: the blocking reader gives up within
-   the longest legal header, as the incremental decoder does, instead of
-   buffering the whole run. *)
+(* 1 MiB of digits and no newline: the decoder gives up within the
+   longest legal header (9 bytes) instead of waiting for more, whether
+   the run comes in one chunk or a byte at a time. *)
 let test_frame_read_header_bounded () =
-  let path = Filename.temp_file "cmvrp_frame" ".tmp" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out_bin path in
-  output_string oc (String.make (1 lsl 20) '7');
-  close_out oc;
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  (match Frame.read ic with
+  let digits = String.make (1 lsl 20) '7' in
+  let dec = Frame.decoder () in
+  Frame.feed_string dec digits;
+  (match Frame.next dec with
   | exception Frame.Bad_frame _ -> ()
   | Some _ | None -> Alcotest.fail "an unterminated header must raise Bad_frame");
-  Alcotest.(check bool)
-    (Printf.sprintf "consumed %d bytes" (pos_in ic))
-    true
-    (pos_in ic <= 9);
-  match read_from_pipe "12" with
-  | exception Frame.Bad_frame _ -> ()
-  | Some _ | None -> Alcotest.fail "EOF inside a header must raise Bad_frame"
+  let dec = Frame.decoder () in
+  let rec fed k =
+    if k = String.length digits then Alcotest.fail "the header was never rejected"
+    else begin
+      Frame.feed_string dec (String.make 1 digits.[k]);
+      match Frame.next dec with
+      | exception Frame.Bad_frame _ -> k + 1
+      | Some _ -> Alcotest.fail "no frame in a run of digits"
+      | None -> fed (k + 1)
+    end
+  in
+  Alcotest.(check int) "bytes fed before the rejection" 9 (fed 0)
 
+(* The end of the stream: between frames it is clean, inside a header or
+   a payload it is a bad frame that says which. *)
 let test_frame_eof_mid_frame () =
-  let rd, wr = Unix.pipe () in
-  let oc = Unix.out_channel_of_descr wr in
-  let ic = Unix.in_channel_of_descr rd in
-  output_string oc "100\ntruncated";
-  close_out oc;
-  (match Frame.read ic with
-  | exception Frame.Bad_frame _ -> ()
-  | Some _ | None -> Alcotest.fail "EOF mid-frame must raise Bad_frame");
-  close_in ic
+  let finish bytes =
+    let dec = Frame.decoder () in
+    Frame.feed_string dec bytes;
+    let rec drain () = match Frame.next dec with Some _ -> drain () | None -> () in
+    drain ();
+    match Frame.finish dec with () -> Ok () | exception Frame.Bad_frame m -> Error m
+  in
+  let check name want bytes = Alcotest.(check (result unit string)) name want (finish bytes) in
+  check "empty stream" (Ok ()) "";
+  check "after whole frames" (Ok ()) (Frame.encode "a" ^ Frame.encode "b\nc");
+  check "inside a header" (Error "end of stream inside a frame header") "12";
+  check "inside a payload" (Error "end of stream inside a 100-byte frame") "100\ntruncated";
+  check "before the trailing newline"
+    (Error "end of stream inside a 5-byte frame")
+    (Frame.encode "ok" ^ "5\nhello")
 
 (* --- protocol --- *)
 
@@ -758,44 +742,185 @@ let test_hit_allocation () =
   Alcotest.(check int) "every request hits" 2000 !hits;
   if words > 2500.0 then Alcotest.failf "%.1f minor words per hit, above 2,500" words
 
+(* --- the daemon binary --- *)
+
+let serve_exe = Filename.concat ".." (Filename.concat "bin" "cmvrp_serve.exe")
+
+(* [cmvrp_serve daemon --stdio] on [input]: its exit status and the bytes
+   it wrote. *)
+let stdio_daemon input =
+  let infile = Filename.temp_file "cmvrp_stdio_in" ".bin" in
+  let outfile = Filename.temp_file "cmvrp_stdio_out" ".bin" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove infile;
+      Sys.remove outfile)
+    (fun () ->
+      Out_channel.with_open_bin infile (fun oc -> output_string oc input);
+      let status =
+        Sys.command
+          (Filename.quote_command serve_exe ~stdin:infile ~stdout:outfile ~stderr:Filename.null
+             [ "daemon"; "--stdio"; "--quiet" ])
+      in
+      (status, In_channel.with_open_bin outfile In_channel.input_all))
+
+let show_status = function
+  | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+  | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
+  | Unix.WSTOPPED n -> Printf.sprintf "stopped by %d" n
+
+(* A socket daemon in a child process, started through [sh -c] after the
+   shell command [setup] (a [ulimit], say).  [f] gets the socket's path;
+   then a shutdown request must be answered, and [f]'s result comes back
+   with the daemon's exit status.  A daemon still running when [f] fails
+   is killed. *)
+let with_socket_daemon ?(setup = "") f =
+  (* A daemon that dies must fail the test with EPIPE, not kill the
+     runner with SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = Filename.temp_file "cmvrp_daemon" ".sock" in
+  Sys.remove path;
+  let null = Unix.openfile Filename.null [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process "sh"
+      [| "sh"; "-c"; setup ^ {|exec "$0" daemon --socket "$1" --quiet|}; serve_exe; path |]
+      null null null
+  in
+  Unix.close null;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end;
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let result = f path in
+      Alcotest.(check (result unit string)) "shutdown answered" (Ok ())
+        (Loadgen.send_shutdown ~socket:path ());
+      let _, status = Unix.waitpid [] pid in
+      reaped := true;
+      (result, status))
+
+let connect path =
+  match Loadgen.connect path with Ok fd -> fd | Error e -> Alcotest.fail e
+
+(* Writes [bytes] to [fd], then half-closes it: the daemon reads the end
+   of the stream right after them. *)
+let send_and_half_close fd bytes =
+  let n = String.length bytes in
+  let rec write off = if off < n then write (off + Unix.write_substring fd bytes off (n - off)) in
+  write 0;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND
+
+(* Every byte [fd] delivers until its end, then closes it; fails after
+   ten seconds of silence. *)
+let read_to_end fd =
+  let out = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] 10.0 with
+    | [], _, _ -> Alcotest.fail "no reply within 10 s"
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Buffer.contents out
+        | n ->
+            Buffer.add_subbytes out chunk 0 n;
+            go ())
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) go
+
 (* The stdio daemon on a bad header: the ping before it is answered, then
    the bad frame gets the id -1 error and the daemon exits 1 (it used to
    die of the uncaught exception, or to read [0x14] as 20). *)
-let serve_exe = Filename.concat ".." (Filename.concat "bin" "cmvrp_serve.exe")
-
 let test_stdio_bad_frame () =
-  let input = Filename.temp_file "cmvrp_stdio_in" ".bin" in
-  let output = Filename.temp_file "cmvrp_stdio_out" ".bin" in
+  let status, output =
+    stdio_daemon (Frame.encode {|{"id":1,"op":"ping"}|} ^ "0x14\n{\"id\":3,\"op\":\"ping\"}\n")
+  in
+  Alcotest.(check int) "exit status" 1 status;
+  let dec = Frame.decoder () in
+  Frame.feed_string dec output;
+  let next () =
+    match Frame.next dec with
+    | Some payload -> Protocol.response_of_string payload
+    | None -> Error "missing response"
+  in
+  (match next () with
+  | Ok { Protocol.r_id = 1; r_result = Ok Protocol.Pong; _ } -> ()
+  | _ -> Alcotest.fail "the ping before the bad frame is answered");
+  (match next () with
+  | Ok { Protocol.r_id = -1; r_result = Error e; _ } ->
+      Alcotest.(check bool) ("bad frame named: " ^ e) true
+        (String.starts_with ~prefix:"bad frame" e)
+  | _ -> Alcotest.fail "the bad frame gets an id -1 error");
+  Alcotest.(check (option string)) "nothing after it" None (Frame.next dec)
+
+(* The same bytes over both transports: a ping, then a frame cut off
+   inside its payload.  Both answer the ping and then give the truncated
+   frame its id -1 error, byte for byte alike; stdio exits 1, and the
+   socket daemon goes on serving.  The socket daemon used to answer the
+   ping only. *)
+let test_truncated_frame_both_transports () =
+  let bytes = "20\n{\"id\":1,\"op\":\"ping\"}\n40\n{\"id\":2,\"op\":\"pi" in
+  let status, stdio = stdio_daemon bytes in
+  Alcotest.(check int) "stdio exit status" 1 status;
+  Alcotest.(check string) "stdio replies"
+    (Frame.encode {|{"id":1,"ok":true,"cached":false,"pong":true}|}
+    ^ Frame.encode
+        {|{"id":-1,"ok":false,"error":"bad frame: end of stream inside a 40-byte frame"}|})
+    stdio;
+  let socket, status =
+    with_socket_daemon (fun path ->
+        let fd = connect path in
+        send_and_half_close fd bytes;
+        read_to_end fd)
+  in
+  Alcotest.(check string) "socket replies = stdio replies" stdio socket;
+  Alcotest.(check string) "socket daemon status" "exit 0" (show_status status)
+
+(* Under [ulimit -n 12] the daemon runs out of descriptors before it has
+   accepted every client; it used to die of [accept]'s EMFILE (exit 125).
+   Now it serves the clients it holds and takes the waiting ones as
+   earlier ones close. *)
+let test_daemon_out_of_descriptors () =
+  let ping id = Frame.encode (Printf.sprintf {|{"id":%d,"op":"ping"}|} id) in
+  let pong id =
+    Frame.encode (Printf.sprintf {|{"id":%d,"ok":true,"cached":false,"pong":true}|} id)
+  in
+  let (), status =
+    with_socket_daemon ~setup:"ulimit -n 12 && " (fun path ->
+        let first = connect path in
+        let idle = List.init 16 (fun _ -> connect path) in
+        let late = connect path in
+        send_and_half_close late (ping 2);
+        (* time for the daemon to accept until it runs out *)
+        Unix.sleepf 0.3;
+        send_and_half_close first (ping 1);
+        Alcotest.(check string) "the first client is answered" (pong 1) (read_to_end first);
+        List.iter Unix.close idle;
+        Alcotest.(check string) "the late client is answered" (pong 2) (read_to_end late))
+  in
+  Alcotest.(check string) "daemon status" "exit 0" (show_status status)
+
+(* A socket path that cannot be bound is a usage error that names the
+   path (exit 2), not an internal error (exit 125). *)
+let test_daemon_unbindable_socket () =
+  let file = Filename.temp_file "cmvrp_not_a_dir" "" in
+  let err = Filename.temp_file "cmvrp_daemon_err" ".txt" in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove input;
-      Sys.remove output)
+      Sys.remove file;
+      Sys.remove err)
     (fun () ->
-      Out_channel.with_open_bin input (fun oc ->
-          output_string oc (Frame.encode {|{"id":1,"op":"ping"}|});
-          output_string oc "0x14\n{\"id\":3,\"op\":\"ping\"}\n");
+      let path = Filename.concat file "s" in
       let status =
         Sys.command
-          (Filename.quote_command serve_exe ~stdin:input ~stdout:output ~stderr:Filename.null
-             [ "daemon"; "--stdio"; "--quiet" ])
+          (Filename.quote_command serve_exe ~stderr:err [ "daemon"; "--socket"; path; "--quiet" ])
       in
-      Alcotest.(check int) "exit status" 1 status;
-      let dec = Frame.decoder () in
-      Frame.feed_string dec (In_channel.with_open_bin output In_channel.input_all);
-      let next () =
-        match Frame.next dec with
-        | Some payload -> Protocol.response_of_string payload
-        | None -> Error "missing response"
-      in
-      (match next () with
-      | Ok { Protocol.r_id = 1; r_result = Ok Protocol.Pong; _ } -> ()
-      | _ -> Alcotest.fail "the ping before the bad frame is answered");
-      (match next () with
-      | Ok { Protocol.r_id = -1; r_result = Error e; _ } ->
-          Alcotest.(check bool) ("bad frame named: " ^ e) true
-            (String.starts_with ~prefix:"bad frame" e)
-      | _ -> Alcotest.fail "the bad frame gets an id -1 error");
-      Alcotest.(check (option string)) "nothing after it" None (Frame.next dec))
+      Alcotest.(check int) "exit status" 2 status;
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      Alcotest.(check bool) ("message: " ^ msg) true
+        (String.starts_with ~prefix:("cmvrp_serve daemon: cannot listen on " ^ path ^ ": ") msg))
 
 (* --- fuzz: Frame and Protocol against an independent reference --- *)
 
@@ -1083,7 +1208,6 @@ let suite =
   [
     Alcotest.test_case "frame chunked roundtrip" `Quick test_frame_chunked_roundtrip;
     Alcotest.test_case "frame bad headers" `Quick test_frame_bad_headers;
-    Alcotest.test_case "frame channel io" `Quick test_frame_channel_io;
     Alcotest.test_case "frame EOF mid-frame" `Quick test_frame_eof_mid_frame;
     Alcotest.test_case "frame read header bounded" `Quick test_frame_read_header_bounded;
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
@@ -1122,6 +1246,11 @@ let suite =
       test_ill_typed_and_repeated_members;
     Alcotest.test_case "hit allocation" `Quick test_hit_allocation;
     Alcotest.test_case "stdio daemon on a bad frame" `Quick test_stdio_bad_frame;
+    Alcotest.test_case "truncated frame on both transports" `Quick
+      test_truncated_frame_both_transports;
+    Alcotest.test_case "socket daemon out of descriptors" `Quick
+      test_daemon_out_of_descriptors;
+    Alcotest.test_case "daemon on an unbindable socket" `Quick test_daemon_unbindable_socket;
     QCheck_alcotest.to_alcotest prop_decoders_never_raise;
     QCheck_alcotest.to_alcotest prop_frame_raises_only_bad_frame;
     QCheck_alcotest.to_alcotest prop_agrees_with_reference;
