@@ -333,7 +333,9 @@ let simulate_cmd =
                 Printf.printf "  [replacement] vehicle %d takes pair %d at %s\n"
                   vehicle pair (Point.to_string dest)
             | Online.Search_starved { pair } ->
-                Printf.printf "  [starved]     no idle vehicle for pair %d\n" pair)
+                Printf.printf "  [starved]     no idle vehicle for pair %d\n" pair
+            | Online.Search_abandoned { pair } ->
+                Printf.printf "  [abandoned]   search for pair %d given up as lost\n" pair)
       in
       let o =
         try Online.run ?observer cfg w

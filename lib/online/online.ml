@@ -130,6 +130,7 @@ type event =
   | Candidate_found of { initiator : int; pair : int }
   | Replacement of { vehicle : int; pair : int; dest : Point.t }
   | Search_starved of { pair : int }
+  | Search_abandoned of { pair : int }
 
 (* --- topology --- *)
 
@@ -599,6 +600,14 @@ let on_heartbeat w ~pair_id =
   if (not (armed w pair_id)) && not (hopeless w pair_id) then
     arm_deadline w ~pair_id ~delay:heartbeat_timeout
 
+(* Give up on a pair's in-flight search as lost; the pair's deadline
+   starts a fresh one. *)
+let abandon_search w ~pair_id =
+  if searching w pair_id then begin
+    Bytes.set_uint8 w.w_searching pair_id 0;
+    w.observer (Search_abandoned { pair = pair_id })
+  end
+
 let note_starved w ~pair_id =
   w.starved <- w.starved + 1;
   Metrics.incr m_starved_searches;
@@ -771,7 +780,7 @@ let on_deadline w ~pair_id =
         w.w_stalls.(pair_id) <- w.w_stalls.(pair_id) + 1;
         if w.w_stalls.(pair_id) >= stall_limit then begin
           w.w_stalls.(pair_id) <- 0;
-          Bytes.set_uint8 w.w_searching pair_id 0;
+          abandon_search w ~pair_id;
           force_clear w ~pair_id
         end;
         arm_deadline w ~pair_id ~delay:heartbeat_timeout
@@ -802,7 +811,7 @@ let give_up w p =
   | Move { pair; _ } ->
       (* The relocation order is lost; let the pair's deadline restart
          the search from scratch. *)
-      Bytes.set_uint8 w.w_searching pair 0
+      abandon_search w ~pair_id:pair
 
 let on_retry w msg_id =
   match Hashtbl.find_opt w.rel_pending msg_id with
@@ -1093,6 +1102,15 @@ type fleet_outcome = {
   bytes_per_vehicle : float;
 }
 
+type band = {
+  band_index : int;
+  band_window : Box.t;
+  band_config : config;
+  band_topology : topology;
+  band_jobs : int array;
+  band_job_index : int array;
+}
+
 let world_footprint_bytes w =
   Obj.reachable_words (Obj.repr w) * (Sys.word_size / 8)
 
@@ -1146,7 +1164,7 @@ let aggregate_outcomes (outs : outcome array) =
        else Array.fold_left mix_digest 0x1505 digests);
   }
 
-let run_fleet ?workers ~shards cfg workload =
+let run_fleet ?workers ?observer ~shards cfg workload =
   if shards < 1 then invalid_arg "Online.run_fleet: shards must be positive";
   let jobs = workload.Workload.jobs in
   match jobs_box_of workload with
@@ -1235,14 +1253,19 @@ let run_fleet ?workers ~shards cfg workload =
         in
         { cfg with seed = derived_seed cfg.seed s; faults; partitions }
       in
-      (* Materialize every shard's task on this domain so the workers only
-         read their own immutable task tuple. *)
-      let tasks =
+      (* Materialize every band on this domain so the workers only read
+         their own immutable band record. *)
+      let bands =
         Array.init eff (fun s ->
-            ( shard_cfg s,
-              Array.map (fun (_, p) -> Box.index boxes.(s) p) shard_jobs.(s),
-              Array.map fst shard_jobs.(s),
-              boxes.(s) ))
+            let band_config = shard_cfg s in
+            {
+              band_index = s;
+              band_window = boxes.(s);
+              band_config;
+              band_topology = grid_topology band_config boxes.(s);
+              band_jobs = Array.map (fun (_, p) -> Box.index boxes.(s) p) shard_jobs.(s);
+              band_job_index = Array.map fst shard_jobs.(s);
+            })
       in
       let saved = Pool.workers () in
       (match workers with Some k -> Pool.set_workers k | None -> ());
@@ -1251,16 +1274,18 @@ let run_fleet ?workers ~shards cfg workload =
           ~finally:(fun () -> Pool.set_workers saved)
           (fun () ->
             Pool.map
-              (fun (cfg_s, jobs_s, gidx, box) ->
-                let job_index i = if i = 0 then 0 else gidx.(i - 1) in
+              (fun b ->
+                let job_index i = if i = 0 then 0 else b.band_job_index.(i - 1) in
                 let o, w =
-                  run_core ~job_index cfg_s (grid_topology cfg_s box) ~jobs:jobs_s
+                  run_core
+                    ?observer:(Option.map (fun f -> f b) observer)
+                    ~job_index b.band_config b.band_topology ~jobs:b.band_jobs
                 in
                 (* Weighed as its band ends, a world is garbage before the
                    next band starts: a call holds one band's world per
                    worker, not every band's. *)
                 (o, world_footprint_bytes w))
-              tasks)
+              bands)
       in
       let outs = Array.map fst results in
       let total_bytes = Array.fold_left (fun acc (_, b) -> acc + b) 0 results in

@@ -162,6 +162,10 @@ type event =
       (** the candidate relocated and took the pair over *)
   | Search_starved of { pair : int }
       (** no idle vehicle could be found for the pair *)
+  | Search_abandoned of { pair : int }
+      (** the pair's search was given up as lost: its deadline stalled
+          three times, or its [Move] ran out of retries.  The deadline
+          starts a fresh computation. *)
 
 val run : ?observer:(event -> unit) -> config -> Workload.t -> outcome
 (** Executes the strategy on the arrival sequence, over the grid topology
@@ -246,15 +250,37 @@ type fleet_outcome = {
           (also the ["des.bytes_per_vehicle"] gauge) *)
 }
 
+(** One band of a {!run_fleet} call: everything a band's run reads, as
+    its observer sees it. *)
+type band = {
+  band_index : int;  (** position in band order, from 0 *)
+  band_window : Box.t;  (** whole tile columns of the window along axis 0 *)
+  band_config : config;
+      (** the band's derived seed, and the fault plan and partitions in
+          band-local vehicle ids *)
+  band_topology : topology;  (** the {!grid_topology} of [band_window] *)
+  band_jobs : int array;  (** the cells of the band's arrivals, in order *)
+  band_job_index : int array;
+      (** their global 1-based arrival positions, as events report them *)
+}
+
 val run_fleet :
-  ?workers:int -> shards:int -> config -> Workload.t -> fleet_outcome
+  ?workers:int ->
+  ?observer:(band -> event -> unit) ->
+  shards:int ->
+  config ->
+  Workload.t ->
+  fleet_outcome
 (** Runs the strategy sharded into [shards] bands ([?workers] temporarily
     overrides the {!Pool} width).  Vehicle ids in the fault plan and
     partitions are global window ids, translated per band; a partition
     across bands is dropped (no cross-band channel exists to cut).
     Band [s] runs under a seed derived from [config.seed]; with
-    [shards = 1] the result is identical to {!run}.  Raises
-    [Invalid_argument] on a non-positive [shards]. *)
+    [shards = 1] the result is identical to {!run}.  [observer b]
+    receives band [b]'s protocol events, on the worker that runs the
+    band, so observers of different bands must not share mutable state
+    when [workers > 1].  Raises [Invalid_argument] on a non-positive
+    [shards]. *)
 
 val capacity_bound : dim:int -> float -> float
 (** [(4·3^l + l)·ω] — the capacity Lemma 3.3.1 proves sufficient. *)

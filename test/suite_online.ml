@@ -2,6 +2,14 @@
    capacity, replacement via diffusing computations, failure scenarios,
    and the Won sandwich of Theorem 1.4.2. *)
 
+(* Every [Online.run] in this suite is audited: [Audit.run] replays the
+   run's events and fails on the first broken protocol rule. *)
+module Online = struct
+  include Online
+
+  let run = Audit.run
+end
+
 let point2 x y = [| x; y |]
 
 let run_recommended ?faults w =
@@ -734,6 +742,7 @@ let fold_event h = function
   | Online.Replacement { vehicle; pair; dest } ->
       fold_point (fold_ints h [ 5; vehicle; pair ]) dest
   | Online.Search_starved { pair } -> fold_ints h [ 6; pair ]
+  | Online.Search_abandoned _ -> h
 
 let fold_failures failures =
   List.fold_left
@@ -759,11 +768,15 @@ let pin_outcome (o : Online.outcome) =
 
 let pin_run name cfg w =
   let h = ref Fnv.basis and n = ref 0 in
+  (* The pins predate [Search_abandoned]: the auditor checks it, the
+     pins do not count it. *)
   let o =
     Online.run
-      ~observer:(fun e ->
-        incr n;
-        h := fold_event !h e)
+      ~observer:(function
+        | Online.Search_abandoned _ -> ()
+        | e ->
+            incr n;
+            h := fold_event !h e)
       cfg w
   in
   Printf.sprintf "%s: %s events %d/%x" name (pin_outcome o) !n !h
