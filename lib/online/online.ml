@@ -225,10 +225,10 @@ type world = {
 (* Protocol constants: the heartbeat deadline of §3.2.5, the idle backoff
    cap for deadline re-arming, and the retry schedule of the reliable
    layer (at most [max_attempts] transmissions, the k-th retry timer set
-   for base * 2^k).  A vehicle's timers are one FIFO self-channel of
-   [Des], so a retry fires no earlier than any timer the vehicle set
-   before it: on a pair's anchor, a retry armed behind the pair's
-   deadline (up to [max_deadline_interval] away) waits for it. *)
+   for base * 2^k).  Each of a vehicle's timers fires at its own time
+   ([Des] keeps no FIFO order on a self-channel), so on a pair's anchor
+   a retry never waits for the pair's deadline, up to
+   [max_deadline_interval] away. *)
 let heartbeat_timeout = 50.0
 let max_deadline_interval = 1600.0
 let retry_delay = 4.0
@@ -1253,6 +1253,23 @@ let run_fleet ?workers ?observer ~shards cfg workload =
         in
         { cfg with seed = derived_seed cfg.seed s; faults; partitions }
       in
+      (* The bands are translates along axis 0, of at most two widths, and
+         a grid topology's arrays depend only on its window's shape: one
+         is built per width, and each band gets its own [point]. *)
+      let by_width = Hashtbl.create 2 in
+      let band_topology box =
+        let width = Box.side box 0 in
+        let shape =
+          match Hashtbl.find_opt by_width width with
+          | Some t -> t
+          | None ->
+              let t = grid_topology cfg box in
+              Hashtbl.replace by_width width t;
+              t
+        in
+        let point = Box.point_of_index box in
+        { shape with point; dist = (fun a b -> Point.l1_dist (point a) (point b)) }
+      in
       (* Materialize every band on this domain so the workers only read
          their own immutable band record. *)
       let bands =
@@ -1262,7 +1279,7 @@ let run_fleet ?workers ?observer ~shards cfg workload =
               band_index = s;
               band_window = boxes.(s);
               band_config;
-              band_topology = grid_topology band_config boxes.(s);
+              band_topology = band_topology boxes.(s);
               band_jobs = Array.map (fun (_, p) -> Box.index boxes.(s) p) shard_jobs.(s);
               band_job_index = Array.map fst shard_jobs.(s);
             })

@@ -584,12 +584,14 @@ let prune t =
   t.prunes <- t.prunes + (before - t.ch_count);
   t.prune_limit <- max 512 (2 * t.ch_count)
 
-(* Raw enqueue: FIFO floor per channel, no fault pipeline. *)
+(* Raw enqueue, no fault pipeline.  A channel between two processes keeps
+   its FIFO floor; a self-channel is a process's timers, and each timer
+   fires at its own time. *)
 let[@inline] enqueue t ~flags ~time ~src ~dst =
   check_id "Des" src;
   check_id "Des" dst;
   if t.ch_count > t.prune_limit then prune t;
-  let time = fifo_floor t (channel_id src dst) time in
+  let time = if src = dst then time else fifo_floor t (channel_id src dst) time in
   let idx = alloc_event t ~time ~pack:(pack ~src ~dst flags) in
   place t idx (quantum t time);
   t.total_pending <- t.total_pending + 1;

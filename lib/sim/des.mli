@@ -13,10 +13,10 @@
     the chaos layer the hardened online protocol (docs/ROBUSTNESS.md) is
     tested against.  Self-channels ([src = dst]) carry a process's local
     timers and are exempt from channel faults, though a crashed process
-    loses its pending timers.  A self-channel is FIFO like any other, so
-    all of a process's timers share one queue: a timer fires no earlier
-    than every timer the same process set before it (one set for +4
-    after one set for +1,600 fires just after the latter).
+    loses its pending timers.  A process's clock is not a channel: a
+    self-channel keeps no FIFO order, and each timer fires at its own
+    time (one set for +4 after one set for +1,600 fires at +4).  A
+    scheduled restart ({!restart_after}) follows the same rule.
 
     The simulator is generic in the message type.  Clients [send] from
     within the handler; [run_until_quiescent] drains the event queue,
@@ -71,7 +71,8 @@ val create :
   'msg t
 (** Fresh simulator.  Message delays are uniform in
     [\[min_delay, max_delay\]] (defaults 0.1 and 1.0); FIFO order per
-    channel is enforced on top of the random draw.  [faults] is the
+    channel between two processes is enforced on top of the random
+    draw.  [faults] is the
     profile of every channel for the simulator's life (default:
     [reliable]).  Raises
     [Invalid_argument] unless both bounds are finite and
@@ -91,8 +92,8 @@ val crash : _ t -> int -> unit
 
 val restart_after : _ t -> delay:float -> int -> unit
 (** Brings a crashed process back [delay] from now on the simulated
-    timeline and invokes the restart hook then; no-op if the process is
-    up by that time.  Raises [Invalid_argument] on a negative or
+    timeline and invokes the restart hook then, whatever timers of the
+    process are pending; no-op if the process is up by that time.  Raises [Invalid_argument] on a negative or
     non-finite delay. *)
 
 val is_down : _ t -> int -> bool
@@ -116,9 +117,8 @@ val send : ?weak:bool -> 'msg t -> src:int -> dst:int -> 'msg -> unit
 val send_after :
   ?weak:bool -> 'msg t -> delay:float -> src:int -> dst:int -> 'msg -> unit
 (** Enqueues with an explicit extra delay — used for timer-style
-    self-messages (heartbeat deadlines, retry backoff), which the
-    self-channel's FIFO order can hold back behind the process's earlier
-    timers.  Raises
+    self-messages (heartbeat deadlines, retry backoff), each of which
+    fires at its own time.  Raises
     [Invalid_argument] on a negative or non-finite delay: a [nan] or
     infinite delivery time has no place on the timeline. *)
 

@@ -21,13 +21,7 @@
      acts after it.
 
    The auditor reads no [Online] state: it knows the protocol only
-   through its events.
-
-   One relaxation: a search abandoned after it found its candidate has
-   sent its relocation order, and that order can still land, after the
-   pair's next computation started.  Such a stale relocation is counted,
-   not rejected, and a later replacement may then take over the pair it
-   covers. *)
+   through its events. *)
 
 exception Violation of string
 
@@ -64,8 +58,6 @@ let check (cfg : Online.config) (topo : Online.topology) ~jobs (o : Online.outco
   Array.iter (fun (k, c) -> Hashtbl.replace cell_of_job k c) jobs;
   let served = Hashtbl.create (Array.length jobs) in
   let replacements = ref 0 and starved = ref 0 in
-  let late_moves = Array.make n_pairs 0 and stale = ref 0 in
-  let covered_late = Array.make n_pairs false in
   let overdraws = ref [] in
   let plan = cfg.Online.faults in
   let may_die v =
@@ -146,14 +138,7 @@ let check (cfg : Online.config) (topo : Online.topology) ~jobs (o : Online.outco
     | Online.Replacement { vehicle = v; pair = p; dest } ->
         let what = Printf.sprintf "pair %d: replacement by vehicle %d" p v in
         alive what v;
-        let late = search.(p) <> candidate in
-        if late then begin
-          if late_moves.(p) = 0 then fail "%s without a candidate found" what;
-          late_moves.(p) <- late_moves.(p) - 1;
-          incr stale
-        end;
-        if pair_active.(p) >= 0 && not (late || covered_late.(p)) then
-          fail "%s while vehicle %d serves the pair" what pair_active.(p);
+        if search.(p) <> candidate then fail "%s without a candidate found" what;
         if role.(v) <> idle then fail "%s, which is not idle" what;
         let a = topo.Online.pair_anchor.(p) in
         if not (Point.equal dest (topo.Online.point a)) then
@@ -163,15 +148,13 @@ let check (cfg : Online.config) (topo : Online.topology) ~jobs (o : Online.outco
         role.(v) <- active;
         serves.(v) <- p;
         pair_active.(p) <- v;
-        covered_late.(p) <- late;
-        if not late then search.(p) <- no_search;
+        search.(p) <- no_search;
         incr replacements
     | Online.Search_starved { pair = p } ->
         search.(p) <- no_search;
         incr starved
     | Online.Search_abandoned { pair = p } ->
         if search.(p) = no_search then fail "pair %d: no open search to abandon" p;
-        if search.(p) = candidate then late_moves.(p) <- late_moves.(p) + 1;
         search.(p) <- no_search
   in
   match
@@ -232,11 +215,11 @@ let check (cfg : Online.config) (topo : Online.topology) ~jobs (o : Online.outco
       (if !consumers = 0 then 0.0 else !used_sum /. float_of_int !consumers)
       o.Online.mean_energy_used
   with
-  | () -> Ok !stale
+  | () -> Ok ()
   | exception Violation m -> Error m
 
 let ok_or_fail name = function
-  | Ok (_ : int) -> ()
+  | Ok () -> ()
   | Error m -> failwith (Printf.sprintf "audit of %s: %s" name m)
 
 (* A run's inputs and event stream, for checking as recorded or mutated. *)

@@ -78,12 +78,10 @@ let test_send_after_ordering () =
   Alcotest.(check bool) "delayed message arrives second" true
     (List.rev !got = [ `Early; `Late ])
 
-(* A process's timers are one FIFO channel (src = dst): a timer set for
-   +4 after one set for +1,600 does not fire at +4 but just after the
-   earlier one.  [Online]'s retries and pair deadlines share that
-   channel on their anchor vehicle, so a retry armed behind a deadline
-   waits for it. *)
-let test_self_timers_share_one_fifo () =
+(* A process's timers are not a channel (src = dst): each fires at its
+   own time, so a timer set for +4 after one set for +1,600 fires at +4.
+   [Online]'s retries never wait behind a pair's deadline on its anchor. *)
+let test_self_timers_fire_at_their_own_time () =
   let des = Des.create ~rng:(Rng.create 7) () in
   let got = ref [] in
   Des.send_after des ~delay:1600.0 ~src:3 ~dst:3 `Deadline;
@@ -91,13 +89,31 @@ let test_self_timers_share_one_fifo () =
   Des.send_after des ~delay:4.0 ~src:5 ~dst:5 `Other_process;
   drain des (fun ~time ~src:_ ~dst:_ m -> got := (m, time) :: !got);
   match List.rev !got with
-  | [ (`Other_process, t0); (`Deadline, t1); (`Retry, t2) ] ->
-      Alcotest.(check bool) "another process's timer fires at +4" true (t0 < 6.0);
+  | [ ((`Retry | `Other_process), t0); ((`Retry | `Other_process), t1); (`Deadline, t2) ] ->
+      Alcotest.(check bool) "both +4 timers fire at +4" true (t0 < 6.0 && t1 < 6.0);
       Alcotest.(check bool) "the deadline fires at +1,600" true
-        (t1 >= 1600.0 && t1 < 1602.0);
-      Alcotest.(check bool) "the retry fires just after the deadline" true
-        (t2 > t1 && t2 < t1 +. 1e-6)
-  | _ -> Alcotest.fail "expected the other process's timer, then Deadline, then Retry"
+        (t2 >= 1600.0 && t2 < 1602.0)
+  | _ -> Alcotest.fail "expected both +4 timers, then the +1,600 deadline"
+
+(* A scheduled restart is a timer of the process it restarts, and keeps
+   the same rule: it comes at its own time, not after the process's
+   earlier timers. *)
+let test_restart_at_its_own_time () =
+  let des = Des.create ~rng:(Rng.create 8) () in
+  let restarted = ref [] and got = ref [] in
+  Des.set_restart_hook des (fun ~time id -> restarted := (time, id) :: !restarted);
+  Des.send_after des ~delay:1600.0 ~src:2 ~dst:2 `Deadline;
+  Des.crash des 2;
+  Des.restart_after des ~delay:10.0 2;
+  drain des (fun ~time ~src:_ ~dst:_ m -> got := (m, time) :: !got);
+  (match !restarted with
+  | [ (t, 2) ] -> Alcotest.(check (float 0.0)) "the restart comes at +10" 10.0 t
+  | _ -> Alcotest.fail "restart hook not called exactly once");
+  match !got with
+  | [ (`Deadline, t) ] ->
+      Alcotest.(check bool) "the restarted process's deadline fires at +1,600" true
+        (t >= 1600.0 && t < 1602.0)
+  | _ -> Alcotest.fail "expected the deadline once the process is back"
 
 let test_determinism () =
   let trace seed =
@@ -120,7 +136,9 @@ let suite =
     Alcotest.test_case "fifo independent channels" `Quick test_fifo_independent_channels;
     Alcotest.test_case "time monotone" `Quick test_time_monotone;
     Alcotest.test_case "handler chain extends run" `Quick test_handler_chain_extends_run;
-    Alcotest.test_case "self timers share one fifo" `Quick test_self_timers_share_one_fifo;
+    Alcotest.test_case "self timers fire at their own time" `Quick
+      test_self_timers_fire_at_their_own_time;
+    Alcotest.test_case "restart at its own time" `Quick test_restart_at_its_own_time;
     Alcotest.test_case "send_after ordering" `Quick test_send_after_ordering;
     Alcotest.test_case "determinism" `Quick test_determinism;
   ]

@@ -742,7 +742,7 @@ let fold_event h = function
   | Online.Replacement { vehicle; pair; dest } ->
       fold_point (fold_ints h [ 5; vehicle; pair ]) dest
   | Online.Search_starved { pair } -> fold_ints h [ 6; pair ]
-  | Online.Search_abandoned _ -> h
+  | Online.Search_abandoned { pair } -> fold_ints h [ 7; pair ]
 
 let fold_failures failures =
   List.fold_left
@@ -768,15 +768,11 @@ let pin_outcome (o : Online.outcome) =
 
 let pin_run name cfg w =
   let h = ref Fnv.basis and n = ref 0 in
-  (* The pins predate [Search_abandoned]: the auditor checks it, the
-     pins do not count it. *)
   let o =
     Online.run
-      ~observer:(function
-        | Online.Search_abandoned _ -> ()
-        | e ->
-            incr n;
-            h := fold_event !h e)
+      ~observer:(fun e ->
+        incr n;
+        h := fold_event !h e)
       cfg w
   in
   Printf.sprintf "%s: %s events %d/%x" name (pin_outcome o) !n !h
@@ -853,7 +849,7 @@ let pin_lines () =
       ~partitions:[ (0, 1); (100, 101) ]
       ()
   in
-  let f = Online.run_fleet ~workers:1 ~shards:3 fleet_cfg fleet_w in
+  let f = Audit.run_fleet ~shards:3 fleet_cfg fleet_w in
   [
     pin_run "chaos-300-seed1" (anchor 300 1) (Workload.point ~total:300 ());
     pin_run "chaos-400-seed3" (anchor 400 3) (Workload.point ~total:400 ());
@@ -874,54 +870,54 @@ let pin_lines () =
 let pinned_lines =
   [
     "chaos-300-seed1: "
-    ^ "digest 24e98c33567c79c5 served 300 failures "
+    ^ "digest 076e89195017cc39 served 300 failures "
     ^ "0/bf29ce484222325 max 405d400000000000 mean "
-    ^ "4053300000000000 consumers 4 msgs 2584 repl 3 comp 5 "
-    ^ "starved 0 vehicles 16 serviceable 14 drops 353 dups 145 "
-    ^ "retries 273 livelocks 0 events 313/34019b91e5a2c029";
+    ^ "4059555555555555 consumers 3 msgs 1199 repl 2 comp 2 "
+    ^ "starved 0 vehicles 16 serviceable 14 drops 178 dups 74 "
+    ^ "retries 115 livelocks 0 events 308/2c6681700b56ec3a";
     "chaos-400-seed3: "
-    ^ "digest 0311f671ee09bec8 served 400 failures "
+    ^ "digest 2be17d007f4b7d0e served 400 failures "
     ^ "0/bf29ce484222325 max 405d400000000000 mean "
-    ^ "4054666666666666 consumers 5 msgs 5564 repl 4 comp 17 "
-    ^ "starved 0 vehicles 16 serviceable 13 drops 761 dups 324 "
-    ^ "retries 620 livelocks 0 events 428/298e2d03d5200c8f";
+    ^ "4059500000000000 consumers 4 msgs 1937 repl 3 comp 3 "
+    ^ "starved 0 vehicles 16 serviceable 13 drops 314 dups 115 "
+    ^ "retries 206 livelocks 0 events 412/138e7c1642a5e26f";
     "silent+deaths: "
-    ^ "digest 2939b66003a7b70f served 640 failures "
+    ^ "digest 335c70cd657185be served 640 failures "
     ^ "0/bf29ce484222325 max 4054800000000000 mean "
-    ^ "4052238e38e38e39 consumers 9 msgs 410 repl 1 comp 1 "
+    ^ "4052238e38e38e39 consumers 9 msgs 411 repl 1 comp 1 "
     ^ "starved 0 vehicles 25 serviceable 22 drops 0 dups 0 "
     ^ "retries 0 livelocks 0 events 646/3c35156782a3a06c";
     "outages: "
-    ^ "digest 2033624f50310a01 served 120 failures "
+    ^ "digest 2b0ce3d6e82cd0b3 served 120 failures "
     ^ "0/bf29ce484222325 max 4053c00000000000 mean "
-    ^ "404e400000000000 consumers 2 msgs 287 repl 1 comp 1 "
-    ^ "starved 0 vehicles 9 serviceable 8 drops 24 dups 9 retries "
-    ^ "10 livelocks 0 events 124/32d1df825b97b5c";
+    ^ "404e400000000000 consumers 2 msgs 264 repl 1 comp 1 "
+    ^ "starved 0 vehicles 9 serviceable 8 drops 21 dups 13 "
+    ^ "retries 8 livelocks 0 events 124/32d1df825b97b5c";
     "tight: "
-    ^ "digest 3ce05106a0f64be7 served 5 failures "
+    ^ "digest 05402b962d385c91 served 5 failures "
     ^ "295/1d894c8fc97b4748 max 4014000000000000 mean "
-    ^ "4011555555555555 consumers 3 msgs 545 repl 2 comp 2 "
+    ^ "4011555555555555 consumers 3 msgs 649 repl 2 comp 2 "
     ^ "starved 0 vehicles 16 serviceable 13 drops 0 dups 0 "
     ^ "retries 0 livelocks 0 events 13/23d811d621ae444";
     "1-D: "
-    ^ "digest 0f2d9b9068f592dd served 179 failures "
+    ^ "digest 37107a0a06c91a99 served 179 failures "
     ^ "21/58504ba9cc7d743 max 4043800000000000 mean "
-    ^ "4043800000000000 consumers 5 msgs 1166 repl 4 comp 7 "
-    ^ "starved 3 vehicles 9 serviceable 4 drops 0 dups 0 retries "
-    ^ "0 livelocks 0 events 202/11c6d527ad4f77c7";
+    ^ "4043800000000000 consumers 5 msgs 1205 repl 4 comp 7 "
+    ^ "starved 3 vehicles 9 serviceable 4 drops 0 dups 0 "
+    ^ "retries 0 livelocks 0 events 202/11c6d527ad4f77c7";
     "3-D: "
-    ^ "digest 26d11aed11057deb served 120 failures "
+    ^ "digest 02304f3d5f264ae5 served 120 failures "
     ^ "0/bf29ce484222325 max 4037000000000000 mean "
-    ^ "4035aaaaaaaaaaab consumers 6 msgs 725 repl 4 comp 4 "
-    ^ "starved 0 vehicles 8 serviceable 4 drops 0 dups 0 retries "
-    ^ "0 livelocks 0 events 136/971656fe719e899";
+    ^ "4035aaaaaaaaaaab consumers 6 msgs 872 repl 4 comp 4 "
+    ^ "starved 0 vehicles 8 serviceable 4 drops 0 dups 0 "
+    ^ "retries 0 livelocks 0 events 136/971656fe719e899";
     "fleet: "
-    ^ "digest 28c0a0fa7258ba4a served 130 failures "
-    ^ "52/1a2f60c528328c64 max 4014000000000000 mean "
-    ^ "3ff8e91b0e91b0e9 consumers 246 msgs 86354 repl 130 comp "
-    ^ "152 starved 0 vehicles 576 serviceable 329 drops 974 dups "
-    ^ "455 retries 949 livelocks 0 shards "
-    ^ "11531c1f26aec410,0d85a0ffbe5a686e,3b2950483d0ee27d";
+    ^ "digest 2d5f0ad47e752896 served 129 failures "
+    ^ "38/2e03db9fd3879f2a max 4008000000000000 mean "
+    ^ "3ff6cab5cfef4819 consumers 245 msgs 57899 repl 129 comp "
+    ^ "130 starved 0 vehicles 576 serviceable 330 drops 796 "
+    ^ "dups 398 retries 780 livelocks 0 shards "
+    ^ "0480ca6b96e105fc,15fafb7a50eefd1e,2f19a1e31677a86d";
   ]
 
 let test_grid_protocol_pins () =
