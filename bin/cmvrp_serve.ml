@@ -76,6 +76,9 @@ let daemon_cmd =
     | exception Frame.Bad_frame msg ->
         Printf.eprintf "cmvrp_serve daemon: bad frame: %s\n%!" msg;
         exit 1
+    | exception Daemon.Closed_descriptor name ->
+        Printf.eprintf "cmvrp_serve daemon: %s is not open\n%!" name;
+        exit 2
     | exception Unix.Unix_error (e, ("socket" | "bind" | "listen"), _) ->
         Printf.eprintf "cmvrp_serve daemon: cannot listen on %s: %s\n%!"
           (Option.value socket ~default:"") (Unix.error_message e);

@@ -4,6 +4,8 @@ let m_bad_frames = Metrics.counter "daemon.bad_frames"
 
 type transport = Unix_socket of string | Stdio
 
+exception Closed_descriptor of string
+
 type config = {
   transport : transport;
   cache_capacity : int;
@@ -30,24 +32,29 @@ type conn = {
   mutable alive : bool;
   mutable bad_frame : string option;
       (* its error is queued: close once the queue is answered *)
+  mutable not_open : [ `Input | `Output ] option;
+      (* the descriptor that reported EBADF: the connection ends *)
 }
 
 let connection rd wr =
-  { rd; wr; dec = Frame.decoder (); alive = true; bad_frame = None }
+  { rd; wr; dec = Frame.decoder (); alive = true; bad_frame = None; not_open = None }
 
-(* Blocking write of a whole frame; small responses, prompt readers. *)
-let send_all fd payload =
-  let s = Frame.encode payload in
-  let len = String.length s in
-  let off = ref 0 in
-  try
-    while !off < len do
-      off := !off + Unix.write_substring fd s !off (len - !off)
-    done
-  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-
+(* Blocking write of a whole frame; small responses, prompt readers.  A
+   peer that is gone ([EPIPE], [ECONNRESET]) loses the frame; an output
+   descriptor that is not open ([EBADF]) ends the connection. *)
 let send_response conn resp =
-  if conn.alive then send_all conn.wr (Protocol.response_to_string resp)
+  if conn.alive && Option.is_none conn.not_open then begin
+    let s = Frame.encode (Protocol.response_to_string resp) in
+    let len = String.length s in
+    let off = ref 0 in
+    try
+      while !off < len do
+        off := !off + Unix.write_substring conn.wr s !off (len - !off)
+      done
+    with
+    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+    | Unix.Unix_error (Unix.EBADF, _, _) -> conn.not_open <- Some `Output
+  end
 
 let parse_error_response msg =
   { Protocol.r_id = -1; r_cached = false; r_result = Error msg; r_encoded = None }
@@ -64,8 +71,8 @@ let rec drain_frames conn pending =
 
 let read_chunk_size = 65536
 
-(* Read once from a ready connection; false when the peer is gone.  A
-   bad frame (a bad header, or the end of the stream inside a frame)
+(* Read once from a ready connection; false when the peer is gone or
+   the input descriptor is not open.  A bad frame (a bad header, or the end of the stream inside a frame)
    queues its error behind the frames decoded before it and marks the
    connection to be closed once that error has been answered: the byte
    stream past it cannot be trusted, but the requests sent before it
@@ -85,6 +92,9 @@ let pump_conn conn pending buf =
   | more -> more
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
+  | exception Unix.Unix_error (Unix.EBADF, _, _) ->
+      conn.not_open <- Some `Input;
+      false
   | exception Frame.Bad_frame msg ->
       Metrics.incr m_bad_frames;
       Queue.push (conn, Error ("bad frame: " ^ msg)) pending;
@@ -123,6 +133,11 @@ let drain_pending engine max_batch pending =
 
 let close_quietly fd =
   try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+
+let is_open fd =
+  match Unix.fstat fd with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EBADF, _, _) -> false
 
 (* The one serving loop, over [listener]'s connections (when there is a
    listener) and [conns].  Returns once a shutdown request has been
@@ -170,8 +185,18 @@ let serve ~trace cfg listener conns =
       | Some _ -> (reading, 1.0)
       | None -> (reading, -1.0)
     in
-    match Unix.select watched [] [] timeout with
+    (match Unix.select watched [] [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception (Unix.Unix_error (Unix.EBADF, _, _) as e) ->
+        (* A watched descriptor is not open: that connection has ended.
+           The listener is the loop's own, so a bad one is a bug. *)
+        let gone = List.filter (fun c -> not (is_open c.rd)) !conns in
+        if List.is_empty gone then raise e;
+        List.iter
+          (fun c ->
+            c.not_open <- Some `Input;
+            hang_up c)
+          gone
     | [], _, _ -> accepting := true
     | ready, _, _ ->
         Option.iter (fun fd -> if List.memq fd ready then accept fd) listener;
@@ -183,11 +208,13 @@ let serve ~trace cfg listener conns =
         if drain_pending engine cfg.max_batch pending then running := false;
         (* the queue is empty now, so every bad frame has been answered *)
         List.iter
-          (fun c -> if c.alive && Option.is_some c.bad_frame then hang_up c)
-          !conns;
-        let before = List.length !conns in
-        conns := List.filter (fun c -> c.alive) !conns;
-        if List.length !conns <> before then publish_count ()
+          (fun c ->
+            if c.alive && (Option.is_some c.bad_frame || Option.is_some c.not_open)
+            then hang_up c)
+          !conns);
+    let before = List.length !conns in
+    conns := List.filter (fun c -> c.alive) !conns;
+    if List.length !conns <> before then publish_count ()
   done;
   if not !running then trace "shutting down";
   List.iter (fun c -> if c.alive then hang_up c) !conns
@@ -221,4 +248,8 @@ let run ?(trace = fun (_ : string) -> ()) cfg =
       trace "serving on stdio";
       let stdio = connection Unix.stdin Unix.stdout in
       serve ~trace cfg None [ stdio ];
-      Option.iter (fun msg -> raise (Frame.Bad_frame msg)) stdio.bad_frame
+      Option.iter (fun msg -> raise (Frame.Bad_frame msg)) stdio.bad_frame;
+      Option.iter
+        (fun side ->
+          raise (Closed_descriptor (match side with `Input -> "stdin" | `Output -> "stdout")))
+        stdio.not_open

@@ -24,6 +24,11 @@
     byte stream past it can no longer be trusted.  On stdio that
     connection is the only one, so {!run} re-raises it.
 
+    A descriptor that reports [EBADF] (it is not open) to [select],
+    [read] or [write] ends its connection, like the end of its stream;
+    the other connections carry on.  On stdio, {!run} then raises
+    {!Closed_descriptor}.
+
     A [shutdown] request is answered like any other, with the rest of its
     batch, then the loop closes all connections and returns.  The loop
     also returns once no listener and no connection is left: on stdio, at
@@ -34,6 +39,9 @@ type transport =
       (** Path to bind; an existing socket file is unlinked first, and
           the file is removed again on exit. *)
   | Stdio  (** Serve one client over stdin/stdout. *)
+
+exception Closed_descriptor of string
+(** On stdio, ["stdin"] or ["stdout"]: that descriptor was not open. *)
 
 type config = {
   transport : transport;
@@ -58,6 +66,9 @@ val run : ?trace:(string -> unit) -> config -> unit
 
     @raise Frame.Bad_frame on stdio transport, after answering the bad
     frame with an [id = -1] error (the command-line daemon exits 1).
+
+    @raise Closed_descriptor on stdio transport, when stdin or stdout is
+    not open (the command-line daemon exits 2).
 
     Sets SIGPIPE to ignored for the whole process before serving, so a
     client that disconnects with responses still pending makes the write

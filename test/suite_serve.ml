@@ -922,6 +922,34 @@ let test_daemon_unbindable_socket () =
       Alcotest.(check bool) ("message: " ^ msg) true
         (String.starts_with ~prefix:("cmvrp_serve daemon: cannot listen on " ^ path ^ ": ") msg))
 
+(* The stdio daemon started with stdin or stdout closed: [select],
+   [read] or [write] then report EBADF, which ends the one connection,
+   and the daemon names the descriptor and exits 2 (it used to die of
+   the uncaught [Unix_error], exit 125). *)
+let test_stdio_closed_descriptor () =
+  let infile = Filename.temp_file "cmvrp_stdio_in" ".bin" in
+  let err = Filename.temp_file "cmvrp_daemon_err" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove infile;
+      Sys.remove err)
+    (fun () ->
+      Out_channel.with_open_bin infile (fun oc ->
+          output_string oc (Frame.encode {|{"id":1,"op":"ping"}|}));
+      List.iter
+        (fun (redirect, name) ->
+          let status =
+            Sys.command
+              (Filename.quote_command "sh" ~stdin:infile ~stderr:err
+                 [ "-c"; {|exec "$0" daemon --stdio --quiet |} ^ redirect; serve_exe ])
+          in
+          Alcotest.(check int) (name ^ " closed: exit status") 2 status;
+          Alcotest.(check string)
+            (name ^ " closed: message")
+            (Printf.sprintf "cmvrp_serve daemon: %s is not open\n" name)
+            (In_channel.with_open_bin err In_channel.input_all))
+        [ ("<&-", "stdin"); (">&-", "stdout") ])
+
 (* --- fuzz: Frame and Protocol against an independent reference --- *)
 
 let choose rng a = a.(Rng.int rng (Array.length a))
@@ -1251,6 +1279,8 @@ let suite =
     Alcotest.test_case "socket daemon out of descriptors" `Quick
       test_daemon_out_of_descriptors;
     Alcotest.test_case "daemon on an unbindable socket" `Quick test_daemon_unbindable_socket;
+    Alcotest.test_case "stdio daemon with a closed descriptor" `Quick
+      test_stdio_closed_descriptor;
     QCheck_alcotest.to_alcotest prop_decoders_never_raise;
     QCheck_alcotest.to_alcotest prop_frame_raises_only_bad_frame;
     QCheck_alcotest.to_alcotest prop_agrees_with_reference;
