@@ -72,11 +72,11 @@ let rec drain_frames conn pending =
 let read_chunk_size = 65536
 
 (* Read once from a ready connection; false when the peer is gone or
-   the input descriptor is not open.  A bad frame (a bad header, or the end of the stream inside a frame)
-   queues its error behind the frames decoded before it and marks the
-   connection to be closed once that error has been answered: the byte
-   stream past it cannot be trusted, but the requests sent before it
-   are still owed their replies. *)
+   the input descriptor is not open.  A bad frame (a bad header, or the
+   end of the stream inside a frame) queues its error behind the frames
+   decoded before it and marks the connection to be closed once that
+   error has been answered: the byte stream past it cannot be trusted,
+   but the requests sent before it are still owed their replies. *)
 let pump_conn conn pending buf =
   let read () =
     match Unix.read conn.rd buf 0 read_chunk_size with
