@@ -6,11 +6,6 @@
 
 let point2 x y = [| x; y |]
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.equal (String.sub s i m) sub || at (i + 1)) in
-  at 0
-
 let audited name r =
   match Audit.recheck r with
   | Ok () -> ()
@@ -119,7 +114,7 @@ let rejects what ~because mutation =
   match Audit.recheck ~events:(fun r -> mutation r.Audit.events) r with
   | Ok () -> Alcotest.failf "%s: accepted" what
   | Error m ->
-      if not (contains m because) then
+      if not (Suite_race.contains m because) then
         Alcotest.failf "%s: rejected for %S, not %S" what m because
 
 let test_rejects_job_served_twice () =
