@@ -129,6 +129,11 @@ type 'msg t = {
   profile : faults;
   partitions : (int, unit) Hashtbl.t;
   mutable down : Bytes.t;
+  (* Process -> [next_seq] at its latest crash.  A self event queued
+     before it is a timer of the crashed incarnation, and is dropped
+     however late it comes due.  Crashes are rare: a table, not an array
+     sized by the fleet. *)
+  crashed_at : (int, int) Hashtbl.t;
   mutable restart_hook : time:float -> int -> unit;
   (* Number of non-weak pending events; quiescence ignores weak
      (background/keepalive) events when the client's [idle_ok] allows. *)
@@ -191,6 +196,7 @@ let create ?(min_delay = 0.1) ?(max_delay = 1.0) ?(faults = reliable) ~rng () =
     profile = faults;
     partitions = Hashtbl.create 8;
     down = Bytes.empty;
+    crashed_at = Hashtbl.create 8;
     restart_hook = (fun ~time:_ _ -> ());
     strong_pending = 0;
     strong_peak = 0;
@@ -239,7 +245,8 @@ let crash t node =
     Bytes.blit t.down 0 grown 0 (Bytes.length t.down);
     t.down <- grown
   end;
-  set_down t node true
+  set_down t node true;
+  Hashtbl.replace t.crashed_at node t.next_seq
 
 let set_restart_hook t hook = t.restart_hook <- hook
 
@@ -680,6 +687,16 @@ let pop_event t =
     idx
   end
 
+(* A timer set before its process's latest crash died with it.  A
+   restart is not such a timer: the crash itself scheduled it. *)
+let[@inline] lost_timer t idx ~src ~dst =
+  src = dst
+  && Hashtbl.length t.crashed_at > 0
+  &&
+  match Hashtbl.find t.crashed_at dst with
+  | seq -> t.ev_seq.(idx) < seq
+  | exception Not_found -> false
+
 (* Deliver one popped event through the crash filter and the handler;
    frees the arena slot.  Event times never run behind the clock, and
    the clock is only written when it moves: the write boxes a float. *)
@@ -693,12 +710,13 @@ let dispatch_event t ~handler idx =
     restart t dst
   end
   else begin
+    let src = pack_src p in
+    let lost = is_down t dst || lost_timer t idx ~src ~dst in
     let msg = t.ev_msg.(idx) in
     (match t.filler with Some f -> t.ev_msg.(idx) <- f | None -> ());
     free_event t idx;
-    if is_down t dst then drop t
+    if lost then drop t
     else begin
-      let src = pack_src p in
       t.delivered <- t.delivered + 1;
       record t ~src ~dst msg;
       handler ~time:t.clock ~src ~dst msg

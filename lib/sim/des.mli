@@ -13,10 +13,12 @@
     the chaos layer the hardened online protocol (docs/ROBUSTNESS.md) is
     tested against.  Self-channels ([src = dst]) carry a process's local
     timers and are exempt from channel faults, though a crashed process
-    loses its pending timers.  A process's clock is not a channel: a
-    self-channel keeps no FIFO order, and each timer fires at its own
-    time (one set for +4 after one set for +1,600 fires at +4).  A
-    scheduled restart ({!restart_after}) follows the same rule.
+    loses its pending timers: a timer set before a crash never fires,
+    not even one that comes due after the process restarts.  A
+    process's clock is not a channel: a self-channel keeps no FIFO
+    order, and each timer fires at its own time (one set for +4 after
+    one set for +1,600 fires at +4).  A scheduled restart
+    ({!restart_after}) follows the same rule.
 
     The simulator is generic in the message type.  Clients [send] from
     within the handler; [run_until_quiescent] drains the event queue,
@@ -86,15 +88,18 @@ val partition : _ t -> int -> int -> unit
     [restart_after] and the send functions. *)
 
 val crash : _ t -> int -> unit
-(** Marks a process down.  While down, messages from or to it (including
-    its own pending timers) are dropped and counted in [drops].  The
-    crashed set is a bitmap sized by the largest id crashed so far. *)
+(** Marks a process down.  While down, messages from or to it are
+    dropped and counted in [drops].  The timers it set before the crash
+    are dropped and counted when they come due, also once it is back
+    up.  The crashed set is a bitmap sized by the largest id crashed so
+    far. *)
 
 val restart_after : _ t -> delay:float -> int -> unit
 (** Brings a crashed process back [delay] from now on the simulated
-    timeline and invokes the restart hook then, whatever timers of the
-    process are pending; no-op if the process is up by that time.  Raises [Invalid_argument] on a negative or
-    non-finite delay. *)
+    timeline and invokes the restart hook then: it does not wait for
+    the timers the process set before the crash, none of which fires.
+    No-op if the process is up by that time.  Raises
+    [Invalid_argument] on a negative or non-finite delay. *)
 
 val is_down : _ t -> int -> bool
 

@@ -97,11 +97,16 @@ let test_self_timers_fire_at_their_own_time () =
 
 (* A scheduled restart is a timer of the process it restarts, and keeps
    the same rule: it comes at its own time, not after the process's
-   earlier timers. *)
+   earlier timers.  Those died with the crash: a +1,600 timer set before
+   it never fires, while one the restart hook sets does.  [Online]
+   re-arms a pair's deadline on restart, so the pair keeps one deadline
+   chain. *)
 let test_restart_at_its_own_time () =
   let des = Des.create ~rng:(Rng.create 8) () in
   let restarted = ref [] and got = ref [] in
-  Des.set_restart_hook des (fun ~time id -> restarted := (time, id) :: !restarted);
+  Des.set_restart_hook des (fun ~time id ->
+      restarted := (time, id) :: !restarted;
+      Des.send_after des ~delay:4.0 ~src:id ~dst:id `Rearmed);
   Des.send_after des ~delay:1600.0 ~src:2 ~dst:2 `Deadline;
   Des.crash des 2;
   Des.restart_after des ~delay:10.0 2;
@@ -109,11 +114,12 @@ let test_restart_at_its_own_time () =
   (match !restarted with
   | [ (t, 2) ] -> Alcotest.(check (float 0.0)) "the restart comes at +10" 10.0 t
   | _ -> Alcotest.fail "restart hook not called exactly once");
-  match !got with
-  | [ (`Deadline, t) ] ->
-      Alcotest.(check bool) "the restarted process's deadline fires at +1,600" true
-        (t >= 1600.0 && t < 1602.0)
-  | _ -> Alcotest.fail "expected the deadline once the process is back"
+  (match !got with
+  | [ (`Rearmed, t) ] ->
+      Alcotest.(check bool) "the re-armed timer fires at +14" true (t >= 14.0 && t < 16.0)
+  | _ -> Alcotest.fail "expected only the timer set after the restart");
+  Alcotest.(check int) "the timer set before the crash is dropped" 1 (Des.drops des);
+  Alcotest.(check int) "nothing left queued" 0 (Des.pending des)
 
 let test_determinism () =
   let trace seed =

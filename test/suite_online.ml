@@ -888,10 +888,10 @@ let pinned_lines =
     ^ "starved 0 vehicles 25 serviceable 22 drops 0 dups 0 "
     ^ "retries 0 livelocks 0 events 646/3c35156782a3a06c";
     "outages: "
-    ^ "digest 2b0ce3d6e82cd0b3 served 120 failures "
+    ^ "digest 1cd6a1a80c9f7592 served 120 failures "
     ^ "0/bf29ce484222325 max 4053c00000000000 mean "
-    ^ "404e400000000000 consumers 2 msgs 264 repl 1 comp 1 "
-    ^ "starved 0 vehicles 9 serviceable 8 drops 21 dups 13 "
+    ^ "404e400000000000 consumers 2 msgs 263 repl 1 comp 1 "
+    ^ "starved 0 vehicles 9 serviceable 8 drops 21 dups 12 "
     ^ "retries 8 livelocks 0 events 124/32d1df825b97b5c";
     "tight: "
     ^ "digest 05402b962d385c91 served 5 failures "
