@@ -1284,16 +1284,6 @@ let run_fleet ?workers ?observer ~shards cfg workload =
               band_job_index = Array.map fst shard_jobs.(s);
             })
       in
-      (* Weighing walks a whole world, so it is a fixed cost of the call.
-         Bands of one width have the same tables, and the first of them
-         weighs for all: its bytes per vehicle stand for every band of
-         its width. *)
-      let weigher =
-        Array.init eff (fun s ->
-            let width = Box.side boxes.(s) 0 in
-            let rec first k = if Box.side boxes.(k) 0 = width then k else first (k + 1) in
-            first 0)
-      in
       let saved = Pool.workers () in
       (match workers with Some k -> Pool.set_workers k | None -> ());
       let results =
@@ -1310,21 +1300,18 @@ let run_fleet ?workers ?observer ~shards cfg workload =
                 in
                 (* Weighed as its band ends, a world is garbage before the
                    next band starts: a call holds one band's world per
-                   worker, not every band's. *)
-                ( o,
-                  if weigher.(b.band_index) = b.band_index then
-                    float_of_int (world_footprint_bytes w) /. float_of_int o.vehicles
-                  else 0.0 ))
+                   worker, not every band's.  Every band is weighed: its
+                   event arena, dedup set and in-flight tables grow with
+                   its own traffic, not with its width. *)
+                (o, world_footprint_bytes w))
               bands)
       in
       let outs = Array.map fst results in
+      let total_bytes = Array.fold_left (fun acc (_, b) -> acc + b) 0 results in
       let vehicles = Array.fold_left (fun acc o -> acc + o.vehicles) 0 outs in
-      let total_bytes = ref 0.0 in
-      Array.iteri
-        (fun s o ->
-          total_bytes := !total_bytes +. (snd results.(weigher.(s)) *. float_of_int o.vehicles))
-        outs;
-      let bytes_per_vehicle = !total_bytes /. float_of_int (max 1 vehicles) in
+      let bytes_per_vehicle =
+        float_of_int total_bytes /. float_of_int (max 1 vehicles)
+      in
       Metrics.set_gauge m_bytes_per_vehicle bytes_per_vehicle;
       {
         aggregate = aggregate_outcomes outs;

@@ -246,9 +246,9 @@ type fleet_outcome = {
           reruns and across worker counts for a fixed shard count *)
   shard_count : int;  (** effective count: [min shards (tile columns)] *)
   bytes_per_vehicle : float;
-      (** simulator + protocol heap footprint per vehicle (also the
-          ["des.bytes_per_vehicle"] gauge): the first band of each width
-          is weighed, and stands for every band of its width *)
+      (** simulator + protocol heap footprint divided by the fleet size
+          (also the ["des.bytes_per_vehicle"] gauge): each band's world
+          is weighed as the band ends *)
 }
 
 (** One band of a {!run_fleet} call: everything a band's run reads, as
