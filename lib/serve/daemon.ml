@@ -185,18 +185,8 @@ let serve ~trace cfg listener conns =
       | Some _ -> (reading, 1.0)
       | None -> (reading, -1.0)
     in
-    (match Unix.select watched [] [] timeout with
+    match Unix.select watched [] [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception (Unix.Unix_error (Unix.EBADF, _, _) as e) ->
-        (* A watched descriptor is not open: that connection has ended.
-           The listener is the loop's own, so a bad one is a bug. *)
-        let gone = List.filter (fun c -> not (is_open c.rd)) !conns in
-        if List.is_empty gone then raise e;
-        List.iter
-          (fun c ->
-            c.not_open <- Some `Input;
-            hang_up c)
-          gone
     | [], _, _ -> accepting := true
     | ready, _, _ ->
         Option.iter (fun fd -> if List.memq fd ready then accept fd) listener;
@@ -211,10 +201,10 @@ let serve ~trace cfg listener conns =
           (fun c ->
             if c.alive && (Option.is_some c.bad_frame || Option.is_some c.not_open)
             then hang_up c)
-          !conns);
-    let before = List.length !conns in
-    conns := List.filter (fun c -> c.alive) !conns;
-    if List.length !conns <> before then publish_count ()
+          !conns;
+        let before = List.length !conns in
+        conns := List.filter (fun c -> c.alive) !conns;
+        if List.length !conns <> before then publish_count ()
   done;
   if not !running then trace "shutting down";
   List.iter (fun c -> if c.alive then hang_up c) !conns
@@ -235,7 +225,8 @@ let listen path =
 
 let run ?(trace = fun (_ : string) -> ()) cfg =
   (* A client that disconnects with responses pending must cost an EPIPE
-     in [send_all], not the process: SIGPIPE's default action is to die. *)
+     in [send_response], not the process: SIGPIPE's default action is to
+     die. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match cfg.transport with
   | Unix_socket path ->
@@ -245,6 +236,11 @@ let run ?(trace = fun (_ : string) -> ()) cfg =
       close_quietly listener;
       unlink_quietly path
   | Stdio ->
+      (* A closed descriptor is the caller's error, seen before serving;
+         one open in the wrong mode shows as EBADF on [read] or [write]. *)
+      List.iter
+        (fun (fd, name) -> if not (is_open fd) then raise (Closed_descriptor name))
+        [ (Unix.stdin, "stdin"); (Unix.stdout, "stdout") ];
       trace "serving on stdio";
       let stdio = connection Unix.stdin Unix.stdout in
       serve ~trace cfg None [ stdio ];

@@ -24,10 +24,11 @@
     byte stream past it can no longer be trusted.  On stdio that
     connection is the only one, so {!run} re-raises it.
 
-    A descriptor that reports [EBADF] (it is not open) to [select],
-    [read] or [write] ends its connection, like the end of its stream;
-    the other connections carry on.  On stdio, {!run} then raises
-    {!Closed_descriptor}.
+    A connection whose descriptor reports [EBADF] to [read] or [write]
+    (one open in the wrong mode) ends like the end of its stream; the
+    other connections carry on.  On stdio, {!run} first checks that
+    stdin and stdout are open, and raises {!Closed_descriptor} if one
+    is not or if one reported [EBADF].
 
     A [shutdown] request is answered like any other, with the rest of its
     batch, then the loop closes all connections and returns.  The loop
@@ -41,7 +42,8 @@ type transport =
   | Stdio  (** Serve one client over stdin/stdout. *)
 
 exception Closed_descriptor of string
-(** On stdio, ["stdin"] or ["stdout"]: that descriptor was not open. *)
+(** On stdio, ["stdin"] or ["stdout"]: that descriptor was not open,
+    or reported [EBADF]. *)
 
 type config = {
   transport : transport;

@@ -922,17 +922,17 @@ let test_daemon_unbindable_socket () =
       Alcotest.(check bool) ("message: " ^ msg) true
         (String.starts_with ~prefix:("cmvrp_serve daemon: cannot listen on " ^ path ^ ": ") msg))
 
-(* The stdio daemon started with stdin or stdout closed: [select],
-   [read] or [write] then report EBADF, which ends the one connection,
-   and the daemon names the descriptor and exits 2 (it used to die of
-   the uncaught [Unix_error], exit 125). *)
+(* The stdio daemon started with stdin or stdout closed names the
+   descriptor and exits 2 before serving (it used to die of the uncaught
+   [Unix_error(EBADF, _)], exit 125).  One open in the wrong mode
+   reports EBADF to [read] or [write], which ends the one connection,
+   and the daemon exits the same way. *)
 let test_stdio_closed_descriptor () =
   let infile = Filename.temp_file "cmvrp_stdio_in" ".bin" in
+  let sink = Filename.temp_file "cmvrp_stdio_sink" ".bin" in
   let err = Filename.temp_file "cmvrp_daemon_err" ".txt" in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove infile;
-      Sys.remove err)
+    ~finally:(fun () -> List.iter Sys.remove [ infile; sink; err ])
     (fun () ->
       Out_channel.with_open_bin infile (fun oc ->
           output_string oc (Frame.encode {|{"id":1,"op":"ping"}|}));
@@ -943,12 +943,16 @@ let test_stdio_closed_descriptor () =
               (Filename.quote_command "sh" ~stdin:infile ~stderr:err
                  [ "-c"; {|exec "$0" daemon --stdio --quiet |} ^ redirect; serve_exe ])
           in
-          Alcotest.(check int) (name ^ " closed: exit status") 2 status;
-          Alcotest.(check string)
-            (name ^ " closed: message")
+          Alcotest.(check int) (redirect ^ ": exit status") 2 status;
+          Alcotest.(check string) (redirect ^ ": message")
             (Printf.sprintf "cmvrp_serve daemon: %s is not open\n" name)
             (In_channel.with_open_bin err In_channel.input_all))
-        [ ("<&-", "stdin"); (">&-", "stdout") ])
+        [
+          ("<&-", "stdin");
+          (">&-", "stdout");
+          ("0>>" ^ Filename.quote sink, "stdin");
+          ("1<" ^ Filename.quote infile, "stdout");
+        ])
 
 (* --- fuzz: Frame and Protocol against an independent reference --- *)
 
