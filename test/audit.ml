@@ -231,8 +231,7 @@ type recorded = {
   events : Online.event list;
 }
 
-let recheck ?(events = fun r -> r.events) r =
-  check r.cfg r.topo ~jobs:r.jobs r.outcome (events r)
+let recheck r = check r.cfg r.topo ~jobs:r.jobs r.outcome r.events
 
 (* [Online.run] with every event recorded.  Its topology is the grid of
    the window that tiles the jobs' bounding box, as [Online.run] builds

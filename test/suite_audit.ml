@@ -1,5 +1,6 @@
 (* The protocol auditor (test/audit.ml) on runs that must pass it, and on
-   recorded streams with one seeded fault each, which it must reject.
+   recorded runs with one seeded fault each, in the event stream or in
+   the outcome, which it must reject.
    [Suite_online] audits every [Online.run] it makes; this suite adds the
    chaos anchors, the graph topologies of experiment E17 and fleet calls,
    band by band. *)
@@ -100,6 +101,18 @@ let recorded () =
     }
     w
 
+(* Capacity 2.5 on an 8² window: relocations overdraw, and the outcome
+   reports each as an "energy went negative" failure. *)
+let recorded_overdraws () =
+  let lo = point2 0 0 and hi = point2 7 7 in
+  let w = Workload.uniform ~rng:(Rng.create 606) ~box:(Box.make ~lo ~hi) ~jobs:40 in
+  let w = { w with Workload.jobs = Array.append [| lo; hi |] w.Workload.jobs } in
+  Audit.record
+    (Online.config ~seed:9 ~capacity:2.5 ~side:4
+       ~chaos:(Des.faults ~drop_p:0.02 ~dup_p:0.01 ())
+       ())
+    w
+
 (* Rewrites the first event [f] maps to [Some], or fails if none does. *)
 let mutate_first f events =
   let rec go = function
@@ -108,10 +121,13 @@ let mutate_first f events =
   in
   go events
 
-let rejects what ~because mutation =
+let events f (r : Audit.recorded) = { r with Audit.events = f r.Audit.events }
+let outcome f (r : Audit.recorded) = { r with Audit.outcome = f r.Audit.outcome }
+
+let rejects ?(recorded = recorded) what ~because mutation =
   let r = recorded () in
-  audited "the unmutated stream" r;
-  match Audit.recheck ~events:(fun r -> mutation r.Audit.events) r with
+  audited "the unmutated run" r;
+  match Audit.recheck (mutation r) with
   | Ok () -> Alcotest.failf "%s: accepted" what
   | Error m ->
       if not (Suite_race.contains m because) then
@@ -119,32 +135,72 @@ let rejects what ~because mutation =
 
 let test_rejects_job_served_twice () =
   rejects "a job served twice" ~because:"served twice"
-    (mutate_first (function Online.Job_served _ as e -> Some [ e; e ] | _ -> None))
+    (events (mutate_first (function Online.Job_served _ as e -> Some [ e; e ] | _ -> None)))
 
 let test_rejects_dropped_job () =
   rejects "a served job dropped" ~because:"neither served nor failed"
-    (mutate_first (function Online.Job_served _ -> Some [] | _ -> None))
+    (events (mutate_first (function Online.Job_served _ -> Some [] | _ -> None)))
 
+let test_rejects_misreported_walk () =
+  rejects "a walk of 1 reported as 0" ~because:"walk reported 0, replayed 1"
+    (events
+       (mutate_first (function
+         | Online.Job_served ({ walk = 1; _ } as j) ->
+             Some [ Online.Job_served { j with walk = 0 } ]
+         | _ -> None)))
+
+(* The run forgets to charge one unit-cost job to its busiest vehicle:
+   the outcome's peak and mean fall, while the replay charges every
+   served job and relocation. *)
 let test_rejects_removed_charge () =
-  rejects "an energy charge removed" ~because:"walk reported 0, replayed 1"
-    (mutate_first (function
-      | Online.Job_served ({ walk = 1; _ } as j) -> Some [ Online.Job_served { j with walk = 0 } ]
-      | _ -> None))
+  rejects "an energy charge removed" ~because:"max_energy_used: replayed"
+    (outcome (fun o ->
+         {
+           o with
+           Online.max_energy_used = o.Online.max_energy_used -. 1.0;
+           mean_energy_used =
+             o.Online.mean_energy_used -. (1.0 /. float_of_int o.Online.energy_consumers);
+         }))
+
+let test_rejects_miscounted_consumers () =
+  rejects "an energy consumer miscounted" ~because:"energy consumers: replayed"
+    (outcome (fun o -> { o with Online.energy_consumers = o.Online.energy_consumers + 1 }))
+
+let test_rejects_unreported_overdraw () =
+  rejects ~recorded:recorded_overdraws "an overdraw left unreported"
+    ~because:"that the outcome does not report"
+    (outcome (fun o ->
+         (* the last one, so the reported ones before it still match *)
+         let rec drop = function
+           | [] -> Alcotest.fail "the run reports no overdraw"
+           | (f : Online.failure) :: rest ->
+               if
+                 String.equal f.Online.reason "energy went negative"
+                 && not
+                      (List.exists
+                         (fun (g : Online.failure) ->
+                           String.equal g.Online.reason "energy went negative")
+                         rest)
+               then rest
+               else f :: drop rest
+         in
+         { o with Online.failures = drop o.Online.failures }))
 
 let test_rejects_dead_replacement () =
-  rejects "a replacement by a dead vehicle" ~because:"is dead" (fun events ->
-      let dead = ref None in
-      mutate_first
-        (function
-          | Online.Vehicle_died { vehicle } ->
-              if Option.is_none !dead then dead := Some vehicle;
-              None
-          | Online.Replacement r -> (
-              match !dead with
-              | Some d -> Some [ Online.Replacement { r with vehicle = d } ]
-              | None -> None)
-          | _ -> None)
-        events)
+  rejects "a replacement by a dead vehicle" ~because:"is dead"
+    (events (fun events ->
+         let dead = ref None in
+         mutate_first
+           (function
+             | Online.Vehicle_died { vehicle } ->
+                 if Option.is_none !dead then dead := Some vehicle;
+                 None
+             | Online.Replacement r -> (
+                 match !dead with
+                 | Some d -> Some [ Online.Replacement { r with vehicle = d } ]
+                 | None -> None)
+             | _ -> None)
+           events))
 
 let suite =
   [
@@ -155,8 +211,13 @@ let suite =
       test_fleet_band_topologies;
     Alcotest.test_case "rejects a job served twice" `Quick test_rejects_job_served_twice;
     Alcotest.test_case "rejects a served job dropped" `Quick test_rejects_dropped_job;
+    Alcotest.test_case "rejects a misreported walk" `Quick test_rejects_misreported_walk;
     Alcotest.test_case "rejects an energy charge removed" `Quick
       test_rejects_removed_charge;
+    Alcotest.test_case "rejects a miscounted energy consumer" `Quick
+      test_rejects_miscounted_consumers;
+    Alcotest.test_case "rejects an unreported overdraw" `Quick
+      test_rejects_unreported_overdraw;
     Alcotest.test_case "rejects a replacement by a dead vehicle" `Quick
       test_rejects_dead_replacement;
   ]
