@@ -108,7 +108,10 @@ let succeeded o = match o.failures with [] -> true | _ :: _ -> false
 
    [Heartbeat]/[Deadline] realize §3.2.5's monitoring ring with real
    messages: the active vehicle of a pair beats to its monitor, and a
-   weak self-timer per pair checks on it — see docs/ROBUSTNESS.md. *)
+   weak self-timer per pair checks on it — see docs/ROBUSTNESS.md.  The
+   timer runs on the pair's anchor, which anchors no other pair, so a
+   [Deadline] names no pair and allocates nothing: a fleet call arms
+   about 50,000 of them. *)
 
 type body =
   | Query of { init : int * int }
@@ -119,7 +122,7 @@ type msg =
   | Payload of { msg_id : int; body : body }
   | Ack of { msg_id : int }
   | Heartbeat of { pair : int }
-  | Deadline of { pair : int }
+  | Deadline
   | Retry of { msg_id : int }
 
 type event =
@@ -525,8 +528,7 @@ let build ?(observer = fun (_ : event) -> ()) cfg topo =
     Bytes.set_uint8 w.w_armed pid 1;
     w.w_beats_at_arm.(pid) <- w.w_beats.(pid);
     Des.send_after ~weak:true des ~delay:heartbeat_timeout
-      ~src:topo.pair_anchor.(pid) ~dst:topo.pair_anchor.(pid)
-      (Deadline { pair = pid })
+      ~src:topo.pair_anchor.(pid) ~dst:topo.pair_anchor.(pid) Deadline
   done;
   w
 
@@ -583,8 +585,7 @@ let arm_deadline w ~pair_id ~delay =
   w.w_beats_at_arm.(pair_id) <- w.w_beats.(pair_id);
   w.w_interval.(pair_id) <- delay;
   let anchor = w.topo.pair_anchor.(pair_id) in
-  Des.send_after ~weak:true w.des ~delay ~src:anchor ~dst:anchor
-    (Deadline { pair = pair_id })
+  Des.send_after ~weak:true w.des ~delay ~src:anchor ~dst:anchor Deadline
 
 let send_heartbeat w v =
   if working w v = st_active && w.veh_pair.(v) >= 0 then
@@ -927,7 +928,7 @@ let dispatch w ~time:_ ~src ~dst msg =
       end
   | Ack { msg_id } -> Hashtbl.remove w.rel_pending msg_id
   | Heartbeat { pair } -> on_heartbeat w ~pair_id:pair
-  | Deadline { pair } -> on_deadline w ~pair_id:pair
+  | Deadline -> on_deadline w ~pair_id:w.anchor_pair.(dst)
   | Retry { msg_id } -> on_retry w msg_id
 
 (* Quiescence for the drain: no un-acked reliable message, and every pair
