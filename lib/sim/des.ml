@@ -687,8 +687,9 @@ let pop_event t =
     idx
   end
 
-(* A timer set before its process's latest crash died with it.  A
-   restart is not such a timer: the crash itself scheduled it. *)
+(* A timer set before its process's latest crash died with it.
+   Restarts never reach this check: one queued before a later crash
+   still brings the process back. *)
 let[@inline] lost_timer t idx ~src ~dst =
   src = dst
   && Hashtbl.length t.crashed_at > 0
