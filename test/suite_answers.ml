@@ -1,6 +1,7 @@
 (* The oracle's answers, bit for bit, on fixed inputs: ω*, the LP (2.1)
    value at radii 0–2 and the witness on loadgen demands, the graph
-   oracle on one grid instance, a seeded session trace, and a point load
+   oracle on one grid instance and on E14's and E17's graphs, a seeded
+   session trace, and a point load
    whose optimum lies off the LP grid.  Any change to how the LP is
    resolved or how the bracket scan runs must leave every row as
    recorded.  The last two tests pin the serving protocol's wire bytes
@@ -58,6 +59,41 @@ let gcmvrp_grid () =
     (Gcmvrp.of_grid_2d
        (Demand_map.of_alist 2 [ (point2 0 0, 7); (point2 2 1, 4); (point2 1 3, 9) ])
        ~pad:3)
+
+(* E14's six graphs, built as bench/main.ml builds them, each as
+   (name, instance). *)
+let e14_graphs () =
+  let path_demand = Array.make 41 0 in
+  path_demand.(20) <- 120;
+  let star = Digraph.create 25 in
+  for leaf = 1 to 24 do
+    Digraph.add_undirected star 0 leaf ~weight:1
+  done;
+  let star_demand = Array.make 25 0 in
+  star_demand.(0) <- 200;
+  let tree = Digraph.create 31 in
+  for v = 1 to 30 do
+    Digraph.add_undirected tree v ((v - 1) / 2) ~weight:1
+  done;
+  let geometric n =
+    let rng = Rng.create (1000 + n) in
+    let g, _ =
+      Gcmvrp.random_geometric ~rng ~n
+        ~box:(Box.make ~lo:[| 0; 0 |] ~hi:[| 14; 14 |])
+        ~radius:9
+    in
+    let demand = Array.init n (fun i -> if i mod 4 = 0 then 5 + Rng.int rng 25 else 0) in
+    (Printf.sprintf "geometric-%d" n, Gcmvrp.create g ~demand)
+  in
+  [
+    ("path-41", Gcmvrp.create (Gcmvrp.line_graph 41) ~demand:path_demand);
+    ("star-25", Gcmvrp.create star ~demand:star_demand);
+    ( "tree-31",
+      Gcmvrp.create tree ~demand:(Array.init 31 (fun v -> if v >= 15 then 10 else 0)) );
+    geometric 20;
+    geometric 40;
+    geometric 60;
+  ]
 
 (* 200 seeded add/remove events on a 5x5 board, a query after each; the
    result digests every answer's bits in order. *)
@@ -236,6 +272,24 @@ let test_single_values () =
   Alcotest.(check int64) "lp_value r=3 is ω*" (bits (Oracle.omega_star off_grid))
     (bits (Oracle.lp_value ~radius:3 off_grid))
 
+(* The graph oracle's ω* bits on E14's six graphs and E17's four. *)
+let test_graph_experiments () =
+  let graphs =
+    e14_graphs ()
+    @ List.map (fun (name, inst, _) -> ("e17 " ^ name, inst)) (Suite_gcmvrp.e17_graphs ())
+  in
+  let expected =
+    [
+      4620693217682128896L; 4620693217682128896L; 4617497116030991117L;
+      4619567317775286272L; 4618371049124265984L; 4617315517961601024L;
+      4619567317775286272L; 4619633548284291850L; 4618441417868443648L;
+      4616428445307725017L;
+    ]
+  in
+  List.iter2
+    (fun (name, inst) b -> Alcotest.(check int64) name b (bits (Gcmvrp.omega_star inst)))
+    graphs expected
+
 (* The wire bytes: each request's [request_to_string], then its
    response's [response_to_string], folded with [Fnv.add_string].
    Returns (exchanges, bytes, digest). *)
@@ -319,6 +373,7 @@ let suite =
   [
     Alcotest.test_case "loadgen demands" `Quick test_loadgen_demands;
     Alcotest.test_case "single values" `Quick test_single_values;
+    Alcotest.test_case "graph ω* on E14's and E17's graphs" `Quick test_graph_experiments;
     Alcotest.test_case "wire bytes of the loadgen mixes" `Quick test_wire_mixes;
     Alcotest.test_case "wire bytes of the other shapes" `Quick test_wire_shapes;
   ]
