@@ -948,8 +948,7 @@ let bechamel_suite ~quick () =
            shell at a time vs dilating to radius 6 in one call, and
            direct L1-sphere enumeration. *)
         Test.make ~name:"min_uniform_supply_r2_200jobs" (Staged.stage (fun () ->
-            let inst = Oracle.build_instance dm_mid ~radius:2 in
-            ignore (Transport.min_uniform_supply inst)));
+            ignore (Oracle.lp_value ~radius:2 dm_mid)));
         Test.make ~name:"frontier_r6_200jobs" (Staged.stage (fun () ->
             let f = Ball.frontier (Demand_map.support dm_mid) in
             for _ = 1 to 6 do

@@ -71,8 +71,6 @@ let builder_at dm ~radius =
   builder_to_radius b radius;
   b
 
-let build_instance dm ~radius = (builder_at dm ~radius).b_inst
-
 let lp_value_of_inst inst =
   Metrics.incr m_lp_calls;
   match Transport.min_uniform_supply inst with
@@ -87,7 +85,7 @@ let lp_value ~radius dm =
     Metrics.incr m_lp_calls;
     0.0
   end
-  else lp_value_of_inst (build_instance dm ~radius)
+  else lp_value_of_inst (builder_at dm ~radius).b_inst
 
 (* The bracket scan on a non-empty demand, with [solve m] the value of
    program (2.1) at radius m >= 1.  At radius 0 a site is served only
@@ -98,55 +96,54 @@ let lp_value ~radius dm =
 let scan_brackets solve =
   Omega.scan_brackets (fun m -> if m = 0 then 1.0 else solve m)
 
-(* The bracket scan of [omega_star] and [witness]; [after b] runs once
-   each bracket is solved.  In bracket m the admissible radius is m and
-   the minimal capacity is lp_value m.  The incremental builder carries
-   the radius-m instance into bracket m+1 as a delta, and the
+(* The bracket scan of [scan] and [tight_set]; [after ()] runs once each
+   bracket is solved.  In bracket m the admissible radius is m and the
+   minimal capacity is the LP value of [inst] grown to radius m.  The
+   instance carries radius m into bracket m+1 as a delta, and the
    transport's cached Paramflow sweep carries its flow along: each lp
    call costs one warm re-sweep, not a fresh search. *)
-let scan dm ~after =
+let scan_with inst ~grow ~after =
   Metrics.time m_omega_star (fun () ->
-      let b = builder_create dm in
       scan_brackets (fun m ->
           Metrics.incr m_radius_brackets;
-          builder_to_radius b m;
-          let v = lp_value_of_inst b.b_inst in
-          after b;
+          grow m;
+          let v = lp_value_of_inst inst in
+          after ();
           v))
 
-let omega_star dm =
-  if Demand_map.total dm = 0 then 0.0 else scan dm ~after:ignore
+let scan inst ~grow = scan_with inst ~grow ~after:ignore
 
-(* The demand positions outside the cut that set [b]'s last LP value. *)
-let tight_set b =
-  List.map (fun j -> b.b_support.(j)) (Transport.binding_demands b.b_inst)
+let tight_set inst ~grow =
+  (* The binding sites of the last two solved brackets. *)
+  let prev = ref [] and last = ref [] in
+  let star =
+    scan_with inst ~grow ~after:(fun () ->
+        prev := !last;
+        last := Transport.binding_demands inst)
+  in
+  (* ω* strictly inside [m, m+1) is bracket m's LP value; ω* = m >= 1 is
+     bracket m's floor, and bracket m − 1, infeasible below m, holds the
+     set.  For ω* = 1 that is bracket 0, which the scan did not solve:
+     at radius 0 each site is its own only supplier, so its binding cut
+     is read off the demand values. *)
+  if star > Float.floor star then !last
+  else if star > 1.0 then !prev
+  else
+    Transport.self_served_binding
+      (Array.init (Transport.n_demands inst) (Transport.demand inst))
+
+let omega_star dm =
+  if Demand_map.total dm = 0 then 0.0
+  else
+    let b = builder_create dm in
+    scan b.b_inst ~grow:(builder_to_radius b)
 
 let witness dm =
   if Demand_map.total dm = 0 then None
   else begin
-    (* The tight sets of the last two solved brackets. *)
-    let prev = ref [] and last = ref [] in
-    let star =
-      scan dm ~after:(fun b ->
-          prev := !last;
-          last := tight_set b)
-    in
-    (* ω* strictly inside [m, m+1) is bracket m's LP value; ω* = m >= 1 is
-       bracket m's floor, and bracket m − 1, infeasible below m, holds the
-       set.  For ω* = 1 that is bracket 0, which the scan did not solve:
-       at radius 0 each site is its own only supplier, so its binding cut
-       is read off the demand values. *)
-    let points =
-      if star > Float.floor star then !last
-      else if star > 1.0 then !prev
-      else begin
-        let support = Array.of_list (Demand_map.support dm) in
-        List.map
-          (fun j -> support.(j))
-          (Transport.self_served_binding
-             (Array.map (Demand_map.value dm) support))
-      end
-    in
+    let b = builder_create dm in
+    let set = tight_set b.b_inst ~grow:(builder_to_radius b) in
+    let points = List.map (fun j -> b.b_support.(j)) set in
     let total =
       List.fold_left (fun acc p -> acc + Demand_map.value dm p) 0 points
     in

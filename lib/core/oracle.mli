@@ -22,12 +22,6 @@
     when it is at most 14), and otherwise an upper bound by less than one
     grid step: the exact ratio is open work on the ROADMAP. *)
 
-val build_instance : Demand_map.t -> radius:int -> Transport.t
-(** The transport instance of program (2.1) at the given radius: demand
-    sites as demands, the grid points within L1 distance [radius] of the
-    support as suppliers, links between pairs at distance [<= radius].
-    Built incrementally by shell dilation (see [docs/PERF.md]). *)
-
 val lp_value : radius:int -> Demand_map.t -> float
 (** Value of program (2.1) at the given integer radius, on the LP grid.
     0 for empty demand. *)
@@ -56,6 +50,16 @@ val witness : Demand_map.t -> (Point.t list * float) option
     [ω*] whenever the grid resolves the optimum, and otherwise lies less
     than one grid step below it.  [None] only for empty demand.  This is
     the certificate the duality proof of Lemma 2.2.3 promises. *)
+
+val scan : Transport.t -> grow:(int -> unit) -> float
+(** {!omega_star}'s bracket scan on a metric's own instance of program
+    (2.1): demand sites of positive total, and [grow m], called for
+    [m = 1, 2, ...] in order, extending the suppliers and links to
+    radius [m].  Bracket 0 is not solved, so every distance between two
+    sites must be positive.  [Gcmvrp.omega_star] runs it on a graph. *)
+
+val tight_set : Transport.t -> grow:(int -> unit) -> int list
+(** {!scan}, then the demand sites of the tight set {!witness} reads. *)
 
 (** Streaming oracle sessions: jobs arrive and retire one at a time and
     [ω*] is maintained incrementally instead of recomputed from scratch.

@@ -1,24 +1,33 @@
+type search = { graph : Digraph.t; dist : int array; heap : (int * int) Heap.t }
+
+(* A vertex is pushed only when its distance strictly drops, so the one
+   entry that still matches [dist] is popped once: that pop settles it. *)
+let reach s v d =
+  if d < s.dist.(v) then begin
+    s.dist.(v) <- d;
+    Heap.push s.heap (d, v)
+  end
+
+let search graph ~sources =
+  let heap = Heap.create ~compare:(fun (a, _) (b, _) -> Int.compare a b) () in
+  let s = { graph; dist = Array.make (Digraph.n_vertices graph) max_int; heap } in
+  List.iter (fun v -> reach s v 0) sources;
+  s
+
+let rec settle s ~radius f =
+  match Heap.pop s.heap with
+  | None -> ()
+  | Some ((d, _) as top) when d > radius -> Heap.push s.heap top
+  | Some (d, v) ->
+      if d = s.dist.(v) then begin
+        f v;
+        Digraph.iter_succ s.graph v (fun ~dst ~weight ->
+            if weight < 0 then invalid_arg "Paths.dijkstra: negative weight";
+            reach s dst (d + weight))
+      end;
+      settle s ~radius f
+
 let dijkstra g ~source =
-  let n = Digraph.n_vertices g in
-  let dist = Array.make n max_int in
-  let heap =
-    Heap.create ~compare:(fun (a, _) (b, _) -> Int.compare a b) ()
-  in
-  dist.(source) <- 0;
-  Heap.push heap (0, source);
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-        if d <= dist.(v) then
-          Digraph.iter_succ g v (fun ~dst ~weight ->
-              if weight < 0 then invalid_arg "Paths.dijkstra: negative weight";
-              let nd = d + weight in
-              if nd < dist.(dst) then begin
-                dist.(dst) <- nd;
-                Heap.push heap (nd, dst)
-              end);
-        drain ()
-  in
-  drain ();
-  dist
+  let s = search g ~sources:[ source ] in
+  settle s ~radius:max_int ignore;
+  s.dist

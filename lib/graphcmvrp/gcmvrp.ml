@@ -11,6 +11,10 @@ let create graph ~demand =
   Array.iter
     (fun d -> if d < 0 then invalid_arg "Gcmvrp.create: negative demand")
     demand;
+  for v = 0 to n - 1 do
+    Digraph.iter_succ graph v (fun ~dst:_ ~weight ->
+        if weight <= 0 then invalid_arg "Gcmvrp.create: non-positive weight")
+  done;
   { graph; demands = Array.copy demand; dist_cache = Array.make n None }
 
 let n_vertices t = Digraph.n_vertices t.graph
@@ -27,57 +31,49 @@ let dist_from t v =
 
 let distance t u v = (dist_from t u).(v)
 
-let support t =
-  let out = ref [] in
-  Array.iteri (fun v d -> if d > 0 then out := v :: !out) t.demands;
-  List.rev !out
-
 let neighborhood_size t subset ~radius =
-  if radius < 0 then 0
-  else begin
-    let n = n_vertices t in
-    let count = ref 0 in
-    for v = 0 to n - 1 do
-      let near =
-        List.exists
-          (fun u ->
-            let d = (dist_from t u).(v) in
-            d <> max_int && d <= radius)
-          subset
-      in
-      if near then incr count
-    done;
-    !count
-  end
+  let count = ref 0 in
+  Paths.settle (Paths.search t.graph ~sources:subset) ~radius (fun _ -> incr count);
+  !count
 
-(* --- exact generalized program (2.8), as in Oracle but with graph
-   distances --- *)
+(* --- program (2.8) through Oracle's bracket scan --- *)
 
-let lp_value t ~radius =
-  let sup = Array.of_list (support t) in
-  let n = n_vertices t in
-  let inst = Transport.create ~n_suppliers:n ~n_demands:(Array.length sup) in
+(* Program (2.1)'s instance on the demand vertices [sup] and the [grow]
+   that extends it to radius m: one Dijkstra per site, resumed at each
+   radius.  A vertex becomes a supplier the first time a site's search
+   settles it, and each settle links it to that site. *)
+let instance t =
+  let sup = List.filter (fun v -> t.demands.(v) > 0) (List.init (n_vertices t) Fun.id) in
+  let sup = Array.of_list sup in
+  let inst = Transport.create ~n_suppliers:0 ~n_demands:(Array.length sup) in
   Array.iteri (fun j v -> Transport.set_demand inst j t.demands.(v)) sup;
-  for i = 0 to n - 1 do
-    let d = dist_from t i in
+  let supplier = Array.make (n_vertices t) (-1) in
+  let searches = Array.map (fun v -> Paths.search t.graph ~sources:[ v ]) sup in
+  let grow m =
     Array.iteri
-      (fun j v ->
-        if d.(v) <> max_int && d.(v) <= radius then
-          Transport.add_link inst ~supplier:i ~demand:j)
-      sup
-  done;
-  Transport.min_uniform_supply inst
+      (fun j s ->
+        Paths.settle s ~radius:m (fun v ->
+            if supplier.(v) < 0 then supplier.(v) <- Transport.add_supplier inst;
+            Transport.add_link inst ~supplier:supplier.(v) ~demand:j))
+      searches
+  in
+  (sup, inst, grow)
 
 let omega_star t =
   if total_demand t = 0 then 0.0
   else
-    Omega.scan_brackets (fun m ->
-        match lp_value t ~radius:m with
-        | Some v -> v
-        | None ->
-            (* Some demand vertex unreachable even from itself: impossible
-               since every vertex supplies itself at radius 0. *)
-            assert false)
+    let _, inst, grow = instance t in
+    Oracle.scan inst ~grow
+
+let witness t =
+  if total_demand t = 0 then None
+  else begin
+    let sup, inst, grow = instance t in
+    let set = List.map (fun j -> sup.(j)) (Oracle.tight_set inst ~grow) in
+    let total = List.fold_left (fun acc v -> acc + t.demands.(v)) 0 set in
+    let size r = neighborhood_size t set ~radius:r in
+    Some (set, Omega.solve ~total ~neighborhood_size:size)
+  end
 
 (* --- constructive heuristic: greedy ball cover + budgeted service --- *)
 
@@ -98,11 +94,8 @@ let cover t =
     done;
     if !center < 0 then id
     else begin
-      let d = dist_from t !center in
-      for v = 0 to n - 1 do
-        if cluster_of.(v) = -1 && d.(v) <> max_int && d.(v) <= radius then
-          cluster_of.(v) <- id
-      done;
+      Paths.settle (Paths.search t.graph ~sources:[ !center ]) ~radius (fun v ->
+          if cluster_of.(v) = -1 then cluster_of.(v) <- id);
       claim (id + 1)
     end
   in

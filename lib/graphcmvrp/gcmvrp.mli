@@ -7,19 +7,22 @@
     The LP machinery of Chapter 2 never used the grid structure — only
     shortest-path distances — so program (2.8) and its value
     [ω* = max_T ω_T] generalize directly, with [N_r(T)] the set of
-    vertices within weighted distance [r] of [T].  What does NOT
+    vertices within weighted distance [r] of [T], and {!omega_star} runs
+    the grid's own bracket scan ({!Oracle.scan}).  What does NOT
     generalize is the cube partition behind the constructive upper bound;
     we replace it with a greedy ball-cover heuristic and measure how far
     it lands from [ω*] (experiment E14).  On unit-weight path and grid
-    graphs everything provably coincides with the Z^l implementation, and
-    the test suite checks exactly that. *)
+    graphs the answers are the Z^l oracle's bit for bit, and the test
+    suite checks exactly that. *)
 
 type t
 
 val create : Digraph.t -> demand:int array -> t
 (** The digraph is interpreted as undirected (add both arcs) with
-    non-negative integer weights; [demand.(v)] is vertex [v]'s demand.
-    Raises [Invalid_argument] on size mismatch or negative demand. *)
+    positive integer weights (at radius 0 a vertex is its own only
+    neighbour, as {!Oracle.scan} needs); [demand.(v)] is vertex [v]'s
+    demand.  Raises [Invalid_argument] on size mismatch, negative demand
+    or a weight [<= 0]. *)
 
 val n_vertices : t -> int
 
@@ -32,12 +35,20 @@ val distance : t -> int -> int -> int
     tables are computed lazily, one Dijkstra per source. *)
 
 val neighborhood_size : t -> int list -> radius:int -> int
-(** [|N_r(T)|]: vertices within weighted distance [radius] of the set. *)
+(** [|N_r(T)|]: vertices within weighted distance [radius] of the set,
+    counted by one multi-source {!Paths.search}. *)
 
 val omega_star : t -> float
-(** Value of the generalized program (2.8) by the same bracket-scan +
-    max-flow method as {!Oracle.omega_star}, on the same LP grid; the
-    lower bound on the graph [Woff]. *)
+(** Value of the generalized program (2.8), on {!Oracle}'s LP grid: the
+    lower bound on the graph [Woff].  {!Oracle.scan} runs on an instance
+    that one Dijkstra per demand vertex grows, truncated at each radius
+    and resumed at the next; a vertex becomes a supplier the first time
+    a search settles it. *)
+
+val witness : t -> (int list * float) option
+(** {!Oracle.tight_set} on that instance: demand vertices [T] with [ω_T],
+    computed exactly by {!Omega.solve} over {!neighborhood_size}.  [None]
+    only for zero total demand. *)
 
 val cover : t -> int array * int
 (** The greedy ball cover: the unclustered vertex of largest demand (the

@@ -24,6 +24,8 @@ let test_neighborhood_size () =
   Alcotest.(check int) "set neighborhood" 6
     (Gcmvrp.neighborhood_size t [ 2; 6 ] ~radius:1)
 
+let bits = Int64.bits_of_float
+
 let test_path_equivalence_with_grid () =
   (* The generalized ω* on a unit-weight path must equal the 1-D grid
      oracle. *)
@@ -33,20 +35,61 @@ let test_path_equivalence_with_grid () =
     let dm = Demand_map.of_alist 1 pts in
     let grid_star = Oracle.omega_star dm in
     let graph_star = Gcmvrp.omega_star (Gcmvrp.of_path dm) in
-    Alcotest.(check (float 1e-4))
+    Alcotest.(check int64)
       (Printf.sprintf "1-D equivalence (grid=%g, graph=%g)" grid_star graph_star)
-      grid_star graph_star
+      (bits grid_star) (bits graph_star)
   done
 
 let test_grid2d_equivalence () =
   let dm = Demand_map.of_alist 2 [ (point2 0 0, 9); (point2 2 1, 4) ] in
   let grid_star = Oracle.omega_star dm in
   let graph_star = Gcmvrp.omega_star (Gcmvrp.of_grid_2d dm ~pad:6) in
-  Alcotest.(check (float 1e-4)) "2-D equivalence" grid_star graph_star
+  Alcotest.(check int64) "2-D equivalence" (bits grid_star) (bits graph_star)
+
+(* Both engines on seeded 1-D and 2-D demands: the graph bridge's ω* and
+   witness ω are the grid oracle's, bit for bit.  A 2-D bridge's pad is
+   at least the answer's radius, so every supplier the grid scan reaches
+   lies in its window. *)
+let prop_bridges_bit_identical =
+  QCheck.Test.make ~name:"graph bridges = grid oracle, bit for bit" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dim = 1 + Rng.int rng 2 in
+      let side = 2 + Rng.int rng 8 in
+      let site _ = (Array.init dim (fun _ -> Rng.int rng side), 1 + Rng.int rng 14) in
+      let dm = Demand_map.of_alist dim (List.init (1 + Rng.int rng 8) site) in
+      let grid_star = Oracle.omega_star dm in
+      let inst =
+        if dim = 1 then Gcmvrp.of_path dm
+        else Gcmvrp.of_grid_2d dm ~pad:(int_of_float grid_star + Rng.int rng 3)
+      in
+      let graph_star = Gcmvrp.omega_star inst in
+      let witness_omega = function Some (_, w) -> bits w | None -> -1L in
+      let grid_w = witness_omega (Oracle.witness dm)
+      and graph_w = witness_omega (Gcmvrp.witness inst) in
+      (bits grid_star = bits graph_star && grid_w = graph_w)
+      || QCheck.Test.fail_reportf "seed %d: ω* %h against %h, witness ω %h against %h"
+           seed grid_star graph_star (Int64.float_of_bits grid_w)
+           (Int64.float_of_bits graph_w))
+
+(* At radius 0 a zero-weight edge puts a second vertex next to a site,
+   which the bracket scan's stand-in for bracket 0 does not allow: with
+   demand [1; 0; 0] on three vertices joined by 0-weight edges the
+   program's value is 1/3. *)
+let test_rejects_zero_weight () =
+  let g = Digraph.create 3 in
+  Digraph.add_undirected g 0 1 ~weight:0;
+  Digraph.add_undirected g 1 2 ~weight:0;
+  Alcotest.check_raises "zero weight"
+    (Invalid_argument "Gcmvrp.create: non-positive weight") (fun () ->
+      ignore (Gcmvrp.create g ~demand:[| 1; 0; 0 |]))
 
 let test_omega_subsets_match_lp () =
   (* Lemma 2.2.3's argument is distance-generic: the LP value equals the
-     subset maximization on graphs too. *)
+     subset maximization on graphs too, and the witness attains it.  On
+     14 vertices every |N(T)| divides the LP grid, so the witness ω is the
+     subset maximum bit for bit. *)
   let rng = Rng.create 616 in
   for _ = 1 to 5 do
     let g, _ =
@@ -72,7 +115,13 @@ let test_omega_subsets_match_lp () =
       Alcotest.(check bool)
         (Printf.sprintf "duality on a random graph (lp=%g, subsets=%g)" lp subsets)
         true
-        (Float.abs (lp -. subsets) < 1e-3)
+        (Float.abs (lp -. subsets) < 1e-3);
+      match Gcmvrp.witness t with
+      | None -> Alcotest.fail "no witness for a positive demand"
+      | Some (set, w) ->
+          Alcotest.(check int64) "witness ω = subset maximum" (bits subsets) (bits w);
+          Alcotest.(check bool) "witness set on the support" true
+            (set <> [] && List.for_all (fun v -> demand.(v) > 0) set)
     end
   done
 
@@ -153,6 +202,8 @@ let suite =
     Alcotest.test_case "plan peak >= omega*" `Quick test_plan_energy_dominates_omega_star;
     Alcotest.test_case "star graph" `Quick test_plan_on_tree;
     Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
+    Alcotest.test_case "rejects a zero weight" `Quick test_rejects_zero_weight;
+    QCheck_alcotest.to_alcotest prop_bridges_bit_identical;
   ]
 
 (* --- appended: the online strategy on general graphs --- *)

@@ -14,6 +14,34 @@ let test_dijkstra_rejects_negative () =
     (Invalid_argument "Paths.dijkstra: negative weight") (fun () ->
       ignore (Paths.dijkstra g ~source:0))
 
+(* A search settled one radius at a time settles each reachable vertex
+   once, in the step its distance falls in; from several sources the
+   distance is the nearest one's. *)
+let test_search_resumes () =
+  let rng = Rng.create 7 in
+  for _ = 1 to 20 do
+    let n = 12 in
+    let g = Digraph.create n in
+    for _ = 1 to 25 do
+      let u = Rng.int rng n and v = Rng.int rng n in
+      if u <> v then Digraph.add_edge g ~src:u ~dst:v ~weight:(Rng.int rng 6)
+    done;
+    let sources = [ Rng.int rng n; Rng.int rng n ] in
+    let nearest =
+      List.fold_left
+        (fun acc src -> Array.map2 Int.min acc (Paths.dijkstra g ~source:src))
+        (Array.make n max_int) sources
+    in
+    let s = Paths.search g ~sources in
+    let settled_at = Array.make n max_int in
+    for r = 0 to 5 * n do
+      Paths.settle s ~radius:r (fun v ->
+          Alcotest.(check int) "settled once" max_int settled_at.(v);
+          settled_at.(v) <- r)
+    done;
+    Alcotest.(check (array int)) "settled at the nearest distance" nearest settled_at
+  done
+
 let test_bellman_ford_agrees_with_dijkstra () =
   let rng = Rng.create 99 in
   for _ = 1 to 20 do
@@ -56,6 +84,7 @@ let suite =
   [
     Alcotest.test_case "dijkstra weighted" `Quick test_dijkstra_weighted;
     Alcotest.test_case "dijkstra rejects negative" `Quick test_dijkstra_rejects_negative;
+    Alcotest.test_case "search resumes radius by radius" `Quick test_search_resumes;
     Alcotest.test_case "bellman-ford vs dijkstra" `Quick test_bellman_ford_agrees_with_dijkstra;
     Alcotest.test_case "negative cycle detection" `Quick test_bellman_ford_negative_cycle;
     Alcotest.test_case "negative edge ok" `Quick test_bellman_ford_negative_edge_ok;
