@@ -286,8 +286,3 @@ let process_batch t (reqs : Protocol.request array) =
     Array.iter (fun _ -> Metrics.observe m_latency elapsed) reqs;
     responses
   end
-
-let process t req =
-  match process_batch t [| req |] with
-  | [| r |] -> r
-  | _ -> assert false

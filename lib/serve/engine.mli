@@ -58,9 +58,6 @@ val process_batch : t -> Protocol.request array -> Protocol.response array
     the integer flow network ([Energy.Overflow]) yield [Error]
     responses; the call itself never raises on request content. *)
 
-val process : t -> Protocol.request -> Protocol.response
-(** Singleton batch. *)
-
 val cache_size : t -> int
 
 val session_count : t -> int

@@ -290,6 +290,8 @@ let test_graph_experiments () =
     (fun (name, inst) b -> Alcotest.(check int64) name b (bits (Gcmvrp.omega_star inst)))
     graphs expected
 
+let process = Suite_serve.process
+
 (* The wire bytes: each request's [request_to_string], then its
    response's [response_to_string], folded with [Fnv.add_string].
    Returns (exchanges, bytes, digest). *)
@@ -310,7 +312,7 @@ let mix_exchanges () =
           let engine = Engine.create () in
           Array.to_list
             (Array.map
-               (fun req -> (req, Engine.process engine req))
+               (fun req -> (req, process engine req))
                (Loadgen.queries ~seed ~mix ~n:200)))
         [ 11; 12; 13 ])
     Loadgen.all_mixes
@@ -355,7 +357,7 @@ let shape_exchanges () =
       Protocol.request ~id:18 Protocol.Shutdown empty;
     ]
   in
-  List.map (fun req -> (req, Engine.process engine req)) reqs
+  List.map (fun req -> (req, process engine req)) reqs
 
 let test_wire_mixes () =
   let n, len, h = wire_digest (mix_exchanges ()) in

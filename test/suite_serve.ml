@@ -15,6 +15,9 @@ let demand_equal a b =
 let response r_id r_cached r_result =
   { Protocol.r_id; r_cached; r_result; r_encoded = None }
 
+(* One request answered as a batch of one. *)
+let process engine req = (Engine.process_batch engine [| req |]).(0)
+
 let small_demand seed =
   let rng = Rng.create seed in
   Workload.demand
@@ -266,8 +269,8 @@ let test_cached_answers_bit_identical () =
   List.iter
     (fun op ->
       let req = Protocol.request ~id:0 op dm in
-      let fresh = Engine.process engine req in
-      let cached = Engine.process engine req in
+      let fresh = process engine req in
+      let cached = process engine req in
       Alcotest.(check bool) "first call is a miss" false fresh.Protocol.r_cached;
       Alcotest.(check bool) "second call is a hit" true cached.Protocol.r_cached;
       match (fresh.Protocol.r_result, cached.Protocol.r_result, Engine.evaluate req) with
@@ -281,9 +284,9 @@ let test_cached_answers_bit_identical () =
 let test_cache_key_discriminates () =
   let engine = Engine.create () in
   let dm = small_demand 23 in
-  let r1 = Engine.process engine (Protocol.request ~id:0 Protocol.Omega_star dm) in
-  let r2 = Engine.process engine (Protocol.request ~id:1 (Protocol.Lp_value 1) dm) in
-  let r3 = Engine.process engine (Protocol.request ~id:2 Protocol.Witness dm) in
+  let r1 = process engine (Protocol.request ~id:0 Protocol.Omega_star dm) in
+  let r2 = process engine (Protocol.request ~id:1 (Protocol.Lp_value 1) dm) in
+  let r3 = process engine (Protocol.request ~id:2 Protocol.Witness dm) in
   Alcotest.(check bool) "different radius misses" false r2.Protocol.r_cached;
   Alcotest.(check bool) "different op misses" false r3.Protocol.r_cached;
   ignore r1
@@ -331,14 +334,14 @@ let test_batch_dedup_and_counters () =
 let test_cache_capacity_fifo () =
   let engine = Engine.create ~cache_capacity:2 () in
   let ask id seed =
-    ignore (Engine.process engine (Protocol.request ~id Protocol.Omega_star (small_demand seed)))
+    ignore (process engine (Protocol.request ~id Protocol.Omega_star (small_demand seed)))
   in
   ask 0 41;
   ask 1 42;
   ask 2 43 (* evicts the entry for seed 41 *);
   Alcotest.(check int) "bounded" 2 (Engine.cache_size engine);
   let again =
-    Engine.process engine (Protocol.request ~id:3 Protocol.Omega_star (small_demand 41))
+    process engine (Protocol.request ~id:3 Protocol.Omega_star (small_demand 41))
   in
   Alcotest.(check bool) "oldest was evicted" false again.Protocol.r_cached
 
@@ -381,7 +384,7 @@ let test_engine_wrapping_total () =
   let dm = Demand_map.of_alist 2 (List.init 4 (fun x -> ([| x; 0 |], 1 lsl 61))) in
   List.iter
     (fun op ->
-      let r = Engine.process engine (Protocol.request ~id:7 op dm) in
+      let r = process engine (Protocol.request ~id:7 op dm) in
       let wire = Protocol.response_to_string r in
       Alcotest.(check bool)
         ("answered ok:false: " ^ wire)
@@ -401,7 +404,7 @@ let test_engine_witness_wrapping_hull () =
          (fun p -> (p, 1))
          [ [| 0; 0 |]; [| 1; 0 |]; [| 2; 0 |]; [| 3; 1 lsl 61 |] ])
   in
-  let r = Engine.process engine (Protocol.request ~id:8 Protocol.Witness dm) in
+  let r = process engine (Protocol.request ~id:8 Protocol.Witness dm) in
   Alcotest.(check string) "witness answered"
     ({|{"id":8,"ok":true,"cached":false,"witness":{"points":[[0,0],[1,0],|}
    ^ {|[2,0],[3,2305843009213693952]],"omega":1.0}}|})
@@ -508,7 +511,7 @@ let test_rowsum_tracks_digest () =
 let test_session_digest_never_stale () =
   let engine = Engine.create () in
   let dm0 = Demand_map.empty 2 in
-  let run op = Engine.process engine (Protocol.request ~session:"s" ~id:0 op dm0) in
+  let run op = process engine (Protocol.request ~session:"s" ~id:0 op dm0) in
   let value r =
     match r.Protocol.r_result with
     | Ok (Protocol.Value v) -> v
@@ -549,7 +552,7 @@ let test_session_shares_cache_with_stateless () =
   let engine = Engine.create () in
   let dm0 = Demand_map.empty 2 in
   let run ?session op dm =
-    Engine.process engine (Protocol.request ?session ~id:0 op dm)
+    process engine (Protocol.request ?session ~id:0 op dm)
   in
   ignore (run ~session:"s" (Protocol.Session_add [| 0; 0 |]) dm0);
   ignore (run ~session:"s" (Protocol.Session_add [| 1; 0 |]) dm0);
@@ -575,7 +578,7 @@ let test_session_shares_cache_with_stateless () =
 let test_session_error_paths () =
   let engine = Engine.create () in
   let dm0 = Demand_map.empty 2 in
-  let run ?session op = Engine.process engine (Protocol.request ?session ~id:0 op dm0)
+  let run ?session op = process engine (Protocol.request ?session ~id:0 op dm0)
   in
   let expect_error msg r =
     match r.Protocol.r_result with
@@ -590,7 +593,7 @@ let test_session_error_paths () =
   expect_error "remove below zero"
     (run ~session:"s" (Protocol.Session_remove [| 9; 9 |]));
   expect_error "dimension mismatch"
-    (Engine.process engine
+    (process engine
        (Protocol.request ~session:"s" ~id:0 (Protocol.Session_add [| 1 |])
           (Demand_map.empty 1)));
   (* the session survives its errors *)
@@ -608,7 +611,7 @@ let test_session_metrics () =
   Metrics.reset ();
   let engine = Engine.create () in
   let dm0 = Demand_map.empty 2 in
-  let run op = Engine.process engine (Protocol.request ~session:"m" ~id:0 op dm0) in
+  let run op = process engine (Protocol.request ~session:"m" ~id:0 op dm0) in
   ignore (run (Protocol.Session_add [| 0; 0 |]));
   ignore (run Protocol.Session_query);
   ignore (run Protocol.Session_query);
@@ -632,7 +635,7 @@ let test_session_lru_eviction () =
   let engine = Engine.create ~max_sessions:3 () in
   let dm0 = Demand_map.empty 2 in
   let run name op =
-    Engine.process engine (Protocol.request ~session:name ~id:0 op dm0)
+    process engine (Protocol.request ~session:name ~id:0 op dm0)
   in
   let add name = ignore (run name (Protocol.Session_add [| 0; 0 |])) in
   add "a";
@@ -725,7 +728,7 @@ let test_ill_typed_and_repeated_members () =
 let test_hit_allocation () =
   let reqs = Loadgen.queries ~seed:5 ~mix:Loadgen.Repeat_heavy ~n:2000 in
   let engine = Engine.create () in
-  Array.iter (fun r -> ignore (Engine.process engine r)) reqs;
+  Array.iter (fun r -> ignore (process engine r)) reqs;
   let payloads = Array.map Protocol.request_to_string reqs in
   let hits = ref 0 in
   let before = Gc.minor_words () in
@@ -734,7 +737,7 @@ let test_hit_allocation () =
       match Protocol.request_of_string payload with
       | Error e -> Alcotest.fail e
       | Ok req ->
-          let resp = Engine.process engine req in
+          let resp = process engine req in
           if resp.Protocol.r_cached then incr hits;
           ignore (Sys.opaque_identity (Protocol.response_to_string resp)))
     payloads;
