@@ -196,7 +196,7 @@ type world = {
   w_beats_at_arm : int array;
   w_armed : Bytes.t;
   w_interval : float array;
-  w_searching : Bytes.t; (* a replacement computation is in flight *)
+  w_live : (int, int) Hashtbl.t; (* pair -> seq of its in-flight search *)
   w_stalls : int array; (* deadline fires while a search was in flight *)
   w_starves : int array; (* consecutive starved searches *)
   w_hopeless : Bytes.t; (* stop searching; the pair stays uncovered *)
@@ -245,7 +245,11 @@ let transfer w v = Bytes.get_uint8 w.veh_transfer v
 let set_transfer w v s = Bytes.set_uint8 w.veh_transfer v s
 let alive w v = working w v <> st_dead
 let hopeless w pid = Bytes.get_uint8 w.w_hopeless pid = 1
-let searching w pid = Bytes.get_uint8 w.w_searching pid = 1
+let searching w pid = Hashtbl.mem w.w_live pid
+
+(* Whether [seq] is the pair's in-flight search: a [Move] acts only for it. *)
+let live w pid seq =
+  match Hashtbl.find_opt w.w_live pid with Some s -> s = seq | None -> false
 let armed w pid = Bytes.get_uint8 w.w_armed pid = 1
 
 let pair_covered w pid =
@@ -497,7 +501,7 @@ let build ?(observer = fun (_ : event) -> ()) cfg topo =
       w_beats_at_arm = Array.make n_pairs 0;
       w_armed = Bytes.make n_pairs '\000';
       w_interval = Array.make n_pairs heartbeat_timeout;
-      w_searching = Bytes.make n_pairs '\000';
+      w_live = Hashtbl.create 8;
       w_stalls = Array.make n_pairs 0;
       w_starves = Array.make n_pairs 0;
       w_hopeless = Bytes.make n_pairs '\000';
@@ -605,7 +609,7 @@ let on_heartbeat w ~pair_id =
    starts a fresh one. *)
 let abandon_search w ~pair_id =
   if searching w pair_id then begin
-    Bytes.set_uint8 w.w_searching pair_id 0;
+    Hashtbl.remove w.w_live pair_id;
     w.observer (Search_abandoned { pair = pair_id })
   end
 
@@ -613,7 +617,7 @@ let note_starved w ~pair_id =
   w.starved <- w.starved + 1;
   Metrics.incr m_starved_searches;
   w.observer (Search_starved { pair = pair_id });
-  Bytes.set_uint8 w.w_searching pair_id 0;
+  Hashtbl.remove w.w_live pair_id;
   w.w_starves.(pair_id) <- w.w_starves.(pair_id) + 1;
   if w.w_starves.(pair_id) >= starve_limit then begin
     Bytes.set_uint8 w.w_hopeless pair_id 1;
@@ -638,7 +642,7 @@ let start_computation w ~initiator ~pair_id =
   else begin
     w.observer (Computation_started { initiator = v; pair = pair_id });
     set_transfer w v tr_initiator;
-    Bytes.set_uint8 w.w_searching pair_id 1;
+    Hashtbl.replace w.w_live pair_id w.seq;
     Hashtbl.replace w.phase2 v pair_id;
     iter_alive_neighbors w v (fun q ->
         send_reliable w ~src:v ~dst:q (Query { init }))
@@ -710,7 +714,7 @@ let handle_reply w p ~src init flag =
   end
 
 let handle_move w p init ~dest ~pair_id =
-  if alive w p then begin
+  if alive w p && live w pair_id (snd init) then begin
     if working w p = st_idle then begin
       (* Phase II terminus: the candidate relocates and takes over. *)
       spend w p (float_of_int (w.topo.dist w.veh_pos.(p) dest));
@@ -722,7 +726,7 @@ let handle_move w p init ~dest ~pair_id =
       Metrics.incr m_replacements;
       w.observer
         (Replacement { vehicle = p; pair = pair_id; dest = w.topo.point dest });
-      Bytes.set_uint8 w.w_searching pair_id 0;
+      Hashtbl.remove w.w_live pair_id;
       w.w_stalls.(pair_id) <- 0;
       w.w_starves.(pair_id) <- 0;
       Bytes.set_uint8 w.w_hopeless pair_id 0;
@@ -809,10 +813,10 @@ let give_up w p =
   | Reply _ ->
       (* The parent's own retry/stall machinery recovers. *)
       ()
-  | Move { pair; _ } ->
+  | Move { init = _, seq; pair; _ } ->
       (* The relocation order is lost; let the pair's deadline restart
-         the search from scratch. *)
-      abandon_search w ~pair_id:pair
+         the search from scratch, unless a later search runs already. *)
+      if live w pair seq then abandon_search w ~pair_id:pair
 
 let on_retry w msg_id =
   match Hashtbl.find_opt w.rel_pending msg_id with

@@ -27,6 +27,27 @@ let test_chaos_anchors () =
       Alcotest.(check int) "every job served" total r.Audit.outcome.Online.served)
     [ (300, 1); (400, 3) ]
 
+(* Point runs at heavy loss in which a search's [Move] outlived the
+   search: given up as lost, or overtaken by the pair's next search.  A
+   [Move] acts only for its pair's live search, so the auditor finds no
+   stale relocation in any of them. *)
+let test_stale_searches () =
+  let rejected =
+    List.concat_map
+      (fun (total, drop_p, seeds) ->
+        List.filter_map
+          (fun seed ->
+            let w = Workload.point ~total () in
+            let chaos = Des.faults ~drop_p ~dup_p:0.2 () in
+            let cfg = { (Online.recommended ~seed w) with Online.chaos } in
+            match Audit.recheck (Audit.record cfg w) with
+            | Ok () -> None
+            | Error m -> Some (Printf.sprintf "point %d seed %d drop %g: %s" total seed drop_p m))
+          seeds)
+      [ (400, 0.4, [ 34; 37; 54 ]); (200, 0.5, [ 10; 30; 32; 36 ]) ]
+  in
+  Alcotest.(check (list string)) "rejected runs" [] rejected
+
 (* E17's rows: each graph at its measured least capacity plus 2. *)
 let test_e17_graphs () =
   List.iter
@@ -198,6 +219,7 @@ let test_rejects_dead_replacement () =
 let suite =
   [
     Alcotest.test_case "chaos anchors" `Quick test_chaos_anchors;
+    Alcotest.test_case "stale searches" `Quick test_stale_searches;
     Alcotest.test_case "E17 graph topologies" `Quick test_e17_graphs;
     Alcotest.test_case "400² fleet call, band by band" `Quick test_fleet_call;
     Alcotest.test_case "fleet band topologies = reference" `Quick
