@@ -246,11 +246,11 @@ let set_transfer w v s = Bytes.set_uint8 w.veh_transfer v s
 let alive w v = working w v <> st_dead
 let hopeless w pid = Bytes.get_uint8 w.w_hopeless pid = 1
 let searching w pid = Hashtbl.mem w.w_live pid
+let armed w pid = Bytes.get_uint8 w.w_armed pid = 1
 
 (* Whether [seq] is the pair's in-flight search: a [Move] acts only for it. *)
 let live w pid seq =
   match Hashtbl.find_opt w.w_live pid with Some s -> s = seq | None -> false
-let armed w pid = Bytes.get_uint8 w.w_armed pid = 1
 
 let pair_covered w pid =
   hopeless w pid
