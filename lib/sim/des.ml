@@ -655,7 +655,7 @@ let check_delay fn delay =
 
 let send_after ?(weak = false) t ~delay ~src ~dst payload =
   check_delay "Des.send_after" delay;
-  let jitter = t.min_delay +. Rng.float t.rng t.delay_span in
+  let jitter = if src = dst then 0.0 else t.min_delay +. Rng.float t.rng t.delay_span in
   schedule t ~weak ~time:(t.clock +. delay +. jitter) ~src ~dst payload
 
 let send ?weak t ~src ~dst payload = send_after ?weak t ~delay:0.0 ~src ~dst payload

@@ -78,29 +78,40 @@ let test_send_after_ordering () =
   Alcotest.(check bool) "delayed message arrives second" true
     (List.rev !got = [ `Early; `Late ])
 
-(* A process's timers are not a channel (src = dst): each fires at its
-   own time, so a timer set for +4 after one set for +1,600 fires at +4.
-   [Online]'s retries never wait behind a pair's deadline on its anchor. *)
+(* A process's timers are not a channel (src = dst): each fires exactly
+   its delay after it was set, so a timer set for +4 after one set for
+   +1,600 fires at +4.  A timer draws nothing from the channel RNG: a
+   message sent after the timers are set arrives when it would in a
+   simulator with no timers.  [Online]'s retries never wait behind a
+   pair's deadline on its anchor. *)
 let test_self_timers_fire_at_their_own_time () =
-  let des = Des.create ~rng:(Rng.create 7) () in
-  let got = ref [] in
-  Des.send_after des ~delay:1600.0 ~src:3 ~dst:3 `Deadline;
-  Des.send_after des ~delay:4.0 ~src:3 ~dst:3 `Retry;
-  Des.send_after des ~delay:4.0 ~src:5 ~dst:5 `Other_process;
-  drain des (fun ~time ~src:_ ~dst:_ m -> got := (m, time) :: !got);
-  match List.rev !got with
-  | [ ((`Retry | `Other_process), t0); ((`Retry | `Other_process), t1); (`Deadline, t2) ] ->
-      Alcotest.(check bool) "both +4 timers fire at +4" true (t0 < 6.0 && t1 < 6.0);
-      Alcotest.(check bool) "the deadline fires at +1,600" true
-        (t2 >= 1600.0 && t2 < 1602.0)
-  | _ -> Alcotest.fail "expected both +4 timers, then the +1,600 deadline"
+  let arrival ~timers =
+    let des = Des.create ~rng:(Rng.create 7) () in
+    let got = ref [] in
+    if timers then begin
+      Des.send_after des ~delay:1600.0 ~src:3 ~dst:3 `Deadline;
+      Des.send_after des ~delay:4.0 ~src:3 ~dst:3 `Retry;
+      Des.send_after des ~delay:4.0 ~src:5 ~dst:5 `Other_process
+    end;
+    Des.send des ~src:3 ~dst:5 `Message;
+    drain des (fun ~time ~src:_ ~dst:_ m -> got := (m, time) :: !got);
+    List.rev !got
+  in
+  let plain = List.assoc `Message (arrival ~timers:false) in
+  match arrival ~timers:true with
+  | [ (`Message, t); (`Retry, t0); (`Other_process, t1); (`Deadline, t2) ] ->
+      Alcotest.(check (float 0.0)) "the message is not delayed by the timers" plain t;
+      Alcotest.(check (float 0.0)) "the +4 timer fires at 4" 4.0 t0;
+      Alcotest.(check (float 0.0)) "the other process's +4 timer fires at 4" 4.0 t1;
+      Alcotest.(check (float 0.0)) "the deadline fires at 1,600" 1600.0 t2
+  | _ -> Alcotest.fail "expected the message, both +4 timers, then the +1,600 deadline"
 
 (* A scheduled restart is a timer of the process it restarts, and keeps
    the same rule: it comes at its own time, not after the process's
    earlier timers.  Those died with the crash: a +1,600 timer set before
-   it never fires, while one the restart hook sets does.  [Online]
-   re-arms a pair's deadline on restart, so the pair keeps one deadline
-   chain. *)
+   it never fires, while one the restart hook sets does, exactly 4 after
+   the restart.  [Online] re-arms a pair's deadline on restart, so the
+   pair keeps one deadline chain. *)
 let test_restart_at_its_own_time () =
   let des = Des.create ~rng:(Rng.create 8) () in
   let restarted = ref [] and got = ref [] in
@@ -116,7 +127,7 @@ let test_restart_at_its_own_time () =
   | _ -> Alcotest.fail "restart hook not called exactly once");
   (match !got with
   | [ (`Rearmed, t) ] ->
-      Alcotest.(check bool) "the re-armed timer fires at +14" true (t >= 14.0 && t < 16.0)
+      Alcotest.(check (float 0.0)) "the re-armed timer fires at +14" 14.0 t
   | _ -> Alcotest.fail "expected only the timer set after the restart");
   Alcotest.(check int) "the timer set before the crash is dropped" 1 (Des.drops des);
   Alcotest.(check int) "nothing left queued" 0 (Des.pending des)

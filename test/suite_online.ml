@@ -870,54 +870,54 @@ let pin_lines () =
 let pinned_lines =
   [
     "chaos-300-seed1: "
-    ^ "digest 076e89195017cc39 served 300 failures "
+    ^ "digest 2955c9a80bce52a4 served 300 failures "
     ^ "0/bf29ce484222325 max 405d400000000000 mean "
-    ^ "4059555555555555 consumers 3 msgs 1199 repl 2 comp 2 "
-    ^ "starved 0 vehicles 16 serviceable 14 drops 178 dups 74 "
-    ^ "retries 115 livelocks 0 events 308/2c6681700b56ec3a";
+    ^ "4059555555555555 consumers 3 msgs 1221 repl 2 comp 2 "
+    ^ "starved 0 vehicles 16 serviceable 14 drops 205 dups 70 "
+    ^ "retries 136 livelocks 0 events 308/2865410f0caf27fa";
     "chaos-400-seed3: "
-    ^ "digest 2be17d007f4b7d0e served 400 failures "
+    ^ "digest 24e9a3f5dbcc922c served 400 failures "
     ^ "0/bf29ce484222325 max 405d400000000000 mean "
-    ^ "4059500000000000 consumers 4 msgs 1937 repl 3 comp 3 "
-    ^ "starved 0 vehicles 16 serviceable 13 drops 314 dups 115 "
-    ^ "retries 206 livelocks 0 events 412/138e7c1642a5e26f";
+    ^ "4059700000000000 consumers 4 msgs 1869 repl 3 comp 3 "
+    ^ "starved 0 vehicles 16 serviceable 13 drops 304 dups 109 "
+    ^ "retries 198 livelocks 0 events 412/377385119133a89f";
     "silent+deaths: "
-    ^ "digest 335c70cd657185be served 640 failures "
+    ^ "digest 130df24a8e0f4e9d served 640 failures "
     ^ "0/bf29ce484222325 max 4054800000000000 mean "
-    ^ "4052238e38e38e39 consumers 9 msgs 411 repl 1 comp 1 "
+    ^ "4052238e38e38e39 consumers 9 msgs 445 repl 1 comp 1 "
     ^ "starved 0 vehicles 25 serviceable 22 drops 0 dups 0 "
     ^ "retries 0 livelocks 0 events 646/3c35156782a3a06c";
     "outages: "
-    ^ "digest 1cd6a1a80c9f7592 served 120 failures "
+    ^ "digest 106e3847ddcc591a served 120 failures "
     ^ "0/bf29ce484222325 max 4053c00000000000 mean "
-    ^ "404e400000000000 consumers 2 msgs 263 repl 1 comp 1 "
-    ^ "starved 0 vehicles 9 serviceable 8 drops 21 dups 12 "
-    ^ "retries 8 livelocks 0 events 124/32d1df825b97b5c";
+    ^ "404e400000000000 consumers 2 msgs 274 repl 1 comp 1 "
+    ^ "starved 0 vehicles 9 serviceable 8 drops 23 dups 11 "
+    ^ "retries 10 livelocks 0 events 124/32d1df825b97b5c";
     "tight: "
-    ^ "digest 05402b962d385c91 served 5 failures "
-    ^ "295/1d894c8fc97b4748 max 4014000000000000 mean "
-    ^ "4011555555555555 consumers 3 msgs 649 repl 2 comp 2 "
-    ^ "starved 0 vehicles 16 serviceable 13 drops 0 dups 0 "
-    ^ "retries 0 livelocks 0 events 13/23d811d621ae444";
+    ^ "digest 17f3609d001f8135 served 8 failures "
+    ^ "292/30dc97ed81c062ee max 4014000000000000 mean "
+    ^ "4011000000000000 consumers 4 msgs 1197 repl 3 comp 3 "
+    ^ "starved 0 vehicles 16 serviceable 12 drops 0 dups 0 "
+    ^ "retries 0 livelocks 0 events 20/26869da5cc2c4c05";
     "1-D: "
-    ^ "digest 37107a0a06c91a99 served 179 failures "
+    ^ "digest 0c0da9a14e6a9d30 served 179 failures "
     ^ "21/58504ba9cc7d743 max 4043800000000000 mean "
-    ^ "4043800000000000 consumers 5 msgs 1205 repl 4 comp 7 "
-    ^ "starved 3 vehicles 9 serviceable 4 drops 0 dups 0 "
-    ^ "retries 0 livelocks 0 events 202/11c6d527ad4f77c7";
+    ^ "4043800000000000 consumers 5 msgs 1239 repl 4 comp 7 "
+    ^ "starved 3 vehicles 9 serviceable 4 drops 0 dups 0 retries "
+    ^ "0 livelocks 0 events 202/11c6d527ad4f77c7";
     "3-D: "
-    ^ "digest 02304f3d5f264ae5 served 120 failures "
+    ^ "digest 1a4cb73812c9b68b served 120 failures "
     ^ "0/bf29ce484222325 max 4037000000000000 mean "
-    ^ "4035aaaaaaaaaaab consumers 6 msgs 872 repl 4 comp 4 "
-    ^ "starved 0 vehicles 8 serviceable 4 drops 0 dups 0 "
-    ^ "retries 0 livelocks 0 events 136/971656fe719e899";
+    ^ "4036000000000000 consumers 6 msgs 898 repl 4 comp 4 "
+    ^ "starved 0 vehicles 8 serviceable 4 drops 0 dups 0 retries "
+    ^ "0 livelocks 0 events 136/11f301b62e99a15f";
     "fleet: "
-    ^ "digest 2d5f0ad47e752896 served 129 failures "
-    ^ "38/2e03db9fd3879f2a max 4008000000000000 mean "
-    ^ "3ff6cab5cfef4819 consumers 245 msgs 57899 repl 129 comp "
-    ^ "130 starved 0 vehicles 576 serviceable 330 drops 796 "
-    ^ "dups 398 retries 780 livelocks 0 shards "
-    ^ "0480ca6b96e105fc,15fafb7a50eefd1e,2f19a1e31677a86d";
+    ^ "digest 34ca187069ebe119 served 130 failures "
+    ^ "38/19cb511ceaa2e900 max 4014000000000000 mean "
+    ^ "3ff716e4f16e4f17 consumers 246 msgs 58582 repl 130 comp "
+    ^ "132 starved 0 vehicles 576 serviceable 329 drops 826 dups "
+    ^ "371 retries 804 livelocks 0 shards "
+    ^ "0f1f097d42f5c6e5,053f7c81f99070c7,1e5915160e52ca06";
   ]
 
 let test_grid_protocol_pins () =
