@@ -108,10 +108,11 @@ let succeeded o = match o.failures with [] -> true | _ :: _ -> false
 
    [Heartbeat]/[Deadline] realize §3.2.5's monitoring ring with real
    messages: the active vehicle of a pair beats to its monitor, and a
-   weak self-timer per pair checks on it — see docs/ROBUSTNESS.md.  The
-   timer runs on the pair's anchor, which anchors no other pair, so a
-   [Deadline] names no pair and allocates nothing: a fleet call arms
-   about 50,000 of them. *)
+   per-pair deadline chain checks on it — see docs/ROBUSTNESS.md.  While
+   the pair's active vehicle is alive the chain is kept as numbers; an
+   uncovered pair's runs as a weak self-timer on the pair's anchor,
+   which anchors no other pair, so a [Deadline] names no pair and
+   allocates nothing. *)
 
 type body =
   | Query of { init : int * int }
@@ -166,6 +167,13 @@ let tr_waiting = 0
 let tr_searching = 1
 let tr_initiator = 2
 
+(* A pair's deadline chain is stopped (a hopeless pair after its last
+   fire), real (a [Deadline] is pending in [Des]) or virtual (the pair is
+   healthy and no event is pending: its next fire is at [w_due]). *)
+let chain_stopped = 0
+let chain_real = 1
+let chain_virtual = 2
+
 (* In-flight reliable message awaiting its ack. *)
 type pending = { p_src : int; p_dst : int; p_body : body; mutable attempts : int }
 
@@ -194,8 +202,9 @@ type world = {
      works) *)
   w_beats : int array; (* heartbeats received for this pair *)
   w_beats_at_arm : int array;
-  w_armed : Bytes.t;
+  w_armed : Bytes.t; (* chain_* codes *)
   w_interval : float array;
+  w_due : float array; (* a virtual chain's next fire *)
   w_live : (int, int) Hashtbl.t; (* pair -> seq of its in-flight search *)
   w_stalls : int array; (* deadline fires while a search was in flight *)
   w_starves : int array; (* consecutive starved searches *)
@@ -246,20 +255,50 @@ let set_transfer w v s = Bytes.set_uint8 w.veh_transfer v s
 let alive w v = working w v <> st_dead
 let hopeless w pid = Bytes.get_uint8 w.w_hopeless pid = 1
 let searching w pid = Hashtbl.mem w.w_live pid
-let armed w pid = Bytes.get_uint8 w.w_armed pid = 1
+let armed w pid = Bytes.get_uint8 w.w_armed pid <> chain_stopped
 
 (* Whether [seq] is the pair's in-flight search: a [Move] acts only for it. *)
 let live w pid seq =
   match Hashtbl.find_opt w.w_live pid with Some s -> s = seq | None -> false
 
-let pair_covered w pid =
-  hopeless w pid
-  ||
+let active_alive w pid =
   let a = w.pair_active.(pid) in
   a >= 0 && alive w a
 
+let pair_covered w pid = hopeless w pid || active_alive w pid
+let healthy w pid = (not (hopeless w pid)) && active_alive w pid
+
+(* A healthy pair's deadline re-arms at the base timeout after heartbeats
+   since it was armed; a quiet pair backs off exponentially, so an idle
+   pair re-arms only O(log T) times, yet a later death is still caught. *)
+let rearm_delay w pid =
+  if w.w_beats.(pid) > w.w_beats_at_arm.(pid) then heartbeat_timeout
+  else Float.min max_deadline_interval (2.0 *. w.w_interval.(pid))
+
+let send_deadline w pid ~delay =
+  Bytes.set_uint8 w.w_armed pid chain_real;
+  let anchor = w.topo.pair_anchor.(pid) in
+  Des.send_after ~weak:true w.des ~delay ~src:anchor ~dst:anchor Deadline
+
+(* Apply a virtual chain's fires due before now, as a healthy pair's
+   [Deadline] would: a quiet chain doubles up to [max_deadline_interval]
+   and then steps by it.  Called before a heartbeat is counted and before
+   the chain turns real. *)
+let catch_up w pid =
+  if Bytes.get_uint8 w.w_armed pid = chain_virtual then begin
+    let now = Des.now w.des in
+    while w.w_due.(pid) < now do
+      let delay = rearm_delay w pid in
+      w.w_beats_at_arm.(pid) <- w.w_beats.(pid);
+      w.w_interval.(pid) <- delay;
+      w.w_due.(pid) <- w.w_due.(pid) +. delay
+    done
+  end
+
 (* Re-derive one pair's coverage bit after any mutation of its active
-   vehicle, its hopeless flag, or the active vehicle's liveness. *)
+   vehicle, its hopeless flag, or the active vehicle's liveness.  A pair
+   that stops being healthy gets its chain's next fire as a real
+   [Deadline]. *)
 let sync_pair w pid =
   let ok = pair_covered w pid in
   let cur = Bytes.get_uint8 w.covered pid = 1 in
@@ -270,6 +309,10 @@ let sync_pair w pid =
   else if (not ok) && cur then begin
     Bytes.set_uint8 w.covered pid 0;
     w.uncovered <- w.uncovered + 1
+  end;
+  if Bytes.get_uint8 w.w_armed pid = chain_virtual && not (healthy w pid) then begin
+    catch_up w pid;
+    send_deadline w pid ~delay:(w.w_due.(pid) -. Des.now w.des)
   end
 
 (* Neighbor scans preserve the CSR fill order, which is the Query fan-out
@@ -479,62 +522,54 @@ let build ?(observer = fun (_ : event) -> ()) cfg topo =
     cfg.faults.longevity;
   let des = Des.create ~rng:(Rng.create cfg.seed) ~faults:cfg.chaos () in
   List.iter (fun (a, b) -> Des.partition des a b) cfg.partitions;
-  let w =
-    {
-      cfg;
-      observer;
-      topo;
-      veh_pos = Array.init n Fun.id;
-      veh_energy = Array.make n cfg.capacity;
-      veh_working;
-      veh_transfer = Bytes.make n (Char.chr tr_waiting);
-      veh_pair;
-      veh_par = Array.make n (-1);
-      veh_child = Array.make n (-1);
-      veh_num = Array.make n 0;
-      veh_init_id = Array.make n (-1);
-      veh_init_seq = Array.make n (-1);
-      pair_active;
-      anchor_pair;
-      cell_pair = Array.copy veh_pair;
-      w_beats = Array.make n_pairs 0;
-      w_beats_at_arm = Array.make n_pairs 0;
-      w_armed = Bytes.make n_pairs '\000';
-      w_interval = Array.make n_pairs heartbeat_timeout;
-      w_live = Hashtbl.create 8;
-      w_stalls = Array.make n_pairs 0;
-      w_starves = Array.make n_pairs 0;
-      w_hopeless = Bytes.make n_pairs '\000';
-      covered = Bytes.make n_pairs '\001'; (* every pair starts covered *)
-      uncovered = 0;
-      des;
-      silent;
-      break_at;
-      phase2 = Hashtbl.create 8;
-      rel_pending = Hashtbl.create 32;
-      rel_seen = Bytes.make 64 '\000';
-      next_msg_id = 0;
-      seq = 0;
-      served = 0;
-      failures = [];
-      computations = 0;
-      replacements = 0;
-      starved = 0;
-      violations = 0;
-      retries_count = 0;
-      livelocks = 0;
-      livelocked = false;
-    }
-  in
-  (* Bootstrap the monitoring ring: every pair starts with one armed
-     deadline, so even a death before the first job is detected. *)
-  for pid = 0 to n_pairs - 1 do
-    Bytes.set_uint8 w.w_armed pid 1;
-    w.w_beats_at_arm.(pid) <- w.w_beats.(pid);
-    Des.send_after ~weak:true des ~delay:heartbeat_timeout
-      ~src:topo.pair_anchor.(pid) ~dst:topo.pair_anchor.(pid) Deadline
-  done;
-  w
+  {
+    cfg;
+    observer;
+    topo;
+    veh_pos = Array.init n Fun.id;
+    veh_energy = Array.make n cfg.capacity;
+    veh_working;
+    veh_transfer = Bytes.make n (Char.chr tr_waiting);
+    veh_pair;
+    veh_par = Array.make n (-1);
+    veh_child = Array.make n (-1);
+    veh_num = Array.make n 0;
+    veh_init_id = Array.make n (-1);
+    veh_init_seq = Array.make n (-1);
+    pair_active;
+    anchor_pair;
+    cell_pair = Array.copy veh_pair;
+    w_beats = Array.make n_pairs 0;
+    w_beats_at_arm = Array.make n_pairs 0;
+    (* Every pair starts healthy, its chain virtual and due at the base
+       timeout, so even a death before the first job is detected. *)
+    w_armed = Bytes.make n_pairs (Char.chr chain_virtual);
+    w_interval = Array.make n_pairs heartbeat_timeout;
+    w_due = Array.make n_pairs heartbeat_timeout;
+    w_live = Hashtbl.create 8;
+    w_stalls = Array.make n_pairs 0;
+    w_starves = Array.make n_pairs 0;
+    w_hopeless = Bytes.make n_pairs '\000';
+    covered = Bytes.make n_pairs '\001'; (* every pair starts covered *)
+    uncovered = 0;
+    des;
+    silent;
+    break_at;
+    phase2 = Hashtbl.create 8;
+    rel_pending = Hashtbl.create 32;
+    rel_seen = Bytes.make 64 '\000';
+    next_msg_id = 0;
+    seq = 0;
+    served = 0;
+    failures = [];
+    computations = 0;
+    replacements = 0;
+    starved = 0;
+    violations = 0;
+    retries_count = 0;
+    livelocks = 0;
+    livelocked = false;
+  }
 
 (* --- reliable send layer --- *)
 
@@ -585,11 +620,13 @@ let monitor_of w ~pair_id =
   scan 1
 
 let arm_deadline w ~pair_id ~delay =
-  Bytes.set_uint8 w.w_armed pair_id 1;
   w.w_beats_at_arm.(pair_id) <- w.w_beats.(pair_id);
   w.w_interval.(pair_id) <- delay;
-  let anchor = w.topo.pair_anchor.(pair_id) in
-  Des.send_after ~weak:true w.des ~delay ~src:anchor ~dst:anchor Deadline
+  if healthy w pair_id then begin
+    Bytes.set_uint8 w.w_armed pair_id chain_virtual;
+    w.w_due.(pair_id) <- Des.now w.des +. delay
+  end
+  else send_deadline w pair_id ~delay
 
 let send_heartbeat w v =
   if working w v = st_active && w.veh_pair.(v) >= 0 then
@@ -601,6 +638,7 @@ let send_heartbeat w v =
           (Heartbeat { pair = w.veh_pair.(v) })
 
 let on_heartbeat w ~pair_id =
+  catch_up w pair_id;
   w.w_beats.(pair_id) <- w.w_beats.(pair_id) + 1;
   if (not (armed w pair_id)) && not (hopeless w pair_id) then
     arm_deadline w ~pair_id ~delay:heartbeat_timeout
@@ -761,21 +799,10 @@ let force_clear w ~pair_id =
     stuck
 
 let on_deadline w ~pair_id =
-  Bytes.set_uint8 w.w_armed pair_id 0;
+  Bytes.set_uint8 w.w_armed pair_id chain_stopped;
   if not (hopeless w pair_id) then begin
-    let active = w.pair_active.(pair_id) in
-    if active >= 0 && alive w active then begin
-      (* Healthy pair.  Heartbeats since arming mean traffic: keep the
-         base deadline.  A quiet pair backs off exponentially so an idle
-         fleet re-arms only O(log T) times, yet a later death is still
-         caught. *)
-      let delay =
-        if w.w_beats.(pair_id) > w.w_beats_at_arm.(pair_id) then
-          heartbeat_timeout
-        else Float.min max_deadline_interval (2.0 *. w.w_interval.(pair_id))
-      in
-      arm_deadline w ~pair_id ~delay
-    end
+    if active_alive w pair_id then
+      arm_deadline w ~pair_id ~delay:(rearm_delay w pair_id)
     else begin
       Metrics.incr m_monitor_timeouts;
       if searching w pair_id then begin
@@ -898,10 +925,8 @@ let kill w id =
    radio silence, not a breakdown. *)
 let on_vehicle_restart w v =
   let pid = w.anchor_pair.(v) in
-  if pid >= 0 && armed w pid && not (hopeless w pid) then begin
-    Bytes.set_uint8 w.w_armed pid 0;
-    arm_deadline w ~pair_id:pid ~delay:heartbeat_timeout
-  end;
+  if pid >= 0 && armed w pid && not (hopeless w pid) then
+    arm_deadline w ~pair_id:pid ~delay:heartbeat_timeout;
   if w.cfg.retries then
     Hashtbl.iter
       (fun msg_id p ->

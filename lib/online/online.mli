@@ -29,6 +29,9 @@
     missing heartbeats and has the monitor initiate the replacement.  A
     vehicle that fails to initiate (scenario 2) or dies outright
     (scenario 3) is therefore detected without any out-of-band signal.
+    While a pair's active vehicle is alive its deadline chain is computed,
+    not simulated, so an idle pair costs no event and a run does not
+    depend on how many idle vehicles its window holds.
 
     The message layer ({!Des}) can drop, duplicate and delay messages,
     partition vehicle pairs, and the protocol survives it: every
@@ -126,7 +129,8 @@ type outcome = {
   energy_consumers : int;
       (** vehicles that consumed any energy — the weight behind
           [mean_energy_used], so shard outcomes aggregate exactly *)
-  messages : int;  (** protocol messages delivered (E8) *)
+  messages : int;
+      (** events delivered (E8): protocol messages and timer ticks *)
   replacements : int;  (** completed phase-II relocations *)
   computations : int;  (** diffusing computations initiated *)
   starved_searches : int;  (** computations that found no idle vehicle *)
@@ -135,7 +139,9 @@ type outcome = {
       (** vehicles alive with enough energy for another job at the end of
           the run — Lemma 3.3.1 keeps this at least half the fleet at the
           theorem capacity *)
-  drops : int;  (** messages lost to channel faults or partitions *)
+  drops : int;
+      (** messages lost to channel faults or partitions, or sent to or
+          from a crashed vehicle, and timers a crash lost *)
   dups : int;  (** duplicate copies injected by the channels *)
   retries_sent : int;  (** reliable-layer retransmissions *)
   livelocks : int;  (** drains that exhausted [quiesce_budget] *)

@@ -15,10 +15,11 @@
     timers and are exempt from channel faults, though a crashed process
     loses its pending timers: a timer set before a crash never fires,
     not even one that comes due after the process restarts.  A
-    process's clock is not a channel: a self-channel keeps no FIFO
-    order, and each timer fires at its own time (one set for +4 after
-    one set for +1,600 fires at +4).  A scheduled restart
-    ({!restart_after}) follows the same rule.
+    process's clock is not a channel: a self-channel adds no delay and
+    keeps no FIFO order, so each timer fires exactly its delay after it
+    was set (one set for +4 after one set for +1,600 fires at +4), and
+    draws nothing from the RNG, which holds only channel draws.  A
+    scheduled restart ({!restart_after}) follows the same rule.
 
     The simulator is generic in the message type.  Clients [send] from
     within the handler; [run_until_quiescent] drains the event queue,
@@ -121,9 +122,10 @@ val send : ?weak:bool -> 'msg t -> src:int -> dst:int -> 'msg -> unit
 
 val send_after :
   ?weak:bool -> 'msg t -> delay:float -> src:int -> dst:int -> 'msg -> unit
-(** Enqueues with an explicit extra delay — used for timer-style
-    self-messages (heartbeat deadlines, retry backoff), each of which
-    fires at its own time.  Raises
+(** Enqueues with an explicit extra delay.  Between two processes the
+    channel's random delay is added on top; a self-message (a timer:
+    heartbeat deadline, retry backoff) fires exactly [delay] from now,
+    with no jitter and no RNG draw.  Raises
     [Invalid_argument] on a negative or non-finite delay: a [nan] or
     infinite delivery time has no place on the timeline. *)
 

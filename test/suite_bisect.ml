@@ -37,8 +37,8 @@ let half_alive p = if (p.(0) + p.(1)) mod 2 = 0 then 0.9 else 0.4
 (* name, thunk, golden bits of the result, DES events (None: no DES). *)
 let rows =
   [
-    ("Online.min_feasible_capacity", online_point, 4630404104378646528L, Some 66865);
-    ("Gonline.min_feasible_capacity", gonline_line, 4622382067542392832L, Some 5249);
+    ("Online.min_feasible_capacity", online_point, 4630404104378646528L, Some 66809);
+    ("Gonline.min_feasible_capacity", gonline_line, 4622382067542392832L, Some 5207);
     ( "Greedy_online.min_feasible_capacity",
       (fun () -> Greedy_online.min_feasible_capacity (Workload.point ~total:200 ())),
       4641240890982006784L,

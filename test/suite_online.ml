@@ -870,28 +870,28 @@ let pin_lines () =
 let pinned_lines =
   [
     "chaos-300-seed1: "
-    ^ "digest 2955c9a80bce52a4 served 300 failures "
+    ^ "digest 19fd36693bd11e3a served 300 failures "
     ^ "0/bf29ce484222325 max 405d400000000000 mean "
-    ^ "4059555555555555 consumers 3 msgs 1221 repl 2 comp 2 "
+    ^ "4059555555555555 consumers 3 msgs 1206 repl 2 comp 2 "
     ^ "starved 0 vehicles 16 serviceable 14 drops 205 dups 70 "
     ^ "retries 136 livelocks 0 events 308/2865410f0caf27fa";
     "chaos-400-seed3: "
-    ^ "digest 24e9a3f5dbcc922c served 400 failures "
+    ^ "digest 005d29ec33032bb4 served 400 failures "
     ^ "0/bf29ce484222325 max 405d400000000000 mean "
-    ^ "4059700000000000 consumers 4 msgs 1869 repl 3 comp 3 "
+    ^ "4059700000000000 consumers 4 msgs 1854 repl 3 comp 3 "
     ^ "starved 0 vehicles 16 serviceable 13 drops 304 dups 109 "
     ^ "retries 198 livelocks 0 events 412/377385119133a89f";
     "silent+deaths: "
-    ^ "digest 130df24a8e0f4e9d served 640 failures "
+    ^ "digest 36484aa90924dd3d served 640 failures "
     ^ "0/bf29ce484222325 max 4054800000000000 mean "
-    ^ "4052238e38e38e39 consumers 9 msgs 445 repl 1 comp 1 "
+    ^ "4052238e38e38e39 consumers 9 msgs 433 repl 1 comp 1 "
     ^ "starved 0 vehicles 25 serviceable 22 drops 0 dups 0 "
     ^ "retries 0 livelocks 0 events 646/3c35156782a3a06c";
     "outages: "
-    ^ "digest 106e3847ddcc591a served 120 failures "
+    ^ "digest 295fbfa991becdca served 120 failures "
     ^ "0/bf29ce484222325 max 4053c00000000000 mean "
-    ^ "404e400000000000 consumers 2 msgs 274 repl 1 comp 1 "
-    ^ "starved 0 vehicles 9 serviceable 8 drops 23 dups 11 "
+    ^ "404e400000000000 consumers 2 msgs 269 repl 1 comp 1 "
+    ^ "starved 0 vehicles 9 serviceable 8 drops 22 dups 11 "
     ^ "retries 10 livelocks 0 events 124/32d1df825b97b5c";
     "tight: "
     ^ "digest 17f3609d001f8135 served 8 failures "
@@ -900,9 +900,9 @@ let pinned_lines =
     ^ "starved 0 vehicles 16 serviceable 12 drops 0 dups 0 "
     ^ "retries 0 livelocks 0 events 20/26869da5cc2c4c05";
     "1-D: "
-    ^ "digest 0c0da9a14e6a9d30 served 179 failures "
+    ^ "digest 2d53dc679e66c000 served 179 failures "
     ^ "21/58504ba9cc7d743 max 4043800000000000 mean "
-    ^ "4043800000000000 consumers 5 msgs 1239 repl 4 comp 7 "
+    ^ "4043800000000000 consumers 5 msgs 1235 repl 4 comp 7 "
     ^ "starved 3 vehicles 9 serviceable 4 drops 0 dups 0 retries "
     ^ "0 livelocks 0 events 202/11c6d527ad4f77c7";
     "3-D: "
@@ -912,20 +912,60 @@ let pinned_lines =
     ^ "starved 0 vehicles 8 serviceable 4 drops 0 dups 0 retries "
     ^ "0 livelocks 0 events 136/11f301b62e99a15f";
     "fleet: "
-    ^ "digest 34ca187069ebe119 served 130 failures "
+    ^ "digest 2ab047a11ff8e199 served 130 failures "
     ^ "38/19cb511ceaa2e900 max 4014000000000000 mean "
-    ^ "3ff716e4f16e4f17 consumers 246 msgs 58582 repl 130 comp "
-    ^ "132 starved 0 vehicles 576 serviceable 329 drops 826 dups "
+    ^ "3ff716e4f16e4f17 consumers 246 msgs 57529 repl 130 comp "
+    ^ "132 starved 0 vehicles 576 serviceable 329 drops 825 dups "
     ^ "371 retries 804 livelocks 0 shards "
-    ^ "0f1f097d42f5c6e5,053f7c81f99070c7,1e5915160e52ca06";
+    ^ "3ecb1155e66bc251,21b2e500216693b7,3e5ead4599ae1332";
   ]
 
 let test_grid_protocol_pins () =
   Alcotest.(check (list string))
     "grid protocol pins" pinned_lines (pin_lines ())
 
+(* A run does not depend on its idle vehicles.  The same 25 jobs, one in
+   each 4-cube of the [0,20)² corner, are run with one far job that fixes
+   an 80² window, then a 200² one, at the same offset in its cube.  An
+   idle pair's deadline chain costs no event and no RNG draw, so every
+   outcome field that does not count the window's vehicles is equal,
+   delivered messages included. *)
+let test_idle_vehicles () =
+  let corner = List.init 25 (fun k -> point2 ((4 * (k / 5)) + 1) ((4 * (k mod 5)) + 2)) in
+  let run ?chaos far =
+    let jobs = Array.of_list (corner @ [ point2 far far ]) in
+    Online.run
+      (Online.config ?chaos ~seed:1 ~capacity:2.5 ~side:4 ())
+      { Workload.name = "idle"; dim = 2; jobs }
+  in
+  let fields (o : Online.outcome) =
+    Printf.sprintf
+      "served %d failures %d/%x max %h mean %h consumers %d msgs %d repl %d comp %d \
+       starved %d unserviceable %d drops %d dups %d retries %d livelocks %d"
+      o.Online.served
+      (List.length o.Online.failures)
+      (fold_failures o.Online.failures)
+      o.Online.max_energy_used o.Online.mean_energy_used o.Online.energy_consumers
+      o.Online.messages o.Online.replacements o.Online.computations
+      o.Online.starved_searches
+      (o.Online.vehicles - o.Online.vehicles_still_serviceable)
+      o.Online.drops o.Online.dups o.Online.retries_sent o.Online.livelocks
+  in
+  List.iter
+    (fun (name, chaos) ->
+      let small = run ?chaos 79 and large = run ?chaos 199 in
+      Alcotest.(check int) (name ^ ": 80² window") 6400 small.Online.vehicles;
+      Alcotest.(check int) (name ^ ": 200² window") 40_000 large.Online.vehicles;
+      Alcotest.(check string) (name ^ ": same outcome") (fields small) (fields large))
+    [ ("reliable", None); ("lossy", Some (Des.faults ~drop_p:0.02 ~dup_p:0.01 ())) ]
+
 let suite =
-  suite @ [ Alcotest.test_case "grid protocol pins" `Quick test_grid_protocol_pins ]
+  suite
+  @ [
+      Alcotest.test_case "grid protocol pins" `Quick test_grid_protocol_pins;
+      Alcotest.test_case "a run does not depend on its idle vehicles" `Quick
+        test_idle_vehicles;
+    ]
 
 (* --- Grid topology: one cube pattern, stamped ---
 
