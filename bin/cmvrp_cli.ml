@@ -442,8 +442,8 @@ let fleet_cmd =
       & info [ "budget" ]
           ~doc:
             "Events dispatched per network drain before declaring a \
-             livelock.  The default is fleet-sized: a band of 10^5 vehicles \
-             legitimately dispatches millions of deadline ticks per drain.")
+             livelock.  A drain carries only its jobs' replacement \
+             traffic (idle pairs cost no events), far below the default.")
   in
   let check =
     Arg.(
