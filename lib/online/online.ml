@@ -269,8 +269,8 @@ let pair_covered w pid = hopeless w pid || active_alive w pid
 let healthy w pid = (not (hopeless w pid)) && active_alive w pid
 
 (* A healthy pair's deadline re-arms at the base timeout after heartbeats
-   since it was armed; a quiet pair backs off exponentially, so an idle
-   pair re-arms only O(log T) times, yet a later death is still caught. *)
+   since it was armed; a quiet pair backs off exponentially up to
+   [max_deadline_interval], yet a later death is still caught. *)
 let rearm_delay w pid =
   if w.w_beats.(pid) > w.w_beats_at_arm.(pid) then heartbeat_timeout
   else Float.min max_deadline_interval (2.0 *. w.w_interval.(pid))
@@ -920,7 +920,8 @@ let kill w id =
 
 (* A restart after a communication outage: the vehicle's pending
    self-timers died with the crash, so re-arm the deadline of the pair
-   anchored at it (if one was armed) and the retry timers of its
+   anchored at it (if one was armed, virtual chains included, so the
+   chain restarts as a lost timer's would) and the retry timers of its
    un-acked reliable messages.  Protocol state survives — an outage is
    radio silence, not a breakdown. *)
 let on_vehicle_restart w v =
