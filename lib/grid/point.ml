@@ -77,6 +77,5 @@ module Hashed = struct
   let hash = hash
 end
 
-module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
 module Tbl = Hashtbl.Make (Hashed)

@@ -34,6 +34,5 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 module Tbl : Hashtbl.S with type key = t

@@ -37,11 +37,7 @@ let pick_op rng =
   if Rng.int rng 8 = 0 then Protocol.Witness else Protocol.Omega_star
 
 let demand_of_window box stream start len =
-  let dm = ref (Demand_map.empty (Box.dim box)) in
-  for i = start to start + len - 1 do
-    dm := Demand_map.add !dm stream.(i) 1
-  done;
-  !dm
+  Demand_map.of_jobs (Box.dim box) (Array.to_list (Array.sub stream start len))
 
 let queries ~seed ~mix ~n =
   let rng = Rng.create seed in

@@ -444,32 +444,40 @@ let member_value c key read =
 
 (* --- requests --- *)
 
-(* The demand rows, straight into the map.  Every row has the width of
-   the first, whose coordinates fix the map's dimension; ["dim"], which
-   may come later, is checked against it at the end.  A zero value
-   leaves the map as it is, as [Demand_map.add] does, and a point whose
-   total passes [max_int] raises [Energy.Overflow].  [rowsum] sums
-   [row_digest] over the positive rows, [positive] counts them: the sum
-   is the map's row sum unless a point repeated, which shows as a count
-   above the support size. *)
+(* The demand rows, in arrival order, zero rows dropped.  Every row has
+   the width of the first, whose coordinates fix the dimension; ["dim"],
+   which may come later, is checked against it at the end, where
+   [Demand_map.of_rows] sums a repeated point (in one pass when the rows
+   are sorted, as [request_to_string] writes them) and raises
+   [Energy.Overflow] on a total past [max_int].  [rowsum] sums
+   [row_digest] over the [n] rows kept: the demand's row sum unless a
+   point repeated, which shows as more rows than the demand has points. *)
 type rows = {
-  mutable map : Demand_map.t;
-  seed : int;  (** [row_seed] of the map's dimension *)
+  dim : int;
+  seed : int;  (** [row_seed dim] *)
+  mutable points : Point.t array;
+  mutable values : int array;
+  mutable n : int;
   mutable rowsum : int;
-  mutable positive : int;
 }
 
 let add_row c rows width =
-  let dim = Demand_map.dim rows.map in
+  let dim = rows.dim in
   if width <> dim + 1 then
     reject c (Printf.sprintf "demand row is not a %d-element [coords..., value] array" (dim + 1));
   let v = c.cells.(dim) in
   if v < 0 then reject c "negative demand value";
   if v > 0 then begin
-    let p = point_of_cells c dim in
-    rows.map <- Demand_map.add rows.map p v;
-    rows.rowsum <- (rows.rowsum + seeded_row_digest rows.seed p v) land max_int;
-    rows.positive <- rows.positive + 1
+    let p = point_of_cells c dim and n = rows.n in
+    if n = Array.length rows.values then begin
+      (* doubled: the new half is written over *)
+      rows.points <- Array.append rows.points rows.points;
+      rows.values <- Array.append rows.values rows.values
+    end;
+    rows.points.(n) <- p;
+    rows.values.(n) <- v;
+    rows.n <- n + 1;
+    rows.rowsum <- (rows.rowsum + seeded_row_digest rows.seed p v) land max_int
   end
 
 let read_demand c =
@@ -482,7 +490,8 @@ let read_demand c =
         | None ->
             if width < 2 then reject c "demand row without coordinates";
             let dim = width - 1 in
-            let r = { map = Demand_map.empty dim; seed = row_seed dim; rowsum = 0; positive = 0 } in
+            let points = Array.make 16 [||] and values = Array.make 16 0 in
+            let r = { dim; seed = row_seed dim; points; values; n = 0; rowsum = 0 } in
             rows := Some r;
             r
       in
@@ -561,15 +570,15 @@ let request_of_members m =
     match m.m_demand with
     | None | Some None -> (Demand_map.empty dim, digest_of_rowsum ~dim ~rowsum:0 ~support:0)
     | Some (Some rows) ->
-        if Demand_map.dim rows.map <> dim then
+        if rows.dim <> dim then
           fail
             (Printf.sprintf "demand row is not a %d-element [coords..., value] array"
                (dim + 1));
-        let support = Demand_map.support_size rows.map in
-        ( rows.map,
-          if rows.positive = support then
-            digest_of_rowsum ~dim ~rowsum:rows.rowsum ~support
-          else demand_digest rows.map )
+        let demand = Demand_map.of_rows dim rows.points rows.values rows.n in
+        let support = Demand_map.support_size demand in
+        ( demand,
+          if rows.n = support then digest_of_rowsum ~dim ~rowsum:rows.rowsum ~support
+          else demand_digest demand )
   in
   { id; op; demand; session = m.m_session; digest }
 

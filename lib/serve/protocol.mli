@@ -101,14 +101,15 @@ val digest_of_rowsum : dim:int -> rowsum:int -> support:int -> int
 val request_to_string : request -> string
 
 val request_of_string : string -> (request, string) result
-(** Reads the demand rows straight into the map and sums their row
-    digests on the way, so the request's [digest] costs no second
-    pass.  [Error] on malformed JSON, a missing or ill-typed member, an
-    unknown op, a bad demand row (wrong width, a negative value, or a
-    point whose total does not fit in an [int]), and on a ["scale"]
-    member: answers are resolved on the oracle's fixed LP grid, so a
-    client asking for another resolution is told so rather than answered
-    on that grid. *)
+(** Collects the demand rows into arrays and sums their row digests on
+    the way, so the request's [digest] costs no second pass; rows sorted
+    as {!request_to_string} writes them become the demand in one more
+    linear pass, others are sorted and merged.  [Error] on malformed
+    JSON, a missing or ill-typed member, an unknown op, a bad demand row
+    (wrong width, a negative value, or a point whose total does not fit
+    in an [int]), and on a ["scale"] member: answers are resolved on the
+    oracle's fixed LP grid, so a client asking for another resolution is
+    told so rather than answered on that grid. *)
 
 val response_to_string : response -> string
 

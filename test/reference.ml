@@ -3,10 +3,11 @@
    and closed form, a small max-flow over an edge list, the exhaustive
    side of the subset duals (Lemma 2.2.2 and its variants), which
    enumerate every demand subset, cube scans that try every anchor of
-   the bounding box, the online grid topology built cube by cube, and a
-   request decoder that goes through a [Json.t] tree.  The max-flow, the
-   duals and the cube scans are exponential, dense or box-sized on
-   purpose — tiny instances only. *)
+   the bounding box, the online grid topology built cube by cube, a
+   request decoder that goes through a [Json.t] tree, and the demand map
+   kept in a balanced tree.  The max-flow, the duals and the cube scans
+   are exponential, dense or box-sized on purpose — tiny instances
+   only. *)
 
 (* Single-source shortest paths that allow negative weights: [Error ()]
    when a negative cycle is reachable from [source].  Unreachable =
@@ -407,3 +408,55 @@ let request_of_string text =
       (Option.value rows ~default:[])
   in
   Ok (Protocol.request ?session ~id op demand)
+
+(* [Demand_map] as it was before it became two sorted arrays: a balanced
+   map from point to demand, built one [update] at a time.  It raises
+   what [Demand_map] raises, messages included, so a differential test
+   can compare failures too. *)
+module Demand = struct
+  module Points = Map.Make (struct
+    type t = Point.t
+
+    let compare = Point.compare
+  end)
+
+  type t = { l : int; map : int Points.t }
+
+  let empty l =
+    if l <= 0 then invalid_arg "Demand_map.empty: dimension must be positive";
+    { l; map = Points.empty }
+
+  let add t x k =
+    if k < 0 then invalid_arg "Demand_map.add: negative demand";
+    if Point.dim x <> t.l then invalid_arg "Demand_map.add: dimension mismatch";
+    if k = 0 then t
+    else
+      {
+        t with
+        map =
+          Points.update x (function None -> Some k | Some v -> Some (Energy.add v k)) t.map;
+      }
+
+  let remove t x k =
+    if k < 0 then invalid_arg "Demand_map.remove: negative demand";
+    if Point.dim x <> t.l then invalid_arg "Demand_map.remove: dimension mismatch";
+    if k = 0 then t
+    else
+      let v = match Points.find_opt x t.map with None -> 0 | Some v -> v in
+      if k > v then invalid_arg "Demand_map.remove: demand would become negative"
+      else if k = v then { t with map = Points.remove x t.map }
+      else { t with map = Points.add x (v - k) t.map }
+
+  let of_alist l alist = List.fold_left (fun t (x, k) -> add t x k) (empty l) alist
+  let of_jobs l jobs = List.fold_left (fun t x -> add t x 1) (empty l) jobs
+  let dim t = t.l
+  let value t x = match Points.find_opt x t.map with None -> 0 | Some v -> v
+  let support t = List.map fst (Points.bindings t.map)
+  let support_size t = Points.cardinal t.map
+  let is_empty t = Points.is_empty t.map
+  let total t = Points.fold (fun _ v acc -> Energy.add acc v) t.map 0
+  let max_demand t = Points.fold (fun _ v acc -> max v acc) t.map 0
+  let bounding_box t = Box.hull (support t)
+  let equal a b = a.l = b.l && Points.equal Int.equal a.map b.map
+  let fold t ~init ~f = Points.fold (fun p v acc -> f acc p v) t.map init
+end

@@ -211,3 +211,125 @@ let suite =
       Alcotest.test_case "remove below zero raises" `Quick
         test_remove_below_zero_raises;
     ]
+
+(* --- the sorted arrays against the map model --- *)
+
+module Model = Reference.Demand
+
+(* What a call returned, or the exception it raised, as data. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* Every observer of a demand, the fold's order included. *)
+let view dm probes =
+  ( Demand_map.dim dm,
+    List.map (Demand_map.value dm) probes,
+    Demand_map.support dm,
+    Demand_map.support_size dm,
+    Demand_map.is_empty dm,
+    outcome (fun () -> Demand_map.total dm),
+    Demand_map.max_demand dm,
+    Option.map (fun (b : Box.t) -> (b.Box.lo, b.Box.hi)) (Demand_map.bounding_box dm),
+    List.rev (Demand_map.fold dm ~init:[] ~f:(fun acc p v -> (p, v) :: acc)) )
+
+let model_view dm probes =
+  ( Model.dim dm,
+    List.map (Model.value dm) probes,
+    Model.support dm,
+    Model.support_size dm,
+    Model.is_empty dm,
+    outcome (fun () -> Model.total dm),
+    Model.max_demand dm,
+    Option.map (fun (b : Box.t) -> (b.Box.lo, b.Box.hi)) (Model.bounding_box dm),
+    List.rev (Model.fold dm ~init:[] ~f:(fun acc p v -> (p, v) :: acc)) )
+
+(* Coordinates from a small range, now and then [max_int] or [min_int]. *)
+let random_point rng l =
+  Array.init l (fun _ ->
+      match Rng.int rng 12 with 0 -> max_int | 1 -> min_int | _ -> Rng.int_in rng (-2) 2)
+
+(* A point of the wrong dimension. *)
+let misfit rng l = random_point rng (if l = 1 || Rng.bool rng then l + 1 else l - 1)
+
+(* Rows with duplicates and zero values, and at most one bad entry: a
+   negative value, a wrong dimension, or a value that takes a point's
+   total past [max_int]. *)
+let random_rows rng l =
+  let rows = Array.init (Rng.int rng 12) (fun _ -> (random_point rng l, Rng.int rng 4)) in
+  let rows = Array.append rows (Array.map (fun (p, _) -> (p, Rng.int rng 4)) rows) in
+  Rng.shuffle rng rows;
+  let rows = Array.to_list rows in
+  let i = Rng.int rng (List.length rows + 1) in
+  let at row = List.filteri (fun j _ -> j < i) rows @ (row :: List.filteri (fun j _ -> j >= i) rows) in
+  match Rng.int rng 6 with
+  | 0 -> at (random_point rng l, -1 - Rng.int rng 3)
+  | 1 -> at (misfit rng l, Rng.int rng 4)
+  | 2 -> (
+      match List.find_opt (fun (_, v) -> v > 0) rows with
+      | Some (p, _) -> at (p, max_int)
+      | None -> rows)
+  | _ -> rows
+
+type step =
+  | Add of Point.t * int
+  | Remove of Point.t * int
+  | Alist of (Point.t * int) list
+  | Jobs of Point.t list
+
+let random_step rng l support =
+  let point () =
+    match Rng.int rng 10 with
+    | 0 -> misfit rng l
+    | 1 | 2 | 3 | 4 when support <> [] -> List.nth support (Rng.int rng (List.length support))
+    | _ -> random_point rng l
+  in
+  let amount () =
+    match Rng.int rng 10 with 0 -> -1 | 1 -> max_int | 2 -> 0 | _ -> Rng.int_in rng 1 3
+  in
+  match Rng.int rng 8 with
+  | 0 -> Alist (random_rows rng l)
+  | 1 -> Jobs (List.map fst (random_rows rng l))
+  | 2 | 3 | 4 -> Add (point (), amount ())
+  | _ -> Remove (point (), amount ())
+
+let real_step l dm = function
+  | Add (x, v) -> Demand_map.add dm x v
+  | Remove (x, v) -> Demand_map.remove dm x v
+  | Alist rows -> Demand_map.of_alist l rows
+  | Jobs jobs -> Demand_map.of_jobs l jobs
+
+let model_step l model = function
+  | Add (x, v) -> Model.add model x v
+  | Remove (x, v) -> Model.remove model x v
+  | Alist rows -> Model.of_alist l rows
+  | Jobs jobs -> Model.of_jobs l jobs
+
+(* Thirty random steps on both, from the empty demand: after each, the
+   same result or the same exception, and then the same observations
+   and the same [equal] against the demand before the step. *)
+let prop_matches_map_model =
+  QCheck.Test.make ~name:"sorted arrays = map model, step by step" ~count:300
+    (QCheck.int_bound (1 lsl 30))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let l = Rng.int_in rng 1 3 in
+      let probes = List.init 12 (fun _ -> random_point rng l) in
+      let rec run k dm model =
+        k = 0
+        ||
+        let step = random_step rng l (Demand_map.support dm) in
+        match (outcome (fun () -> real_step l dm step), outcome (fun () -> model_step l model step)) with
+        | Error e, Error f when String.equal e f -> run (k - 1) dm model
+        | Ok dm', Ok model' ->
+            let probes = Demand_map.support dm @ probes in
+            if view dm' probes <> model_view model' probes then
+              QCheck.Test.fail_reportf "seed %d: the two demands differ after a step" seed
+            else if Demand_map.equal dm' dm <> Model.equal model' model then
+              QCheck.Test.fail_reportf "seed %d: equal disagrees" seed
+            else run (k - 1) dm' model'
+        | Error e, Ok _ -> QCheck.Test.fail_reportf "seed %d: raised %s, the model did not" seed e
+        | Ok _, Error f -> QCheck.Test.fail_reportf "seed %d: the model raised %s" seed f
+        | Error e, Error f -> QCheck.Test.fail_reportf "seed %d: raised %s, the model %s" seed e f
+      in
+      run 30 (Demand_map.empty l) (Model.empty l))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_matches_map_model ]
