@@ -23,24 +23,25 @@ let length_of_header header =
   if !len > max_payload then bad "frame length %s out of range" header;
   !len
 
-(* The header digits are written by hand into the frame's one buffer:
-   the daemon encodes a frame for every response it sends. *)
-let encode payload =
+(* Header digits by hand, most significant first: the daemon appends a
+   frame for every response it sends. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.chr (48 + (n mod 10)))
+
+let append buf payload =
   let len = String.length payload in
   if len > max_payload then
     bad "payload of %d bytes exceeds the %d-byte frame cap" len max_payload;
-  let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
-  let w = width len in
-  let b = Bytes.create (w + len + 2) in
-  let rec digits n i =
-    Bytes.set b i (Char.chr (48 + (n mod 10)));
-    if n >= 10 then digits (n / 10) (i - 1)
-  in
-  digits len (w - 1);
-  Bytes.set b w '\n';
-  Bytes.blit_string payload 0 b (w + 1) len;
-  Bytes.set b (w + len + 1) '\n';
-  Bytes.to_string b
+  add_digits buf len;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf payload;
+  Buffer.add_char buf '\n'
+
+let encode payload =
+  let buf = Buffer.create (String.length payload + 10) in
+  append buf payload;
+  Buffer.contents buf
 
 (* --- incremental decoding --- *)
 

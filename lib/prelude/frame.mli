@@ -10,10 +10,10 @@
     violation raises {!Bad_frame} rather than silently skewing the
     stream.
 
-    Frames go out through {!encode} and come in through an incremental
-    {!decoder} fed arbitrary byte chunks: the daemon's one select loop
-    reads whatever a socket or stdin has and pops the complete frames,
-    and so do the load generator's clients.  See [docs/SERVING.md]. *)
+    Frames go out through {!append} or {!encode} and come in through an
+    incremental {!decoder} fed arbitrary byte chunks: the daemon's select
+    loop reads what a socket or stdin has and pops the complete frames,
+    as do the load generator's clients.  See [docs/SERVING.md]. *)
 
 exception Bad_frame of string
 (** Malformed header (empty, a byte other than an ASCII digit, no
@@ -25,8 +25,12 @@ val max_payload : int
 (** Hard cap on a single payload (16 MiB) — a corrupt or hostile header
     cannot make a peer allocate unboundedly. *)
 
+val append : Buffer.t -> string -> unit
+(** Adds the full wire form of one payload to a buffer, or raises
+    {!Bad_frame} if the payload is longer than {!max_payload}. *)
+
 val encode : string -> string
-(** The full wire form of one payload. *)
+(** The full wire form of one payload, through {!append}. *)
 
 (** {1 Incremental decoding} *)
 

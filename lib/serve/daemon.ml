@@ -29,6 +29,7 @@ type conn = {
   rd : Unix.file_descr;
   wr : Unix.file_descr;
   dec : Frame.decoder;
+  out : Buffer.t;  (* the replies of the batch being answered *)
   mutable alive : bool;
   mutable bad_frame : string option;
       (* its error is queued: close once the queue is answered *)
@@ -37,24 +38,25 @@ type conn = {
 }
 
 let connection rd wr =
-  { rd; wr; dec = Frame.decoder (); alive = true; bad_frame = None; not_open = None }
+  let out = Buffer.create 4096 in
+  { rd; wr; dec = Frame.decoder (); out; alive = true; bad_frame = None; not_open = None }
 
-(* Blocking write of a whole frame; small responses, prompt readers.  A
-   peer that is gone ([EPIPE], [ECONNRESET]) loses the frame; an output
-   descriptor that is not open ([EBADF]) ends the connection. *)
-let send_response conn resp =
-  if conn.alive && Option.is_none conn.not_open then begin
-    let s = Frame.encode (Protocol.response_to_string resp) in
-    let len = String.length s in
-    let off = ref 0 in
-    try
-      while !off < len do
-        off := !off + Unix.write_substring conn.wr s !off (len - !off)
-      done
-    with
-    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-    | Unix.Unix_error (Unix.EBADF, _, _) -> conn.not_open <- Some `Output
-  end
+(* Blocking write of [conn]'s replies through [scratch]; small batches,
+   prompt readers.  A peer that is gone ([EPIPE], [ECONNRESET]) loses
+   them; an output descriptor that is not open ([EBADF]) ends the
+   connection. *)
+let write_replies conn scratch =
+  let len = Buffer.length conn.out and off = ref 0 in
+  (try
+     while !off < len do
+       let n = min (len - !off) (Bytes.length scratch) in
+       Buffer.blit conn.out !off scratch 0 n;
+       off := !off + Unix.write conn.wr scratch 0 n
+     done
+   with
+  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  | Unix.Unix_error (Unix.EBADF, _, _) -> conn.not_open <- Some `Output);
+  Buffer.clear conn.out
 
 let parse_error_response msg =
   { Protocol.r_id = -1; r_cached = false; r_result = Error msg; r_encoded = None }
@@ -101,10 +103,11 @@ let pump_conn conn pending buf =
       conn.bad_frame <- Some msg;
       true
 
-(* Feed the pending queue to the engine, [max_batch] at a time, sending
-   each response to its connection as soon as its batch completes.
-   Returns true if a shutdown request was served. *)
-let drain_pending engine max_batch pending =
+(* Feed the pending queue to the engine, [max_batch] at a time.  A
+   batch's replies go to their connections' buffers in request order,
+   and each connection that got one is written once as the batch
+   completes.  Returns true if a shutdown request was served. *)
+let drain_pending engine max_batch pending scratch =
   let saw_shutdown = ref false in
   while not (Queue.is_empty pending) do
     let take = min max_batch (Queue.length pending) in
@@ -121,13 +124,18 @@ let drain_pending engine max_batch pending =
     let answered = ref 0 in
     Array.iter
       (fun (conn, decoded) ->
-        send_response conn
-          (match decoded with
+        let resp =
+          match decoded with
           | Ok _ ->
               incr answered;
               responses.(!answered - 1)
-          | Error msg -> parse_error_response msg))
-      owners
+          | Error msg -> parse_error_response msg
+        in
+        if conn.alive && Option.is_none conn.not_open then
+          Frame.append conn.out (Protocol.response_to_string resp))
+      owners;
+    (* the first visit writes a connection's replies and empties its buffer *)
+    Array.iter (fun (conn, _) -> write_replies conn scratch) owners
   done;
   !saw_shutdown
 
@@ -195,7 +203,7 @@ let serve ~trace cfg listener conns =
             if conn.alive && List.memq conn.rd ready then
               if not (pump_conn conn pending buf) then hang_up conn)
           !conns;
-        if drain_pending engine cfg.max_batch pending then running := false;
+        if drain_pending engine cfg.max_batch pending buf then running := false;
         (* the queue is empty now, so every bad frame has been answered *)
         List.iter
           (fun c ->
@@ -225,8 +233,7 @@ let listen path =
 
 let run ?(trace = fun (_ : string) -> ()) cfg =
   (* A client that disconnects with responses pending must cost an EPIPE
-     in [send_response], not the process: SIGPIPE's default action is to
-     die. *)
+     in [write_replies], not the process: SIGPIPE's default action is to die. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match cfg.transport with
   | Unix_socket path ->

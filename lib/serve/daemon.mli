@@ -11,7 +11,8 @@
     the queue to the engine in arrival order, [max_batch] requests at a
     time — so concurrent clients get batched together, and each client's
     responses come back in the order it sent its requests (the
-    per-client FIFO the concurrent-client suite asserts).  Out of
+    per-client FIFO the concurrent-client suite asserts).  A batch's
+    replies to one connection go out in one blocking write.  Out of
     descriptors ([EMFILE], [ENFILE]), it stops accepting until a
     connection closes or a second passes, and serves the clients it has.
 

@@ -171,27 +171,23 @@ let reply_ids ?(limit = max_int) fd =
   go [] 0
 
 let test_daemon_answers_decode_errors_in_turn () =
-  (* One write carries an omega_star request, a frame that does not
-     decode and a ping.  An id -1 error can only be matched by its
-     position, so the replies must come back as ids 1, -1, 3 — not with
-     the error first, ahead of the requests still in the batch queue. *)
+  (* One write carries twenty frames, the twelfth of which does not
+     decode, to a daemon that batches eight at a time: one drain answers
+     three batches, each with one write per connection.  An id -1 error
+     can only be matched by its position, so the replies must come back
+     as ids 1-11, -1, 13-20 — not with the error first, ahead of the
+     requests still in the batch queue. *)
   with_workers 2 (fun () ->
       let path = Filename.temp_file "cmvrp_fifo" ".sock" in
       Sys.remove path;
-      let omega =
-        Protocol.request ~id:1 Protocol.Omega_star
-          (Demand_map.of_alist 2 [ ([| 0; 0 |], 5); ([| 1; 2 |], 3) ])
+      let frame id =
+        let demand = Demand_map.of_alist 2 [ ([| 0; 0 |], 5); ([| 1; id mod 4 |], 3) ] in
+        if id = 12 then {|{"id":12,"op":"nonsense"|}
+        else if id mod 3 = 0 then
+          Protocol.request_to_string (Protocol.request ~id Protocol.Ping (Demand_map.empty 2))
+        else Protocol.request_to_string (Protocol.request ~id Protocol.Omega_star demand)
       in
-      let ping = Protocol.request ~id:3 Protocol.Ping (Demand_map.empty 2) in
-      let wire =
-        String.concat ""
-          (List.map Frame.encode
-             [
-               Protocol.request_to_string omega;
-               {|{"id":2,"op":"nonsense"|};
-               Protocol.request_to_string ping;
-             ])
-      in
+      let wire = String.concat "" (List.init 20 (fun i -> Frame.encode (frame (i + 1)))) in
       let client () =
         match Loadgen.connect path with
         | Error e -> Error e
@@ -200,11 +196,11 @@ let test_daemon_answers_decode_errors_in_turn () =
               ~finally:(fun () -> Unix.close fd)
               (fun () ->
                 ignore (Unix.write_substring fd wire 0 (String.length wire));
-                reply_ids ~limit:3 fd)
+                reply_ids ~limit:20 fd)
       in
       let (), (ids, stopped) =
         Pool.both
-          (fun () -> Daemon.run (Daemon.config (Daemon.Unix_socket path)))
+          (fun () -> Daemon.run (Daemon.config ~max_batch:8 (Daemon.Unix_socket path)))
           (fun () ->
             let ids =
               try client () with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
@@ -212,7 +208,8 @@ let test_daemon_answers_decode_errors_in_turn () =
             (ids, Loadgen.send_shutdown ~socket:path ()))
       in
       Alcotest.(check (result (list int) string)) "reply ids in request order"
-        (Ok [ 1; -1; 3 ]) ids;
+        (Ok (List.init 20 (fun i -> if i = 11 then -1 else i + 1)))
+        ids;
       Alcotest.(check (result unit string)) "shutdown answered" (Ok ()) stopped)
 
 let test_daemon_answers_bad_header_after_earlier_requests () =
